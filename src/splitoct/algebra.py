@@ -251,7 +251,8 @@ class Octonion:
     p: int
 
     def __post_init__(self):
-        assert len(self.coords) == DIM
+        if len(self.coords) != DIM:
+            raise ValueError(f"an octonion has {DIM} coordinates, got {len(self.coords)}")
 
     def _ctx(self) -> SplitOctonions:
         return algebra(self.p)

@@ -16,12 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DIM, GRAM_Z, algebra, _qconj_z, _qmul_z
+from .constructions import PreconditionFailed
 from .linalg import rank
 from .subspace import Subspace, closure, perp, span
-
-
-class PreconditionFailed(ValueError):
-    pass
 
 
 class CapExceeded(RuntimeError):
@@ -217,12 +214,6 @@ def _perm_of(auto: Automorphism) -> np.ndarray:
     M = np.array(auto.mat, dtype=np.int64)
     imgs = (ctx.byte_coords @ M % 2).astype(np.int64)
     return (imgs * (1 << np.arange(DIM))).sum(-1).astype(np.uint8)
-
-
-def automorphism_from_perm(perm: np.ndarray, p: int = 2) -> Automorphism:
-    ctx = algebra(p)
-    rows = [ctx.coords_of_byte(int(perm[1 << i])) for i in range(DIM)]
-    return Automorphism(tuple(rows), p)
 
 
 def generate_group(gens: list, cap: int = 20000) -> GroupClosure:

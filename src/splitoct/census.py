@@ -1,10 +1,21 @@
 """Exhaustive subalgebra census: scan every subspace, keep the closed ones.
 
 The scan walks subspaces partitioned by pivot-column set (deterministic
-order), tests multiplicative closure for a whole partition at once with
-numpy, and builds full invariant records only for the survivors.  Over F_2
-the product of two packed rows is one uint8 table lookup, so the complete
-417,199-subspace scan takes seconds.
+order) and splits each partition into index ranges, the tasks of one
+process pool per call.  A task runs three batched steps on its range:
+
+1. the closure mask (:func:`closed_block_mask`) over blocks of RREF bases:
+   over F_2 the product of two packed rows is one uint8 table lookup;
+   for odd p one float32 kernel contracts the rows with the structure
+   tensor (:func:`splitoct.subspace.closed_mask`), in blocks sized by
+   working set;
+2. the k×k×k structure constants of the survivors only
+   (:func:`splitoct.subspace.substructure`);
+3. their full records and orbit labels
+   (:func:`splitoct.classify.batch_records`).
+
+Records come back in task order, so the output does not depend on the
+number of worker processes.
 """
 
 from __future__ import annotations
@@ -17,16 +28,19 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebra import DIM, algebra
-from .classify import OrbitLabel, SubalgebraRecord, record_for
-from .subspace import (Subspace, free_positions, full_space, gaussian_binomial,
-                       pivot_block, zero_space)
+from .classify import OrbitLabel, SubalgebraRecord, batch_records, record_for
+from .subspace import (block_rows, closed_mask, free_positions, full_space,
+                       gaussian_binomial, pivot_block, zero_space)
 
 
 class CostLimitExceeded(RuntimeError):
     """Projected scan size exceeds the configured subspace budget."""
 
 
+#: rows per F_2 byte-table block
 _BLOCK = 1 << 13
+#: subspaces per pool task; large partitions are split so workers balance
+_TASK = 1 << 16
 
 
 def _closed_block_mask_f2(mats: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
@@ -41,40 +55,36 @@ def _closed_block_mask_f2(mats: np.ndarray, pivots: tuple[int, ...]) -> np.ndarr
     return (P == 0).all(axis=(1, 2))
 
 
-def _closed_block_mask_generic(mats: np.ndarray, pivots: tuple[int, ...], p: int) -> np.ndarray:
-    """Boolean mask of closed row-spans for any p (batched matmul)."""
-    ctx = algebra(p)
-    C = ctx.struct.astype(np.int64)                                   # (8,8,8)
-    m = mats.astype(np.int64)                                         # (M, k, 8)
-    k = m.shape[1]
-    # T[m,i,b,c] = sum_a rows[m,i,a] C[a,b,c]
-    T = np.tensordot(m, C, axes=([2], [0])) % p                       # (M, k, 8, 8)
-    # P[m,i,j,c] = sum_b rows[m,j,b] T[m,i,b,c]
-    P = np.matmul(m[:, None, :, :], T) % p                            # (M, k, k, 8)
-    for i, c in enumerate(pivots):
-        coef = P[..., c].copy()
-        P = (P - coef[..., None] * m[:, None, None, i, :]) % p
-    return (P == 0).all(axis=(1, 2, 3))
-
-
 def closed_block_mask(mats: np.ndarray, pivots: tuple[int, ...], p: int) -> np.ndarray:
+    """Boolean mask of the closed row-spans among RREF bases ``mats``."""
     if p == 2:
         return _closed_block_mask_f2(mats, pivots)
-    return _closed_block_mask_generic(mats, pivots, p)
+    return closed_mask(mats, pivots, algebra(p).struct, p)
 
 
-def _scan_partition(args) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], ...]], int]:
-    """Scan one pivot partition; return (pivots, closed row tuples, scanned)."""
-    pivots, p = args
-    total = p ** len(free_positions(pivots))
-    closed_rows: list[tuple[tuple[int, ...], ...]] = []
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        mats = pivot_block(pivots, p, DIM, start, stop)
-        mask = closed_block_mask(mats, pivots, p)
-        for m in mats[mask]:
-            closed_rows.append(tuple(map(tuple, m.tolist())))
-    return pivots, closed_rows, total
+def _scan_range(args) -> list[SubalgebraRecord]:
+    """Records of the closed subspaces among indices [start, stop) of one
+    pivot partition."""
+    pivots, p, start, stop = args
+    block = _BLOCK if p == 2 else block_rows(len(pivots), DIM)
+    closed = []
+    for lo in range(start, stop, block):
+        mats = pivot_block(pivots, p, DIM, lo, min(lo + block, stop))
+        closed.append(mats[closed_block_mask(mats, pivots, p)])
+    return batch_records(np.concatenate(closed), p)
+
+
+def _tasks(dims, p: int) -> list[tuple]:
+    """(pivots, p, start, stop) for every proper nonzero dimension, in scan order."""
+    out = []
+    for k in dims:
+        if not 0 < k < DIM:
+            continue
+        for piv in itertools.combinations(range(DIM), k):
+            total = p ** len(free_positions(piv))
+            out.extend((piv, p, lo, min(lo + _TASK, total))
+                       for lo in range(0, total, _TASK))
+    return out
 
 
 def enumerate_subalgebras(p: int, dims=None, *, max_subspaces: int | None = 2_000_000,
@@ -85,33 +95,32 @@ def enumerate_subalgebras(p: int, dims=None, *, max_subspaces: int | None = 2_00
 
     ``max_subspaces`` bounds the projected number of subspaces visited
     (None disables the check); exceeding it raises CostLimitExceeded
-    before any work is done.
+    before any work is done.  ``threads`` > 1 runs the scan in one pool
+    of that many processes.  Closure of every record is checked while its
+    structure constants are computed, so ``trust_closed`` no longer
+    changes the result; it stays for callers.
     """
     dims = tuple(sorted(set(range(DIM + 1) if dims is None else dims)))
-    assert all(0 <= d <= DIM for d in dims)
+    if not all(0 <= d <= DIM for d in dims):
+        raise ValueError(f"dimensions must lie in 0..{DIM}, got {list(dims)}")
     projected = sum(gaussian_binomial(DIM, k, p) for k in dims)
     if max_subspaces is not None and projected > max_subspaces:
         raise CostLimitExceeded(
             f"projected {projected} subspaces exceeds budget {max_subspaces}; "
             "raise --max-subspaces to proceed")
+    tasks = _tasks(dims, p)
+    if threads > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_scan_range, tasks))
+    else:
+        results = [_scan_range(t) for t in tasks]
     records: list[SubalgebraRecord] = []
-    for k in dims:
-        if k == 0:
-            records.append(record_for(zero_space(p), trust_closed=True))
-            continue
-        if k == DIM:
-            records.append(record_for(full_space(p), trust_closed=True))
-            continue
-        partitions = [(piv, p) for piv in itertools.combinations(range(DIM), k)]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_scan_partition, partitions))
-        else:
-            results = [_scan_partition(a) for a in partitions]
-        for pivots, closed_rows, _count in results:
-            for rows in closed_rows:
-                space = Subspace(rows, p, DIM)
-                records.append(record_for(space, trust_closed=trust_closed))
+    if 0 in dims:
+        records.append(record_for(zero_space(p)))
+    for chunk in results:
+        records.extend(chunk)
+    if DIM in dims:
+        records.append(record_for(full_space(p)))
     return records
 
 

@@ -6,19 +6,25 @@ orbit from cheap invariants (dimension, unitality, radicals, one-sided
 identities, minimal polynomials).  Labels D, H, D+Q, K require imperfect
 or infinite scalars and can never occur over F_p; their branches raise
 :class:`ClassificationError` so a scan hitting one is loudly wrong.
+
+:func:`batch_records` computes every invariant of a stack of closed
+subspaces at once, from their k×k×k structure constants, the Gram matrix
+of the polar form and the norms and traces of the basis rows.
+:func:`record_for` and :func:`classify` are its one-space case.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import field
-from .algebra import DIM, SplitOctonions, algebra
-from .linalg import nullspace
-from .subspace import Subspace, intersect, is_closed, radicals, span
+from .algebra import DIM, GRAM_Z, algebra
+from .linalg import batch_rank
+from .subspace import NotClosed, Subspace, substructure
 
 
 class OrbitLabel(enum.Enum):
@@ -82,10 +88,6 @@ LABEL_DIM = {
 }
 
 
-class NotClosed(ValueError):
-    """classify() was handed a subspace that is not closed under products."""
-
-
 class ClassificationError(RuntimeError):
     """A closed subspace contradicts the classification (must never fire)."""
 
@@ -104,17 +106,6 @@ def element_orbit_invariant(v, p: int | None = None) -> tuple[int, int, bool]:
     return ctx.norm(coords), ctx.trace(coords), central
 
 
-def _has_one_sided_identity(space: Subspace, ctx: SplitOctonions, side: str) -> bool:
-    for e in space.nonzero_elements():
-        if side == "left":
-            if all(ctx.mul(e, b) == b for b in space.rows):
-                return True
-        else:
-            if all(ctx.mul(b, e) == b for b in space.rows):
-                return True
-    return False
-
-
 def _minimal_poly_kind(t: int, n: int, p: int) -> str:
     """Kind of X² - tX + n over F_p: 'split', 'double', 'irreducible',
     or 'inseparable' (irreducible with zero derivative; char 2, t = 0)."""
@@ -124,127 +115,6 @@ def _minimal_poly_kind(t: int, n: int, p: int) -> str:
     if len(roots) == 1:
         return "double"
     return "inseparable" if (p == 2 and t % p == 0) else "irreducible"
-
-
-def _annihilator_space(space: Subspace, ctx: SplitOctonions, side: str) -> Subspace:
-    """Elements a of the ambient space with a·A = 0 (side='left') or A·a = 0."""
-    p = ctx.p
-    E = np.eye(DIM, dtype=np.int64)
-    blocks = []
-    for b in space.rows:
-        if side == "left":
-            M = np.array([ctx.mul(E[i], b) for i in range(DIM)], dtype=np.int64)
-        else:
-            M = np.array([ctx.mul(b, E[i]) for i in range(DIM)], dtype=np.int64)
-        blocks.append(M)
-    big = np.concatenate(blocks, axis=1)       # (8, 8k); want a @ big = 0
-    ker = nullspace(big.T % p, p)
-    return span(ker, p)
-
-
-def classify(space: Subspace, *, trust_closed: bool = False) -> OrbitLabel:
-    """Orbit label of a closed subspace, per the classification theorems."""
-    p = space.p
-    ctx = algebra(p)
-    if not trust_closed and not is_closed(space, ctx):
-        raise NotClosed(f"subspace is not closed under multiplication: {space}")
-    k = space.dim
-    if k == 0:
-        return OrbitLabel.Zero
-    if k == 8:
-        return OrbitLabel.Full
-    if k == 7:
-        raise ClassificationError("7-dimensional subalgebra cannot exist")
-
-    one = ctx.one.coords
-    if not space.contains(one):
-        # 1 ∉ A forces N ≡ 0 on A: an invertible x would put
-        # 1 = (tr(x)·x − x²)/N(x) inside the closed space
-        for i, u in enumerate(space.rows):
-            if ctx.norm(u) != 0:
-                raise ClassificationError("non-unital subalgebra containing an invertible element")
-            for v in space.rows[i + 1:]:
-                if ctx.polar(u, v) != 0:
-                    raise ClassificationError("non-unital subalgebra is not totally singular")
-        if k == 1:
-            gen = space.rows[0]
-            return OrbitLabel.Fp if ctx.trace(gen) != 0 else OrbitLabel.Fn
-        if k == 2:
-            if all(not any(ctx.mul(u, v)) for u in space.rows for v in space.rows):
-                return OrbitLabel.Q
-            if _has_one_sided_identity(space, ctx, "left"):
-                return OrbitLabel.FnFp
-            if _has_one_sided_identity(space, ctx, "right"):
-                return OrbitLabel.FnFpbar
-            raise ClassificationError("2-dim singular algebra with no identity and products")
-        if k == 3:
-            in_one_perp = all(ctx.trace(b) == 0 for b in space.rows)
-            return OrbitLabel.HeisNOcapOn if in_one_perp else OrbitLabel.mOcapOn
-        if k == 4:
-            left_ann = intersect(_annihilator_space(space, ctx, "left"), space)
-            if left_ann.dim > 0:
-                return OrbitLabel.NO
-            right_ann = intersect(_annihilator_space(space, ctx, "right"), space)
-            if right_ann.dim > 0:
-                return OrbitLabel.ON
-            raise ClassificationError("4-dim singular algebra with no annihilator")
-        raise ClassificationError(f"totally singular subalgebra of dimension {k}")
-
-    # unital branch
-    if k == 1:
-        return OrbitLabel.F
-    if k == 5:
-        return OrbitLabel.Dim5
-    if k == 6:
-        return OrbitLabel.Dim6
-    R, Q = radicals(space)
-    if k == 2:
-        gen = next(r for r in space.rows
-                   if not span([one], p).contains(r))
-        kind = _minimal_poly_kind(ctx.trace(gen), ctx.norm(gen), p)
-        if kind == "split":
-            return OrbitLabel.S
-        if kind == "double":
-            return OrbitLabel.FplusFn
-        if kind == "irreducible":
-            return OrbitLabel.E
-        raise ClassificationError("label D requires an imperfect field")
-    if k == 3:
-        if R.dim == 1:
-            return OrbitLabel.T
-        if R.dim >= 2:
-            if Q.dim < 2:
-                raise ClassificationError("3-dim unital: dim R >= 2 forces dim Q >= 2")
-            return OrbitLabel.FplusQ
-        raise ClassificationError("3-dim unital nondegenerate subalgebra")
-    if k == 4:
-        if R.dim == 0:
-            if any(any(x) and ctx.norm(x) == 0 for x in space.elements()):
-                return OrbitLabel.SplitQuat
-            raise ClassificationError("label H (division quaternions) cannot occur "
-                                      "over a finite field")
-        if Q.dim == 3:
-            return OrbitLabel.FplusHeis
-        if R.dim == 2:
-            if Q.dim != 2:
-                raise ClassificationError("dim R = 2 with Q != R")
-            lift_excl = span([one] + list(R.rows), p)
-            gen = next(r for r in space.rows if not lift_excl.contains(r))
-            kind = _minimal_poly_kind(ctx.trace(gen), ctx.norm(gen), p)
-            if kind == "split":
-                return OrbitLabel.SplusQ
-            if kind == "irreducible":
-                return OrbitLabel.EplusQ
-            if kind == "inseparable":
-                raise ClassificationError("label D+Q requires an imperfect field")
-            raise ClassificationError("quotient by radical is not a composition algebra")
-        if R.dim == 4:
-            if Q.dim == 2:
-                raise ClassificationError("label D+Q requires an imperfect field")
-            if Q.dim == 0:
-                raise ClassificationError("label K requires an imperfect field")
-        raise ClassificationError(f"4-dim unital: unexpected radicals R={R.dim} Q={Q.dim}")
-    raise ClassificationError(f"unital subalgebra of dimension {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -280,51 +150,208 @@ class SubalgebraRecord:
         }
 
 
-def _is_associative(space: Subspace, ctx: SplitOctonions) -> bool:
-    rows = space.rows
-    for u in rows:
-        for v in rows:
-            uv = ctx.mul(u, v)
-            for t in rows:
-                if ctx.mul(uv, t) != ctx.mul(u, ctx.mul(v, t)):
-                    return False
-    return True
+_ONE = np.array((1, 0, 0, 1, 0, 0, 0, 0), dtype=np.int64)
 
 
-def _is_commutative(space: Subspace, ctx: SplitOctonions) -> bool:
-    rows = space.rows
-    for i, u in enumerate(rows):
-        for v in rows[i + 1:]:
-            if ctx.mul(u, v) != ctx.mul(v, u):
-                return False
-    return True
+def _norms(v: np.ndarray, p: int) -> np.ndarray:
+    """Norms of coordinate vectors along the last axis."""
+    return (v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2]
+            - v[..., 4] * v[..., 7] + v[..., 5] * v[..., 6]) % p
 
 
-def _is_totally_singular(space: Subspace, ctx: SplitOctonions) -> bool:
-    rows = space.rows
-    for i, u in enumerate(rows):
-        if ctx.norm(u) != 0:
-            return False
-        for v in rows[i + 1:]:
-            if ctx.polar(u, v) != 0:
-                return False
-    return True
+def _form_values(X: np.ndarray, norms: np.ndarray, gram: np.ndarray,
+                 p: int) -> np.ndarray:
+    """N(Σ x_i b_i) for every coefficient row x of X (V, k) and every basis,
+    from the basis norms (M, k) and polar Gram matrices (M, k, k)."""
+    upper = np.triu(gram, 1)
+    return (((X * X) @ norms.T).T + np.einsum("vi,vj,mij->mv", X, X, upper)) % p
+
+
+def _coefficient_vectors(k: int, p: int) -> np.ndarray:
+    """All p^k coefficient vectors, as rows of a (p^k, k) array."""
+    return np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64)
+
+
+def _solvable(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Per stacked system A[m] x = b mod p: whether a solution exists."""
+    aug = np.concatenate([A, np.broadcast_to(b, A.shape[:2])[..., None]], axis=2)
+    return batch_rank(A, p) == batch_rank(aug, p)
+
+
+def batch_records(rows: np.ndarray, p: int) -> list[SubalgebraRecord]:
+    """Records, with orbit labels, of closed subspaces given by RREF bases.
+
+    ``rows`` has shape (M, k, 8), one basis per subspace, all of one
+    dimension k.  Every invariant comes from the structure constants
+    C (M, k, k, k) plus the Gram matrix of the polar form on the basis:
+    associativity and commutativity from C, unitality from the pivot
+    entries of 1, total singularity from the norms and the Gram matrix,
+    dim R = k − rank(Gram) mod p and, over F_2, dim Q from the norm on
+    the Gram kernel (Q = R for odd p).  Raises NotClosed if some basis
+    does not span a closed subspace and ClassificationError if one
+    contradicts the classification.
+    """
+    rows = np.asarray(rows, dtype=np.int64) % p
+    M, k, _ = rows.shape
+    if not M:
+        return []
+    spaces = [Subspace(tuple(map(tuple, m)), p, DIM) for m in rows.tolist()]
+    if k == 0:
+        return [SubalgebraRecord(s, 0, False, True, 0, 0, True, True, OrbitLabel.Zero)
+                for s in spaces]
+    C = substructure(rows, p)
+    gram = rows @ GRAM_Z @ rows.transpose(0, 2, 1) % p
+    norms = _norms(rows, p)
+    traces = (rows[..., 0] + rows[..., 3]) % p
+    # in RREF, 1 lies in the span iff it equals its pivot entries times the rows
+    one_coef = _ONE[(rows != 0).argmax(-1)]
+    unital = ~((_ONE - np.einsum("mi,mic->mc", one_coef, rows)) % p).any(1)
+    singular = ~norms.any(1) & ~np.triu(gram, 1).any((1, 2))
+    comm = (C == C.transpose(0, 2, 1, 3)).all((1, 2, 3))
+    # (b_i b_j) b_l against b_i (b_j b_l)
+    assoc = (np.einsum("mija,malc->mijlc", C, C) % p
+             == np.einsum("mjla,miac->mijlc", C, C) % p).all((1, 2, 3, 4))
+    R = k - batch_rank(gram, p)
+    if p == 2:
+        # N is additive on R over F_2; Q is its kernel there
+        X = _coefficient_vectors(k, 2)
+        in_R = ~((X @ gram) % 2).any(-1)
+        Q = R - (in_R & (_form_values(X, norms, gram, 2) == 1)).any(1)
+    else:
+        Q = R
+    if k == 2:
+        zero_products = ~C.any((1, 2, 3))
+        delta = np.eye(k, dtype=np.int64).reshape(k * k)
+        # e·b_j = b_j: Σ_i x_i C[i, j, c] = δ_jc; b_j·e = b_j: Σ_i x_i C[j, i, c]
+        left_id = _solvable(C.transpose(0, 2, 3, 1).reshape(M, k * k, k), delta, p)
+        right_id = _solvable(C.transpose(0, 1, 3, 2).reshape(M, k * k, k), delta, p)
+    if k == 4:
+        # a nonzero a in A with a·A = 0 (left) or A·a = 0 (right)
+        left_ann = batch_rank(C.reshape(M, k, k * k), p) < k
+        right_ann = batch_rank(C.transpose(0, 2, 1, 3).reshape(M, k, k * k), p) < k
+        isotropic = np.zeros(M, dtype=bool)
+        nondeg = np.nonzero(unital & (R == 0))[0]
+        if len(nondeg):
+            X = _coefficient_vectors(k, p)[1:]
+            isotropic[nondeg] = (
+                _form_values(X, norms[nondeg], gram[nondeg], p) == 0).any(1)
+    one_tuple = tuple(_ONE.tolist())
+
+    def kind_of(m: int, i: int) -> str:
+        return _minimal_poly_kind(int(traces[m, i]), int(norms[m, i]), p)
+
+    def label(m: int) -> OrbitLabel:
+        if k == 8:
+            return OrbitLabel.Full
+        if k == 7:
+            raise ClassificationError("7-dimensional subalgebra cannot exist")
+        if not unital[m]:
+            # 1 ∉ A forces N ≡ 0 on A: an invertible x would put
+            # 1 = (tr(x)·x − x²)/N(x) inside the closed space
+            if not singular[m]:
+                if norms[m].any():
+                    raise ClassificationError(
+                        "non-unital subalgebra containing an invertible element")
+                raise ClassificationError("non-unital subalgebra is not totally singular")
+            if k == 1:
+                return OrbitLabel.Fp if traces[m, 0] else OrbitLabel.Fn
+            if k == 2:
+                if zero_products[m]:
+                    return OrbitLabel.Q
+                if left_id[m]:
+                    return OrbitLabel.FnFp
+                if right_id[m]:
+                    return OrbitLabel.FnFpbar
+                raise ClassificationError(
+                    "2-dim singular algebra with no identity and products")
+            if k == 3:
+                return OrbitLabel.mOcapOn if traces[m].any() else OrbitLabel.HeisNOcapOn
+            if k == 4:
+                if left_ann[m]:
+                    return OrbitLabel.NO
+                if right_ann[m]:
+                    return OrbitLabel.ON
+                raise ClassificationError("4-dim singular algebra with no annihilator")
+            raise ClassificationError(f"totally singular subalgebra of dimension {k}")
+
+        # unital branch
+        if k == 1:
+            return OrbitLabel.F
+        if k == 5:
+            return OrbitLabel.Dim5
+        if k == 6:
+            return OrbitLabel.Dim6
+        if k == 2:
+            gen = next(i for i, r in enumerate(spaces[m].rows) if r != one_tuple)
+            kind = kind_of(m, gen)
+            if kind == "split":
+                return OrbitLabel.S
+            if kind == "double":
+                return OrbitLabel.FplusFn
+            if kind == "irreducible":
+                return OrbitLabel.E
+            raise ClassificationError("label D requires an imperfect field")
+        r_dim, q_dim = R[m], Q[m]
+        if k == 3:
+            if r_dim == 1:
+                return OrbitLabel.T
+            if r_dim >= 2:
+                if q_dim < 2:
+                    raise ClassificationError("3-dim unital: dim R >= 2 forces dim Q >= 2")
+                return OrbitLabel.FplusQ
+            raise ClassificationError("3-dim unital nondegenerate subalgebra")
+        if k == 4:
+            if r_dim == 0:
+                if isotropic[m]:
+                    return OrbitLabel.SplitQuat
+                raise ClassificationError("label H (division quaternions) cannot occur "
+                                          "over a finite field")
+            if q_dim == 3:
+                return OrbitLabel.FplusHeis
+            if r_dim == 2:
+                if q_dim != 2:
+                    raise ClassificationError("dim R = 2 with Q != R")
+                # b_i lies in F·1 + R iff its Gram column is a multiple of
+                # the Gram column of 1
+                g1 = gram[m] @ one_coef[m] % p
+                gen = next(i for i in range(k)
+                           if not any(((gram[m, :, i] - c * g1) % p == 0).all()
+                                      for c in range(p)))
+                kind = kind_of(m, gen)
+                if kind == "split":
+                    return OrbitLabel.SplusQ
+                if kind == "irreducible":
+                    return OrbitLabel.EplusQ
+                if kind == "inseparable":
+                    raise ClassificationError("label D+Q requires an imperfect field")
+                raise ClassificationError("quotient by radical is not a composition algebra")
+            if r_dim == 4:
+                if q_dim == 2:
+                    raise ClassificationError("label D+Q requires an imperfect field")
+                if q_dim == 0:
+                    raise ClassificationError("label K requires an imperfect field")
+            raise ClassificationError(
+                f"4-dim unital: unexpected radicals R={r_dim} Q={q_dim}")
+        raise ClassificationError(f"unital subalgebra of dimension {k}")
+
+    return [SubalgebraRecord(space=spaces[m], dim=k,
+                             contains_one=bool(unital[m]),
+                             totally_singular=bool(singular[m]),
+                             radical_R_dim=int(R[m]), radical_Q_dim=int(Q[m]),
+                             associative=bool(assoc[m]),
+                             commutative=bool(comm[m]), label=label(m))
+            for m in range(M)]
 
 
 def record_for(space: Subspace, *, trust_closed: bool = False) -> SubalgebraRecord:
-    """Compute every invariant plus the orbit label for a closed subspace."""
-    ctx = algebra(space.p)
-    if not trust_closed and not is_closed(space, ctx):
-        raise NotClosed(f"subspace is not closed under multiplication: {space}")
-    R, Q = radicals(space)
-    return SubalgebraRecord(
-        space=space,
-        dim=space.dim,
-        contains_one=space.contains(ctx.one.coords),
-        totally_singular=_is_totally_singular(space, ctx),
-        radical_R_dim=R.dim,
-        radical_Q_dim=Q.dim,
-        associative=_is_associative(space, ctx),
-        commutative=_is_commutative(space, ctx),
-        label=classify(space, trust_closed=True),
-    )
+    """Compute every invariant plus the orbit label for a closed subspace.
+
+    Closure is always checked (it falls out of the structure constants),
+    so ``trust_closed`` no longer changes the result; it stays for callers.
+    """
+    return batch_records(space.matrix()[None], space.p)[0]
+
+
+def classify(space: Subspace, *, trust_closed: bool = False) -> OrbitLabel:
+    """Orbit label of a closed subspace, per the classification theorems."""
+    return record_for(space, trust_closed=trust_closed).label

@@ -9,8 +9,9 @@ Subcommands
 - ``lattice``    label-inclusion lattice as DOT or JSON
 
 Configuration precedence: command-line flags, then ``OCT_*`` environment
-variables, then built-in defaults (field 2, threads = available cores,
-subspace budget 2,000,000, group cap 20,000).
+variables, then built-in defaults (field 2, threads 1, subspace budget
+2,000,000, group cap 20,000).  One scan process is the default because a
+second one did not make the full F_2 census faster end to end.
 
 Exit codes: 0 success; 1 verification failure (first counterexample is
 printed); 2 usage or resource-budget errors.
@@ -33,6 +34,7 @@ from .subspace import span
 from . import verify as verify_mod
 
 DEFAULT_FIELD = 2
+DEFAULT_THREADS = 1
 DEFAULT_MAX_SUBSPACES = 2_000_000
 DEFAULT_GROUP_CAP = 20_000
 
@@ -76,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"abort if the scan would visit more subspaces "
                             f"(default {DEFAULT_MAX_SUBSPACES})")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker processes for the scan "
-                            "(default: available cores)")
+                       help=f"worker processes for the scan "
+                            f"(default {DEFAULT_THREADS})")
 
     p_enum = sub.add_parser("enumerate",
                             help="emit every closed subspace as JSON lines")
@@ -125,7 +127,7 @@ def _cmd_enumerate(args) -> int:
     dims = _parse_dims(args.dims)
     budget = _resolve_int(args.max_subspaces, "MAX_SUBSPACES",
                           DEFAULT_MAX_SUBSPACES)
-    threads = _resolve_int(args.threads, "THREADS", os.cpu_count() or 1)
+    threads = _resolve_int(args.threads, "THREADS", DEFAULT_THREADS)
     records = enumerate_subalgebras(p, dims, max_subspaces=budget,
                                     threads=threads)
     if args.out == "-":
@@ -173,7 +175,7 @@ def _cmd_orbits(args) -> int:
     dims = _parse_dims(args.dims)
     budget = _resolve_int(args.max_subspaces, "MAX_SUBSPACES",
                           DEFAULT_MAX_SUBSPACES)
-    threads = _resolve_int(args.threads, "THREADS", os.cpu_count() or 1)
+    threads = _resolve_int(args.threads, "THREADS", DEFAULT_THREADS)
     cap = _resolve_int(args.group_cap, "GROUP_CAP", DEFAULT_GROUP_CAP)
     records = enumerate_subalgebras(p, dims, max_subspaces=budget,
                                     threads=threads)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra
-from .classify import LABEL_DIM, OrbitLabel, classify, record_for
+from .classify import LABEL_DIM, OrbitLabel, batch_records, record_for
 from .constructions import rep
-from .subspace import Subspace, free_positions, pivot_block, span
+from .subspace import (Subspace, block_rows, closed_mask, free_positions,
+                       pivot_block, substructure)
 
 #: Labels that appear as graph nodes: every reachable label of a proper,
 #: nonzero subalgebra (dimensions 1 through 6).  The zero subalgebra and
@@ -28,8 +28,6 @@ GRAPH_LABELS: tuple[OrbitLabel, ...] = tuple(
     sorted((lab for lab in OrbitLabel
             if lab.reachable and 1 <= LABEL_DIM[lab] <= 6),
            key=lambda lab: (LABEL_DIM[lab], lab.value)))
-
-_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -60,56 +58,28 @@ class LatticeGraph:
         return [(a.value, b.value) for a, b in self.edges]
 
 
-def _rep_struct(space: Subspace) -> np.ndarray:
-    """Structure constants of a closed subspace in its own RREF basis.
-
-    Because the basis is in reduced row-echelon form, the coordinates of a
-    member vector are simply its entries at the pivot columns.
-    """
-    ctx = algebra(space.p)
-    k = space.dim
-    struct = np.zeros((k, k, k), dtype=np.int64)
-    for i, bi in enumerate(space.rows):
-        for j, bj in enumerate(space.rows):
-            v = ctx.mul(bi, bj)
-            coeffs = [v[c] for c in space.pivots]
-            recon = [0] * len(v)
-            for c, row in zip(coeffs, space.rows):
-                recon = [(r + c * x) % space.p for r, x in zip(recon, row)]
-            if tuple(recon) != v:
-                raise ValueError("subspace is not multiplicatively closed")
-            struct[i, j] = coeffs
-    return struct
-
-
-def _closed_mask_rel(mats: np.ndarray, pivots: tuple[int, ...],
-                     struct: np.ndarray, p: int) -> np.ndarray:
-    """Closure mask for row-spans expressed in representative coordinates."""
-    m = mats.astype(np.int64)
-    T = np.tensordot(m, struct, axes=([2], [0])) % p       # (M, r, k, k)
-    P = np.matmul(m[:, None, :, :], T) % p                 # (M, r, r, k)
-    for i, c in enumerate(pivots):
-        coef = P[..., c].copy()
-        P = (P - coef[..., None] * m[:, None, None, i, :]) % p
-    return (P == 0).all(axis=(1, 2, 3))
-
-
 def labels_inside(space: Subspace) -> set[OrbitLabel]:
-    """Labels of every proper nonzero subalgebra of a closed subspace."""
+    """Labels of every proper nonzero subalgebra of a closed subspace.
+
+    Sub-subspaces are scanned in representative coordinates, against the
+    representative's own structure constants.  An RREF basis there maps
+    to an RREF basis in the ambient coordinates, because the
+    representative's basis is itself in RREF.
+    """
     p, k = space.p, space.dim
-    struct = _rep_struct(space)
-    basis = np.array(space.rows, dtype=np.int64)           # (k, 8)
+    basis = space.matrix()                                 # (k, 8)
+    struct = substructure(basis[None], p)[0]
     found: set[OrbitLabel] = set()
     for r in range(1, k):
+        block = block_rows(r, k)
+        closed = []
         for piv in itertools.combinations(range(k), r):
             total = p ** len(free_positions(piv, k))
-            for start in range(0, total, _BLOCK):
-                mats = pivot_block(piv, p, k, start, min(total, start + _BLOCK))
-                mask = _closed_mask_rel(mats, piv, struct, p)
-                for m in mats[mask]:
-                    amb = (m @ basis) % p
-                    sub = span([tuple(map(int, row)) for row in amb], p)
-                    found.add(classify(sub, trust_closed=True))
+            for start in range(0, total, block):
+                mats = pivot_block(piv, p, k, start, min(total, start + block))
+                closed.append(mats[closed_mask(mats, piv, struct, p)])
+        rows = np.concatenate(closed).astype(np.int64) @ basis % p
+        found.update(rec.label for rec in batch_records(rows, p))
     return found
 
 

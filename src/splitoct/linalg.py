@@ -48,6 +48,34 @@ def rank(mat: np.ndarray, p: int) -> int:
     return len(rref(mat, p)[1])
 
 
+def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """Rank mod p of every matrix in a stack of shape (M, r, c).
+
+    Gauss-Jordan elimination run on all matrices at once, one column at a
+    time; returns an int64 array of shape (M,).
+    """
+    a = np.array(mats, dtype=np.int64) % p
+    M, r, c = a.shape
+    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
+    ranks = np.zeros(M, dtype=np.int64)
+    row_ids = np.arange(r)
+    for col in range(c):
+        cand = (a[:, :, col] != 0) & (row_ids >= ranks[:, None])
+        hit = cand.any(1)
+        if not hit.any():
+            continue
+        m = np.nonzero(hit)[0]
+        src, dst = cand[m].argmax(1), ranks[m]
+        pivot_row = a[m, src] * inverse[a[m, src, col]][:, None] % p
+        a[m, src] = a[m, dst]
+        a[m, dst] = pivot_row
+        factor = a[m, :, col]
+        factor[np.arange(len(m)), dst] = 0
+        a[m] = (a[m] - factor[:, :, None] * pivot_row[:, None, :]) % p
+        ranks[m] += 1
+    return ranks
+
+
 def mat_inv(mat: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square matrix mod p; raises ValueError if singular."""
     m = np.array(mat, dtype=np.int64) % p

@@ -6,6 +6,10 @@ hashing and deterministic ordering trivial.  Enumeration walks pivot-column
 sets in lexicographic order and, within a pivot set, the free entries in
 row-major order, least-significant-last — so the stream order is
 reproducible and partitions cleanly by pivot set.
+
+Stacks of RREF bases are tested for closure and reduced to structure
+constants in batches: :func:`closed_mask` and :func:`substructure` share
+one float32 product kernel, which is exact for every supported prime.
 """
 
 from __future__ import annotations
@@ -18,6 +22,10 @@ import numpy as np
 
 from . import linalg
 from .algebra import DIM, GRAM_Z, SplitOctonions, algebra
+
+
+class NotClosed(ValueError):
+    """A subspace handed to a closed-subspace routine is not closed under products."""
 
 
 @dataclass(frozen=True)
@@ -86,9 +94,6 @@ def span(vectors, p: int, ambient: int = DIM) -> Subspace:
     return Subspace(tuple(map(tuple, red.tolist())), p, ambient)
 
 
-rref = span  # the operation name used by the command layer
-
-
 def zero_space(p: int, ambient: int = DIM) -> Subspace:
     return Subspace((), p, ambient)
 
@@ -138,10 +143,12 @@ def radicals(space: Subspace) -> tuple[Subspace, Subspace]:
     ctx = algebra(p)
     for x in R.rows:
         for y in R.rows:
-            assert ctx.polar(x, y) == 0, "polar form must vanish on the radical"
+            if ctx.polar(x, y) != 0:
+                raise ArithmeticError("polar form must vanish on the radical")
     if p != 2:
         for x in R.rows:
-            assert ctx.norm(x) == 0, "odd characteristic: norm vanishes on radical"
+            if ctx.norm(x) != 0:
+                raise ArithmeticError("odd characteristic: norm must vanish on the radical")
         return R, R
     if R.dim == 0:
         return R, R
@@ -186,6 +193,94 @@ def closure(gens, p: int | None = None) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
+# batched closure and structure constants
+# ---------------------------------------------------------------------------
+
+#: cap on rows × k² × n² per kernel call, which bounds both float32
+#: intermediates (rows·k·n² and rows·k²·n elements) to 2 MB each
+_WORKSET = 1 << 19
+
+
+def block_rows(k: int, n: int) -> int:
+    """Rows per kernel call for k-row bases in an n-dimensional algebra."""
+    return max(1, _WORKSET // (k * k * n * n))
+
+
+def _row_products(mats: np.ndarray, struct: np.ndarray, p: int) -> np.ndarray:
+    """P[m, i, j] = (row i)·(row j) of every basis in ``mats``, unreduced.
+
+    Two stacked float32 matmuls: T[m, i] = Σ_a row_i[a] struct[a], the
+    matrix of left multiplication by row i, then P[m, i, j] = row_j @
+    T[m, i].  This measured about five times faster than multiplying the
+    k² row-pair outer products by struct.reshape(n², n), with the same
+    sums.  Stacked per-basis products stay single-threaded in BLAS, which
+    keeps the scan's pool workers from oversubscribing the cores.
+    Entries are non-negative integers at most n²(p−1)³, and (n² + n)(p−1)³
+    bounds the differences formed in :func:`_residual`; below 2²⁰ (n = 8
+    and every supported prime) all of them are exact in float32, and so
+    is :func:`_mod`.
+    """
+    M, k, n = mats.shape
+    if (n + 1) * n * (p - 1) ** 3 >= 1 << 20:
+        raise ValueError(f"float32 products are not exact for n={n}, p={p}")
+    r = mats.astype(np.float32)
+    S = np.asarray(struct, dtype=np.float32).reshape(n, n * n)
+    T = (r @ S).reshape(M, k, n, n)
+    return np.matmul(r[:, None], T)
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for float32 integers of magnitude below 2²⁰.
+
+    x / p then lies within 1/(16p) of its true value, so its floor is
+    exact; np.fmod gives the same result about thirty times slower.
+    """
+    return x - np.floor(x / p) * p
+
+
+def _residual(P: np.ndarray, mats: np.ndarray, coef: np.ndarray, p: int) -> np.ndarray:
+    """Per basis: whether some product leaves the span, given the products
+    ``P`` and their coordinates ``coef`` (entries at the pivot columns)."""
+    M, k, n = mats.shape
+    proj = coef.reshape(M, k * k, k) @ mats.astype(np.float32)
+    return _mod(P.reshape(M, k * k, n) - proj, p).any(axis=(1, 2))
+
+
+def closed_mask(mats: np.ndarray, pivots: tuple[int, ...], struct: np.ndarray,
+                p: int) -> np.ndarray:
+    """Boolean mask of the closed row-spans among RREF bases ``mats``.
+
+    ``mats`` has shape (M, k, n), every basis with pivot columns
+    ``pivots``; ``struct`` is the (n, n, n) structure tensor of the
+    algebra the rows live in.  A span is closed when each product of two
+    rows equals its pivot-column entries times the rows, mod p.
+    """
+    P = _row_products(mats, struct, p)
+    coef = _mod(P[..., list(pivots)], p)
+    return ~_residual(P, mats, coef, p)
+
+
+def substructure(rows: np.ndarray, p: int) -> np.ndarray:
+    """Structure constants of closed subspaces in their own RREF bases.
+
+    ``rows`` has shape (M, k, 8); returns int64 C of shape (M, k, k, k)
+    with b_i·b_j = Σ_c C[m, i, j, c] b_c.  In RREF the coordinates of a
+    member are its entries at the pivot columns.  Raises NotClosed if
+    some basis does not span a closed subspace.
+    """
+    rows = np.asarray(rows)
+    M, k, _ = rows.shape
+    P = _row_products(rows, algebra(p).struct, p)
+    piv = (rows != 0).argmax(-1)                                 # (M, k)
+    coef = _mod(np.take_along_axis(P, piv[:, None, None, :], axis=-1), p)
+    escapes = _residual(P, rows, coef, p)
+    if escapes.any():
+        bad = Subspace(tuple(map(tuple, rows[escapes.argmax()].tolist())), p, DIM)
+        raise NotClosed(f"subspace is not closed under multiplication: {bad}")
+    return coef.astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
@@ -227,7 +322,8 @@ def pivot_block(pivots: tuple[int, ...], p: int, ambient: int = DIM,
     total = p ** f
     if stop is None:
         stop = total
-    assert 0 <= start <= stop <= total
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"index range [{start}, {stop}) outside [0, {total}]")
     count = stop - start
     out = np.zeros((count, k, ambient), dtype=np.int8)
     for i, c in enumerate(pivots):

@@ -31,7 +31,8 @@ from .constructions import (centralizer, kernel_of_left_mul, left_mul_space,
 from .field import check_prime
 from .lattice import build_lattice, emit_dot
 from .linalg import rank
-from .subspace import Subspace, intersect, is_closed, perp, span, sum_spaces
+from .subspace import (Subspace, intersect, is_closed, perp, span,
+                       substructure, sum_spaces)
 
 RANDOM_SAMPLES = 100_000
 _SEED = 20260814
@@ -367,8 +368,8 @@ def verify_singular() -> SuiteResult:
 
     # no linear multiplicative bijection nO -> On  (exhaustive over GL_4(F_2))
     A, B = left_mul_space(ctx.n0), right_mul_space(ctx.n0)
-    cA = _substructure(ctx, A).astype(np.int8)
-    cB = _substructure(ctx, B).astype(np.int8)
+    cA = substructure(A.matrix()[None], 2)[0].astype(np.int8)
+    cB = substructure(B.matrix()[None], 2)[0].astype(np.int8)
     bits = ((np.arange(65536)[:, None] >> np.arange(16)[None, :]) & 1)
     P = bits.reshape(-1, 4, 4).astype(np.int8)             # all 4x4 maps
     lhs = np.einsum("ijl,mlk->mijk", cA, P) % 2
@@ -390,17 +391,6 @@ def verify_singular() -> SuiteResult:
         None if anti_count else "no anti-isomorphism found"))
     res.elapsed = time.time() - t0
     return res
-
-
-def _substructure(ctx, space: Subspace) -> np.ndarray:
-    """Structure constants of a closed subspace in its RREF basis."""
-    k = space.dim
-    out = np.zeros((k, k, k), dtype=np.int64)
-    for i, bi in enumerate(space.rows):
-        for j, bj in enumerate(space.rows):
-            v = ctx.mul(bi, bj)
-            out[i, j] = [v[c] for c in space.pivots]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,89 @@
+"""Batched census records against the element-wise reference, and the
+scan's independence from the number of worker processes."""
+
+import dataclasses
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import splitoct
+import oracle
+from splitoct.autos import alpha_st
+from splitoct.census import enumerate_subalgebras
+from splitoct.classify import OrbitLabel, batch_records
+from splitoct.cli import main
+from splitoct.constructions import rep
+
+#: sha256 of ``enumerate --field 3 --dims 1,2``, as recorded by the benchmark
+F3_DIMS12_SHA256 = "41b4f77a87958af740763fe6bd108ce898f60eb778739b399f6dbaa35b32cb7e"
+
+
+def _fields(record) -> dict:
+    out = dataclasses.asdict(record)
+    del out["space"]
+    return out
+
+
+def _assert_matches_oracle(records):
+    for r in records:
+        assert _fields(r) == oracle.record_fields(r.space), r.space
+
+
+def test_f2_census_matches_elementwise_reference(census2):
+    assert len(census2) == 2491
+    _assert_matches_oracle(census2)
+
+
+def test_f3_lines_and_planes_match_elementwise_reference():
+    records = enumerate_subalgebras(3, [1, 2])
+    assert len(records) == 9130
+    _assert_matches_oracle(records)
+
+
+def test_f5_representatives_match_elementwise_reference():
+    reps = [rep(lab, 5) for lab in OrbitLabel if lab.reachable]
+    records = [batch_records(s.matrix()[None], 5)[0] for s in reps]
+    _assert_matches_oracle(records)
+
+
+def test_f3_jsonl_independent_of_threads(tmp_path, monkeypatch):
+    monkeypatch.delenv("OCT_THREADS", raising=False)
+    outs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"f3-{threads}.jsonl"
+        assert main(["enumerate", "--field", "3", "--dims", "1,2",
+                     "--threads", threads, "--out", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == F3_DIMS12_SHA256
+
+
+def test_typed_errors_survive_optimize_flag():
+    src = Path(splitoct.__file__).resolve().parents[1]
+    script = """
+from splitoct.algebra import Octonion
+from splitoct.census import enumerate_subalgebras
+from splitoct.subspace import pivot_block
+for call in (lambda: Octonion((1, 0, 0), 2),
+             lambda: pivot_block((0,), 2, 8, 0, 10 ** 6),
+             lambda: enumerate_subalgebras(2, [9])):
+    try:
+        call()
+    except ValueError as exc:
+        print(type(exc).__name__)
+    else:
+        print("no error")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=src,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 3
+
+
+def test_one_precondition_failed_class():
+    assert splitoct.autos.PreconditionFailed is splitoct.PreconditionFailed
+    with pytest.raises(splitoct.PreconditionFailed):
+        alpha_st((1, 0, 0, 1), (2, 0, 0, 1), 3)       # det 1 vs det 2
