@@ -19,7 +19,8 @@ Highlights
 
 from .algebra import Isotope, Octonion, SplitOctonions, Table, algebra, double
 from .autos import (Automorphism, CapExceeded, all_alpha_generators, alpha_st,
-                    alpha_subgroup_order_formula, conjugation_flip,
+                    alpha_subgroup_order_formula, automorphism_generators,
+                    conjugation_flip,
                     count_automorphisms, doubling_extension, element_orbits,
                     find_h_moving_extension, generate_group, orbit_of_space,
                     orbit_partition, two_transitive_on_lines)
@@ -49,7 +50,8 @@ __all__ = [
     "PreconditionFailed", "SUITE_NAMES", "SplitOctonions", "SubalgebraRecord",
     "Subspace", "SuiteResult", "Table", "UnreachableLabel", "algebra",
     "all_alpha_generators", "alpha_st", "alpha_subgroup_order_formula",
-    "build_lattice", "census_report", "centralizer", "check_prime",
+    "automorphism_generators", "build_lattice", "census_report",
+    "centralizer", "check_prime",
     "classify", "closure", "companion_element", "conjugation_flip",
     "count_automorphisms", "double", "doubling_extension", "element_orbits",
     "element_orbit_invariant", "emit_dot", "emit_json",

@@ -225,11 +225,13 @@ class SplitOctonions:
         self.trace_byte = ((c[:, 0] + c[:, 3]) % 2).astype(np.uint8)
 
     def byte_of(self, u) -> int:
-        assert self.p == 2
+        if self.p != 2:
+            raise ValueError("byte packing exists only over F_2")
         return sum((int(c) & 1) << i for i, c in enumerate(u))
 
     def coords_of_byte(self, b: int) -> tuple[int, ...]:
-        assert self.p == 2
+        if self.p != 2:
+            raise ValueError("byte packing exists only over F_2")
         return tuple(int(x) for x in self.byte_coords[b])
 
 
@@ -257,17 +259,21 @@ class Octonion:
     def _ctx(self) -> SplitOctonions:
         return algebra(self.p)
 
+    def _same_field(self, other: "Octonion") -> None:
+        if self.p != other.p:
+            raise ValueError(f"cannot combine elements over F_{self.p} and F_{other.p}")
+
     def __add__(self, other: "Octonion") -> "Octonion":
-        assert self.p == other.p
+        self._same_field(other)
         return Octonion(self._ctx().add(self.coords, other.coords), self.p)
 
     def __sub__(self, other: "Octonion") -> "Octonion":
-        assert self.p == other.p
+        self._same_field(other)
         return Octonion(self._ctx().subv(self.coords, other.coords), self.p)
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
-            assert self.p == other.p
+            self._same_field(other)
             return Octonion(self._ctx().mul(self.coords, other.coords), self.p)
         return Octonion(self._ctx().smul(int(other), self.coords), self.p)
 

@@ -17,12 +17,17 @@ import numpy as np
 
 from .algebra import DIM, GRAM_Z, algebra, _qconj_z, _qmul_z
 from .constructions import PreconditionFailed
-from .linalg import rank
+from .linalg import batch_rref, rank
 from .subspace import Subspace, closure, perp, span
 
 
 class CapExceeded(RuntimeError):
-    """Group closure grew past the configured cap."""
+    """Group closure grew past the configured cap; ``held`` elements were kept."""
+
+    def __init__(self, cap: int, held: int):
+        super().__init__(f"closure exceeded cap {cap}")
+        self.cap = cap
+        self.held = held
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,8 @@ def doubling_extension(beta_rows, w_target, p: int) -> Automorphism:
     """
     ctx = algebra(p)
     B = np.array([tuple(r) for r in beta_rows], dtype=np.int64) % p
-    assert B.shape == (4, DIM)
+    if B.shape != (4, DIM):
+        raise PreconditionFailed(f"need 4 image rows of length {DIM}, got shape {B.shape}")
     if rank(B, p) != 4:
         raise PreconditionFailed("images are linearly dependent")
     E4 = np.eye(4, dtype=np.int64)
@@ -165,6 +171,23 @@ def find_h_moving_extension(p: int) -> Automorphism:
     return doubling_extension(beta_rows, m0, p)
 
 
+#: (s, t) pairs of the alpha maps in :func:`automorphism_generators`:
+#: (L, 1) and (U, U) for the unipotents L = [[1,0],[1,1]], U = [[1,1],[0,1]]
+GENERATOR_PAIRS = (((1, 0, 1, 1), (1, 0, 0, 1)),
+                   ((1, 1, 0, 1), (1, 1, 0, 1)))
+
+
+def automorphism_generators(p: int) -> list[Automorphism]:
+    """A short generating set of the full automorphism group G2(p).
+
+    Two alpha maps at the fixed pairs ``GENERATOR_PAIRS`` (valid for every
+    p, both units have determinant 1) and, last, the matrix-part mover.
+    Over F_2 they close to all 12,096 automorphisms; over F_3 and F_5 their
+    action on the singular points of 1^⊥ has the order of G2(p).
+    """
+    return [alpha_st(s, t, p) for s, t in GENERATOR_PAIRS] + [find_h_moving_extension(p)]
+
+
 def all_alpha_generators(p: int) -> list[Automorphism]:
     """Every alpha_st map, deduplicated (s, t over invertible pairs with
     matching determinants)."""
@@ -192,6 +215,10 @@ def alpha_subgroup_order_formula(p: int) -> int:
 # ---------------------------------------------------------------------------
 # group closure and orbits
 # ---------------------------------------------------------------------------
+#
+# One packed path serves every prime: a group element or a subspace basis
+# is an int8 matrix (entries < p <= 13), images are int16 products reduced
+# mod p (at most 8·12² per entry), and the int8 bytes are the dedupe key.
 
 @dataclass
 class GroupClosure:
@@ -199,7 +226,7 @@ class GroupClosure:
 
     p: int
     generators: list
-    elements: list          # Automorphism list (generic) or byte perms (p=2)
+    elements: np.ndarray    # (order, 8, 8) int8, identity first, BFS order
     closed: bool
 
     @property
@@ -207,89 +234,66 @@ class GroupClosure:
         return len(self.elements)
 
 
-def _perm_of(auto: Automorphism) -> np.ndarray:
-    """p = 2 only: the permutation of the 256 packed elements."""
-    assert auto.p == 2
-    ctx = algebra(2)
-    M = np.array(auto.mat, dtype=np.int64)
-    imgs = (ctx.byte_coords @ M % 2).astype(np.int64)
-    return (imgs * (1 << np.arange(DIM))).sum(-1).astype(np.uint8)
+def _generator_mats(generators: list) -> tuple[int, list[np.ndarray]]:
+    if not generators:
+        raise ValueError("need at least one generator")
+    return generators[0].p, [np.array(g.mat, dtype=np.int16) for g in generators]
 
 
 def generate_group(gens: list, cap: int = 20000) -> GroupClosure:
     """Breadth-first closure of the generators under composition.
 
-    Raises CapExceeded if more than ``cap`` distinct elements appear.
-    Over F_2 elements are tracked as permutations of the 256 packed
-    octonions, which makes composition a single take-index.
+    Each level multiplies the whole frontier by one generator at a time
+    (apply the element, then the generator) and keeps the images whose
+    bytes are new.  Raises CapExceeded before the closure would hold more
+    than ``cap`` elements.
     """
-    assert gens, "need at least one generator"
-    p = gens[0].p
-    if p == 2:
-        gen_perms = [_perm_of(g) for g in gens]
-        ident = np.arange(256, dtype=np.uint8)
-        seen = {ident.tobytes(): 0}
-        elements = [ident]
-        frontier = [ident]
-        while frontier:
-            new_frontier = []
-            for f in frontier:
-                for g in gen_perms:
-                    h = g[f]            # apply f, then g
-                    kb = h.tobytes()
-                    if kb not in seen:
-                        if len(elements) >= cap:
-                            raise CapExceeded(f"closure exceeded cap {cap}")
-                        seen[kb] = len(elements)
-                        elements.append(h)
-                        new_frontier.append(h)
-            frontier = new_frontier
-        return GroupClosure(p, gens, elements, True)
-    # generic path: matrices
-    ident = identity_automorphism(p)
-    seen = {ident.key(): 0}
-    elements = [ident]
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for f in frontier:
-            for g in gens:
-                h = f.then(g)
-                if h.key() not in seen:
-                    if len(elements) >= cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-                    seen[h.key()] = len(elements)
-                    elements.append(h)
-                    new_frontier.append(h)
-        frontier = new_frontier
-    return GroupClosure(p, gens, elements, True)
-
-
-def _space_key_under(auto_or_perm, space: Subspace, p: int):
-    if p == 2 and isinstance(auto_or_perm, np.ndarray):
-        ctx = algebra(2)
-        bytes_in = [ctx.byte_of(r) for r in space.rows]
-        rows = [ctx.coords_of_byte(int(auto_or_perm[b])) for b in bytes_in]
-        return span(rows, 2)
-    return auto_or_perm.apply_space(space)
+    p, mats = _generator_mats(gens)
+    ident = np.eye(DIM, dtype=np.int8)
+    seen = {ident.tobytes()}
+    levels = [ident[None]]
+    frontier = levels[0]
+    while len(frontier):
+        fresh = []
+        wide = frontier.astype(np.int16)
+        for M in mats:
+            for h in (wide @ M % p).astype(np.int8):
+                key = h.tobytes()
+                if key not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(cap, len(seen))
+                    seen.add(key)
+                    fresh.append(h)
+        frontier = np.stack(fresh) if fresh else levels[0][:0]
+        levels.append(frontier)
+    return GroupClosure(p, gens, np.concatenate(levels), True)
 
 
 def orbit_of_space(space: Subspace, generators: list) -> set:
-    """All images of a subspace under the generated group (BFS, RREF keys)."""
-    p = space.p
-    gen_perms = [_perm_of(g) for g in generators] if p == 2 else generators
-    seen = {space.rows: space}
-    frontier = [space]
-    while frontier:
-        new_frontier = []
-        for s in frontier:
-            for g in gen_perms:
-                img = _space_key_under(g, s, p)
-                if img.rows not in seen:
-                    seen[img.rows] = img
-                    new_frontier.append(img)
-        frontier = new_frontier
-    return set(seen)
+    """All images of a subspace under the generated group, as RREF row tuples.
+
+    Level-synchronous BFS: each level maps the whole frontier of bases
+    through one generator at a time and reduces the images with one
+    batched RREF.
+    """
+    p, mats = _generator_mats(generators)
+    start = space.matrix().astype(np.int8)[None]
+    seen = {start[0].tobytes()}
+    levels = [start]
+    frontier = start
+    while len(frontier):
+        fresh = []
+        wide = frontier.astype(np.int16)
+        for M in mats:
+            reduced, _ = batch_rref(wide @ M % p, p)
+            for img in reduced.astype(np.int8):
+                key = img.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(img)
+        frontier = np.stack(fresh) if fresh else levels[0][:0]
+        levels.append(frontier)
+    return {tuple(map(tuple, basis)) for basis in np.concatenate(levels).tolist()}
 
 
 def orbit_partition(records, generators: list) -> list[dict]:
@@ -322,51 +326,34 @@ def orbit_partition(records, generators: list) -> list[dict]:
 
 
 def element_orbits(generators: list, p: int) -> list[set]:
-    """Orbits of the nonzero elements under the generated group (p=2 path
-    uses byte permutations; generic path applies matrices)."""
-    if p == 2:
-        gen_perms = [_perm_of(g) for g in generators]
-        seen = set()
-        orbits = []
-        for b in range(1, 256):
-            if b in seen:
-                continue
-            orbit = {b}
-            frontier = [b]
-            while frontier:
-                nf = []
-                for x in frontier:
-                    for g in gen_perms:
-                        y = int(g[x])
-                        if y not in orbit:
-                            orbit.add(y)
-                            nf.append(y)
-                frontier = nf
-            seen |= orbit
-            ctx = algebra(2)
-            orbits.append({ctx.coords_of_byte(x) for x in orbit})
-        return orbits
-    seen = set()
-    orbits = []
-    ctx = algebra(p)
-    all_elems = list(itertools.product(range(p), repeat=DIM))
-    for v in all_elems:
-        if v == (0,) * DIM or v in seen:
-            continue
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            nf = []
-            for x in frontier:
-                for g in generators:
-                    y = g.apply(x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nf.append(y)
-            frontier = nf
-        seen |= orbit
-        orbits.append(orbit)
-    return orbits
+    """Orbits of the nonzero elements of F_p^8 under the generated group.
+
+    Element i has base-p digits i = Σ c_j·p^j (the packed byte at p = 2),
+    so each generator is an index permutation and the orbits are the
+    connected components of their union.  Orbits are listed by their
+    smallest index.
+    """
+    _, mats = _generator_mats(generators)
+    n = p ** DIM
+    weights = p ** np.arange(DIM, dtype=np.int64)
+    coords = (np.arange(n, dtype=np.int64)[:, None] // weights % p).astype(np.int16)
+    perms = [(coords @ M % p).astype(np.int64) @ weights for M in mats]
+    # min-label propagation with pointer jumping: each label stays inside
+    # its orbit and ends at the orbit's smallest index
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        nxt = label
+        for perm in perms:
+            nxt = np.minimum(nxt, label[perm])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    order = np.argsort(label[1:], kind="stable") + 1
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    points = [tuple(v) for v in coords[order].tolist()]
+    bounds = list(starts) + [len(order)]
+    return [set(points[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +364,8 @@ def count_automorphisms(p: int = 2) -> int:
     """Count all multiplicative unital linear bijections of O over F_2 by
     constraint search on the images of the generating triple
     (n0, nbar0, w), independent of any constructed generator set."""
-    assert p == 2, "brute-force count is a char-2 certification"
+    if p != 2:
+        raise ValueError("brute-force count is a char-2 certification")
     ctx = algebra(2)
     mul = ctx.mul_byte
     norm = ctx.norm_byte.astype(np.int64)
@@ -393,7 +381,8 @@ def count_automorphisms(p: int = 2) -> int:
     wb = ctx.byte_of(ctx.w.coords)
     one = ctx.byte_of(ctx.one.coords)
     # sanity: the triple generates everything
-    assert closure([ctx.n0, ctx.nbar0, ctx.octonion(ctx.w.coords)]).dim == 8
+    if closure([ctx.n0, ctx.nbar0, ctx.octonion(ctx.w.coords)]).dim != DIM:
+        raise ArithmeticError("n0, nbar0 and w do not generate the algebra")
 
     nilpotents = [b for b in range(1, 256) if norm[b] == 0 and trace[b] == 0]
     w_class = np.array([b for b in range(1, 256)
@@ -466,7 +455,8 @@ def two_transitive_on_lines(p: int) -> bool:
         key = span([v], p).rows
         if key not in [l[0] for l in lines]:
             lines.append((key, v))
-    assert len(lines) == p + 1
+    if len(lines) != p + 1:
+        raise ArithmeticError(f"found {len(lines)} lines in a plane, not {p + 1}")
     line_index = {key: i for i, (key, _) in enumerate(lines)}
     q_space = span([ctx.p0w.coords, ctx.n0w.coords], p)
     pair_orbit = set()
@@ -475,7 +465,8 @@ def two_transitive_on_lines(p: int) -> bool:
     perms = []
     for s in sl2:
         a = alpha_st(_qinv(s, p), (1, 0, 0, 1), p)
-        assert a.apply_space(q_space).rows == q_space.rows
+        if a.apply_space(q_space).rows != q_space.rows:
+            raise ArithmeticError("a stabilizer map moved its plane")
         perm = []
         for key, v in lines:
             img = span([a.apply(v)], p).rows

@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from .autos import (CapExceeded, all_alpha_generators, find_h_moving_extension,
+from .autos import (CapExceeded, all_alpha_generators, automorphism_generators,
                     generate_group, orbit_partition)
 from .census import CostLimitExceeded, enumerate_subalgebras, write_jsonl
 from .classify import NotClosed, classify
@@ -179,9 +179,8 @@ def _cmd_orbits(args) -> int:
     cap = _resolve_int(args.group_cap, "GROUP_CAP", DEFAULT_GROUP_CAP)
     records = enumerate_subalgebras(p, dims, max_subspaces=budget,
                                     threads=threads)
-    gens = all_alpha_generators(p)
-    if p == 2:
-        gens = gens + [find_h_moving_extension(p)]
+    # odd p: only the matrix-part stabilizer, since G2(p) exceeds the cap
+    gens = automorphism_generators(2) if p == 2 else all_alpha_generators(p)
     generate_group(gens, cap=cap)        # enforce the cap before orbit work
     for row in orbit_partition(records, gens):
         print(json.dumps(row))

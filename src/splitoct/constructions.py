@@ -30,7 +30,8 @@ def _coerce_quat_rows(space: Subspace | list, p: int) -> list[tuple[int, ...]]:
         rows = space.rows
         if space.ambient == 4:
             return [tuple(r) for r in rows]
-        assert space.ambient == DIM
+        if space.ambient != DIM:
+            raise ValueError(f"ambient dimension {space.ambient} is neither 4 nor {DIM}")
         for r in rows:
             if any(r[4:]):
                 raise PreconditionFailed("subspace is not inside the 2x2-matrix part")
@@ -202,7 +203,8 @@ def rep(label: OrbitLabel, p: int) -> Subspace:
     if not vectors:
         return zero_space(p)
     out = span(vectors, p)
-    assert out.dim == LABEL_DIM[label]
+    if out.dim != LABEL_DIM[label]:
+        raise ArithmeticError(f"representative of {label.value} has dimension {out.dim}")
     return out
 
 

@@ -48,11 +48,13 @@ def rank(mat: np.ndarray, p: int) -> int:
     return len(rref(mat, p)[1])
 
 
-def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Rank mod p of every matrix in a stack of shape (M, r, c).
+def batch_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form mod p of every matrix in a stack (M, r, c).
 
     Gauss-Jordan elimination run on all matrices at once, one column at a
-    time; returns an int64 array of shape (M,).
+    time.  Returns ``(reduced, ranks)``: ``reduced`` is an int64 stack of
+    the input's shape whose first ``ranks[i]`` rows of matrix i are its RREF
+    basis (the rows :func:`rref` returns) and whose other rows are zero.
     """
     a = np.array(mats, dtype=np.int64) % p
     M, r, c = a.shape
@@ -73,14 +75,20 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
         factor[np.arange(len(m)), dst] = 0
         a[m] = (a[m] - factor[:, :, None] * pivot_row[:, None, :]) % p
         ranks[m] += 1
-    return ranks
+    return a, ranks
+
+
+def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """Rank mod p of every matrix in a stack of shape (M, r, c), as int64 (M,)."""
+    return batch_rref(mats, p)[1]
 
 
 def mat_inv(mat: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square matrix mod p; raises ValueError if singular."""
     m = np.array(mat, dtype=np.int64) % p
     n = m.shape[0]
-    assert m.shape == (n, n)
+    if m.shape != (n, n):
+        raise ValueError(f"matrix of shape {m.shape} is not square")
     aug = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
     red, pivots = rref(aug, p)
     if pivots[:n] != tuple(range(n)) or len(pivots) < n:

@@ -102,14 +102,20 @@ def full_space(p: int, ambient: int = DIM) -> Subspace:
     return span(np.eye(ambient, dtype=np.int64), p, ambient)
 
 
+def _check_compatible(a: Subspace, b: Subspace) -> None:
+    if a.p != b.p or a.ambient != b.ambient:
+        raise ValueError(f"subspaces of F_{a.p}^{a.ambient} and F_{b.p}^{b.ambient} "
+                         "cannot be combined")
+
+
 def sum_spaces(a: Subspace, b: Subspace) -> Subspace:
-    assert a.p == b.p and a.ambient == b.ambient
+    _check_compatible(a, b)
     return span(list(a.rows) + list(b.rows), a.p, a.ambient)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked-basis relation."""
-    assert a.p == b.p and a.ambient == b.ambient
+    _check_compatible(a, b)
     p = a.p
     if a.dim == 0 or b.dim == 0:
         return zero_space(p, a.ambient)
@@ -122,7 +128,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def perp(space: Subspace) -> Subspace:
     """Orthogonal complement w.r.t. the polar form of the norm."""
-    assert space.ambient == DIM
+    if space.ambient != DIM:
+        raise ValueError(f"the polar form lives on F_p^{DIM}, not F_p^{space.ambient}")
     p = space.p
     if space.dim == 0:
         return full_space(p)
@@ -293,7 +300,8 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     for i in range(k):
         num *= p ** (n - i) - 1
         den *= p ** (k - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"Gaussian binomial [{n} choose {k}]_{p} is not an integer")
     return num // den
 
 
@@ -345,7 +353,8 @@ def enumerate_subspaces(k: int, p: int, ambient: int = DIM, visitor=None,
     lexicographically.  If ``visitor`` is given it is called on each
     subspace as well.
     """
-    assert 0 <= k <= ambient
+    if not 0 <= k <= ambient:
+        raise ValueError(f"dimension {k} is outside 0..{ambient}")
     if k == 0:
         s = zero_space(p, ambient)
         if visitor:

@@ -585,7 +585,7 @@ def verify_orbits(group_cap: int = 20000) -> SuiteResult:
     """Automorphism group order and orbit structure over F_2."""
     t0 = time.time()
     res = SuiteResult("orbits", 2)
-    gens = autos.all_alpha_generators(2) + [autos.find_h_moving_extension(2)]
+    gens = autos.automorphism_generators(2)
     group = autos.generate_group(gens, cap=group_cap)
     brute = autos.count_automorphisms(2)
     ok = group.order == brute == EXPECTED_AUTOMORPHISM_COUNT_F2

@@ -1,13 +1,17 @@
-"""Brute-force element-wise reference for census records.
+"""Brute-force element-wise references for census records and orbits.
 
 Every invariant is recomputed from products of basis elements with
 ``ctx.mul`` and from subspace spans and intersections, following the
 classification theorems directly.  It shares no code with the batched
 path in :mod:`splitoct.classify` beyond the algebra itself and the
 subspace helpers, and is slow: tests compare the batched records with it.
+Element orbits are found by a breadth-first search from one element at a
+time, for comparison with the packed :func:`splitoct.autos.element_orbits`.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -138,3 +142,33 @@ def record_fields(space: Subspace) -> dict:
         "commutative": all(ctx.mul(u, v) == ctx.mul(v, u) for u in rows for v in rows),
         "label": label(space),
     }
+
+
+def element_orbits(generators, p: int) -> list[set]:
+    """Orbits of the nonzero elements, one breadth-first search per orbit.
+
+    Each visited element is mapped by every generator at once; an element
+    is keyed by its int8 coordinate bytes.  Orbits are listed by their
+    first element in the order of Σ c_j·p^j, i.e. with the last coordinate
+    most significant.
+    """
+    stack = np.array([g.mat for g in generators], dtype=np.int64)
+    seen: set = set()
+    orbits = []
+    for digits in itertools.product(range(p), repeat=DIM):
+        v = bytes(digits[::-1])
+        if not any(v) or v in seen:
+            continue
+        orbit = {v}
+        frontier = [v]
+        while frontier:
+            x = np.frombuffer(frontier.pop(), dtype=np.int8).astype(np.int64)
+            images = (x @ stack % p).astype(np.int8).tobytes()
+            for i in range(0, len(images), DIM):
+                y = images[i:i + DIM]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        orbits.append({tuple(y) for y in orbit})
+    return orbits
