@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DIM, GRAM_Z, algebra, _qconj_z, _qmul_z
+from .algebra import DIM, GRAM_Z, STRUCT_Z, algebra, _qconj_z, _qmul_z
 from .constructions import PreconditionFailed
 from .linalg import batch_rref, rank
 from .subspace import Subspace, closure, perp, span
@@ -54,21 +54,29 @@ class Automorphism:
         return self.mat
 
 
+def _check_multiplicative(B: np.ndarray, struct_src: np.ndarray, p: int) -> None:
+    """Raise unless the rows B (images of a source basis) multiply like it.
+
+    ``struct_src[i, j]`` is the product of source basis elements i and j in
+    source coordinates, so the map is multiplicative iff B[i]·B[j] equals
+    struct_src[i, j] @ B for every pair, one structure-tensor comparison.
+    """
+    lhs = np.einsum("ia,jb,abc->ijc", B, B, STRUCT_Z) % p
+    rhs = np.einsum("ijk,kc->ijc", struct_src, B) % p
+    bad = np.argwhere((lhs != rhs).any(axis=2))
+    if len(bad):
+        i, j = bad[0]
+        raise PreconditionFailed(f"map is not multiplicative at basis pair ({i},{j})")
+
+
 def _validate(mat: np.ndarray, p: int) -> Automorphism:
     ctx = algebra(p)
     m = mat % p
     if rank(m, p) != DIM:
         raise PreconditionFailed("map is not invertible")
-    E = np.eye(DIM, dtype=np.int64)
     if tuple((ctx.one.coords @ m) % p) != ctx.one.coords:
         raise PreconditionFailed("map does not fix 1")
-    for i in range(DIM):
-        im_i = tuple(m[i] % p)
-        for j in range(DIM):
-            lhs = ctx.mul(im_i, tuple(m[j] % p))
-            rhs = tuple((np.array(ctx.mul(E[i], E[j]), dtype=np.int64) @ m) % p)
-            if lhs != rhs:
-                raise PreconditionFailed(f"map is not multiplicative at basis pair ({i},{j})")
+    _check_multiplicative(m, STRUCT_Z, p)
     return Automorphism(tuple(map(tuple, m.tolist())), p)
 
 
@@ -124,18 +132,11 @@ def doubling_extension(beta_rows, w_target, p: int) -> Automorphism:
         raise PreconditionFailed(f"need 4 image rows of length {DIM}, got shape {B.shape}")
     if rank(B, p) != 4:
         raise PreconditionFailed("images are linearly dependent")
-    E4 = np.eye(4, dtype=np.int64)
-    one_img = tuple((E4[0] + E4[3]) @ B % p)
+    one_img = tuple((B[0] + B[3]) % p)      # 1 = E11 + E22
     if one_img != ctx.one.coords:
         raise PreconditionFailed("map must send 1 to 1")
-    qc = ctx
-    for i in range(4):
-        for j in range(4):
-            prod_h = tuple(c % p for c in _qmul_z(tuple(E4[i]), tuple(E4[j])))
-            lhs = qc.mul(tuple(B[i]), tuple(B[j]))
-            rhs = tuple(np.array(prod_h, dtype=np.int64) @ B % p)
-            if lhs != rhs:
-                raise PreconditionFailed("map is not multiplicative on the matrix part")
+    # the 2x2-matrix part is E11..E22, closed under the octonion product
+    _check_multiplicative(B, STRUCT_Z[:4, :4, :4], p)
     wt = tuple(int(c) % p for c in (getattr(w_target, "coords", w_target)))
     if ctx.norm(wt) != (-1) % p:
         raise PreconditionFailed("target unit must have norm -1")

@@ -88,8 +88,7 @@ def _tasks(dims, p: int) -> list[tuple]:
 
 
 def enumerate_subalgebras(p: int, dims=None, *, max_subspaces: int | None = 2_000_000,
-                          threads: int = 1, trust_closed: bool = True
-                          ) -> list[SubalgebraRecord]:
+                          threads: int = 1) -> list[SubalgebraRecord]:
     """Every multiplicatively closed subspace of the requested dimensions,
     as fully classified records, in deterministic scan order.
 
@@ -97,8 +96,7 @@ def enumerate_subalgebras(p: int, dims=None, *, max_subspaces: int | None = 2_00
     (None disables the check); exceeding it raises CostLimitExceeded
     before any work is done.  ``threads`` > 1 runs the scan in one pool
     of that many processes.  Closure of every record is checked while its
-    structure constants are computed, so ``trust_closed`` no longer
-    changes the result; it stays for callers.
+    structure constants are computed.
     """
     dims = tuple(sorted(set(range(DIM + 1) if dims is None else dims)))
     if not all(0 <= d <= DIM for d in dims):

@@ -343,15 +343,14 @@ def batch_records(rows: np.ndarray, p: int) -> list[SubalgebraRecord]:
             for m in range(M)]
 
 
-def record_for(space: Subspace, *, trust_closed: bool = False) -> SubalgebraRecord:
+def record_for(space: Subspace) -> SubalgebraRecord:
     """Compute every invariant plus the orbit label for a closed subspace.
 
-    Closure is always checked (it falls out of the structure constants),
-    so ``trust_closed`` no longer changes the result; it stays for callers.
+    Closure is always checked: it falls out of the structure constants.
     """
     return batch_records(space.matrix()[None], space.p)[0]
 
 
-def classify(space: Subspace, *, trust_closed: bool = False) -> OrbitLabel:
+def classify(space: Subspace) -> OrbitLabel:
     """Orbit label of a closed subspace, per the classification theorems."""
-    return record_for(space, trust_closed=trust_closed).label
+    return record_for(space).label

@@ -10,8 +10,8 @@ Subcommands
 
 Configuration precedence: command-line flags, then ``OCT_*`` environment
 variables, then built-in defaults (field 2, threads 1, subspace budget
-2,000,000, group cap 20,000).  One scan process is the default because a
-second one did not make the full F_2 census faster end to end.
+2,000,000).  One scan process is the default because a second one did not
+make the full F_2 census faster end to end.
 
 Exit codes: 0 success; 1 verification failure (first counterexample is
 printed); 2 usage or resource-budget errors.
@@ -24,8 +24,7 @@ import json
 import os
 import sys
 
-from .autos import (CapExceeded, all_alpha_generators, automorphism_generators,
-                    generate_group, orbit_partition)
+from .autos import automorphism_generators, orbit_partition
 from .census import CostLimitExceeded, enumerate_subalgebras, write_jsonl
 from .classify import NotClosed, classify
 from .field import FieldError, check_prime
@@ -36,7 +35,6 @@ from . import verify as verify_mod
 DEFAULT_FIELD = 2
 DEFAULT_THREADS = 1
 DEFAULT_MAX_SUBSPACES = 2_000_000
-DEFAULT_GROUP_CAP = 20_000
 
 
 def _env_int(name: str) -> int | None:
@@ -100,18 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=verify_mod.SUITE_NAMES,
                        default="all",
                        help="suite to run (default all)")
-    p_ver.add_argument("--group-cap", type=int, default=None,
-                       help=f"automorphism closure size cap "
-                            f"(default {DEFAULT_GROUP_CAP})")
 
     p_orb = sub.add_parser("orbits",
                            help="orbit partition of the census by (dim, label)")
     add_field(p_orb)
     p_orb.add_argument("--dims", type=str, default=None,
                        help="comma-separated dimensions (default all)")
-    p_orb.add_argument("--group-cap", type=int, default=None,
-                       help=f"automorphism closure size cap "
-                            f"(default {DEFAULT_GROUP_CAP})")
     add_budgets(p_orb)
 
     p_lat = sub.add_parser("lattice", help="emit the label-inclusion lattice")
@@ -153,8 +145,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     field = _resolve_int(args.field, "FIELD", None)
-    cap = _resolve_int(args.group_cap, "GROUP_CAP", DEFAULT_GROUP_CAP)
-    results = verify_mod.run_suite(args.suite, field, group_cap=cap)
+    results = verify_mod.run_suite(args.suite, field)
     failed = False
     for r in results:
         print("\n".join(r.lines()))
@@ -176,13 +167,9 @@ def _cmd_orbits(args) -> int:
     budget = _resolve_int(args.max_subspaces, "MAX_SUBSPACES",
                           DEFAULT_MAX_SUBSPACES)
     threads = _resolve_int(args.threads, "THREADS", DEFAULT_THREADS)
-    cap = _resolve_int(args.group_cap, "GROUP_CAP", DEFAULT_GROUP_CAP)
     records = enumerate_subalgebras(p, dims, max_subspaces=budget,
                                     threads=threads)
-    # odd p: only the matrix-part stabilizer, since G2(p) exceeds the cap
-    gens = automorphism_generators(2) if p == 2 else all_alpha_generators(p)
-    generate_group(gens, cap=cap)        # enforce the cap before orbit work
-    for row in orbit_partition(records, gens):
+    for row in orbit_partition(records, automorphism_generators(p)):
         print(json.dumps(row))
     return 0
 
@@ -213,7 +200,7 @@ def main(argv=None) -> int:
     except (FieldError, ValueError, NotClosed, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CostLimitExceeded, CapExceeded) as exc:
+    except CostLimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
 

@@ -23,53 +23,12 @@ def check_prime(p: int) -> int:
     return p
 
 
-def normalize(a: int, p: int) -> int:
-    return a % p
-
-
-def add(a: int, b: int, p: int) -> int:
-    return (a + b) % p
-
-
-def sub(a: int, b: int, p: int) -> int:
-    return (a - b) % p
-
-
-def mul(a: int, b: int, p: int) -> int:
-    return (a * b) % p
-
-
-def neg(a: int, p: int) -> int:
-    return (-a) % p
-
-
 def inv(a: int, p: int) -> int:
     """Multiplicative inverse mod p (p prime), via Fermat's little theorem."""
     a %= p
     if a == 0:
         raise FieldError(f"0 is not invertible mod {p}")
     return pow(a, p - 2, p)
-
-
-def div(a: int, b: int, p: int) -> int:
-    return (a * inv(b, p)) % p
-
-
-def is_square(a: int, p: int) -> bool:
-    """True iff ``a`` is a square in F_p (0 counts as a square)."""
-    a %= p
-    if p == 2 or a == 0:
-        return True
-    return pow(a, (p - 1) // 2, p) == 1
-
-
-def sqrt(a: int, p: int) -> int | None:
-    """A square root of ``a`` in F_p, or None.  p is tiny; scan."""
-    a %= p
-    for r in range((p // 2) + 1):
-        if r * r % p == a:
-            return r
-    return None
 
 
 def quadratic_roots(t: int, n: int, p: int) -> tuple[int, ...]:

@@ -89,7 +89,7 @@ def build_lattice(p: int) -> LatticeGraph:
     records = {}
     for lab in GRAPH_LABELS:
         space = rep(lab, p)
-        rec = record_for(space, trust_closed=True)
+        rec = record_for(space)
         if rec.label is not lab:
             raise AssertionError(f"representative of {lab.value} classified "
                                  f"as {rec.label.value}")

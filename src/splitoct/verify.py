@@ -528,7 +528,7 @@ def verify_classification() -> SuiteResult:
             if not lab.reachable:
                 continue
             n_trips += 1
-            got = classify(rep(lab, p), trust_closed=True)
+            got = classify(rep(lab, p))
             if got is not lab:
                 bad = f"p={p}: classify(rep({lab.value})) = {got.value}"
                 break
@@ -560,7 +560,7 @@ def verify_classification() -> SuiteResult:
         ]
         for space, want_dim, want_label, same_as in cases:
             n_ex += 1
-            lab = classify(space, trust_closed=True)
+            lab = classify(space)
             if space.dim != want_dim or lab is not want_label:
                 bad = (f"p={p}: got dim {space.dim} label {lab.value}, "
                        f"expected dim {want_dim} label {want_label.value}")
@@ -581,12 +581,12 @@ def verify_classification() -> SuiteResult:
 # orbits (F_2)
 # ---------------------------------------------------------------------------
 
-def verify_orbits(group_cap: int = 20000) -> SuiteResult:
+def verify_orbits() -> SuiteResult:
     """Automorphism group order and orbit structure over F_2."""
     t0 = time.time()
     res = SuiteResult("orbits", 2)
     gens = autos.automorphism_generators(2)
-    group = autos.generate_group(gens, cap=group_cap)
+    group = autos.generate_group(gens)
     brute = autos.count_automorphisms(2)
     ok = group.order == brute == EXPECTED_AUTOMORPHISM_COUNT_F2
     res.checks.append(CheckResult(
@@ -628,8 +628,7 @@ SUITE_NAMES = ("identities", "singular", "centralizers", "classification",
                "orbits", "all")
 
 
-def run_suite(name: str, field: int | None = None,
-              group_cap: int = 20000) -> list[SuiteResult]:
+def run_suite(name: str, field: int | None = None) -> list[SuiteResult]:
     """Run one named suite (or ``all``) and return its results.
 
     Field handling follows the acceptance gates: ``identities`` accepts any
@@ -654,10 +653,10 @@ def run_suite(name: str, field: int | None = None,
     if name == "orbits":
         if field not in (None, 2):
             raise ValueError("orbit suite is specified over F_2 only")
-        return [verify_orbits(group_cap=group_cap)]
+        return [verify_orbits()]
     if name == "all":
         out = []
         for sub in SUITE_NAMES[:-1]:
-            out.extend(run_suite(sub, None, group_cap))
+            out.extend(run_suite(sub))
         return out
     raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

@@ -1,9 +1,9 @@
 """Shared fixtures.
 
-Expensive artifacts (the full F_2 census, the F_2 automorphism group closure)
-are built once per session and shared across test modules.  The acceptance
-tests append one PASS/FAIL line per criterion to ``ACCEPTANCE_LINES``;
-those lines are echoed in the terminal summary.
+Expensive artifacts (the full F_2 census, the F_2 automorphism group closure
+and its brute-force order) are built once per session and shared across
+test modules.  The acceptance tests append one PASS/FAIL line per criterion
+to ``ACCEPTANCE_LINES``; those lines are echoed in the terminal summary.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from splitoct.algebra import algebra
-from splitoct.autos import (all_alpha_generators, find_h_moving_extension,
-                            generate_group)
+from splitoct.autos import (all_alpha_generators, count_automorphisms,
+                            find_h_moving_extension, generate_group)
 from splitoct.census import enumerate_subalgebras
 
 
@@ -55,3 +55,10 @@ def generators2():
 @pytest.fixture(scope="session")
 def group2(generators2):
     return generate_group(generators2)
+
+
+@pytest.fixture(scope="session")
+def brute_count2():
+    """The F_2 automorphism count by direct search, independent of any
+    generating set."""
+    return count_automorphisms(2)

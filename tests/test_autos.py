@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from splitoct.algebra import algebra
-from splitoct.autos import (CapExceeded, PreconditionFailed, alpha_st,
-                            alpha_subgroup_order_formula, all_alpha_generators,
-                            conjugation_flip, count_automorphisms,
-                            doubling_extension, element_orbits,
+from splitoct.algebra import STRUCT_Z, algebra
+from splitoct.autos import (CapExceeded, PreconditionFailed, _check_multiplicative,
+                            alpha_st, alpha_subgroup_order_formula,
+                            all_alpha_generators, automorphism_generators,
+                            conjugation_flip, doubling_extension, element_orbits,
                             find_h_moving_extension, generate_group,
                             identity_automorphism, orbit_of_space,
                             orbit_partition, two_transitive_on_lines)
@@ -44,6 +44,45 @@ def test_alpha_maps_are_automorphisms(p):
             alpha_st((1, 0, 0, 1), (2, 0, 0, 1), p)   # det 1 vs det 2
 
 
+def _multiplicative_on_basis_pairs(m, p):
+    """Element-wise reference: e_i·e_j ↦ m[i]·m[j] for all 64 pairs."""
+    ctx = algebra(p)
+    E = np.eye(8, dtype=np.int64)
+    return all(ctx.mul(m[i], m[j])
+               == tuple(np.array(ctx.mul(E[i], E[j])) @ m % p)
+               for i in range(8) for j in range(8))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tensor_multiplicativity_check_matches_basis_pairs(p):
+    """The one structure-tensor check accepts exactly the maps the
+    element-wise basis-pair check accepts: automorphisms, the same maps
+    with one entry changed, the w-half scaled by c (multiplicative iff
+    c² = 1, the failures sit only at pairs of w-basis elements) and
+    random matrices."""
+    rng = np.random.default_rng(p)
+    autos = list(generate_group(automorphism_generators(p)[:2])
+                 .elements[:70].astype(np.int64))
+    maps = list(autos)
+    for m in autos:
+        bent = m.copy()
+        i, j = rng.integers(0, 8, 2)
+        bent[i, j] = (bent[i, j] + rng.integers(1, p)) % p
+        maps.append(bent)
+    scaled = [np.diag([1] * 4 + [c] * 4) for c in range(1, p)]
+    maps += scaled + list(rng.integers(0, p, (60, 8, 8)))
+    verdicts = []
+    for m in maps:
+        try:
+            _check_multiplicative(m, STRUCT_Z, p)
+            ok = True
+        except PreconditionFailed:
+            ok = False
+        assert ok == _multiplicative_on_basis_pairs(m, p)
+        verdicts.append(ok)
+    assert sum(verdicts) == len(autos) + sum(c * c % p == 1 for c in range(1, p))
+
+
 @pytest.mark.parametrize("p,expected", [(2, 36), (3, 576)])
 def test_alpha_subgroup_order(p, expected):
     assert alpha_subgroup_order_formula(p) == expected
@@ -76,11 +115,11 @@ def test_doubling_extension_and_flip(p):
         doubling_extension(np.eye(8, dtype=np.int64)[:4], ctx.n0w.coords, p)
 
 
-def test_full_group_f2_both_routes(group2):
+def test_full_group_f2_both_routes(group2, brute_count2):
     # route 1: closure of the generators; route 2: direct search
     assert group2.closed
     assert group2.order == FULL_GROUP_ORDER_F2
-    assert count_automorphisms(2) == FULL_GROUP_ORDER_F2
+    assert brute_count2 == FULL_GROUP_ORDER_F2
 
 
 def test_composition_convention(ctx2):

@@ -54,13 +54,6 @@ def test_classify_rejects_open_spaces():
         record_for(open_space)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_trust_closed_matches_validating_path(p):
-    for label in REACHABLE:
-        space = rep(label, p)
-        assert classify(space, trust_closed=True) is classify(space)
-
-
 def test_record_flags_match_element_level_bruteforce(ctx2):
     """Recompute every flag from scratch on all elements, via byte tables."""
     ctx = ctx2

@@ -12,7 +12,7 @@ from splitoct.verify import CheckResult, SuiteResult
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-ENV_VARS = ("OCT_FIELD", "OCT_THREADS", "OCT_MAX_SUBSPACES", "OCT_GROUP_CAP")
+ENV_VARS = ("OCT_FIELD", "OCT_THREADS", "OCT_MAX_SUBSPACES")
 
 
 @pytest.fixture(autouse=True)
@@ -142,10 +142,27 @@ def test_orbits_restricted_dims(capsys):
     ]
 
 
-def test_orbits_group_cap(capsys):
-    rc = main(["orbits", "--dims", "6", "--group-cap", "100"])
-    assert rc == 2
-    assert "resource limit" in capsys.readouterr().err
+def _g2_order(p):
+    """|G2(p)| = p^6 (p^6 - 1)(p^2 - 1)."""
+    return p ** 6 * (p ** 6 - 1) * (p ** 2 - 1)
+
+
+@pytest.mark.parametrize("p, dims, sizes", [
+    (3, "1,2", {(1, "F"): 1, (1, "Fn"): 364, (1, "Fp"): 756,
+                (2, "E"): 351, (2, "F+Fn"): 364, (2, "Fn+Fp"): 3276,
+                (2, "Fn+Fpbar"): 3276, (2, "Q"): 364, (2, "S"): 378}),
+    (5, "1", {(1, "F"): 1, (1, "Fn"): 3906, (1, "Fp"): 15750}),
+])
+def test_orbits_odd_p_one_orbit_per_label(p, dims, sizes, capsys):
+    """Over odd p every label is one G2(p) orbit, and each orbit size
+    divides |G2(p)| (orbit-stabilizer)."""
+    assert main(["orbits", "--field", str(p), "--dims", dims]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows == [{"dim": d, "label": lab, "orbit_count": 1,
+                     "orbit_sizes": [n]} for (d, lab), n in sizes.items()]
+    for row in rows:
+        for size in row["orbit_sizes"]:
+            assert _g2_order(p) % size == 0, row
 
 
 def test_env_configuration(monkeypatch, capsys):

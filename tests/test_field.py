@@ -2,8 +2,7 @@
 
 import pytest
 
-from splitoct.field import (FieldError, add, check_prime, div, inv, is_square,
-                            mul, neg, normalize, quadratic_roots, sqrt, sub)
+from splitoct.field import FieldError, check_prime, inv, quadratic_roots
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -17,23 +16,11 @@ def test_check_prime_rejects_nonprimes(p):
         check_prime(p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_ring_axioms_exhaustive(p):
-    for a in range(p):
-        for b in range(p):
-            assert add(a, b, p) == (a + b) % p
-            assert sub(a, b, p) == (a - b) % p
-            assert mul(a, b, p) == (a * b) % p
-        assert neg(a, p) == (-a) % p
-        assert normalize(a + 3 * p, p) == a
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_inverses(p):
     for a in range(1, p):
-        assert mul(a, inv(a, p), p) == 1
-        for b in range(1, p):
-            assert mul(div(a, b, p), b, p) == a
+        assert a * inv(a, p) % p == 1
+        assert inv(a - 3 * p, p) == inv(a, p)
 
 
 def test_inv_of_zero_fails():
@@ -43,14 +30,12 @@ def test_inv_of_zero_fails():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_squares_and_roots(p):
+    # square roots of a are the roots of X^2 - a
     squares = {(x * x) % p for x in range(p)}
     for a in range(p):
-        assert is_square(a, p) == (a in squares)
-        r = sqrt(a, p)
-        if a in squares:
-            assert r is not None and (r * r) % p == a
-        else:
-            assert r is None
+        roots = quadratic_roots(0, -a, p)
+        assert bool(roots) == (a in squares)
+        assert all((r * r) % p == a for r in roots)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

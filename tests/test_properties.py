@@ -89,10 +89,10 @@ def test_modular_dimension_law(p, data):
 def test_labels_are_automorphism_invariants(p, data):
     gens = [data.draw(octonions(p)) for _ in range(2)]
     space = closure(gens, p)
-    label = classify(space, trust_closed=True)
+    label = classify(space)
     s = data.draw(invertible_2x2(p))
     auto = alpha_st(s, s, p)
-    assert classify(auto.apply_space(space), trust_closed=True) is label
+    assert classify(auto.apply_space(space)) is label
 
 
 @settings(max_examples=200, derandomize=True)
