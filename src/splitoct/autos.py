@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DIM, GRAM_Z, STRUCT_Z, algebra, _qconj_z, _qmul_z
+from .algebra import (DIM, GRAM_Z, STRUCT_Z, algebra, mod, products,
+                      _qconj_z, _qmul_z)
 from .constructions import PreconditionFailed
 from .linalg import batch_rref, rank
 from .subspace import Subspace, closure, perp, span
@@ -61,8 +62,8 @@ def _check_multiplicative(B: np.ndarray, struct_src: np.ndarray, p: int) -> None
     source coordinates, so the map is multiplicative iff B[i]·B[j] equals
     struct_src[i, j] @ B for every pair, one structure-tensor comparison.
     """
-    lhs = np.einsum("ia,jb,abc->ijc", B, B, STRUCT_Z) % p
-    rhs = np.einsum("ijk,kc->ijc", struct_src, B) % p
+    lhs = mod(products(B, B, algebra(p).struct, p), p)
+    rhs = struct_src @ B % p
     bad = np.argwhere((lhs != rhs).any(axis=2))
     if len(bad):
         i, j = bad[0]
@@ -143,10 +144,7 @@ def doubling_extension(beta_rows, w_target, p: int) -> Automorphism:
     h_prime = span(B, p)
     if not perp(h_prime).contains(wt):
         raise PreconditionFailed("target unit must be orthogonal to the image subalgebra")
-    m = np.zeros((DIM, DIM), dtype=np.int64)
-    m[:4] = B
-    for i in range(4):
-        m[4 + i] = ctx.mul(tuple(B[i]), wt)
+    m = np.concatenate([B, B @ ctx.mul_matrix(wt, "right") % p])
     return _validate(m, p)
 
 
@@ -364,18 +362,23 @@ def element_orbits(generators: list, p: int) -> list[set]:
 def count_automorphisms(p: int = 2) -> int:
     """Count all multiplicative unital linear bijections of O over F_2 by
     constraint search on the images of the generating triple
-    (n0, nbar0, w), independent of any constructed generator set."""
+    (n0, nbar0, w), independent of any constructed generator set.
+
+    Every candidate image triple (h1, h2, h3) that keeps the polar values
+    and product traces of (n0, nbar0, w) is gathered into one array; the
+    images of the coordinate basis follow from the word DAG
+    p0 = n0·nbar0, pbar0 = nbar0·n0, e·w for the w-half.  The unit, the
+    bijectivity and all 64 basis-pair products are then checked for every
+    candidate at once on its packed images of all 256 bytes.
+    """
     if p != 2:
         raise ValueError("brute-force count is a char-2 certification")
     ctx = algebra(2)
     mul = ctx.mul_byte
-    norm = ctx.norm_byte.astype(np.int64)
-    trace = ctx.trace_byte.astype(np.int64)
+    norm = ctx.norm_byte
+    trace = ctx.trace_byte
     coords = ctx.byte_coords
     polar_tab = (coords @ (GRAM_Z % 2) @ coords.T) % 2          # (256, 256)
-
-    def polar_bit(a: int, b: int) -> int:
-        return int(polar_tab[a, b])
 
     n0 = ctx.byte_of(ctx.n0.coords)
     nbar0 = ctx.byte_of(ctx.nbar0.coords)
@@ -385,63 +388,33 @@ def count_automorphisms(p: int = 2) -> int:
     if closure([ctx.n0, ctx.nbar0, ctx.octonion(ctx.w.coords)]).dim != DIM:
         raise ArithmeticError("n0, nbar0 and w do not generate the algebra")
 
-    nilpotents = [b for b in range(1, 256) if norm[b] == 0 and trace[b] == 0]
-    w_class = np.array([b for b in range(1, 256)
-                        if norm[b] == norm[wb] and trace[b] == trace[wb]],
-                       dtype=np.int64)
-    count = 0
-    weights = (1 << np.arange(DIM)).astype(np.int64)
-    for h1 in nilpotents:
-        for h2 in nilpotents:
-            # invariants of the pair (n0, nbar0): polar 1, product traces
-            if polar_bit(h1, h2) != polar_bit(n0, nbar0):
-                continue
-            h1h2 = int(mul[h1, h2])
-            h2h1 = int(mul[h2, h1])
-            if trace[h1h2] != trace[int(mul[n0, nbar0])]:
-                continue
-            if trace[h2h1] != trace[int(mul[nbar0, n0])]:
-                continue
-            # candidate images of w, batched
-            h3 = w_class
-            ok = np.ones(len(h3), dtype=bool)
-            for prev, ref in ((h1, n0), (h2, nbar0)):
-                ok &= polar_tab[h3, prev] == polar_bit(wb, ref)
-            cands = h3[ok]
-            if len(cands) == 0:
-                continue
-            # build candidate matrices: rows are images of
-            # (p0, n0, nbar0, pbar0, p0w, n0w, nbar0w, pbar0w) via the word DAG
-            i0 = np.full(len(cands), h1h2, dtype=np.int64)
-            i1 = np.full(len(cands), h1, dtype=np.int64)
-            i2 = np.full(len(cands), h2, dtype=np.int64)
-            i3 = np.full(len(cands), h2h1, dtype=np.int64)
-            i4 = mul[i0, cands].astype(np.int64)
-            i5 = mul[i1, cands].astype(np.int64)
-            i6 = mul[i2, cands].astype(np.int64)
-            i7 = mul[i3, cands].astype(np.int64)
-            rows = np.stack([i0, i1, i2, i3, i4, i5, i6, i7], axis=1)  # (n, 8) bytes
-            # full multiplicativity check via the packed linear map
-            imgs = np.zeros((len(cands), 256), dtype=np.int64)
-            for b in range(1, 256):
-                low = b & (-b)
-                rest = b ^ low
-                imgs[:, b] = imgs[:, rest] ^ rows[:, low.bit_length() - 1]
-            good = imgs[:, one] == one
-            # bijectivity: all 256 images distinct <=> rows span (rank 8)
-            for idx in np.nonzero(good)[0]:
-                if len(np.unique(imgs[idx])) != 256:
-                    good[idx] = False
-            pairs_i, pairs_j = np.meshgrid(np.arange(DIM), np.arange(DIM))
-            base = (1 << pairs_i.ravel()).astype(np.int64)
-            other = (1 << pairs_j.ravel()).astype(np.int64)
-            prod_ref = mul[base, other].astype(np.int64)
-            for idx in np.nonzero(good)[0]:
-                im = imgs[idx]
-                if not (mul[im[base], im[other]] == im[prod_ref]).all():
-                    good[idx] = False
-            count += int(good.sum())
-    return count
+    everything = np.arange(1, 256, dtype=np.uint8)
+    nil = everything[(norm[1:] == 0) & (trace[1:] == 0)]
+    w_class = everything[(norm[1:] == norm[wb]) & (trace[1:] == trace[wb])]
+    # pairs (h1, h2) of nilpotents with the invariants of (n0, nbar0)
+    h1, h2 = (a.ravel() for a in np.meshgrid(nil, nil, indexing="ij"))
+    keep = ((polar_tab[h1, h2] == polar_tab[n0, nbar0])
+            & (trace[mul[h1, h2]] == trace[mul[n0, nbar0]])
+            & (trace[mul[h2, h1]] == trace[mul[nbar0, n0]]))
+    h1, h2 = h1[keep], h2[keep]
+    # images h3 of w with the polar values of w against n0 and nbar0
+    ok = ((polar_tab[w_class[None, :], h1[:, None]] == polar_tab[wb, n0])
+          & (polar_tab[w_class[None, :], h2[:, None]] == polar_tab[wb, nbar0]))
+    pair, w_idx = np.nonzero(ok)
+    h1, h2, h3 = h1[pair], h2[pair], w_class[w_idx]
+    top = [mul[h1, h2], h1, h2, mul[h2, h1]]
+    rows = np.stack(top + [mul[r, h3] for r in top], axis=1)   # (n, 8) bytes
+    # packed images of all 256 bytes: XOR of the rows at the set bits
+    imgs = np.zeros((len(rows), 256), dtype=np.uint8)
+    for bit in range(DIM):
+        imgs ^= rows[:, bit, None] * ((np.arange(256) >> bit) & 1).astype(np.uint8)
+    unital = imgs[:, one] == one
+    ordered = np.sort(imgs, axis=1, kind="stable")     # radix sort on bytes
+    bijective = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    base, other = (1 << np.indices((DIM, DIM)).reshape(2, -1))
+    multiplicative = (mul[imgs[:, base], imgs[:, other]]
+                      == imgs[:, mul[base, other]]).all(axis=1)
+    return int((unital & bijective & multiplicative).sum())
 
 
 def two_transitive_on_lines(p: int) -> bool:

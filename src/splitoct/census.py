@@ -6,9 +6,9 @@ process pool per call.  A task runs three batched steps on its range:
 
 1. the closure mask (:func:`closed_block_mask`) over blocks of RREF bases:
    over F_2 the product of two packed rows is one uint8 table lookup;
-   for odd p one float32 kernel contracts the rows with the structure
-   tensor (:func:`splitoct.subspace.closed_mask`), in blocks sized by
-   working set;
+   for odd p :func:`splitoct.subspace.closed_mask` runs the package's
+   float32 product kernel (:func:`splitoct.algebra.products`), in blocks
+   sized by working set;
 2. the k×k×k structure constants of the survivors only
    (:func:`splitoct.subspace.substructure`);
 3. their full records and orbit labels

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import field
-from .algebra import DIM, Octonion, SplitOctonions, algebra, _qconj_z, _qmul_z
+from .algebra import DIM, Octonion, algebra, _qconj_z, _qmul_z
 from .classify import LABEL_DIM, OrbitLabel
 from .linalg import nullspace
 from .subspace import Subspace, full_space, span, zero_space
@@ -94,32 +94,18 @@ def heisenberg(a, b) -> Subspace:
     return span([ca, cb, ab], p)
 
 
-def _mul_matrix(ctx: SplitOctonions, a, side: str) -> np.ndarray:
-    """Matrix of x ↦ a·x (side='left') or x ↦ x·a, acting on row vectors."""
-    E = np.eye(DIM, dtype=np.int64)
-    if side == "left":
-        rows = [ctx.mul(a, E[i]) for i in range(DIM)]
-    else:
-        rows = [ctx.mul(E[i], a) for i in range(DIM)]
-    return np.array(rows, dtype=np.int64)
-
-
 def left_mul_space(a) -> Subspace:
     """a·O: the image of left multiplication by a."""
     ca = tuple(getattr(a, "coords", a))
     p = getattr(a, "p")
-    ctx = algebra(p)
-    E = np.eye(DIM, dtype=np.int64)
-    return span([ctx.mul(ca, E[i]) for i in range(DIM)], p)
+    return span(algebra(p).mul_matrix(ca, "left"), p)
 
 
 def right_mul_space(a) -> Subspace:
     """O·a: the image of right multiplication by a."""
     ca = tuple(getattr(a, "coords", a))
     p = getattr(a, "p")
-    ctx = algebra(p)
-    E = np.eye(DIM, dtype=np.int64)
-    return span([ctx.mul(E[i], ca) for i in range(DIM)], p)
+    return span(algebra(p).mul_matrix(ca, "right"), p)
 
 
 def kernel_of_left_mul(a) -> Subspace:
@@ -128,7 +114,7 @@ def kernel_of_left_mul(a) -> Subspace:
     p = getattr(a, "p")
     ctx = algebra(p)
     # row i of M is a·e_i, so (x @ M) = a·x; the kernel is the left null space
-    M = _mul_matrix(ctx, ca, "left")
+    M = ctx.mul_matrix(ca, "left")
     ker = nullspace(M.T % p, p)
     return span(ker, p)
 
@@ -138,7 +124,7 @@ def centralizer(v) -> Subspace:
     cv = tuple(getattr(v, "coords", v))
     p = getattr(v, "p")
     ctx = algebra(p)
-    M = (_mul_matrix(ctx, cv, "right") - _mul_matrix(ctx, cv, "left")) % p
+    M = (ctx.mul_matrix(cv, "right") - ctx.mul_matrix(cv, "left")) % p
     ker = nullspace(M.T, p)
     return span(ker, p)
 

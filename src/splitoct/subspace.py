@@ -8,8 +8,9 @@ row-major order, least-significant-last — so the stream order is
 reproducible and partitions cleanly by pivot set.
 
 Stacks of RREF bases are tested for closure and reduced to structure
-constants in batches: :func:`closed_mask` and :func:`substructure` share
-one float32 product kernel, which is exact for every supported prime.
+constants in batches: :func:`closed_mask` and :func:`substructure` call
+the package's one float32 product kernel, :func:`splitoct.algebra.products`,
+which is exact for every supported prime.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .algebra import DIM, GRAM_Z, SplitOctonions, algebra
+from .algebra import DIM, GRAM_Z, SplitOctonions, algebra, mod, products
 
 
 class NotClosed(ValueError):
@@ -213,44 +214,13 @@ def block_rows(k: int, n: int) -> int:
     return max(1, _WORKSET // (k * k * n * n))
 
 
-def _row_products(mats: np.ndarray, struct: np.ndarray, p: int) -> np.ndarray:
-    """P[m, i, j] = (row i)·(row j) of every basis in ``mats``, unreduced.
-
-    Two stacked float32 matmuls: T[m, i] = Σ_a row_i[a] struct[a], the
-    matrix of left multiplication by row i, then P[m, i, j] = row_j @
-    T[m, i].  This measured about five times faster than multiplying the
-    k² row-pair outer products by struct.reshape(n², n), with the same
-    sums.  Stacked per-basis products stay single-threaded in BLAS, which
-    keeps the scan's pool workers from oversubscribing the cores.
-    Entries are non-negative integers at most n²(p−1)³, and (n² + n)(p−1)³
-    bounds the differences formed in :func:`_residual`; below 2²⁰ (n = 8
-    and every supported prime) all of them are exact in float32, and so
-    is :func:`_mod`.
-    """
-    M, k, n = mats.shape
-    if (n + 1) * n * (p - 1) ** 3 >= 1 << 20:
-        raise ValueError(f"float32 products are not exact for n={n}, p={p}")
-    r = mats.astype(np.float32)
-    S = np.asarray(struct, dtype=np.float32).reshape(n, n * n)
-    T = (r @ S).reshape(M, k, n, n)
-    return np.matmul(r[:, None], T)
-
-
-def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p for float32 integers of magnitude below 2²⁰.
-
-    x / p then lies within 1/(16p) of its true value, so its floor is
-    exact; np.fmod gives the same result about thirty times slower.
-    """
-    return x - np.floor(x / p) * p
-
-
-def _residual(P: np.ndarray, mats: np.ndarray, coef: np.ndarray, p: int) -> np.ndarray:
-    """Per basis: whether some product leaves the span, given the products
-    ``P`` and their coordinates ``coef`` (entries at the pivot columns)."""
-    M, k, n = mats.shape
-    proj = coef.reshape(M, k * k, k) @ mats.astype(np.float32)
-    return _mod(P.reshape(M, k * k, n) - proj, p).any(axis=(1, 2))
+def _residual(P: np.ndarray, rows: np.ndarray, coef: np.ndarray, p: int) -> np.ndarray:
+    """Per basis: whether some product leaves the span, given the float32
+    bases ``rows``, their products ``P`` and the products' coordinates
+    ``coef`` (entries at the pivot columns)."""
+    M, k, n = rows.shape
+    proj = coef.reshape(M, k * k, k) @ rows
+    return mod(P.reshape(M, k * k, n) - proj, p).any(axis=(1, 2))
 
 
 def closed_mask(mats: np.ndarray, pivots: tuple[int, ...], struct: np.ndarray,
@@ -262,9 +232,10 @@ def closed_mask(mats: np.ndarray, pivots: tuple[int, ...], struct: np.ndarray,
     algebra the rows live in.  A span is closed when each product of two
     rows equals its pivot-column entries times the rows, mod p.
     """
-    P = _row_products(mats, struct, p)
-    coef = _mod(P[..., list(pivots)], p)
-    return ~_residual(P, mats, coef, p)
+    r = mats.astype(np.float32)
+    P = products(r, r, struct, p)
+    coef = mod(P[..., list(pivots)], p)
+    return ~_residual(P, r, coef, p)
 
 
 def substructure(rows: np.ndarray, p: int) -> np.ndarray:
@@ -276,11 +247,11 @@ def substructure(rows: np.ndarray, p: int) -> np.ndarray:
     some basis does not span a closed subspace.
     """
     rows = np.asarray(rows)
-    M, k, _ = rows.shape
-    P = _row_products(rows, algebra(p).struct, p)
+    r = rows.astype(np.float32)
+    P = products(r, r, algebra(p).struct, p)
     piv = (rows != 0).argmax(-1)                                 # (M, k)
-    coef = _mod(np.take_along_axis(P, piv[:, None, None, :], axis=-1), p)
-    escapes = _residual(P, rows, coef, p)
+    coef = mod(np.take_along_axis(P, piv[:, None, None, :], axis=-1), p)
+    escapes = _residual(P, r, coef, p)
     if escapes.any():
         bad = Subspace(tuple(map(tuple, rows[escapes.argmax()].tolist())), p, DIM)
         raise NotClosed(f"subspace is not closed under multiplication: {bad}")

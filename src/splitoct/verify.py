@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import autos
-from .algebra import DIM, algebra
+from .algebra import DIM, algebra, mod, products
 from .census import enumerate_subalgebras
 from .classify import OrbitLabel, classify, element_orbit_invariant
 from .constructions import (centralizer, kernel_of_left_mul, left_mul_space,
@@ -121,147 +121,157 @@ class SuiteResult:
         return [head] + [c.line() for c in self.checks]
 
 
-def _coords_of(ctx, b: int) -> tuple:
-    return ctx.coords_of_byte(b)
-
-
 def _fmt_bytes(ctx, **named) -> str:
-    return ", ".join(f"{k}={_coords_of(ctx, v)}" for k, v in named.items())
-
-
-def _fmt_rows(i: int, **named) -> str:
-    return ", ".join(f"{k}={tuple(int(t) for t in v[i])}"
-                     for k, v in named.items())
+    return ", ".join(f"{k}={ctx.coords_of_byte(v)}" for k, v in named.items())
 
 
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
 
-def _identities_f2(res: SuiteResult) -> None:
-    ctx = algebra(2)
-    M = ctx.mul_byte.astype(np.intp)                       # (256, 256)
-    MT = M.T.copy()
-    K = ctx.conj_byte.astype(np.intp)                      # (256,)
-    N = ctx.norm_byte.astype(np.uint8)
-    Tr = ctx.trace_byte.astype(np.uint8)
-    coords = ctx.byte_coords.astype(np.int64)              # (256, 8)
-    G = np.array(ctx.gram, dtype=np.int64)
-    polar_tab = ((coords @ G @ coords.T) % 2).astype(np.uint8)
-    one = ctx.byte_of(ctx.one.coords)
-    ar = np.arange(256, dtype=np.intp)
-    A3, X3, Y3 = ar[:, None, None], ar[None, :, None], ar[None, None, :]
+#: The composition-algebra laws as (name, variables, predicate).  A
+#: predicate gets an element interface E (mul, conj, add, scale, one, eq
+#: on elements; norm, trace, polar give scalars mod E.p) and one batch of
+#: values per variable, and returns one verdict per instance.
+LAWS = (
+    ("norm multiplicativity N(xy)=N(x)N(y)", "xy",
+     lambda E, x, y: E.norm(E.mul(x, y)) == E.norm(x) * E.norm(y) % E.p),
+    ("involution anti-automorphism k(xy)=k(y)k(x)", "xy",
+     lambda E, x, y: E.eq(E.conj(E.mul(x, y)), E.mul(E.conj(y), E.conj(x)))),
+    ("involution is involutory k(k(x))=x", "x",
+     lambda E, x: E.eq(E.conj(E.conj(x)), x)),
+    ("norm recovery x*k(x)=N(x)*1", "x",
+     lambda E, x: E.eq(E.mul(x, E.conj(x)), E.scale(E.norm(x), E.one))),
+    ("polar recovery x*k(y)+y*k(x)=(x|y)*1", "xy",
+     lambda E, x, y: E.eq(E.add(E.mul(x, E.conj(y)), E.mul(y, E.conj(x))),
+                          E.scale(E.polar(x, y), E.one))),
+    ("adjoint (cx|y)=(x|k(c)y)", "cxy",
+     lambda E, c, x, y: E.polar(E.mul(c, x), y) == E.polar(x, E.mul(E.conj(c), y))),
+    ("adjoint (xc|y)=(x|y k(c))", "cxy",
+     lambda E, c, x, y: E.polar(E.mul(x, c), y) == E.polar(x, E.mul(y, E.conj(c)))),
+    ("Moufang (ax)(ya)=a((xy)a)", "axy",
+     lambda E, a, x, y: E.eq(E.mul(E.mul(a, x), E.mul(y, a)),
+                             E.mul(a, E.mul(E.mul(x, y), a)))),
+    ("Moufang a(x(ay))=((ax)a)y", "axy",
+     lambda E, a, x, y: E.eq(E.mul(a, E.mul(x, E.mul(a, y))),
+                             E.mul(E.mul(E.mul(a, x), a), y))),
+    ("Moufang x(a(ya))=((xa)y)a", "axy",
+     lambda E, a, x, y: E.eq(E.mul(x, E.mul(a, E.mul(y, a))),
+                             E.mul(E.mul(E.mul(x, a), y), a))),
+    # x^2 + N(x)1 = tr(x)x: the same law, tr(x)x moved to the right
+    ("degree-2 identity x^2-tr(x)x+N(x)=0", "x",
+     lambda E, x: E.eq(E.add(E.mul(x, x), E.scale(E.norm(x), E.one)),
+                       E.scale(E.trace(x), x))),
+)
 
-    def add_pair_check(name, ok, vars3=False, **arrays):
-        bad = np.argwhere(~ok)
-        ce = None
-        if bad.size:
-            idx = tuple(int(t) for t in bad[0])
-            names = ("a", "x", "y")[:len(idx)] if vars3 else ("x", "y")[:len(idx)]
-            ce = _fmt_bytes(ctx, **dict(zip(names, idx)))
-        res.checks.append(CheckResult(name, not bad.size, int(ok.size), ce))
-
-    # norm multiplicativity: N(xy) = N(x) N(y)
-    add_pair_check("norm multiplicativity N(xy)=N(x)N(y)",
-                   N[M] == (N[:, None] & N[None, :]))
-    # involution: kappa(xy) = kappa(y) kappa(x), kappa involutory
-    add_pair_check("involution anti-automorphism k(xy)=k(y)k(x)",
-                   M[K[:, None], K[None, :]].T == K[M])
-    add_pair_check("involution is involutory k(k(x))=x", K[K] == ar)
-    # norm recovery: x k(x) = N(x) 1; (x|y) 1 = x k(y) + y k(x)
-    add_pair_check("norm recovery x*k(x)=N(x)*1",
-                   M[ar, K] == np.where(N == 1, one, 0))
-    add_pair_check("polar recovery x*k(y)+y*k(x)=(x|y)*1",
-                   (M[ar[:, None], K[None, :]] ^ M[ar[None, :], K[:, None]])
-                   == np.where(polar_tab == 1, one, 0))
-    # adjoint identities
-    add_pair_check("adjoint (cx|y)=(x|k(c)y)",
-                   polar_tab[M][:, :, :] == polar_tab[X3, M[K][:, None, :]],
-                   vars3=True)
-    add_pair_check("adjoint (xc|y)=(x|y k(c))",
-                   polar_tab[MT] == polar_tab[X3, M[:, K].T[:, None, :]],
-                   vars3=True)
-    # Moufang identities (variables a, x, y)
-    lhs = M[M[A3[..., 0], X3[..., 0]][:, :, None], MT[:, None, :]]
-    rhs = M[A3, M[M[None, :, :], A3]]
-    add_pair_check("Moufang (ax)(ya)=a((xy)a)", lhs == rhs, vars3=True)
-    lhs = M[A3, M[X3, M[:, None, :]]]
-    rhs = M[M[M, ar[:, None]][:, :, None], Y3]
-    add_pair_check("Moufang a(x(ay))=((ax)a)y", lhs == rhs, vars3=True)
-    lhs = M[X3, M[ar[:, None], MT][:, None, :]]
-    rhs = M[M[MT[:, :, None], Y3], A3]
-    add_pair_check("Moufang x(a(ya))=((xa)y)a", lhs == rhs, vars3=True)
-    # degree-2 identity: x^2 + tr(x) x + N(x) 1 = 0  (char 2 signs)
-    sq = M[ar, ar]
-    sq = sq ^ np.where(Tr == 1, ar, 0) ^ np.where(N == 1, one, 0)
-    add_pair_check("degree-2 identity x^2-tr(x)x+N(x)=0", sq == 0)
+#: instances per chunk (at least one value of the first variable), which
+#: bounds the working set
+_CHUNK = 1 << 14
 
 
-def _identities_random(res: SuiteResult, p: int) -> None:
-    ctx = algebra(p)
-    C = ctx.struct.astype(np.int64)
-    G = np.array(ctx.gram, dtype=np.int64)
-    basis = np.eye(DIM, dtype=np.int64)
-    conj_mat = np.array([ctx.conj(tuple(int(t) for t in e)) for e in basis],
-                        dtype=np.int64)                    # row i = k(e_i)
-    one = np.array(ctx.one.coords, dtype=np.int64)
-    inv2 = pow(2, -1, p)
-    rng = np.random.default_rng(_SEED + p)
-    n = RANDOM_SAMPLES
+class _Bytes:
+    """Elements of F_2^8 as packed bytes, over the exhaustive grid.
 
-    def mul(X, Y):
-        return np.einsum("na,nb,abc->nc", X % p, Y % p, C) % p
+    Every operation is a lookup in the byte tables.  A law in v variables
+    runs over all 256^v instances, the grid split along the first variable.
+    """
 
-    def conj(X):
-        return (X @ conj_mat) % p
+    p = 2
 
-    def norm(X):
-        return (((X @ G) * X).sum(1) * inv2) % p
+    def __init__(self, ctx):
+        self.ctx = ctx
+        coords = ctx.byte_coords
+        self.polar_tab = (coords @ ctx.gram @ coords.T % 2).astype(np.uint8)
+        self.one = np.uint8(ctx.byte_of(ctx.one.coords))
 
-    def polar(X, Y):
-        return ((X @ G) * Y).sum(1) % p
+    def mul(self, x, y):
+        return self.ctx.mul_byte[x, y]
 
-    def trace(X):
-        return (X[:, 0] + X[:, 3]) % p
+    def conj(self, x):
+        return self.ctx.conj_byte[x]
 
-    def sample():
-        return rng.integers(0, p, size=(n, DIM), dtype=np.int64)
+    def add(self, x, y):
+        return x ^ y
 
-    def add_check(name, ok, **arrays):
-        bad = np.argwhere(~ok)
-        ce = _fmt_rows(int(bad[0][0]), **arrays) if bad.size else None
-        res.checks.append(CheckResult(name, not bad.size, int(ok.size), ce))
+    def scale(self, c, x):
+        return c * x
 
-    X, Y, A = sample(), sample(), sample()
-    add_check("norm multiplicativity N(xy)=N(x)N(y)",
-              norm(mul(X, Y)) == (norm(X) * norm(Y)) % p, x=X, y=Y)
-    add_check("involution anti-automorphism k(xy)=k(y)k(x)",
-              (conj(mul(X, Y)) == mul(conj(Y), conj(X))).all(1), x=X, y=Y)
-    add_check("involution is involutory k(k(x))=x",
-              (conj(conj(X)) == X % p).all(1), x=X)
-    add_check("norm recovery x*k(x)=N(x)*1",
-              (mul(X, conj(X)) == (norm(X)[:, None] * one) % p).all(1), x=X)
-    add_check("polar recovery x*k(y)+y*k(x)=(x|y)*1",
-              ((mul(X, conj(Y)) + mul(Y, conj(X))) % p
-               == (polar(X, Y)[:, None] * one) % p).all(1), x=X, y=Y)
-    add_check("adjoint (cx|y)=(x|k(c)y)",
-              polar(mul(A, X), Y) == polar(X, mul(conj(A), Y)),
-              c=A, x=X, y=Y)
-    add_check("adjoint (xc|y)=(x|y k(c))",
-              polar(mul(X, A), Y) == polar(X, mul(Y, conj(A))),
-              c=A, x=X, y=Y)
-    add_check("Moufang (ax)(ya)=a((xy)a)",
-              (mul(mul(A, X), mul(Y, A))
-               == mul(A, mul(mul(X, Y), A))).all(1), a=A, x=X, y=Y)
-    add_check("Moufang a(x(ay))=((ax)a)y",
-              (mul(A, mul(X, mul(A, Y)))
-               == mul(mul(mul(A, X), A), Y)).all(1), a=A, x=X, y=Y)
-    add_check("Moufang x(a(ya))=((xa)y)a",
-              (mul(X, mul(A, mul(Y, A)))
-               == mul(mul(mul(X, A), Y), A)).all(1), a=A, x=X, y=Y)
-    add_check("degree-2 identity x^2-tr(x)x+N(x)=0",
-              ((mul(X, X) - trace(X)[:, None] * (X % p)
-                + norm(X)[:, None] * one) % p == 0).all(1), x=X)
+    def eq(self, u, v):
+        return u == v
+
+    def norm(self, x):
+        return self.ctx.norm_byte[x]
+
+    def trace(self, x):
+        return self.ctx.trace_byte[x]
+
+    def polar(self, x, y):
+        return self.polar_tab[x, y]
+
+    def chunks(self, nvars: int):
+        """Open byte grids, one axis per variable, chunk by chunk."""
+        ar = np.arange(256, dtype=np.uint8)
+        step = max(1, _CHUNK >> 8 * (nvars - 1))
+        for lo in range(0, 256, step):
+            yield np.ix_(ar[lo:lo + step], *[ar] * (nvars - 1))
+
+    def instance(self, args, i: int) -> list[tuple]:
+        idx = np.unravel_index(i, [a.size for a in args])
+        return [self.ctx.coords_of_byte(int(a.ravel()[j])) for a, j in zip(args, idx)]
+
+
+class _Rows:
+    """Elements of F_p^8 as float32 coordinate rows, over seeded samples.
+
+    Products go through the batched kernel, one pair per row.  Every law
+    sees the same ``RANDOM_SAMPLES`` instances: the first variable takes
+    the third sample, the others the first and second, in order.
+    """
+
+    def __init__(self, ctx):
+        p = self.p = ctx.p
+        self.struct = ctx.struct
+        self.conj_mat = ctx.conj_mat.astype(np.float32)
+        self.gram = ctx.gram.astype(np.float32)
+        self.inv2 = pow(2, -1, p)
+        self.one = np.array(ctx.one.coords, dtype=np.float32)
+        rng = np.random.default_rng(_SEED + p)
+        self.samples = [rng.integers(0, p, size=(RANDOM_SAMPLES, DIM),
+                                     dtype=np.int64).astype(np.int8)
+                        for _ in range(3)]
+
+    def mul(self, x, y):
+        P = products(x[:, None], y[:, None], self.struct, self.p)
+        return mod(P[:, 0, 0], self.p)
+
+    def conj(self, x):
+        return mod(x @ self.conj_mat, self.p)
+
+    def add(self, x, y):
+        return mod(x + y, self.p)
+
+    def scale(self, c, x):
+        return mod(c[:, None] * x, self.p)
+
+    def eq(self, u, v):
+        return (u == v).all(-1)
+
+    def norm(self, x):
+        return mod(self.polar(x, x) * self.inv2, self.p)
+
+    def trace(self, x):
+        return mod(x[:, 0] + x[:, 3], self.p)
+
+    def polar(self, x, y):
+        return mod(((x @ self.gram) * y).sum(-1), self.p)
+
+    def chunks(self, nvars: int):
+        order = [2, 0, 1] if nvars == 3 else [0, 1][:nvars]
+        for lo in range(0, RANDOM_SAMPLES, _CHUNK):
+            yield [self.samples[s][lo:lo + _CHUNK].astype(np.float32) for s in order]
+
+    def instance(self, args, i: int) -> list[tuple]:
+        return [tuple(int(t) for t in a[i]) for a in args]
 
 
 def verify_identities(p: int = 2) -> SuiteResult:
@@ -269,10 +279,17 @@ def verify_identities(p: int = 2) -> SuiteResult:
     check_prime(p)
     t0 = time.time()
     res = SuiteResult("identities", p)
-    if p == 2:
-        _identities_f2(res)
-    else:
-        _identities_random(res, p)
+    ctx = algebra(p)
+    E = _Bytes(ctx) if p == 2 else _Rows(ctx)
+    for name, names, law in LAWS:
+        checked, ce = 0, None
+        for args in E.chunks(len(names)):
+            ok = law(E, *args)
+            checked += ok.size
+            if ce is None and not ok.all():
+                values = E.instance(args, int(np.argmin(ok.ravel())))
+                ce = ", ".join(f"{v}={c}" for v, c in zip(names, values))
+        res.checks.append(CheckResult(name, ce is None, checked, ce))
     res.elapsed = time.time() - t0
     return res
 
@@ -296,7 +313,7 @@ def verify_singular() -> SuiteResult:
                                   len(singular) == 135, 1,
                                   None if len(singular) == 135
                                   else f"got {len(singular)}"))
-    coords = {b: _coords_of(ctx, b) for b in singular}
+    coords = {b: ctx.coords_of_byte(b) for b in singular}
     left = {b: left_mul_space(ctx.octonion(coords[b])) for b in singular}
     right = {b: right_mul_space(ctx.octonion(coords[b])) for b in singular}
 
@@ -347,7 +364,7 @@ def verify_singular() -> SuiteResult:
                 imgs = [ctx.mul(coords[a], y)
                         for y in perp(span([coords[b]], 2)).rows]
                 if span(imgs, 2).rows != span(
-                        [_coords_of(ctx, x) for x in inter if x], 2).rows:
+                        [ctx.coords_of_byte(x) for x in inter if x], 2).rows:
                     bad = bad or (_fmt_bytes(ctx, a=a, b=b)
                                   + ": aO^Ob != a*(b-perp)")
             table[f"mixed dim {want}"] += 1
@@ -372,8 +389,8 @@ def verify_singular() -> SuiteResult:
     cB = substructure(B.matrix()[None], 2)[0].astype(np.int8)
     bits = ((np.arange(65536)[:, None] >> np.arange(16)[None, :]) & 1)
     P = bits.reshape(-1, 4, 4).astype(np.int8)             # all 4x4 maps
-    lhs = np.einsum("ijl,mlk->mijk", cA, P) % 2
-    rhs = np.einsum("mia,mjb,abk->mijk", P, P, cB) % 2
+    lhs = cA @ P[:, None] % 2
+    rhs = mod(products(P, P, cB, 2), 2)
     homo = (lhs == rhs).all((1, 2, 3))
     iso_count = sum(1 for m in P[homo]
                     if rank([tuple(int(t) for t in r) for r in m], 2) == 4)
@@ -381,7 +398,7 @@ def verify_singular() -> SuiteResult:
         "no multiplicative linear bijection nO -> On (65536 maps tested)",
         iso_count == 0, int(P.shape[0]),
         None if iso_count == 0 else f"{iso_count} isomorphisms found"))
-    rhs_anti = np.einsum("mia,mjb,bak->mijk", P, P, cB) % 2
+    rhs_anti = mod(products(P, P, cB.swapaxes(0, 1), 2), 2)
     anti = (lhs == rhs_anti).all((1, 2, 3))
     anti_count = sum(1 for m in P[anti]
                      if rank([tuple(int(t) for t in r) for r in m], 2) == 4)
@@ -608,7 +625,7 @@ def verify_orbits() -> SuiteResult:
     orbits = autos.element_orbits(gens, 2)
     classes: dict = {}
     for b in range(1, 256):
-        v = _coords_of(ctx, b)
+        v = ctx.coords_of_byte(b)
         classes.setdefault(element_orbit_invariant(v, 2), set()).add(v)
     ok = (len(orbits) == len(classes)
           and all(any(set(o) == c for c in classes.values()) for o in orbits))

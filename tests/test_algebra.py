@@ -5,8 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from splitoct.algebra import (Isotope, algebra, double, field_table,
-                              octonion_table, quaternion_table)
+from splitoct.algebra import (STRUCT_Z, Isotope, algebra, double, field_table,
+                              mod, octonion_table, products, quaternion_table)
+from splitoct.classify import OrbitLabel
+from splitoct.constructions import rep
+from splitoct.field import SUPPORTED_PRIMES
+from splitoct.subspace import substructure
 
 PRIMES = [2, 3, 5]
 
@@ -120,6 +124,68 @@ def test_inverse(p):
             assert ctx.mul(x, ctx.inverse(x)) == ctx.one.coords
             assert ctx.mul(ctx.inverse(x), x) == ctx.one.coords
     assert count > 10
+
+
+# ---------------------------------------------------------------------------
+# the batched product kernel
+# ---------------------------------------------------------------------------
+
+def _as_tuple(v):
+    return tuple(int(c) for c in v)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_products_match_tuple_product(p):
+    # 13, the largest supported prime, gives the largest float32 sums
+    ctx = algebra(p)
+    rng = np.random.default_rng(700 + p)
+    X = rng.integers(0, p, (5, 3, 8))
+    Y = rng.integers(0, p, (5, 4, 8))
+    X[0] = Y[0, :3] = p - 1                 # the largest possible sums
+    P = products(X, Y, ctx.struct, p)
+    assert P.shape == (5, 3, 4, 8) and P.dtype == np.float32
+    R = mod(P, p)
+    for m, i, j in itertools.product(range(5), range(3), range(4)):
+        assert _as_tuple(R[m, i, j]) == ctx.mul(X[m, i], Y[m, j])
+    R = mod(products(X, X, ctx.struct, p), p)
+    assert R.shape == (5, 3, 3, 8)
+    for m, i, j in itertools.product(range(5), range(3), range(3)):
+        assert _as_tuple(R[m, i, j]) == ctx.mul(X[m, i], X[m, j])
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+@pytest.mark.parametrize("label", [OrbitLabel.SplitQuat, OrbitLabel.NO])
+def test_products_under_substructure_tensor(p, label):
+    # coordinates in a 4-dimensional subalgebra's own basis multiply like
+    # the octonions they stand for
+    ctx = algebra(p)
+    rows = rep(label, p).matrix()
+    C = substructure(rows[None], p)[0]
+    assert C.shape == (4, 4, 4)
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, (20, 4))
+    b = rng.integers(0, p, (20, 4))
+    R = mod(products(a[:, None], b[:, None], C, p)[:, 0, 0], p)
+    for i in range(20):
+        want = ctx.mul(a[i] @ rows % p, b[i] @ rows % p)
+        assert _as_tuple(R[i].astype(np.int64) @ rows % p) == want
+
+
+def test_products_guard_float32_exactness():
+    X = np.ones((1, 2, 8), dtype=np.int64)
+    with pytest.raises(ValueError):
+        products(X, X, STRUCT_Z % 29, 29)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_multiplication_matrices_match_tuple_product(p):
+    ctx = algebra(p)
+    basis = np.eye(8, dtype=np.int64)
+    for a in _random_elements(ctx, 5, seed=p) + [(p - 1,) * 8]:
+        left = ctx.mul_matrix(a, "left")
+        right = ctx.mul_matrix(a, "right")
+        assert [_as_tuple(r) for r in left] == [ctx.mul(a, e) for e in basis]
+        assert [_as_tuple(r) for r in right] == [ctx.mul(e, a) for e in basis]
 
 
 # ---------------------------------------------------------------------------

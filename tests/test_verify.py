@@ -1,7 +1,11 @@
 """Verification-suite plumbing: dispatch rules, result formatting."""
 
+import importlib
+import tracemalloc
+
 import pytest
 
+from splitoct import verify
 from splitoct.verify import (SUITE_NAMES, CheckResult, SuiteResult, run_suite,
                              verify_centralizers)
 
@@ -61,3 +65,55 @@ def test_centralizers_suite_runs_quickly():
     assert res.field == 2
     assert res.total_checked > 250
     assert res.first_counterexample() is None
+
+
+# ---------------------------------------------------------------------------
+# identities: the failure path and the working set
+# ---------------------------------------------------------------------------
+
+#: First counterexamples with coordinate 0 of e_1·e_2 (= p0 in n0·nbar0)
+#: raised by one: the suite's first, and the one of a three-variable law.
+PERTURBED_COUNTEREXAMPLES = {
+    2: ("norm multiplicativity N(xy)=N(x)N(y): "
+        "x=(0, 1, 1, 0, 0, 0, 0, 0), y=(0, 1, 1, 0, 0, 0, 0, 0)",
+        "c=(0, 1, 0, 0, 0, 0, 0, 0), x=(0, 0, 1, 0, 0, 0, 0, 0), "
+        "y=(0, 0, 0, 1, 0, 0, 0, 0)"),
+    3: ("norm multiplicativity N(xy)=N(x)N(y): "
+        "x=(2, 1, 2, 0, 1, 1, 2, 1), y=(0, 2, 2, 2, 0, 1, 2, 2)",
+        "c=(0, 1, 1, 1, 0, 1, 0, 1), x=(2, 2, 2, 1, 0, 2, 2, 2), "
+        "y=(0, 0, 0, 1, 1, 1, 1, 2)"),
+    5: ("norm multiplicativity N(xy)=N(x)N(y): "
+        "x=(0, 3, 2, 3, 0, 3, 2, 4), y=(1, 2, 4, 0, 1, 4, 3, 1)",
+        "c=(2, 2, 4, 3, 3, 4, 3, 3), x=(3, 3, 1, 1, 0, 2, 2, 3), "
+        "y=(0, 1, 3, 0, 2, 4, 1, 2)"),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_identities_fail_on_perturbed_structure_tensor(p, monkeypatch):
+    # the package exports the function algebra under the module's name
+    algebra_mod = importlib.import_module("splitoct.algebra")
+    broken = algebra_mod.STRUCT_Z.copy()
+    broken[1, 2, 0] += 1
+    monkeypatch.setattr(algebra_mod, "STRUCT_Z", broken)
+    ctx = algebra_mod.SplitOctonions(p)           # uncached, built from it
+    monkeypatch.setattr(verify, "algebra", lambda q: ctx)
+    res = verify.verify_identities(p)
+    first, adjoint = PERTURBED_COUNTEREXAMPLES[p]
+    assert not res.passed
+    assert res.first_counterexample() == first
+    by_name = {c.name: c for c in res.checks}
+    assert by_name["adjoint (cx|y)=(x|k(c)y)"].counterexample == adjoint
+    assert res.total_checked == (84_083_456 if p == 2 else 1_100_000)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_identities_working_set_is_bounded(p):
+    verify.algebra(p)
+    tracemalloc.start()
+    try:
+        assert verify.verify_identities(p).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
