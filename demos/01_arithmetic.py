@@ -7,8 +7,10 @@ the matrix part (E11, E12, E21, E22), coordinates 4-7 the same units on
 the doubled half.  Everything below is exact integer arithmetic mod p.
 """
 
-from splitoct import Isotope, algebra, double
-from splitoct.algebra import field_table, octonion_table, quaternion_table
+import numpy as np
+
+from splitoct import (algebra, census_report, double, enumerate_subalgebras,
+                      field_table, quaternion_table)
 
 ctx = algebra(3)
 
@@ -36,19 +38,21 @@ print("x^2 - tr(x)x = -N(x)*1:",
 
 # the doubling construction: doubling the split quaternions with mu = -1
 # reproduces the split octonions on the nose
-doubled = double(quaternion_table(3), -1 % 3)
+doubled = double(quaternion_table(3), -1)
 print("\ndouble(quaternions, -1) == octonions:",
-      doubled.struct == octonion_table(3).struct)
+      np.array_equal(doubled.struct, ctx.struct))
 
 # over an odd prime, doubling the base field twice already gives the
-# (associative) split quaternions; a third doubling loses associativity
+# (associative) split quaternions; a third doubling loses associativity.
+# Any invertible scalars work, non-squares included: the result is the
+# same algebra in other coordinates, with the norm N(a, x) = N(a) + mu N(x)
 chain = field_table(3)
-for step in range(3):
-    chain = double(chain, -1 % 3)
-    print(f"after {step + 1} doublings: dim {chain.dim}")
+for step, mu in enumerate((2, 1, 2)):
+    chain = double(chain, mu)
+    print(f"after {step + 1} doublings (mu = {mu}): dim {chain.dim}, "
+          f"unit {chain.unit}")
 
-# isotopes: twisting the product by two invertible elements keeps a
-# (scaled) multiplicative norm and moves the identity
-iso = Isotope(ctx, ctx.w.coords, ctx.one.coords)
-print("\nisotope neutral element:", iso.neutral)
-print("isotope norm scale:", iso.norm_scale)
+# so its census of lines and planes has the canonical per-label counts
+for table in (ctx, chain):
+    counts = census_report(enumerate_subalgebras(table, [1, 2])).counts
+    print(sorted((label, n) for (_dim, label), n in counts.items()))

@@ -8,9 +8,9 @@ the 2,491 that are closed under the product are labelled by orbit type.
 
 from collections import defaultdict
 
-from splitoct import census_report, enumerate_subalgebras
+from splitoct import algebra, census_report, enumerate_subalgebras
 
-records = enumerate_subalgebras(2)
+records = enumerate_subalgebras(algebra(2))
 summary = census_report(records)
 
 print(f"closed subspaces over F_{summary.p}: {summary.closed_count}")

@@ -9,17 +9,19 @@ is confirmed by a second, independent brute-force count.  Two alpha maps
 and the mover already generate it.
 """
 
-from splitoct import (all_alpha_generators, alpha_subgroup_order_formula,
+from splitoct import (algebra, all_alpha_generators,
                       automorphism_generators, count_automorphisms,
                       element_orbits, enumerate_subalgebras,
                       find_h_moving_extension, generate_group,
                       orbit_partition, standard_quaternions)
 
-# the part-preserving subgroup: closure order matches the counting formula
+# the part-preserving subgroup: closure order matches the count of
+# matched unit pairs modulo the scalar kernel, |GL2|·|SL2|/(p−1)
 for p in (2, 3):
     closure = generate_group(all_alpha_generators(p))
+    gl = (p * p - 1) * (p * p - p)
     print(f"F_{p}: part-preserving subgroup order {closure.order} "
-          f"(formula: {alpha_subgroup_order_formula(p)})")
+          f"(formula: {gl * (gl // (p - 1)) // (p - 1)})")
 
 # a deterministic extra generator that moves the matrix part
 mover = find_h_moving_extension(2)
@@ -36,7 +38,7 @@ gens = automorphism_generators(2)
 print(f"{len(gens)} generators, order:", generate_group(gens).order)
 
 # each (dimension, label) census class is a single orbit
-records = enumerate_subalgebras(2, [4, 5, 6])
+records = enumerate_subalgebras(algebra(2), [4, 5, 6])
 for row in orbit_partition(records, gens):
     print(row)
 

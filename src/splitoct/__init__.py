@@ -7,9 +7,14 @@ inclusion structure of the result.
 
 Highlights
 ----------
-- :func:`splitoct.algebra.algebra` — the algebra context for a prime ``p``
-  (multiplication, involution, norm, trace, named elements, byte tables).
-- :func:`splitoct.census.enumerate_subalgebras` — the exhaustive census.
+- :class:`splitoct.algebra.Algebra` — one algebra value: structure tensor,
+  norm form and unit, with the involution, trace and operations derived;
+  ``field_table``, ``quaternion_table`` and ``double`` build it by
+  Cayley–Dickson doubling.
+- :func:`splitoct.algebra.algebra` — the canonical split octonions over F_p
+  (named elements and, over F_2, byte tables).
+- :func:`splitoct.census.enumerate_subalgebras` — the exhaustive census,
+  over any table of the split octonions.
 - :func:`splitoct.classify.classify` — the isomorphism-type labeller.
 - :mod:`splitoct.autos` — automorphisms, group closure, orbit partitions.
 - :mod:`splitoct.verify` — the brute-force verification suites.
@@ -17,13 +22,13 @@ Highlights
 - ``splitoct`` console script — the command-line front end.
 """
 
-from .algebra import Isotope, Octonion, SplitOctonions, Table, algebra, double
+from .algebra import (Algebra, Octonion, SplitOctonions, algebra, double,
+                      field_table, quaternion_table)
 from .autos import (Automorphism, CapExceeded, all_alpha_generators, alpha_st,
-                    alpha_subgroup_order_formula, automorphism_generators,
-                    conjugation_flip,
-                    count_automorphisms, doubling_extension, element_orbits,
+                    automorphism_generators, count_automorphisms,
+                    doubling_extension, element_orbits,
                     find_h_moving_extension, generate_group, orbit_of_space,
-                    orbit_partition, two_transitive_on_lines)
+                    orbit_partition)
 from .census import (CensusSummary, CostLimitExceeded, census_report,
                      enumerate_subalgebras, write_jsonl)
 from .classify import (ClassificationError, NotClosed, OrbitLabel,
@@ -44,22 +49,20 @@ from .verify import SUITE_NAMES, CheckResult, SuiteResult, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "Automorphism", "CapExceeded", "CensusSummary", "CheckResult",
-    "ClassificationError", "CostLimitExceeded", "FieldError", "Isotope",
-    "LatticeGraph", "LatticeNode", "NotClosed", "Octonion", "OrbitLabel",
-    "PreconditionFailed", "SUITE_NAMES", "SplitOctonions", "SubalgebraRecord",
-    "Subspace", "SuiteResult", "Table", "UnreachableLabel", "algebra",
-    "all_alpha_generators", "alpha_st", "alpha_subgroup_order_formula",
-    "automorphism_generators", "build_lattice", "census_report",
-    "centralizer", "check_prime",
-    "classify", "closure", "companion_element", "conjugation_flip",
+    "Algebra", "Automorphism", "CapExceeded", "CensusSummary", "CheckResult",
+    "ClassificationError", "CostLimitExceeded", "FieldError", "LatticeGraph",
+    "LatticeNode", "NotClosed", "Octonion", "OrbitLabel", "PreconditionFailed",
+    "SUITE_NAMES", "SplitOctonions", "SubalgebraRecord", "Subspace",
+    "SuiteResult", "UnreachableLabel", "algebra", "all_alpha_generators",
+    "alpha_st", "automorphism_generators", "build_lattice", "census_report",
+    "centralizer", "check_prime", "classify", "closure", "companion_element",
     "count_automorphisms", "double", "doubling_extension", "element_orbits",
     "element_orbit_invariant", "emit_dot", "emit_json",
-    "enumerate_subalgebras", "enumerate_subspaces", "find_h_moving_extension",
-    "gaussian_binomial", "generate_group", "heisenberg", "intersect",
-    "is_closed", "kernel_of_left_mul", "left_mul_space", "orbit_of_space",
-    "orbit_partition", "perp", "radicals", "record_for", "rep",
-    "right_ideal_double", "right_mul_space", "run_suite", "span",
-    "standard_quaternions", "sum_spaces", "top_row_ideal",
-    "two_transitive_on_lines", "upper_triangular", "write_jsonl",
+    "enumerate_subalgebras", "enumerate_subspaces", "field_table",
+    "find_h_moving_extension", "gaussian_binomial", "generate_group",
+    "heisenberg", "intersect", "is_closed", "kernel_of_left_mul",
+    "left_mul_space", "orbit_of_space", "orbit_partition", "perp",
+    "quaternion_table", "radicals", "record_for", "rep", "right_ideal_double",
+    "right_mul_space", "run_suite", "span", "standard_quaternions",
+    "sum_spaces", "top_row_ideal", "upper_triangular", "write_jsonl",
 ]

@@ -1,98 +1,53 @@
-"""The split octonion algebra over F_p, built by doubling 2x2 matrices.
+"""One algebra value for every table; the split octonions are one of them.
 
-The quaternion level is the full 2x2 matrix algebra over F_p with the
-determinant as its multiplicative norm and the adjugate as its standard
-involution.  The octonion level glues two copies together: elements are
-pairs ``a + x*w`` with ``a, x`` 2x2 matrices, ``w*w = 1``, and product
+:class:`Algebra` is a unital algebra over F_p with a quadratic norm, given
+by three tables: the structure tensor (``struct[i, j]`` holds the
+coordinates of e_i·e_j), the upper-triangular norm form Q with
+N(x) = x·Q·xᵀ, and the coordinates of 1.  Everything else is derived
+once, here: the Gram matrix Q + Qᵀ of the polar form
+(x|y) = N(x+y) − N(x) − N(y), the trace tr(x) = (x|1), the involution
+κ(x) = tr(x)·1 − x as a matrix, the scalar and array operations, and over
+F_2 in dimension 8 the 256×256 byte tables (bit c of a byte is
+coordinate c).  No other module knows a coordinate layout.
 
-    (a + x*w) * (b + y*w)  =  (a*b + conj(y)*x)  +  (y*a + x*conj(b))*w.
+Tables come from Cayley–Dickson doubling.  :func:`field_table` is F_p
+with N(x) = x², :func:`quaternion_table` the 2x2 matrices with the
+determinant, and :func:`double` glues two copies of an algebra A along an
+invertible scalar μ, keeping the unit (1, 0):
 
-Fixed coordinate order (index = coordinate position):
+    (a, x)·(b, y) = (a·b − μ·κ(y)·x,  y·a + x·κ(b)),
+    N(a, x) = N(a) + μ·N(x).
+
+Over F_p every octonion algebra is split (Springer & Veldkamp, ch. 1), so
+three doublings of F_p (odd p) give the split octonions up to a change of
+basis, for any μ's.  The canonical instance, :class:`SplitOctonions`, is
+double(quaternion_table, −1): pairs a + x·w of 2x2 matrices with w·w = 1
+and N(a + x·w) = det(a) − det(x), in the coordinate order
 
     0: E11   1: E12   2: E21   3: E22   4: E11*w  5: E12*w  6: E21*w  7: E22*w
 
-so the identity is (1,0,0,1,0,0,0,0) and w is (0,0,0,0,1,0,0,1).  The
-structure constants are integers in {-1,0,1} independent of p; each field
-gets them reduced mod p.  For p = 2 every element packs into one byte
-(bit c = coordinate c) and the whole multiplication is a 256x256 table.
+so 1 = (1,0,0,1,0,0,0,0) and w = (0,0,0,0,1,0,0,1).  Its structure
+constants :data:`STRUCT_Z` come from the same doubling over Z.
 
 :func:`products` is the package's one batched product: every stack of
 products under a structure tensor (the closure mask and structure
 constants of :mod:`splitoct.subspace`, the byte tables, multiplication
-matrices, ``Table.mul``, the automorphism checks and the identities
-suite) goes through it.
+matrices, the automorphism checks and the identities suite) goes through
+it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import field
-from .linalg import mat_inv
 
 DIM = 8
 BASIS_NAMES = ("E11", "E12", "E21", "E22", "E11w", "E12w", "E21w", "E22w")
-
-
-# ---------------------------------------------------------------------------
-# quaternion (2x2 matrix) layer over Z, used to derive structure constants
-# ---------------------------------------------------------------------------
-
-def _qmul_z(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """2x2 matrix product on coordinate 4-tuples (row-major), over Z."""
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
-def _qconj_z(x: tuple[int, ...]) -> tuple[int, ...]:
-    """Adjugate [[d,-b],[-c,a]]; the standard involution of the 2x2 algebra."""
-    return (x[3], -x[1], -x[2], x[0])
-
-
-def _octo_mul_z(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """Doubling product on integer 8-tuples (halves = matrix coordinates)."""
-    a, x = u[:4], u[4:]
-    b, y = v[:4], v[4:]
-    h = _qmul_z(a, b)
-    k = _qmul_z(_qconj_z(y), x)
-    wa = _qmul_z(y, a)
-    wb = _qmul_z(x, _qconj_z(b))
-    return tuple(h[i] + k[i] for i in range(4)) + tuple(wa[i] + wb[i] for i in range(4))
-
-
-def _struct_constants_z() -> np.ndarray:
-    """C[i,j,k] = coordinate k of e_i * e_j, entries in {-1,0,1}."""
-    C = np.zeros((DIM, DIM, DIM), dtype=np.int64)
-    basis = [tuple(int(i == j) for j in range(DIM)) for i in range(DIM)]
-    for i in range(DIM):
-        for j in range(DIM):
-            C[i, j] = _octo_mul_z(basis[i], basis[j])
-    return C
-
-
-STRUCT_Z = _struct_constants_z()
-
-# conj(a + x*w) = conj(a) - x*w, as an 8x8 matrix acting on row vectors
-CONJ_Z = np.zeros((DIM, DIM), dtype=np.int64)
-for _i, _img in enumerate(
-    [(3, 1), (1, -1), (2, -1), (0, 1), (4, -1), (5, -1), (6, -1), (7, -1)]
-):
-    CONJ_Z[_i, _img[0]] = _img[1]
-
-# Gram matrix of the polar form (u|v) = N(u+v) - N(u) - N(v)
-_GH = np.zeros((4, 4), dtype=np.int64)
-_GH[0, 3] = _GH[3, 0] = 1
-_GH[1, 2] = _GH[2, 1] = -1
-GRAM_Z = np.zeros((DIM, DIM), dtype=np.int64)
-GRAM_Z[:4, :4] = _GH
-GRAM_Z[4:, 4:] = -_GH
 
 
 # ---------------------------------------------------------------------------
@@ -136,56 +91,101 @@ def mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-field context
+# the algebra value
 # ---------------------------------------------------------------------------
 
-class SplitOctonions:
-    """All fixed data for the split octonions over one prime field.
+def _involution(norm_form: np.ndarray, unit) -> np.ndarray:
+    """κ(x) = tr(x)·1 − x with tr(x) = (x|1), as a matrix on row vectors."""
+    unit = np.asarray(unit, dtype=np.int64)
+    gram = norm_form + norm_form.T
+    return np.outer(gram @ unit, unit) - np.eye(len(unit), dtype=np.int64)
 
-    Instances are cached; get one via :func:`algebra`.
+
+def _terms(table: np.ndarray) -> tuple:
+    """The nonzero entries of an array as (index..., value) tuples."""
+    return tuple((*map(int, idx), int(table[tuple(idx)])) for idx in np.argwhere(table))
+
+
+class Algebra:
+    """A unital algebra over F_p with a quadratic norm, by its tables.
+
+    ``struct`` (n, n, n), the upper-triangular ``norm_form`` (n, n) and
+    ``unit`` (n,) are reduced mod p; ``gram``, ``trace_vec`` and
+    ``conj_mat`` are derived from the norm form and the unit alone, never
+    from the product.  The scalar operations take and return coordinate
+    tuples; :meth:`norms` and :meth:`traces` act along the last axis of
+    integer arrays.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, struct, norm_form, unit, p: int):
         field.check_prime(p)
         self.p = p
-        self.struct = STRUCT_Z % p                      # (8,8,8)
-        self.conj_mat = CONJ_Z % p                      # (8,8)
-        self.gram = GRAM_Z % p                          # (8,8)
-        if p == 2:
+        self.struct = np.asarray(struct, dtype=np.int64) % p
+        Q = np.asarray(norm_form, dtype=np.int64) % p
+        n = self.dim = len(unit)
+        if self.struct.shape != (n, n, n) or Q.shape != (n, n):
+            raise ValueError(f"tables of shapes {self.struct.shape}, {Q.shape} "
+                             f"do not fit a unit of length {n}")
+        if np.tril(Q, -1).any():
+            raise ValueError("the norm form must be upper triangular")
+        self.norm_form = Q
+        self.unit = tuple(int(c) % p for c in unit)
+        self.gram = (Q + Q.T) % p
+        self.trace_vec = self.gram @ self.unit % p
+        self.conj_mat = _involution(Q, self.unit) % p
+        # the same tables as term lists, for the scalar operations
+        struct_terms = _terms(self.struct)
+        self._mul_terms = tuple(tuple(t[1:] for t in struct_terms if t[0] == i)
+                                for i in range(n))
+        self._norm_terms = _terms(Q)
+        self._polar_terms = _terms(self.gram)
+        self._conj_terms = _terms(self.conj_mat)
+        self._trace_terms = _terms(self.trace_vec)
+        if p == 2 and n == DIM:
             self._build_byte_tables()
 
-    # -- scalar-level operations on coordinate tuples ----------------------
+    # -- scalar operations on coordinate tuples -----------------------------
 
     def mul(self, u, v) -> tuple[int, ...]:
-        w = _octo_mul_z(tuple(u), tuple(v))
-        return tuple(c % self.p for c in w)
+        out = [0] * self.dim
+        for ui, terms in zip(u, self._mul_terms):
+            if ui:
+                for j, k, c in terms:
+                    out[k] += c * ui * v[j]
+        p = self.p
+        return tuple([c % p for c in out])
 
     def conj(self, u) -> tuple[int, ...]:
-        u = tuple(u)
+        out = [0] * self.dim
+        for i, j, c in self._conj_terms:
+            out[j] += c * u[i]
         p = self.p
-        return (u[3], -u[1] % p, -u[2] % p, u[0],
-                -u[4] % p, -u[5] % p, -u[6] % p, -u[7] % p)
+        return tuple([c % p for c in out])
 
     def norm(self, u) -> int:
-        u = tuple(u)
-        return (u[0] * u[3] - u[1] * u[2] - (u[4] * u[7] - u[5] * u[6])) % self.p
+        s = 0
+        for i, j, c in self._norm_terms:
+            s += c * u[i] * u[j]
+        return s % self.p
 
     def trace(self, u) -> int:
-        return (u[0] + u[3]) % self.p
+        s = 0
+        for i, c in self._trace_terms:
+            s += c * u[i]
+        return s % self.p
 
     def polar(self, u, v) -> int:
         """Bilinear form (u|v) = N(u+v) - N(u) - N(v)."""
-        g = GRAM_Z
-        u = np.asarray(tuple(u), dtype=np.int64)
-        v = np.asarray(tuple(v), dtype=np.int64)
-        return int(u @ g @ v % self.p)
+        s = 0
+        for i, j, c in self._polar_terms:
+            s += c * u[i] * v[j]
+        return s % self.p
 
     def inverse(self, u) -> tuple[int, ...]:
         n = self.norm(u)
         if n == 0:
             raise ZeroDivisionError("element has norm 0, not invertible")
-        ninv = field.inv(n, self.p)
-        return tuple(c * ninv % self.p for c in self.conj(u))
+        return self.smul(field.inv(n, self.p), self.conj(u))
 
     def add(self, u, v) -> tuple[int, ...]:
         return tuple((a + b) % self.p for a, b in zip(u, v))
@@ -195,6 +195,118 @@ class SplitOctonions:
 
     def smul(self, c: int, u) -> tuple[int, ...]:
         return tuple(c * a % self.p for a in u)
+
+    # -- array operations ---------------------------------------------------
+
+    def norms(self, X: np.ndarray) -> np.ndarray:
+        """Norms of the integer coordinate rows along the last axis."""
+        zero = np.zeros(X.shape[:-1], dtype=np.int64)
+        return sum((c * X[..., i] * X[..., j] for i, j, c in self._norm_terms),
+                   zero) % self.p
+
+    def traces(self, X: np.ndarray) -> np.ndarray:
+        """Traces of the integer coordinate rows along the last axis."""
+        return X @ self.trace_vec % self.p
+
+    # -- byte tables for p = 2, dimension 8 ---------------------------------
+
+    def _build_byte_tables(self) -> None:
+        bits = np.arange(256, dtype=np.uint16)
+        coords = ((bits[:, None] >> np.arange(8)) & 1).astype(np.int64)  # (256,8)
+        self.byte_coords = coords
+        prod = mod(products(coords, coords, self.struct, 2), 2).astype(np.int64)
+        weights = 1 << np.arange(8)
+        self.mul_byte = (prod * weights).sum(-1).astype(np.uint8)        # (256,256)
+        self.conj_byte = ((coords @ self.conj_mat % 2) * weights).sum(-1).astype(np.uint8)
+        self.norm_byte = self.norms(coords).astype(np.uint8)
+        self.trace_byte = self.traces(coords).astype(np.uint8)
+
+    def byte_of(self, u) -> int:
+        if self.p != 2:
+            raise ValueError("byte packing exists only over F_2")
+        return sum((int(c) & 1) << i for i, c in enumerate(u))
+
+    def coords_of_byte(self, b: int) -> tuple[int, ...]:
+        if self.p != 2:
+            raise ValueError("byte packing exists only over F_2")
+        return tuple(int(x) for x in self.byte_coords[b])
+
+
+# ---------------------------------------------------------------------------
+# doubling
+# ---------------------------------------------------------------------------
+
+def _doubled(struct: np.ndarray, norm_form: np.ndarray, unit, mu: int):
+    """(struct, norm form, unit) of the double of an algebra by mu, over Z.
+
+    Indices < n are the old algebra, >= n the adjoined copy; K @ C[i] is
+    the matrix of e_i·κ(e_j) over j.
+    """
+    n = len(unit)
+    C, Ct = struct, struct.swapaxes(0, 1)
+    K = _involution(norm_form, unit)
+    C2 = np.zeros((2 * n, 2 * n, 2 * n), dtype=np.int64)
+    C2[:n, :n, :n] = C                    # (a,0)*(b,0) = (ab, 0)
+    C2[:n, n:, n:] = Ct                   # (a,0)*(0,y) = (0, y*a)
+    C2[n:, :n, n:] = K @ C                # (0,x)*(b,0) = (0, x*k(b))
+    C2[n:, n:, :n] = -mu * (K @ Ct)       # (0,x)*(0,y) = (-mu*k(y)*x, 0)
+    Q2 = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    Q2[:n, :n] = norm_form
+    Q2[n:, n:] = mu * norm_form
+    return C2, Q2, tuple(unit) + (0,) * n
+
+
+def _quaternions_z():
+    """The 2x2 matrix units E_ab·E_bd = E_ad, the determinant, the identity."""
+    C = np.zeros((4, 4, 4), dtype=np.int64)
+    for a, b, d in itertools.product(range(2), repeat=3):
+        C[2 * a + b, 2 * b + d, 2 * a + d] = 1
+    Q = np.zeros((4, 4), dtype=np.int64)
+    Q[0, 3], Q[1, 2] = 1, -1
+    return C, Q, (1, 0, 0, 1)
+
+
+STRUCT_Z, _NORM_FORM_Z, _UNIT = _doubled(*_quaternions_z(), -1)
+
+
+def field_table(p: int) -> Algebra:
+    """F_p itself, with the norm x²."""
+    return Algebra([[[1]]], [[1]], (1,), p)
+
+
+@lru_cache(maxsize=None)
+def quaternion_table(p: int) -> Algebra:
+    """The 2x2 matrix algebra with the determinant as its norm (cached)."""
+    return Algebra(*_quaternions_z(), p)
+
+
+def double(A: Algebra, mu: int) -> Algebra:
+    """The Cayley–Dickson double of ``A`` by an invertible scalar mu.
+
+    The adjoined generator v = (0, 1) satisfies v·v = −mu, and the
+    doubled involution is (a, x) ↦ (κ(a), −x).  With mu = −1 two doublings
+    of F_p (odd p) give the 2x2 matrix algebra up to a change of basis,
+    and double(quaternion_table(p), −1) is the canonical split octonions.
+    """
+    mu %= A.p
+    if mu == 0:
+        raise ValueError("doubling scalar must be invertible")
+    return Algebra(*_doubled(A.struct, A.norm_form, A.unit, mu), A.p)
+
+
+# ---------------------------------------------------------------------------
+# the canonical split octonions
+# ---------------------------------------------------------------------------
+
+class SplitOctonions(Algebra):
+    """The canonical split octonions over F_p, with their named elements.
+
+    Built from :data:`STRUCT_Z` when constructed; get the cached instance
+    via :func:`algebra`.
+    """
+
+    def __init__(self, p: int):
+        super().__init__(STRUCT_Z, _NORM_FORM_Z, _UNIT, p)
 
     def mul_matrix(self, a, side: str) -> np.ndarray:
         """Matrix of x ↦ a·x (side='left') or x ↦ x·a, acting on row vectors."""
@@ -223,7 +335,7 @@ class SplitOctonions:
 
     @property
     def one(self) -> "Octonion":
-        return self.octonion((1, 0, 0, 1, 0, 0, 0, 0))
+        return self.octonion(self.unit)
 
     @property
     def w(self) -> "Octonion":
@@ -263,31 +375,6 @@ class SplitOctonions:
     @property
     def nbar0w(self) -> "Octonion":
         return self.octonion((0, 0, 0, 0, 0, 0, 1, 0))
-
-    # -- byte tables for p = 2 ----------------------------------------------
-
-    def _build_byte_tables(self) -> None:
-        bits = np.arange(256, dtype=np.uint16)
-        coords = ((bits[:, None] >> np.arange(8)) & 1).astype(np.int64)  # (256,8)
-        self.byte_coords = coords
-        prod = mod(products(coords, coords, self.struct, 2), 2).astype(np.int64)
-        weights = 1 << np.arange(8)
-        self.mul_byte = (prod * weights).sum(-1).astype(np.uint8)        # (256,256)
-        self.conj_byte = ((coords @ self.conj_mat % 2) * weights).sum(-1).astype(np.uint8)
-        c = coords
-        self.norm_byte = ((c[:, 0] * c[:, 3] + c[:, 1] * c[:, 2]
-                           + c[:, 4] * c[:, 7] + c[:, 5] * c[:, 6]) % 2).astype(np.uint8)
-        self.trace_byte = ((c[:, 0] + c[:, 3]) % 2).astype(np.uint8)
-
-    def byte_of(self, u) -> int:
-        if self.p != 2:
-            raise ValueError("byte packing exists only over F_2")
-        return sum((int(c) & 1) << i for i, c in enumerate(u))
-
-    def coords_of_byte(self, b: int) -> tuple[int, ...]:
-        if self.p != 2:
-            raise ValueError("byte packing exists only over F_2")
-        return tuple(int(x) for x in self.byte_coords[b])
 
 
 @lru_cache(maxsize=None)
@@ -359,131 +446,3 @@ class Octonion:
     def __repr__(self) -> str:
         terms = [f"{c}*{BASIS_NAMES[i]}" for i, c in enumerate(self.coords) if c]
         return "Octonion(%s; p=%d)" % (" + ".join(terms) or "0", self.p)
-
-
-# ---------------------------------------------------------------------------
-# generic doubling and isotopes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Table:
-    """A finite-dimensional unital algebra with involution, by its tables.
-
-    ``struct[i,j,k]`` is coordinate k of e_i*e_j, ``inv_mat`` the involution
-    as a matrix on row vectors, ``unit`` the coordinates of 1, all mod p.
-    """
-
-    dim: int
-    struct: tuple      # nested tuples, shape (dim, dim, dim)
-    inv_mat: tuple     # shape (dim, dim)
-    unit: tuple        # shape (dim,)
-    p: int
-
-    def np_struct(self) -> np.ndarray:
-        return np.array(self.struct, dtype=np.int64)
-
-    def np_inv(self) -> np.ndarray:
-        return np.array(self.inv_mat, dtype=np.int64)
-
-    def mul(self, u, v) -> tuple[int, ...]:
-        p = self.p
-        u = np.array([u], dtype=np.int64) % p
-        v = np.array([v], dtype=np.int64) % p
-        out = mod(products(u, v, self.np_struct(), p)[0, 0], p)
-        return tuple(int(c) for c in out)
-
-    def involve(self, u) -> tuple[int, ...]:
-        out = np.array(u, dtype=np.int64) @ self.np_inv() % self.p
-        return tuple(int(c) for c in out)
-
-
-def _to_nested(a: np.ndarray):
-    return tuple(map(tuple, a)) if a.ndim == 2 else tuple(
-        _to_nested(x) for x in a)
-
-
-def field_table(p: int) -> Table:
-    """F_p itself, with the identity involution."""
-    field.check_prime(p)
-    return Table(1, (((1,),),), ((1,),), (1,), p)
-
-
-def quaternion_table(p: int) -> Table:
-    """The 2x2 matrix algebra with the adjugate involution."""
-    field.check_prime(p)
-    C = np.zeros((4, 4, 4), dtype=np.int64)
-    basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    for i in range(4):
-        for j in range(4):
-            C[i, j] = _qmul_z(basis[i], basis[j])
-    K = np.zeros((4, 4), dtype=np.int64)
-    for i, img in enumerate([(3, 1), (1, -1), (2, -1), (0, 1)]):
-        K[i, img[0]] = img[1]
-    return Table(4, _to_nested(C % p), _to_nested(K % p), (1, 0, 0, 1), p)
-
-
-def octonion_table(p: int) -> Table:
-    """The canonical split octonion table (same data as :func:`algebra`)."""
-    ctx = algebra(p)
-    return Table(8, _to_nested(ctx.struct), _to_nested(ctx.conj_mat),
-                 (1, 0, 0, 1, 0, 0, 0, 0), p)
-
-
-def double(table: Table, mu: int) -> Table:
-    """Double an algebra-with-involution by an invertible scalar mu.
-
-    The doubled product on pairs (a, x), (b, y) is
-    ``(a*b - mu*inv(y)*x,  y*a + x*inv(b))`` and the doubled involution is
-    ``(a, x) |-> (inv(a), -x)``; the adjoined generator v = (0, 1) satisfies
-    v*v = -mu.  With mu = -1 (so v*v = 1) two doublings of F_p give the 2x2
-    matrix algebra and three give the split octonions.
-    """
-    p = table.p
-    mu %= p
-    if mu == 0:
-        raise ValueError("doubling scalar must be invertible")
-    n = table.dim
-    C = table.np_struct()
-    K = table.np_inv()
-    C2 = np.zeros((2 * n, 2 * n, 2 * n), dtype=np.int64)
-    # blocks: indices < n are the old algebra, >= n the adjoined copy;
-    # K @ C[i] is the matrix of e_i·inv(e_j) over j
-    Ct = C.swapaxes(0, 1)
-    C2[:n, :n, :n] = C                    # (a,0)*(b,0) = (ab, 0)
-    C2[:n, n:, n:] = Ct                   # (a,0)*(0,y) = (0, y*a)
-    C2[n:, :n, n:] = K @ C                # (0,x)*(b,0) = (0, x*inv(b))
-    C2[n:, n:, :n] = -mu * (K @ Ct)       # (0,x)*(0,y) = (-mu*inv(y)*x, 0)
-    C2 %= p
-    E = np.eye(n, dtype=np.int64)
-    K2 = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    K2[:n, :n] = K
-    K2[n:, n:] = (-E) % p
-    unit2 = tuple(table.unit) + (0,) * n
-    return Table(2 * n, _to_nested(C2), _to_nested(K2 % p), unit2, p)
-
-
-class Isotope:
-    """Unital isotope x*y = (x/a) · (b\\y) of the split octonions.
-
-    Requires N(a) and N(b) nonzero.  The new product has neutral element
-    ``b·a`` and satisfies  norm_scale · N(x*y) = N(x) · N(y)  with
-    ``norm_scale = N(b·a)``.
-    """
-
-    def __init__(self, ctx: SplitOctonions, a, x_b):
-        a = tuple(a)
-        b = tuple(x_b)
-        self.ctx = ctx
-        if ctx.norm(a) == 0 or ctx.norm(b) == 0:
-            raise ZeroDivisionError("isotope requires invertible units")
-        self.a, self.b = a, b
-        self._R_inv = mat_inv(ctx.mul_matrix(a, "right"), ctx.p)
-        self._L_inv = mat_inv(ctx.mul_matrix(b, "left"), ctx.p)
-        self.neutral = ctx.mul(b, a)
-        self.norm_scale = ctx.norm(self.neutral)
-
-    def mul(self, u, v) -> tuple[int, ...]:
-        p = self.ctx.p
-        x = np.array(tuple(u), dtype=np.int64) @ self._R_inv % p
-        y = np.array(tuple(v), dtype=np.int64) @ self._L_inv % p
-        return self.ctx.mul(tuple(int(c) for c in x), tuple(int(c) for c in y))

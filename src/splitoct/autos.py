@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DIM, GRAM_Z, STRUCT_Z, algebra, mod, products,
-                      _qconj_z, _qmul_z)
+from .algebra import DIM, algebra, mod, products, quaternion_table
 from .constructions import PreconditionFailed
 from .linalg import batch_rref, rank
 from .subspace import Subspace, closure, perp, span
@@ -77,21 +76,12 @@ def _validate(mat: np.ndarray, p: int) -> Automorphism:
         raise PreconditionFailed("map is not invertible")
     if tuple((ctx.one.coords @ m) % p) != ctx.one.coords:
         raise PreconditionFailed("map does not fix 1")
-    _check_multiplicative(m, STRUCT_Z, p)
+    _check_multiplicative(m, ctx.struct, p)
     return Automorphism(tuple(map(tuple, m.tolist())), p)
 
 
 def identity_automorphism(p: int) -> Automorphism:
     return Automorphism(tuple(map(tuple, np.eye(DIM, dtype=np.int64).tolist())), p)
-
-
-def _qinv(s: tuple[int, ...], p: int) -> tuple[int, ...]:
-    det = (s[0] * s[3] - s[1] * s[2]) % p
-    if det == 0:
-        raise PreconditionFailed("matrix unit is not invertible")
-    dinv = pow(det, p - 2, p)
-    adj = _qconj_z(s)
-    return tuple(c * dinv % p for c in adj)
 
 
 def alpha_st(s, t, p: int) -> Automorphism:
@@ -100,22 +90,19 @@ def alpha_st(s, t, p: int) -> Automorphism:
     Requires det(s) = det(t) ≠ 0; these maps form the stabilizer of the
     2x2-matrix part.
     """
+    H = quaternion_table(p)
     s = tuple(int(c) % p for c in s)
     t = tuple(int(c) % p for c in t)
-    det_s = (s[0] * s[3] - s[1] * s[2]) % p
-    det_t = (t[0] * t[3] - t[1] * t[2]) % p
+    det_s, det_t = H.norm(s), H.norm(t)
     if det_s == 0 or det_t == 0:
         raise PreconditionFailed("both units must be invertible")
     if det_s != det_t:
         raise PreconditionFailed("unit norms must match")
-    s_inv = _qinv(s, p)
+    s_inv = H.inverse(s)
     m = np.zeros((DIM, DIM), dtype=np.int64)
-    for i in range(4):
-        e = tuple(int(i == j) for j in range(4))
-        img = _qmul_z(_qmul_z(s, e), s_inv)
-        m[i, :4] = [c % p for c in img]
-        img_w = _qmul_z(_qmul_z(t, e), s_inv)
-        m[4 + i, 4:] = [c % p for c in img_w]
+    for i, e in enumerate(np.eye(4, dtype=np.int64).tolist()):
+        m[i, :4] = H.mul(H.mul(s, e), s_inv)
+        m[4 + i, 4:] = H.mul(H.mul(t, e), s_inv)
     return _validate(m, p)
 
 
@@ -137,7 +124,7 @@ def doubling_extension(beta_rows, w_target, p: int) -> Automorphism:
     if one_img != ctx.one.coords:
         raise PreconditionFailed("map must send 1 to 1")
     # the 2x2-matrix part is E11..E22, closed under the octonion product
-    _check_multiplicative(B, STRUCT_Z[:4, :4, :4], p)
+    _check_multiplicative(B, ctx.struct[:4, :4, :4], p)
     wt = tuple(int(c) % p for c in (getattr(w_target, "coords", w_target)))
     if ctx.norm(wt) != (-1) % p:
         raise PreconditionFailed("target unit must have norm -1")
@@ -146,13 +133,6 @@ def doubling_extension(beta_rows, w_target, p: int) -> Automorphism:
         raise PreconditionFailed("target unit must be orthogonal to the image subalgebra")
     m = np.concatenate([B, B @ ctx.mul_matrix(wt, "right") % p])
     return _validate(m, p)
-
-
-def conjugation_flip(p: int) -> Automorphism:
-    """The extension with β = id and w ↦ −w (negates the w-half)."""
-    ctx = algebra(p)
-    E = np.eye(DIM, dtype=np.int64)
-    return doubling_extension(E[:4], ctx.smul(-1, ctx.w.coords), p)
 
 
 def find_h_moving_extension(p: int) -> Automorphism:
@@ -190,25 +170,16 @@ def automorphism_generators(p: int) -> list[Automorphism]:
 def all_alpha_generators(p: int) -> list[Automorphism]:
     """Every alpha_st map, deduplicated (s, t over invertible pairs with
     matching determinants)."""
-    units = [s for s in itertools.product(range(p), repeat=4)
-             if (s[0] * s[3] - s[1] * s[2]) % p != 0]
+    det = quaternion_table(p).norm
+    units = [s for s in itertools.product(range(p), repeat=4) if det(s)]
     seen = {}
     for s in units:
-        det_s = (s[0] * s[3] - s[1] * s[2]) % p
         for t in units:
-            det_t = (t[0] * t[3] - t[1] * t[2]) % p
-            if det_s != det_t:
+            if det(s) != det(t):
                 continue
             a = alpha_st(s, t, p)
             seen.setdefault(a.key(), a)
     return [seen[k] for k in sorted(seen)]
-
-
-def alpha_subgroup_order_formula(p: int) -> int:
-    """|{alpha_st}| by counting matched unit pairs modulo the scalar kernel."""
-    gl = (p * p - 1) * (p * p - p)
-    sl = gl // (p - 1)
-    return gl * sl // (p - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +349,7 @@ def count_automorphisms(p: int = 2) -> int:
     norm = ctx.norm_byte
     trace = ctx.trace_byte
     coords = ctx.byte_coords
-    polar_tab = (coords @ (GRAM_Z % 2) @ coords.T) % 2          # (256, 256)
+    polar_tab = (coords @ ctx.gram @ coords.T) % 2               # (256, 256)
 
     n0 = ctx.byte_of(ctx.n0.coords)
     nbar0 = ctx.byte_of(ctx.nbar0.coords)
@@ -416,38 +387,3 @@ def count_automorphisms(p: int = 2) -> int:
                       == imgs[:, mul[base, other]]).all(axis=1)
     return int((unital & bijective & multiplicative).sum())
 
-
-def two_transitive_on_lines(p: int) -> bool:
-    """Whether the stabilizer maps of the plane (Fp0+Fn0)w act
-    two-transitively on its p+1 lines."""
-    ctx = algebra(p)
-    lines = []
-    for coeffs in itertools.product(range(p), repeat=2):
-        if coeffs == (0, 0):
-            continue
-        v = ctx.add(ctx.smul(coeffs[0], ctx.p0w.coords), ctx.smul(coeffs[1], ctx.n0w.coords))
-        key = span([v], p).rows
-        if key not in [l[0] for l in lines]:
-            lines.append((key, v))
-    if len(lines) != p + 1:
-        raise ArithmeticError(f"found {len(lines)} lines in a plane, not {p + 1}")
-    line_index = {key: i for i, (key, _) in enumerate(lines)}
-    q_space = span([ctx.p0w.coords, ctx.n0w.coords], p)
-    pair_orbit = set()
-    sl2 = [s for s in itertools.product(range(p), repeat=4)
-           if (s[0] * s[3] - s[1] * s[2]) % p == 1]
-    perms = []
-    for s in sl2:
-        a = alpha_st(_qinv(s, p), (1, 0, 0, 1), p)
-        if a.apply_space(q_space).rows != q_space.rows:
-            raise ArithmeticError("a stabilizer map moved its plane")
-        perm = []
-        for key, v in lines:
-            img = span([a.apply(v)], p).rows
-            perm.append(line_index[img])
-        perms.append(tuple(perm))
-    # orbit of the ordered pair (0, 1) must be every ordered distinct pair
-    for perm in perms:
-        pair_orbit.add((perm[0], perm[1]))
-    want = {(i, j) for i in range(p + 1) for j in range(p + 1) if i != j}
-    return pair_orbit == want

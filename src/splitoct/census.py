@@ -1,11 +1,18 @@
 """Exhaustive subalgebra census: scan every subspace, keep the closed ones.
 
+The census runs over any table of the split octonions, an
+:class:`splitoct.algebra.Algebra` of dimension 8; ``algebra(p)`` is the
+canonical one.  Every kernel reads the product, norm, trace and unit from
+that value, so a change of basis or another Cayley–Dickson doubling gives
+the same per-label counts.
+
 The scan walks subspaces partitioned by pivot-column set (deterministic
 order) and splits each partition into index ranges, the tasks of one
 process pool per call.  A task runs three batched steps on its range:
 
 1. the closure mask (:func:`closed_block_mask`) over blocks of RREF bases:
-   over F_2 the product of two packed rows is one uint8 table lookup;
+   over F_2 the product of two packed rows is one lookup in the algebra's
+   uint8 byte table;
    for odd p :func:`splitoct.subspace.closed_mask` runs the package's
    float32 product kernel (:func:`splitoct.algebra.products`), in blocks
    sized by working set;
@@ -15,7 +22,8 @@ process pool per call.  A task runs three batched steps on its range:
    (:func:`splitoct.classify.batch_records`).
 
 Records come back in task order, so the output does not depend on the
-number of worker processes.
+number of worker processes.  A pool worker receives the algebra once, when
+it starts, and each task only its pivots and index range.
 """
 
 from __future__ import annotations
@@ -27,10 +35,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import DIM, algebra
-from .classify import OrbitLabel, SubalgebraRecord, batch_records, record_for
-from .subspace import (block_rows, closed_mask, free_positions, full_space,
-                       gaussian_binomial, pivot_block, zero_space)
+from .algebra import DIM, Algebra
+from .classify import OrbitLabel, SubalgebraRecord, batch_records
+from .subspace import (block_rows, closed_mask, free_positions,
+                       gaussian_binomial, pivot_block)
 
 
 class CostLimitExceeded(RuntimeError):
@@ -43,54 +51,70 @@ _BLOCK = 1 << 13
 _TASK = 1 << 16
 
 
-def _closed_block_mask_f2(mats: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
+def _closed_block_mask_f2(mats: np.ndarray, pivots: tuple[int, ...],
+                          mul_byte: np.ndarray) -> np.ndarray:
     """Boolean mask of multiplicatively closed row-spans, p = 2 byte path."""
-    ctx = algebra(2)
     weights = (1 << np.arange(DIM)).astype(np.int64)
     B = (mats.astype(np.int64) * weights).sum(-1).astype(np.uint8)    # (M, k)
-    P = ctx.mul_byte[B[:, :, None], B[:, None, :]].copy()             # (M, k, k)
+    P = mul_byte[B[:, :, None], B[:, None, :]].copy()                 # (M, k, k)
     for i, c in enumerate(pivots):
         bit = (P >> c) & 1
         P ^= bit * B[:, i, None, None]
     return (P == 0).all(axis=(1, 2))
 
 
-def closed_block_mask(mats: np.ndarray, pivots: tuple[int, ...], p: int) -> np.ndarray:
+def closed_block_mask(mats: np.ndarray, pivots: tuple[int, ...], A: Algebra) -> np.ndarray:
     """Boolean mask of the closed row-spans among RREF bases ``mats``."""
-    if p == 2:
-        return _closed_block_mask_f2(mats, pivots)
-    return closed_mask(mats, pivots, algebra(p).struct, p)
+    if A.p == 2:
+        return _closed_block_mask_f2(mats, pivots, A.mul_byte)
+    return closed_mask(mats, pivots, A.struct, A.p)
 
 
-def _scan_range(args) -> list[SubalgebraRecord]:
+def _scan_range(A: Algebra, pivots: tuple[int, ...], start: int,
+                stop: int) -> list[SubalgebraRecord]:
     """Records of the closed subspaces among indices [start, stop) of one
     pivot partition."""
-    pivots, p, start, stop = args
+    p = A.p
     block = _BLOCK if p == 2 else block_rows(len(pivots), DIM)
     closed = []
     for lo in range(start, stop, block):
         mats = pivot_block(pivots, p, DIM, lo, min(lo + block, stop))
-        closed.append(mats[closed_block_mask(mats, pivots, p)])
-    return batch_records(np.concatenate(closed), p)
+        closed.append(mats[closed_block_mask(mats, pivots, A)])
+    return batch_records(np.concatenate(closed), A)
+
+
+#: the algebra a pool worker scans, set once when the worker starts
+_worker_algebra: Algebra | None = None
+
+
+def _adopt(A: Algebra) -> None:
+    global _worker_algebra
+    _worker_algebra = A
+
+
+def _worker_scan(task: tuple) -> list[SubalgebraRecord]:
+    return _scan_range(_worker_algebra, *task)
 
 
 def _tasks(dims, p: int) -> list[tuple]:
-    """(pivots, p, start, stop) for every proper nonzero dimension, in scan order."""
+    """(pivots, start, stop) for every proper nonzero dimension, in scan order."""
     out = []
     for k in dims:
         if not 0 < k < DIM:
             continue
         for piv in itertools.combinations(range(DIM), k):
             total = p ** len(free_positions(piv))
-            out.extend((piv, p, lo, min(lo + _TASK, total))
+            out.extend((piv, lo, min(lo + _TASK, total))
                        for lo in range(0, total, _TASK))
     return out
 
 
-def enumerate_subalgebras(p: int, dims=None, *, max_subspaces: int | None = 2_000_000,
+def enumerate_subalgebras(A: Algebra, dims=None, *,
+                          max_subspaces: int | None = 2_000_000,
                           threads: int = 1) -> list[SubalgebraRecord]:
-    """Every multiplicatively closed subspace of the requested dimensions,
-    as fully classified records, in deterministic scan order.
+    """Every multiplicatively closed subspace of the octonion algebra ``A``
+    in the requested dimensions, as fully classified records, in
+    deterministic scan order.
 
     ``max_subspaces`` bounds the projected number of subspaces visited
     (None disables the check); exceeding it raises CostLimitExceeded
@@ -98,6 +122,10 @@ def enumerate_subalgebras(p: int, dims=None, *, max_subspaces: int | None = 2_00
     of that many processes.  Closure of every record is checked while its
     structure constants are computed.
     """
+    if A.dim != DIM:
+        raise ValueError(f"the census needs an algebra of dimension {DIM}, "
+                         f"not {A.dim}")
+    p = A.p
     dims = tuple(sorted(set(range(DIM + 1) if dims is None else dims)))
     if not all(0 <= d <= DIM for d in dims):
         raise ValueError(f"dimensions must lie in 0..{DIM}, got {list(dims)}")
@@ -108,17 +136,18 @@ def enumerate_subalgebras(p: int, dims=None, *, max_subspaces: int | None = 2_00
             "raise --max-subspaces to proceed")
     tasks = _tasks(dims, p)
     if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_scan_range, tasks))
+        with ProcessPoolExecutor(max_workers=threads, initializer=_adopt,
+                                 initargs=(A,)) as pool:
+            results = list(pool.map(_worker_scan, tasks))
     else:
-        results = [_scan_range(t) for t in tasks]
+        results = [_scan_range(A, *t) for t in tasks]
     records: list[SubalgebraRecord] = []
     if 0 in dims:
-        records.append(record_for(zero_space(p)))
+        records.extend(batch_records(np.zeros((1, 0, DIM), dtype=np.int64), A))
     for chunk in results:
         records.extend(chunk)
     if DIM in dims:
-        records.append(record_for(full_space(p)))
+        records.extend(batch_records(np.eye(DIM, dtype=np.int64)[None], A))
     return records
 
 

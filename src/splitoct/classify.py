@@ -8,9 +8,11 @@ or infinite scalars and can never occur over F_p; their branches raise
 :class:`ClassificationError` so a scan hitting one is loudly wrong.
 
 :func:`batch_records` computes every invariant of a stack of closed
-subspaces at once, from their k×k×k structure constants, the Gram matrix
-of the polar form and the norms and traces of the basis rows.
-:func:`record_for` and :func:`classify` are its one-space case.
+subspaces of any table of the split octonions (an
+:class:`splitoct.algebra.Algebra`) at once, from their k×k×k structure
+constants and the table's Gram matrix, norms, traces and unit on the
+basis rows.  :func:`record_for` and :func:`classify` are its one-space
+case over the canonical table ``algebra(p)``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field
-from .algebra import DIM, GRAM_Z, algebra
+from .algebra import Algebra, algebra
 from .linalg import batch_rank
 from .subspace import NotClosed, Subspace, substructure
 
@@ -101,8 +103,7 @@ def element_orbit_invariant(v, p: int | None = None) -> tuple[int, int, bool]:
     coords = tuple(getattr(v, "coords", v))
     p = p if p is not None else getattr(v, "p")
     ctx = algebra(p)
-    central = all(
-        coords[i] == 0 for i in (1, 2, 4, 5, 6, 7)) and coords[0] == coords[3]
+    central = any(ctx.smul(c, ctx.unit) == coords for c in range(p))
     return ctx.norm(coords), ctx.trace(coords), central
 
 
@@ -150,15 +151,6 @@ class SubalgebraRecord:
         }
 
 
-_ONE = np.array((1, 0, 0, 1, 0, 0, 0, 0), dtype=np.int64)
-
-
-def _norms(v: np.ndarray, p: int) -> np.ndarray:
-    """Norms of coordinate vectors along the last axis."""
-    return (v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2]
-            - v[..., 4] * v[..., 7] + v[..., 5] * v[..., 6]) % p
-
-
 def _form_values(X: np.ndarray, norms: np.ndarray, gram: np.ndarray,
                  p: int) -> np.ndarray:
     """N(Σ x_i b_i) for every coefficient row x of X (V, k) and every basis,
@@ -178,34 +170,38 @@ def _solvable(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return batch_rank(A, p) == batch_rank(aug, p)
 
 
-def batch_records(rows: np.ndarray, p: int) -> list[SubalgebraRecord]:
+def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
     """Records, with orbit labels, of closed subspaces given by RREF bases.
 
-    ``rows`` has shape (M, k, 8), one basis per subspace, all of one
-    dimension k.  Every invariant comes from the structure constants
-    C (M, k, k, k) plus the Gram matrix of the polar form on the basis:
-    associativity and commutativity from C, unitality from the pivot
-    entries of 1, total singularity from the norms and the Gram matrix,
-    dim R = k − rank(Gram) mod p and, over F_2, dim Q from the norm on
-    the Gram kernel (Q = R for odd p).  Raises NotClosed if some basis
-    does not span a closed subspace and ClassificationError if one
-    contradicts the classification.
+    ``rows`` has shape (M, k, 8), one basis per subspace of the octonion
+    algebra ``A``, all of one dimension k.  Every invariant comes from the
+    structure constants C (M, k, k, k) plus A's Gram matrix, norms,
+    traces and unit on the basis: associativity and commutativity from C,
+    unitality from the pivot entries of 1, total singularity from the
+    norms and the Gram matrix, dim R = k − rank(Gram) mod p and, over
+    F_2, dim Q from the norm on the Gram kernel (Q = R for odd p).  No
+    coordinate of A is read directly, so any table of the split octonions
+    gives the same labels.  Raises NotClosed if some basis does not span
+    a closed subspace and ClassificationError if one contradicts the
+    classification.
     """
+    p = A.p
     rows = np.asarray(rows, dtype=np.int64) % p
     M, k, _ = rows.shape
     if not M:
         return []
-    spaces = [Subspace(tuple(map(tuple, m)), p, DIM) for m in rows.tolist()]
+    spaces = [Subspace(tuple(map(tuple, m)), p, A.dim) for m in rows.tolist()]
     if k == 0:
         return [SubalgebraRecord(s, 0, False, True, 0, 0, True, True, OrbitLabel.Zero)
                 for s in spaces]
-    C = substructure(rows, p)
-    gram = rows @ GRAM_Z @ rows.transpose(0, 2, 1) % p
-    norms = _norms(rows, p)
-    traces = (rows[..., 0] + rows[..., 3]) % p
+    C = substructure(rows, A)
+    gram = rows @ A.gram @ rows.transpose(0, 2, 1) % p
+    norms = A.norms(rows)
+    traces = A.traces(rows)
     # in RREF, 1 lies in the span iff it equals its pivot entries times the rows
-    one_coef = _ONE[(rows != 0).argmax(-1)]
-    unital = ~((_ONE - np.einsum("mi,mic->mc", one_coef, rows)) % p).any(1)
+    one = np.array(A.unit, dtype=np.int64)
+    one_coef = one[(rows != 0).argmax(-1)]
+    unital = ~((one - np.einsum("mi,mic->mc", one_coef, rows)) % p).any(1)
     singular = ~norms.any(1) & ~np.triu(gram, 1).any((1, 2))
     comm = (C == C.transpose(0, 2, 1, 3)).all((1, 2, 3))
     # (b_i b_j) b_l against b_i (b_j b_l)
@@ -235,7 +231,9 @@ def batch_records(rows: np.ndarray, p: int) -> list[SubalgebraRecord]:
             X = _coefficient_vectors(k, p)[1:]
             isotropic[nondeg] = (
                 _form_values(X, norms[nondeg], gram[nondeg], p) == 0).any(1)
-    one_tuple = tuple(_ONE.tolist())
+    # the multiple of 1 with leading entry 1: the one RREF row inside F·1
+    lead = next(c for c in A.unit if c)
+    one_row = A.smul(pow(lead, -1, p), A.unit)
 
     def kind_of(m: int, i: int) -> str:
         return _minimal_poly_kind(int(traces[m, i]), int(norms[m, i]), p)
@@ -282,7 +280,7 @@ def batch_records(rows: np.ndarray, p: int) -> list[SubalgebraRecord]:
         if k == 6:
             return OrbitLabel.Dim6
         if k == 2:
-            gen = next(i for i, r in enumerate(spaces[m].rows) if r != one_tuple)
+            gen = next(i for i, r in enumerate(spaces[m].rows) if r != one_row)
             kind = kind_of(m, gen)
             if kind == "split":
                 return OrbitLabel.S
@@ -344,11 +342,12 @@ def batch_records(rows: np.ndarray, p: int) -> list[SubalgebraRecord]:
 
 
 def record_for(space: Subspace) -> SubalgebraRecord:
-    """Compute every invariant plus the orbit label for a closed subspace.
+    """Compute every invariant plus the orbit label for a closed subspace
+    of the canonical table.
 
     Closure is always checked: it falls out of the structure constants.
     """
-    return batch_records(space.matrix()[None], space.p)[0]
+    return batch_records(space.matrix()[None], algebra(space.p))[0]
 
 
 def classify(space: Subspace) -> OrbitLabel:

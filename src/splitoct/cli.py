@@ -24,6 +24,7 @@ import json
 import os
 import sys
 
+from .algebra import algebra
 from .autos import automorphism_generators, orbit_partition
 from .census import CostLimitExceeded, enumerate_subalgebras, write_jsonl
 from .classify import NotClosed, classify
@@ -120,7 +121,7 @@ def _cmd_enumerate(args) -> int:
     budget = _resolve_int(args.max_subspaces, "MAX_SUBSPACES",
                           DEFAULT_MAX_SUBSPACES)
     threads = _resolve_int(args.threads, "THREADS", DEFAULT_THREADS)
-    records = enumerate_subalgebras(p, dims, max_subspaces=budget,
+    records = enumerate_subalgebras(algebra(p), dims, max_subspaces=budget,
                                     threads=threads)
     if args.out == "-":
         write_jsonl(records, sys.stdout)
@@ -167,7 +168,7 @@ def _cmd_orbits(args) -> int:
     budget = _resolve_int(args.max_subspaces, "MAX_SUBSPACES",
                           DEFAULT_MAX_SUBSPACES)
     threads = _resolve_int(args.threads, "THREADS", DEFAULT_THREADS)
-    records = enumerate_subalgebras(p, dims, max_subspaces=budget,
+    records = enumerate_subalgebras(algebra(p), dims, max_subspaces=budget,
                                     threads=threads)
     for row in orbit_partition(records, automorphism_generators(p)):
         print(json.dumps(row))

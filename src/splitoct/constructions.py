@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import field
-from .algebra import DIM, Octonion, algebra, _qconj_z, _qmul_z
+from .algebra import DIM, Octonion, algebra, quaternion_table
 from .classify import LABEL_DIM, OrbitLabel
 from .linalg import nullspace
 from .subspace import Subspace, full_space, span, zero_space
@@ -49,23 +49,20 @@ def right_ideal_double(A, R, p: int) -> Subspace:
     a_rows = _coerce_quat_rows(A, p)
     r_rows = _coerce_quat_rows(R, p)
     a_space = span([r + (0, 0, 0, 0) for r in a_rows], p)
-
-    def qmul(x, y):
-        return tuple(c % p for c in _qmul_z(x, y))
-
+    H = quaternion_table(p)
     for u in a_rows:
         for v in a_rows:
-            if not a_space.contains(qmul(u, v) + (0, 0, 0, 0)):
+            if not a_space.contains(H.mul(u, v) + (0, 0, 0, 0)):
                 raise PreconditionFailed("A is not closed under the matrix product")
     r_space = span([r + (0, 0, 0, 0) for r in r_rows], p)
     for u in r_rows:
         for v in a_rows:
-            if not r_space.contains(qmul(u, v) + (0, 0, 0, 0)):
+            if not r_space.contains(H.mul(u, v) + (0, 0, 0, 0)):
                 raise PreconditionFailed("R·A is not contained in R")
     for u in r_rows:
-        ku = tuple(c % p for c in _qconj_z(u))
+        ku = H.conj(u)
         for v in r_rows:
-            if not a_space.contains(qmul(ku, v) + (0, 0, 0, 0)):
+            if not a_space.contains(H.mul(ku, v) + (0, 0, 0, 0)):
                 raise PreconditionFailed("conj(R)·R is not contained in A")
     vectors = [r + (0, 0, 0, 0) for r in a_rows] + [(0, 0, 0, 0) + r for r in r_rows]
     return span(vectors, p)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import algebra
 from .classify import LABEL_DIM, OrbitLabel, batch_records, record_for
 from .constructions import rep
 from .subspace import (Subspace, block_rows, closed_mask, free_positions,
@@ -67,8 +68,9 @@ def labels_inside(space: Subspace) -> set[OrbitLabel]:
     representative's basis is itself in RREF.
     """
     p, k = space.p, space.dim
+    A = algebra(p)
     basis = space.matrix()                                 # (k, 8)
-    struct = substructure(basis[None], p)[0]
+    struct = substructure(basis[None], A)[0]
     found: set[OrbitLabel] = set()
     for r in range(1, k):
         block = block_rows(r, k)
@@ -79,7 +81,7 @@ def labels_inside(space: Subspace) -> set[OrbitLabel]:
                 mats = pivot_block(piv, p, k, start, min(total, start + block))
                 closed.append(mats[closed_mask(mats, piv, struct, p)])
         rows = np.concatenate(closed).astype(np.int64) @ basis % p
-        found.update(rec.label for rec in batch_records(rows, p))
+        found.update(rec.label for rec in batch_records(rows, A))
     return found
 
 

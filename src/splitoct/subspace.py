@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .algebra import DIM, GRAM_Z, SplitOctonions, algebra, mod, products
+from .algebra import DIM, Algebra, algebra, mod, products
 
 
 class NotClosed(ValueError):
@@ -134,8 +134,7 @@ def perp(space: Subspace) -> Subspace:
     p = space.p
     if space.dim == 0:
         return full_space(p)
-    g = GRAM_Z % p
-    ker = linalg.nullspace(space.matrix() @ g % p, p)
+    ker = linalg.nullspace(space.matrix() @ algebra(p).gram % p, p)
     return span(ker, p)
 
 
@@ -166,7 +165,7 @@ def radicals(space: Subspace) -> tuple[Subspace, Subspace]:
     return R, Q
 
 
-def is_closed(space: Subspace, ctx: SplitOctonions | None = None) -> bool:
+def is_closed(space: Subspace, ctx: Algebra | None = None) -> bool:
     """True iff b_i * b_j lies in the space for all basis pairs."""
     ctx = ctx or algebra(space.p)
     for u in space.rows:
@@ -238,23 +237,39 @@ def closed_mask(mats: np.ndarray, pivots: tuple[int, ...], struct: np.ndarray,
     return ~_residual(P, r, coef, p)
 
 
-def substructure(rows: np.ndarray, p: int) -> np.ndarray:
-    """Structure constants of closed subspaces in their own RREF bases.
+def _pivot_coordinates(rows: np.ndarray, A: Algebra) -> tuple[np.ndarray, np.ndarray]:
+    """For RREF bases ``rows`` (M, k, n) of any pivot columns: the entries
+    of every product of two rows at its basis's pivot columns, which are
+    the product's coordinates when it lies in the span, and per basis
+    whether some product leaves the span."""
+    rows = np.asarray(rows)
+    r = rows.astype(np.float32)
+    P = products(r, r, A.struct, A.p)
+    piv = (rows != 0).argmax(-1)                                 # (M, k)
+    coef = mod(np.take_along_axis(P, piv[:, None, None, :], axis=-1), A.p)
+    return coef, _residual(P, r, coef, A.p)
 
-    ``rows`` has shape (M, k, 8); returns int64 C of shape (M, k, k, k)
+
+def closed_bases(rows: np.ndarray, A: Algebra) -> np.ndarray:
+    """Boolean mask of the closed row-spans among RREF bases of ``A``,
+    each basis with its own pivot columns."""
+    return ~_pivot_coordinates(rows, A)[1]
+
+
+def substructure(rows: np.ndarray, A: Algebra) -> np.ndarray:
+    """Structure constants of closed subspaces of ``A`` in their own RREF
+    bases.
+
+    ``rows`` has shape (M, k, n); returns int64 C of shape (M, k, k, k)
     with b_i·b_j = Σ_c C[m, i, j, c] b_c.  In RREF the coordinates of a
     member are its entries at the pivot columns.  Raises NotClosed if
     some basis does not span a closed subspace.
     """
-    rows = np.asarray(rows)
-    r = rows.astype(np.float32)
-    P = products(r, r, algebra(p).struct, p)
-    piv = (rows != 0).argmax(-1)                                 # (M, k)
-    coef = mod(np.take_along_axis(P, piv[:, None, None, :], axis=-1), p)
-    escapes = _residual(P, r, coef, p)
+    coef, escapes = _pivot_coordinates(rows, A)
     if escapes.any():
-        bad = Subspace(tuple(map(tuple, rows[escapes.argmax()].tolist())), p, DIM)
-        raise NotClosed(f"subspace is not closed under multiplication: {bad}")
+        bad = np.asarray(rows)[escapes.argmax()].tolist()
+        raise NotClosed("subspace is not closed under multiplication: "
+                        f"{Subspace(tuple(map(tuple, bad)), A.p, A.dim)}")
     return coef.astype(np.int64)
 
 

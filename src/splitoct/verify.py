@@ -14,7 +14,6 @@ counts and the first counterexample found (if any):
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -30,9 +29,9 @@ from .constructions import (centralizer, kernel_of_left_mul, left_mul_space,
                             upper_triangular)
 from .field import check_prime
 from .lattice import build_lattice, emit_dot
-from .linalg import rank
-from .subspace import (Subspace, intersect, is_closed, perp, span,
-                       substructure, sum_spaces)
+from .linalg import batch_rref, rank
+from .subspace import (Subspace, closed_bases, intersect, is_closed, perp,
+                       span, substructure, sum_spaces)
 
 RANDOM_SAMPLES = 100_000
 _SEED = 20260814
@@ -182,7 +181,7 @@ class _Bytes:
         self.ctx = ctx
         coords = ctx.byte_coords
         self.polar_tab = (coords @ ctx.gram @ coords.T % 2).astype(np.uint8)
-        self.one = np.uint8(ctx.byte_of(ctx.one.coords))
+        self.one = np.uint8(ctx.byte_of(ctx.unit))
 
     def mul(self, x, y):
         return self.ctx.mul_byte[x, y]
@@ -233,8 +232,9 @@ class _Rows:
         self.struct = ctx.struct
         self.conj_mat = ctx.conj_mat.astype(np.float32)
         self.gram = ctx.gram.astype(np.float32)
+        self.trace_vec = ctx.trace_vec.astype(np.float32)
         self.inv2 = pow(2, -1, p)
-        self.one = np.array(ctx.one.coords, dtype=np.float32)
+        self.one = np.array(ctx.unit, dtype=np.float32)
         rng = np.random.default_rng(_SEED + p)
         self.samples = [rng.integers(0, p, size=(RANDOM_SAMPLES, DIM),
                                      dtype=np.int64).astype(np.int8)
@@ -260,7 +260,7 @@ class _Rows:
         return mod(self.polar(x, x) * self.inv2, self.p)
 
     def trace(self, x):
-        return mod(x[:, 0] + x[:, 3], self.p)
+        return mod(x @ self.trace_vec, self.p)
 
     def polar(self, x, y):
         return mod(((x @ self.gram) * y).sum(-1), self.p)
@@ -385,8 +385,8 @@ def verify_singular() -> SuiteResult:
 
     # no linear multiplicative bijection nO -> On  (exhaustive over GL_4(F_2))
     A, B = left_mul_space(ctx.n0), right_mul_space(ctx.n0)
-    cA = substructure(A.matrix()[None], 2)[0].astype(np.int8)
-    cB = substructure(B.matrix()[None], 2)[0].astype(np.int8)
+    cA = substructure(A.matrix()[None], ctx)[0].astype(np.int8)
+    cB = substructure(B.matrix()[None], ctx)[0].astype(np.int8)
     bits = ((np.arange(65536)[:, None] >> np.arange(16)[None, :]) & 1)
     P = bits.reshape(-1, 4, 4).astype(np.int8)             # all 4x4 maps
     lhs = cA @ P[:, None] % 2
@@ -414,47 +414,83 @@ def verify_singular() -> SuiteResult:
 # centralizers (F_2 and F_3)
 # ---------------------------------------------------------------------------
 
-def _expected_centralizer_dim(ctx, v: tuple, p: int) -> int:
-    one = ctx.one.coords
-    if any((v[i] - v[0] * one[i]) % p for i in range(DIM)):
-        if p == 2:
-            return 6 if ctx.trace(v) == 0 else 2
-        u = tuple((2 * t) % p for t in v)
-        u = tuple((u[i] - ctx.trace(v) * one[i]) % p for i in range(DIM))
-        return 2 if ctx.norm(u) != 0 else 4
-    return 8
+def _left_kernels(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """{x : x·M[m] = 0} for a stack M of (r, c) matrices: their dimensions
+    and RREF bases, in the last rows of each (r, r) matrix returned.
+
+    The rows of the RREF of [M[m] | I] that vanish on M[m] sit at the
+    bottom; their I-parts span the kernel and are in RREF themselves.
+    """
+    n, r, c = M.shape
+    eye = np.broadcast_to(np.eye(r, dtype=np.int64), (n, r, r))
+    reduced = batch_rref(np.concatenate([M, eye], axis=2), p)[0]
+    return reduced[:, :, c:], (~reduced[:, :, :c].any(2)).sum(1)
 
 
 def verify_centralizers(p: int) -> SuiteResult:
-    """Exact centralizer dimensions for every element of the algebra."""
+    """Exact centralizer dimensions for every element of the algebra.
+
+    The centralizer of v is the left kernel of x ↦ x·v − v·x.  All p⁸ of
+    them come from one batched RREF, and the span and closure checks run
+    on the stacked kernel bases of each dimension.
+    """
     if p not in (2, 3):
         raise ValueError("centralizer suite is specified for fields 2 and 3")
     t0 = time.time()
     res = SuiteResult("centralizers", p)
     ctx = algebra(p)
-    elements = list(itertools.product(range(p), repeat=DIM))
-    dims_seen = set()
+    n = p ** DIM
+    # every element, in itertools.product order
+    V = np.arange(n)[:, None] // p ** np.arange(DIM - 1, -1, -1) % p
+    commutator = ctx.struct - ctx.struct.swapaxes(0, 1)
+    kernels, dims = _left_kernels(np.einsum("vj,ijk->vik", V, commutator) % p, p)
+    one = np.array(ctx.unit)
+    traces = ctx.traces(V)
+    if p == 2:
+        want = np.where(traces == 0, 6, 2)
+    else:
+        want = np.where(ctx.norms((2 * V - traces[:, None] * one) % p) != 0, 2, 4)
+    want[(V[:, None] == np.arange(p)[:, None] * one % p).all(-1).any(-1)] = 8
+    one_v = np.stack([np.broadcast_to(one, V.shape), V], axis=1)      # (n, 2, 8)
+
+    def group(d: int):
+        """Indices and kernel bases of the elements whose centralizer has
+        the expected dimension d."""
+        idx = np.flatnonzero((dims == want) & (dims == d))
+        return idx, kernels[idx, DIM - d:]
+
+    def flag(idx, sub) -> np.ndarray:
+        out = np.zeros(n, dtype=bool)
+        out[idx[sub]] = True
+        return out
+
+    # failures in the order the checks are reported for one element
+    idx, K = group(2)
+    fails = [(flag(idx, (K != batch_rref(one_v[idx], p)[0]).any((1, 2))),
+              "dim-2 centralizer is not F+Fv")]
+    if p == 2:
+        idx, K = group(6)
+        perps, perp_dims = _left_kernels(ctx.gram @ one_v[idx].transpose(0, 2, 1) % p, p)
+        fails += [(flag(idx, (perp_dims != 6) | (perps[:, 2:] != K).any((1, 2))),
+                   "dim-6 centralizer is not {1,v}-perp"),
+                  (flag(idx, closed_bases(K, ctx)), "dim-6 centralizer unexpectedly closed")]
+    else:
+        idx, K = group(4)
+        fails.append((flag(idx, ~closed_bases(K, ctx)),
+                      "dim-4 centralizer is not a subalgebra"))
     bad = None
-    for v in elements:
-        c = centralizer(ctx.octonion(v))
-        want = _expected_centralizer_dim(ctx, v, p)
-        dims_seen.add(c.dim)
-        if c.dim != want:
-            bad = bad or f"v={v}: dim {c.dim}, expected {want}"
-            continue
-        if c.dim == 2 and c.rows != span([ctx.one.coords, v], p).rows:
-            bad = bad or f"v={v}: dim-2 centralizer is not F+Fv"
-        if p == 2 and c.dim == 6:
-            if c.rows != perp(span([ctx.one.coords, v], 2)).rows:
-                bad = bad or f"v={v}: dim-6 centralizer is not {{1,v}}-perp"
-            if is_closed(c):
-                bad = bad or f"v={v}: dim-6 centralizer unexpectedly closed"
-        if p == 3 and c.dim == 4 and not is_closed(c):
-            bad = bad or f"v={v}: dim-4 centralizer is not a subalgebra"
+    wrong = dims != want
+    first = wrong | np.any([mask for mask, _ in fails], axis=0)
+    if first.any():
+        i = int(first.argmax())
+        bad = f"v={tuple(V[i].tolist())}: " + (
+            f"dim {dims[i]}, expected {want[i]}" if wrong[i]
+            else next(text for mask, text in fails if mask[i]))
+    dims_seen = set(dims.tolist())
     expected_dims = {8, 6, 2} if p == 2 else {8, 4, 2}
     res.checks.append(CheckResult(
-        f"centralizer dimension law on all {len(elements)} elements",
-        bad is None, len(elements), bad))
+        f"centralizer dimension law on all {n} elements",
+        bad is None, n, bad))
     res.checks.append(CheckResult(
         f"observed dimensions are exactly {sorted(expected_dims)}",
         dims_seen == expected_dims, len(dims_seen),
@@ -484,7 +520,7 @@ def verify_classification() -> SuiteResult:
     round-trips over F_2/F_3/F_5."""
     t0 = time.time()
     res = SuiteResult("classification", 2)
-    records = enumerate_subalgebras(2)
+    records = enumerate_subalgebras(algebra(2))
 
     dims = sorted({r.dim for r in records})
     res.checks.append(CheckResult(
@@ -612,7 +648,7 @@ def verify_orbits() -> SuiteResult:
         ok, brute + group.order,
         None if ok else f"closure {group.order}, brute {brute}"))
 
-    records = enumerate_subalgebras(2)
+    records = enumerate_subalgebras(algebra(2))
     report = autos.orbit_partition(records, gens)
     multi = [row for row in report if row["orbit_count"] != 1]
     res.checks.append(CheckResult(

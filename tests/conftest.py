@@ -43,7 +43,7 @@ def ctx5():
 @pytest.fixture(scope="session")
 def census2():
     """Every multiplication-closed subspace of the F_2 algebra, labelled."""
-    return enumerate_subalgebras(2)
+    return enumerate_subalgebras(algebra(2))
 
 
 @pytest.fixture(scope="session")

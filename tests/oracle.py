@@ -1,6 +1,15 @@
-"""Brute-force element-wise references for census records and orbits.
+"""Brute-force element-wise references for the algebra, census records
+and orbits.
 
-Every invariant is recomputed from products of basis elements with
+The canonical split octonions are restated from the README formulas:
+pairs a + x·w of 2x2 matrices (row-major coordinates) with
+
+    (a + x·w)·(b + y·w) = (a·b + adj(y)·x) + (y·a + x·adj(b))·w,
+    N(a + x·w) = det(a) − det(x),  tr(a + x·w) = tr(a),
+    κ(a + x·w) = adj(a) − x·w,
+
+independently of the doubled tables in :mod:`splitoct.algebra`.  Every
+invariant is recomputed from products of basis elements with
 ``ctx.mul`` and from subspace spans and intersections, following the
 classification theorems directly.  It shares no code with the batched
 path in :mod:`splitoct.classify` beyond the algebra itself and the
@@ -20,6 +29,38 @@ from splitoct.algebra import DIM, algebra
 from splitoct.classify import ClassificationError, OrbitLabel
 from splitoct.linalg import nullspace
 from splitoct.subspace import Subspace, intersect, radicals, span
+
+
+def _mat_mul(x, y) -> tuple[int, ...]:
+    """2x2 matrix product on row-major coordinate 4-tuples."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _adj(x) -> tuple[int, ...]:
+    """Adjugate [[d,-b],[-c,a]] of a 2x2 matrix."""
+    return (x[3], -x[1], -x[2], x[0])
+
+
+def octonion_mul(u, v, p: int) -> tuple[int, ...]:
+    """The doubling product of two coordinate 8-tuples, mod p."""
+    a, x, b, y = u[:4], u[4:], v[:4], v[4:]
+    h, k = _mat_mul(a, b), _mat_mul(_adj(y), x)
+    wa, wb = _mat_mul(y, a), _mat_mul(x, _adj(b))
+    return tuple((h[i] + k[i]) % p for i in range(4)) + tuple(
+        (wa[i] + wb[i]) % p for i in range(4))
+
+
+def octonion_conj(u, p: int) -> tuple[int, ...]:
+    return tuple(c % p for c in _adj(u[:4]) + tuple(-c for c in u[4:]))
+
+
+def octonion_norm(u, p: int) -> int:
+    return (u[0] * u[3] - u[1] * u[2] - u[4] * u[7] + u[5] * u[6]) % p
+
+
+def octonion_trace(u, p: int) -> int:
+    return (u[0] + u[3]) % p
 
 
 def _has_one_sided_identity(space: Subspace, ctx, side: str) -> bool:

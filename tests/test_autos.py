@@ -1,16 +1,17 @@
 """Automorphisms: generators, group closure, orbits, transitivity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from splitoct.algebra import STRUCT_Z, algebra
+from splitoct.algebra import STRUCT_Z, algebra, quaternion_table
 from splitoct.autos import (CapExceeded, PreconditionFailed, _check_multiplicative,
-                            alpha_st, alpha_subgroup_order_formula,
-                            all_alpha_generators, automorphism_generators,
-                            conjugation_flip, doubling_extension, element_orbits,
-                            find_h_moving_extension, generate_group,
-                            identity_automorphism, orbit_of_space,
-                            orbit_partition, two_transitive_on_lines)
+                            alpha_st, all_alpha_generators,
+                            automorphism_generators, doubling_extension,
+                            element_orbits, find_h_moving_extension,
+                            generate_group, identity_automorphism,
+                            orbit_of_space, orbit_partition)
 from splitoct.classify import element_orbit_invariant
 from splitoct.constructions import standard_quaternions
 from splitoct.subspace import span
@@ -85,7 +86,9 @@ def test_tensor_multiplicativity_check_matches_basis_pairs(p):
 
 @pytest.mark.parametrize("p,expected", [(2, 36), (3, 576)])
 def test_alpha_subgroup_order(p, expected):
-    assert alpha_subgroup_order_formula(p) == expected
+    # matched unit pairs (s, t) modulo the scalar kernel: |GL2|·|SL2|/(p−1)
+    gl = (p * p - 1) * (p * p - p)
+    assert gl * (gl // (p - 1)) // (p - 1) == expected
     closure = generate_group(all_alpha_generators(p))
     assert closure.closed and closure.order == expected
 
@@ -103,7 +106,9 @@ def test_alpha_stabilizes_matrix_part_but_mover_does_not(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_doubling_extension_and_flip(p):
     ctx = algebra(p)
-    flip = conjugation_flip(p)
+    # the extension with β = id and w ↦ −w (negates the w-half)
+    flip = doubling_extension(np.eye(8, dtype=np.int64)[:4],
+                              ctx.smul(-1, ctx.w.coords), p)
     _random_check_multiplicative(flip, p, seed=3)
     assert flip.apply(ctx.w.coords) == ctx.smul(-1, ctx.w.coords)
     assert flip.apply(ctx.n0.coords) == ctx.n0.coords
@@ -166,9 +171,35 @@ def test_element_orbits_odd_p_respect_invariants():
         assert len(invs) == 1
 
 
+def _two_transitive_on_lines(p: int) -> bool:
+    """Whether the stabilizer maps of the plane (Fp0+Fn0)w act
+    two-transitively on its p+1 lines."""
+    ctx = algebra(p)
+    lines = {}
+    for coeffs in itertools.product(range(p), repeat=2):
+        if coeffs != (0, 0):
+            v = ctx.add(ctx.smul(coeffs[0], ctx.p0w.coords),
+                        ctx.smul(coeffs[1], ctx.n0w.coords))
+            lines.setdefault(span([v], p).rows, v)
+    assert len(lines) == p + 1
+    line_index = {key: i for i, key in enumerate(lines)}
+    q_space = span([ctx.p0w.coords, ctx.n0w.coords], p)
+    H = quaternion_table(p)
+    pair_orbit = set()
+    for s in itertools.product(range(p), repeat=4):
+        if H.norm(s) != 1:
+            continue
+        a = alpha_st(H.inverse(s), (1, 0, 0, 1), p)
+        assert a.apply_space(q_space).rows == q_space.rows
+        perm = [line_index[span([a.apply(v)], p).rows] for v in lines.values()]
+        pair_orbit.add((perm[0], perm[1]))
+    # the orbit of the ordered pair (0, 1) must be every ordered distinct pair
+    return pair_orbit == {(i, j) for i in range(p + 1) for j in range(p + 1) if i != j}
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_two_transitive_on_singular_lines(p):
-    assert two_transitive_on_lines(p)
+    assert _two_transitive_on_lines(p)
 
 
 def test_group_cap(generators2):

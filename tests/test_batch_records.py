@@ -11,6 +11,7 @@ import pytest
 
 import splitoct
 import oracle
+from splitoct.algebra import algebra
 from splitoct.autos import alpha_st
 from splitoct.census import enumerate_subalgebras
 from splitoct.classify import OrbitLabel, batch_records
@@ -38,14 +39,14 @@ def test_f2_census_matches_elementwise_reference(census2):
 
 
 def test_f3_lines_and_planes_match_elementwise_reference():
-    records = enumerate_subalgebras(3, [1, 2])
+    records = enumerate_subalgebras(algebra(3), [1, 2])
     assert len(records) == 9130
     _assert_matches_oracle(records)
 
 
 def test_f5_representatives_match_elementwise_reference():
     reps = [rep(lab, 5) for lab in OrbitLabel if lab.reachable]
-    records = [batch_records(s.matrix()[None], 5)[0] for s in reps]
+    records = [batch_records(s.matrix()[None], algebra(5))[0] for s in reps]
     _assert_matches_oracle(records)
 
 
@@ -64,12 +65,12 @@ def test_f3_jsonl_independent_of_threads(tmp_path, monkeypatch):
 def test_typed_errors_survive_optimize_flag():
     src = Path(splitoct.__file__).resolve().parents[1]
     script = """
-from splitoct.algebra import Octonion
+from splitoct.algebra import Octonion, algebra
 from splitoct.census import enumerate_subalgebras
 from splitoct.subspace import pivot_block
 for call in (lambda: Octonion((1, 0, 0), 2),
              lambda: pivot_block((0,), 2, 8, 0, 10 ** 6),
-             lambda: enumerate_subalgebras(2, [9])):
+             lambda: enumerate_subalgebras(algebra(2), [9])):
     try:
         call()
     except ValueError as exc:

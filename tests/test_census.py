@@ -79,13 +79,13 @@ def test_f2_associativity_census(census2):
 
 def test_full_scan_budget_is_enforced():
     with pytest.raises(CostLimitExceeded):
-        enumerate_subalgebras(3)              # ~1.28e8 subspaces > default
+        enumerate_subalgebras(algebra(3))     # ~1.28e8 subspaces > default
     with pytest.raises(CostLimitExceeded):
-        enumerate_subalgebras(2, max_subspaces=1000)
+        enumerate_subalgebras(algebra(2), max_subspaces=1000)
 
 
 def test_f3_lines_census():
-    records = enumerate_subalgebras(3, [1])
+    records = enumerate_subalgebras(algebra(3), [1])
     # independent recount: scan all 3280 lines directly
     ctx = algebra(3)
     closed_lines = [sp for sp in enumerate_subspaces(1, 3)
@@ -98,7 +98,7 @@ def test_f3_lines_census():
 
 
 def test_dims_filter(census2):
-    records = enumerate_subalgebras(2, [5, 6, 8])
+    records = enumerate_subalgebras(algebra(2), [5, 6, 8])
     assert sorted({r.dim for r in records}) == [5, 6, 8]
     expected = [r for r in census2 if r.dim in (5, 6, 8)]
     assert {r.space.key() for r in records} == {r.space.key() for r in expected}

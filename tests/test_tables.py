@@ -1,0 +1,130 @@
+"""One algebra value: the derived tables against the README formulas, the
+doubled norm on μ-tables, and a census that does not depend on the table."""
+
+import ast
+import itertools
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import oracle
+import splitoct
+from splitoct.algebra import Algebra, algebra, double, field_table, mod, products
+from splitoct.census import census_report, enumerate_subalgebras
+from splitoct.field import SUPPORTED_PRIMES
+from splitoct.linalg import mat_inv, rank
+
+#: Per-label counts of the F_3 census in dimensions 1 and 2.
+F3_DIMS12_COUNTS = {"F": 1, "Fn": 364, "Fp": 756, "E": 351, "F+Fn": 364,
+                    "Fn+Fp": 3276, "Fn+Fpbar": 3276, "Q": 364, "S": 378}
+
+
+def _mu_table(p: int, mus) -> Algebra:
+    table = field_table(p)
+    for mu in mus:
+        table = double(table, mu)
+    return table
+
+
+def _change_basis(A: Algebra, T: np.ndarray) -> Algebra:
+    """The same algebra in coordinates y = x·T (row vectors)."""
+    p = A.p
+    Ti = mat_inv(T, p)
+    struct = np.einsum("ia,jb,abc,cd->ijd", Ti, Ti, A.struct, T) % p
+    M = Ti @ A.norm_form @ Ti.T
+    norm_form = np.triu(M) + np.triu(M.T, 1)
+    return Algebra(struct, norm_form, np.array(A.unit) @ T % p, p)
+
+
+def _random_basis(p: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    while True:
+        T = rng.integers(0, p, (8, 8))
+        if rank(T, p) == 8:
+            return T
+
+
+def _label_counts(A: Algebra, dims=None) -> dict:
+    counts = census_report(enumerate_subalgebras(A, dims)).counts
+    return {label: n for (_dim, label), n in counts.items()}
+
+
+# ---------------------------------------------------------------------------
+# derived data against independent formulas
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_canonical_tables_match_readme_formulas(p):
+    A = algebra(p)
+    E = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    for i, j in itertools.product(range(8), repeat=2):
+        assert tuple(A.struct[i, j]) == oracle.octonion_mul(E[i], E[j], p)
+        e = tuple(a + b for a, b in zip(E[i], E[j]))
+        polar = (oracle.octonion_norm(e, p) - oracle.octonion_norm(E[i], p)
+                 - oracle.octonion_norm(E[j], p)) % p
+        assert A.gram[i, j] == polar
+    for i in range(8):
+        assert tuple(A.conj_mat[i]) == oracle.octonion_conj(E[i], p)
+    X = np.random.default_rng(p).integers(0, p, (200, 8))
+    assert A.norms(X).tolist() == [oracle.octonion_norm(x, p) for x in X]
+    assert A.traces(X).tolist() == [oracle.octonion_trace(x, p) for x in X]
+    for x, y in zip(X[:50].tolist(), X[50:100].tolist()):
+        assert A.mul(x, y) == oracle.octonion_mul(x, y, p)
+        assert A.conj(x) == oracle.octonion_conj(x, p)
+        assert A.norm(x) == oracle.octonion_norm(x, p)
+        assert A.trace(x) == oracle.octonion_trace(x, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_mu_tables_compose_their_doubled_norm(p):
+    # x·κ(x) = N(x)·1 and N(xy) = N(x)N(y) for the norm form built by
+    # doubling, N(a + xv) = N(a) + μN(x), on every μ-triple
+    rng = np.random.default_rng(50 + p)
+    X = rng.integers(0, p, (300, 8))
+    Y = rng.integers(0, p, (300, 8))
+    for mus in itertools.product(range(1, p), repeat=3):
+        A = _mu_table(p, mus)
+        kX = X @ A.conj_mat % p
+        xkx = mod(products(X[:, None], kX[:, None], A.struct, p)[:, 0, 0], p)
+        assert np.array_equal(xkx, np.outer(A.norms(X), A.unit) % p), mus
+        XY = mod(products(X[:, None], Y[:, None], A.struct, p)[:, 0, 0], p)
+        assert np.array_equal(A.norms(XY.astype(np.int64)),
+                              A.norms(X) * A.norms(Y) % p), mus
+
+
+def test_only_the_algebra_module_reads_the_canonical_tables():
+    package = Path(splitoct.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            found += [f"{path.name}:{node.lineno} {n}" for n in names
+                      if n in ("STRUCT_Z", "GRAM_Z", "CONJ_Z")]
+    assert not found
+
+
+# ---------------------------------------------------------------------------
+# the census does not depend on the table
+# ---------------------------------------------------------------------------
+
+def test_f2_census_independent_of_basis(census2):
+    A = _change_basis(algebra(2), _random_basis(2, seed=2))
+    assert not np.array_equal(A.struct, algebra(2).struct)
+    want = census_report(census2)
+    assert _label_counts(A) == {lab: n for (_d, lab), n in want.counts.items()}
+
+
+@pytest.mark.parametrize("basis_seed", [None, 3])
+def test_f3_census_over_mu_table(basis_seed):
+    # 2 is a non-square mod 3
+    A = _mu_table(3, (2, 1, 2))
+    if basis_seed is not None:
+        A = _change_basis(A, _random_basis(3, basis_seed))
+    assert _label_counts(A, [1, 2]) == F3_DIMS12_COUNTS

@@ -107,6 +107,27 @@ def test_identities_fail_on_perturbed_structure_tensor(p, monkeypatch):
     assert res.total_checked == (84_083_456 if p == 2 else 1_100_000)
 
 
+#: First counterexamples of the centralizer suite with the same entry raised,
+#: as the element-by-element loop finds them
+PERTURBED_CENTRALIZERS = {
+    2: "v=(0, 0, 1, 0, 0, 0, 0, 1): dim 5, expected 6",
+    3: "v=(0, 0, 0, 0, 0, 0, 1, 1): dim-4 centralizer is not a subalgebra",
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_centralizers_fail_on_perturbed_structure_tensor(p, monkeypatch):
+    algebra_mod = importlib.import_module("splitoct.algebra")
+    broken = algebra_mod.STRUCT_Z.copy()
+    broken[1, 2, 0] += 1
+    monkeypatch.setattr(algebra_mod, "STRUCT_Z", broken)
+    ctx = algebra_mod.SplitOctonions(p)
+    monkeypatch.setattr(verify, "algebra", lambda q: ctx)
+    law = verify.verify_centralizers(p).checks[0]
+    assert not law.passed and law.checked == p ** 8
+    assert law.counterexample == PERTURBED_CENTRALIZERS[p]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_identities_working_set_is_bounded(p):
     verify.algebra(p)
