@@ -330,10 +330,6 @@ class SplitOctonions(Algebra):
     # -- distinguished elements ---------------------------------------------
 
     @property
-    def zero(self) -> "Octonion":
-        return self.octonion((0,) * 8)
-
-    @property
     def one(self) -> "Octonion":
         return self.octonion(self.unit)
 
@@ -427,21 +423,6 @@ class Octonion:
 
     def conj(self) -> "Octonion":
         return Octonion(self._ctx().conj(self.coords), self.p)
-
-    def norm(self) -> int:
-        return self._ctx().norm(self.coords)
-
-    def trace(self) -> int:
-        return self._ctx().trace(self.coords)
-
-    def polar(self, other: "Octonion") -> int:
-        return self._ctx().polar(self.coords, other.coords)
-
-    def inverse(self) -> "Octonion":
-        return Octonion(self._ctx().inverse(self.coords), self.p)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def __repr__(self) -> str:
         terms = [f"{c}*{BASIS_NAMES[i]}" for i, c in enumerate(self.coords) if c]

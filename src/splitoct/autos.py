@@ -54,16 +54,28 @@ class Automorphism:
         return self.mat
 
 
-def _check_multiplicative(B: np.ndarray, struct_src: np.ndarray, p: int) -> None:
-    """Raise unless the rows B (images of a source basis) multiply like it.
+def mismatches(B: np.ndarray, src: np.ndarray, tgt: np.ndarray, p: int) -> np.ndarray:
+    """Where linear maps fail to be multiplicative, batched over maps.
 
-    ``struct_src[i, j]`` is the product of source basis elements i and j in
-    source coordinates, so the map is multiplicative iff B[i]·B[j] equals
-    struct_src[i, j] @ B for every pair, one structure-tensor comparison.
+    ``B`` has shape (..., k, n): each stacked map sends source basis
+    element i to the row B_i of the target.  ``src`` (k, k, k) and ``tgt``
+    (n, n, n) are the structure tensors of source and target.  Returns the
+    (..., k, k) mask of the pairs (i, j) where B_i·B_j under ``tgt``
+    differs from (e_i·e_j under ``src``)·B, mod p.
     """
-    lhs = mod(products(B, B, algebra(p).struct, p), p)
-    rhs = struct_src @ B % p
-    bad = np.argwhere((lhs != rhs).any(axis=2))
+    b = np.asarray(B, dtype=np.float32)
+    k = len(src)
+    diff = products(b, b, tgt, p)
+    diff -= np.matmul(np.asarray(src, dtype=np.float32).reshape(k * k, k),
+                      b).reshape(diff.shape)
+    # residues are non-negative, so a nonzero sum marks a nonzero entry
+    return np.einsum("...n->...", mod(diff, p)) != 0
+
+
+def _check_multiplicative(B: np.ndarray, struct_src: np.ndarray, p: int) -> None:
+    """Raise unless the rows B (images of a source basis) multiply like it
+    in the canonical algebra."""
+    bad = np.argwhere(mismatches(B, struct_src, algebra(p).struct, p))
     if len(bad):
         i, j = bad[0]
         raise PreconditionFailed(f"map is not multiplicative at basis pair ({i},{j})")
@@ -195,9 +207,7 @@ class GroupClosure:
     """BFS closure of a generating set under composition."""
 
     p: int
-    generators: list
     elements: np.ndarray    # (order, 8, 8) int8, identity first, BFS order
-    closed: bool
 
     @property
     def order(self) -> int:
@@ -210,60 +220,51 @@ def _generator_mats(generators: list) -> tuple[int, list[np.ndarray]]:
     return generators[0].p, [np.array(g.mat, dtype=np.int16) for g in generators]
 
 
-def generate_group(gens: list, cap: int = 20000) -> GroupClosure:
-    """Breadth-first closure of the generators under composition.
+def _orbit(start: np.ndarray, mats: list, p: int, reduce,
+           cap: int | None = None) -> np.ndarray:
+    """The orbit of the int8 matrix ``start`` in BFS order, ``start`` first.
 
-    Each level multiplies the whole frontier by one generator at a time
-    (apply the element, then the generator) and keeps the images whose
-    bytes are new.  Raises CapExceeded before the closure would hold more
-    than ``cap`` elements.
+    Each level maps the whole frontier through one generator at a time
+    (x ↦ x·M mod p), applies ``reduce`` unless it is None, and keeps the
+    images whose int8 bytes are new.  Raises CapExceeded before the orbit
+    would hold more than ``cap`` elements.
     """
-    p, mats = _generator_mats(gens)
-    ident = np.eye(DIM, dtype=np.int8)
-    seen = {ident.tobytes()}
-    levels = [ident[None]]
+    seen = {start.tobytes()}
+    levels = [start[None]]
     frontier = levels[0]
     while len(frontier):
         fresh = []
         wide = frontier.astype(np.int16)
         for M in mats:
-            for h in (wide @ M % p).astype(np.int8):
-                key = h.tobytes()
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(cap, len(seen))
-                    seen.add(key)
-                    fresh.append(h)
-        frontier = np.stack(fresh) if fresh else levels[0][:0]
-        levels.append(frontier)
-    return GroupClosure(p, gens, np.concatenate(levels), True)
-
-
-def orbit_of_space(space: Subspace, generators: list) -> set:
-    """All images of a subspace under the generated group, as RREF row tuples.
-
-    Level-synchronous BFS: each level maps the whole frontier of bases
-    through one generator at a time and reduces the images with one
-    batched RREF.
-    """
-    p, mats = _generator_mats(generators)
-    start = space.matrix().astype(np.int8)[None]
-    seen = {start[0].tobytes()}
-    levels = [start]
-    frontier = start
-    while len(frontier):
-        fresh = []
-        wide = frontier.astype(np.int16)
-        for M in mats:
-            reduced, _ = batch_rref(wide @ M % p, p)
-            for img in reduced.astype(np.int8):
+            imgs = wide @ M % p
+            if reduce is not None:
+                imgs = reduce(imgs)
+            for img in imgs.astype(np.int8):
                 key = img.tobytes()
                 if key not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        raise CapExceeded(cap, len(seen))
                     seen.add(key)
                     fresh.append(img)
         frontier = np.stack(fresh) if fresh else levels[0][:0]
         levels.append(frontier)
-    return {tuple(map(tuple, basis)) for basis in np.concatenate(levels).tolist()}
+    return np.concatenate(levels)
+
+
+def generate_group(gens: list, cap: int = 20000) -> GroupClosure:
+    """Closure of the generators under composition, as the orbit of the
+    identity; raises CapExceeded past ``cap`` elements."""
+    p, mats = _generator_mats(gens)
+    return GroupClosure(p, _orbit(np.eye(DIM, dtype=np.int8), mats, p, None, cap))
+
+
+def orbit_of_space(space: Subspace, generators: list) -> set:
+    """All images of a subspace under the generated group, as RREF row
+    tuples: the orbit of its basis, each level reduced by one batched RREF."""
+    p, mats = _generator_mats(generators)
+    bases = _orbit(space.matrix().astype(np.int8), mats, p,
+                   lambda imgs: batch_rref(imgs, p)[0])
+    return {tuple(map(tuple, basis)) for basis in bases.tolist()}
 
 
 def orbit_partition(records, generators: list) -> list[dict]:
@@ -286,7 +287,7 @@ def orbit_partition(records, generators: list) -> list[dict]:
             orbit = orbit_of_space(remaining[seed_key], generators)
             for key in orbit:
                 if key not in remaining:
-                    raise AssertionError(
+                    raise ArithmeticError(
                         f"orbit of a {label.value} record left its label class")
                 del remaining[key]
             sizes.append(len(orbit))

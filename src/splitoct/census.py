@@ -97,11 +97,9 @@ def _worker_scan(task: tuple) -> list[SubalgebraRecord]:
 
 
 def _tasks(dims, p: int) -> list[tuple]:
-    """(pivots, start, stop) for every proper nonzero dimension, in scan order."""
+    """(pivots, start, stop) for every requested dimension, in scan order."""
     out = []
     for k in dims:
-        if not 0 < k < DIM:
-            continue
         for piv in itertools.combinations(range(DIM), k):
             total = p ** len(free_positions(piv))
             out.extend((piv, lo, min(lo + _TASK, total))
@@ -141,14 +139,7 @@ def enumerate_subalgebras(A: Algebra, dims=None, *,
             results = list(pool.map(_worker_scan, tasks))
     else:
         results = [_scan_range(A, *t) for t in tasks]
-    records: list[SubalgebraRecord] = []
-    if 0 in dims:
-        records.extend(batch_records(np.zeros((1, 0, DIM), dtype=np.int64), A))
-    for chunk in results:
-        records.extend(chunk)
-    if DIM in dims:
-        records.extend(batch_records(np.eye(DIM, dtype=np.int64)[None], A))
-    return records
+    return [r for chunk in results for r in chunk]
 
 
 @dataclass

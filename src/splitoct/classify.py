@@ -65,13 +65,6 @@ class OrbitLabel(enum.Enum):
         """Whether the orbit is realizable over a finite field."""
         return self not in _UNREACHABLE
 
-    @classmethod
-    def from_string(cls, s: str) -> "OrbitLabel":
-        for lab in cls:
-            if lab.value == s:
-                return lab
-        raise KeyError(s)
-
 
 _UNREACHABLE = {OrbitLabel.D, OrbitLabel.QuatField, OrbitLabel.DplusQ, OrbitLabel.K}
 
@@ -90,7 +83,7 @@ LABEL_DIM = {
 }
 
 
-class ClassificationError(RuntimeError):
+class ClassificationError(ArithmeticError):
     """A closed subspace contradicts the classification (must never fire)."""
 
 

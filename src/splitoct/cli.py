@@ -14,7 +14,7 @@ variables, then built-in defaults (field 2, threads 1, subspace budget
 make the full F_2 census faster end to end.
 
 Exit codes: 0 success; 1 verification failure (first counterexample is
-printed); 2 usage or resource-budget errors.
+printed); 2 usage, input, output or resource-budget errors.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import sys
 from .algebra import algebra
 from .autos import automorphism_generators, orbit_partition
 from .census import CostLimitExceeded, enumerate_subalgebras, write_jsonl
-from .classify import NotClosed, classify
-from .field import FieldError, check_prime
+from .classify import classify
+from .field import check_prime
 from .lattice import build_lattice, emit_dot, emit_json
 from .subspace import span
 from . import verify as verify_mod
@@ -136,9 +136,10 @@ def _cmd_classify(args) -> int:
     check_prime(p)
     rows = json.loads(args.basis)
     if (not isinstance(rows, list) or not rows
-            or not all(isinstance(r, list) and len(r) == 8 for r in rows)):
-        raise ValueError("--basis must be a JSON list of 8-coordinate rows")
-    space = span([tuple(int(t) for t in r) for r in rows], p)
+            or not all(isinstance(r, list) and len(r) == 8
+                       and all(type(t) is int for t in r) for r in rows)):
+        raise ValueError("--basis must be a JSON list of rows of 8 integers")
+    space = span([tuple(t % p for t in r) for r in rows], p)
     label = classify(space)
     print(label.value)
     return 0
@@ -198,7 +199,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FieldError, ValueError, NotClosed, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CostLimitExceeded as exc:

@@ -13,7 +13,7 @@ from . import field
 from .algebra import DIM, Octonion, algebra, quaternion_table
 from .classify import LABEL_DIM, OrbitLabel
 from .linalg import nullspace
-from .subspace import Subspace, full_space, span, zero_space
+from .subspace import Subspace, span, zero_space
 
 
 class PreconditionFailed(ValueError):
@@ -24,30 +24,25 @@ class UnreachableLabel(ValueError):
     """Requested an orbit representative that no finite field realizes."""
 
 
-def _coerce_quat_rows(space: Subspace | list, p: int) -> list[tuple[int, ...]]:
+def _coerce_quat_rows(space: Subspace) -> list[tuple[int, ...]]:
     """Rows of a subspace of the 2x2-matrix part, as coordinate 4-tuples."""
-    if isinstance(space, Subspace):
-        rows = space.rows
-        if space.ambient == 4:
-            return [tuple(r) for r in rows]
-        if space.ambient != DIM:
-            raise ValueError(f"ambient dimension {space.ambient} is neither 4 nor {DIM}")
-        for r in rows:
-            if any(r[4:]):
-                raise PreconditionFailed("subspace is not inside the 2x2-matrix part")
-        return [tuple(r[:4]) for r in rows]
-    return [tuple(r)[:4] if len(tuple(r)) == DIM else tuple(r) for r in space]
+    if space.ambient != DIM:
+        raise ValueError(f"ambient dimension {space.ambient} is not {DIM}")
+    for r in space.rows:
+        if any(r[4:]):
+            raise PreconditionFailed("subspace is not inside the 2x2-matrix part")
+    return [tuple(r[:4]) for r in space.rows]
 
 
-def right_ideal_double(A, R, p: int) -> Subspace:
+def right_ideal_double(A: Subspace, R: Subspace, p: int) -> Subspace:
     """The subalgebra A + R·w of O, for A a 2x2-matrix subalgebra and R a
     right ideal slice compatible with it.
 
     Preconditions (each checked): A closed under the matrix product;
     R·A ⊆ R; conj(R)·R ⊆ A.
     """
-    a_rows = _coerce_quat_rows(A, p)
-    r_rows = _coerce_quat_rows(R, p)
+    a_rows = _coerce_quat_rows(A)
+    r_rows = _coerce_quat_rows(R)
     a_space = span([r + (0, 0, 0, 0) for r in a_rows], p)
     H = quaternion_table(p)
     for u in a_rows:
@@ -137,7 +132,7 @@ def smallest_irreducible_quadratic(p: int) -> tuple[int, int]:
         for c in range(p):
             if not field.quadratic_roots(-b, c, p):
                 return b, c
-    raise AssertionError("every finite field admits an irreducible quadratic")
+    raise ArithmeticError("every finite field admits an irreducible quadratic")
 
 
 def companion_element(p: int) -> Octonion:

@@ -93,8 +93,8 @@ def build_lattice(p: int) -> LatticeGraph:
         space = rep(lab, p)
         rec = record_for(space)
         if rec.label is not lab:
-            raise AssertionError(f"representative of {lab.value} classified "
-                                 f"as {rec.label.value}")
+            raise ArithmeticError(f"representative of {lab.value} classified "
+                                  f"as {rec.label.value}")
         records[lab] = rec
         inside = labels_inside(space)
         inside.discard(OrbitLabel.Zero)
@@ -103,7 +103,7 @@ def build_lattice(p: int) -> LatticeGraph:
     for y, xs in contains.items():
         for z in xs:
             if not contains[z] <= xs:
-                raise AssertionError(
+                raise ArithmeticError(
                     f"containment not transitive at {z.value} inside {y.value}")
     edges = []
     for y, xs in contains.items():

@@ -71,11 +71,8 @@ class Subspace:
         """All p^dim elements of the span, coordinates as int tuples."""
         mat = self.matrix()
         for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            if self.dim:
-                v = (np.array(coeffs, dtype=np.int64) @ mat) % self.p
-                yield tuple(int(c) for c in v)
-            else:
-                yield (0,) * self.ambient
+            v = (np.array(coeffs, dtype=np.int64) @ mat) % self.p
+            yield tuple(int(c) for c in v)
 
     def nonzero_elements(self):
         for v in self.elements():
@@ -118,8 +115,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked-basis relation."""
     _check_compatible(a, b)
     p = a.p
-    if a.dim == 0 or b.dim == 0:
-        return zero_space(p, a.ambient)
     stacked = np.concatenate([a.matrix(), b.matrix()], axis=0)   # (k+m, n)
     # coefficient vectors (lam, mu) with lam@A + mu@B = 0; then lam@A is in both
     ker = linalg.nullspace(stacked.T, p)
@@ -132,8 +127,6 @@ def perp(space: Subspace) -> Subspace:
     if space.ambient != DIM:
         raise ValueError(f"the polar form lives on F_p^{DIM}, not F_p^{space.ambient}")
     p = space.p
-    if space.dim == 0:
-        return full_space(p)
     ker = linalg.nullspace(space.matrix() @ algebra(p).gram % p, p)
     return span(ker, p)
 
@@ -209,8 +202,9 @@ _WORKSET = 1 << 19
 
 
 def block_rows(k: int, n: int) -> int:
-    """Rows per kernel call for k-row bases in an n-dimensional algebra."""
-    return max(1, _WORKSET // (k * k * n * n))
+    """Rows per kernel call for k-row bases (k ≥ 0) in an n-dimensional
+    algebra."""
+    return max(1, _WORKSET // (max(k, 1) ** 2 * n * n))
 
 
 def _residual(P: np.ndarray, rows: np.ndarray, coef: np.ndarray, p: int) -> np.ndarray:
@@ -331,28 +325,18 @@ def pivot_block(pivots: tuple[int, ...], p: int, ambient: int = DIM,
     return out
 
 
-def enumerate_subspaces(k: int, p: int, ambient: int = DIM, visitor=None,
-                        block: int = 1 << 14):
+def enumerate_subspaces(k: int, p: int, ambient: int = DIM):
     """Yield every k-dim subspace of F_p^ambient exactly once.
 
     Order: pivot-column sets lexicographically, then free entries
-    lexicographically.  If ``visitor`` is given it is called on each
-    subspace as well.
+    lexicographically.
     """
     if not 0 <= k <= ambient:
         raise ValueError(f"dimension {k} is outside 0..{ambient}")
-    if k == 0:
-        s = zero_space(p, ambient)
-        if visitor:
-            visitor(s)
-        yield s
-        return
+    block = 1 << 14
     for pivots in itertools.combinations(range(ambient), k):
         total = p ** len(free_positions(pivots, ambient))
         for start in range(0, total, block):
             mats = pivot_block(pivots, p, ambient, start, min(start + block, total))
             for m in mats:
-                s = Subspace(tuple(map(tuple, m.tolist())), p, ambient)
-                if visitor:
-                    visitor(s)
-                yield s
+                yield Subspace(tuple(map(tuple, m.tolist())), p, ambient)

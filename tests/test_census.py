@@ -3,13 +3,15 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
-from splitoct.algebra import algebra
+from splitoct.algebra import algebra, double, field_table
 from splitoct.census import (CostLimitExceeded, census_report,
                              enumerate_subalgebras, write_jsonl)
-from splitoct.classify import OrbitLabel, classify
-from splitoct.subspace import enumerate_subspaces, is_closed, radicals
+from splitoct.classify import OrbitLabel, batch_records, classify
+from splitoct.subspace import (enumerate_subspaces, gaussian_binomial, is_closed,
+                               radicals)
 
 # Golden census over F_2, cross-checked against an independent bitmask
 # scan of all 417,199 subspaces of F_2^8.
@@ -102,6 +104,35 @@ def test_dims_filter(census2):
     assert sorted({r.dim for r in records}) == [5, 6, 8]
     expected = [r for r in census2 if r.dim in (5, 6, 8)]
     assert {r.space.key() for r in records} == {r.space.key() for r in expected}
+
+
+TABLES = {
+    "F2": lambda: algebra(2),
+    "F3": lambda: algebra(3),
+    "F5": lambda: algebra(5),
+    "mu3": lambda: double(double(double(field_table(3), 2), 1), 2),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dims", [(0, 8), (0, 1, 8)])
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_scan_covers_zero_and_full_space(table, dims, threads):
+    """The scan visits the zero and the full space like any other: their
+    records equal the ones built from their bases, and come first and
+    last, around the proper dimensions.  The budget admits exactly the
+    subspaces visited."""
+    A = TABLES[table]()
+    proper = [d for d in dims if 0 < d < 8]
+    want = (batch_records(np.zeros((1, 0, 8), dtype=np.int64), A)
+            + enumerate_subalgebras(A, proper)
+            + batch_records(np.eye(8, dtype=np.int64)[None], A))
+    visited = sum(gaussian_binomial(8, d, A.p) for d in dims)
+    got = enumerate_subalgebras(A, dims, threads=threads, max_subspaces=visited)
+    assert got == want
+    assert [r.label.value for r in (got[0], got[-1])] == ["0", "O"]
+    with pytest.raises(CostLimitExceeded):
+        enumerate_subalgebras(A, dims, threads=threads, max_subspaces=visited - 1)
 
 
 def test_write_jsonl_shape_and_determinism(census2):

@@ -25,9 +25,9 @@ def test_label_catalog_shape():
     assert len({lab.value for lab in OrbitLabel}) == 27
     assert set(LABEL_DIM) == set(OrbitLabel)
     for lab in OrbitLabel:
-        assert OrbitLabel.from_string(lab.value) is lab
-    with pytest.raises(KeyError):
-        OrbitLabel.from_string("no-such-label")
+        assert OrbitLabel(lab.value) is lab
+    with pytest.raises(ValueError):
+        OrbitLabel("no-such-label")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

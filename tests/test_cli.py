@@ -52,7 +52,9 @@ def test_classify_rejects_open_space(capsys):
     assert "not closed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("basis", ["not json", "[[1,2,3]]", "[]", "[1,2]"])
+@pytest.mark.parametrize("basis", ["not json", "[[1,2,3]]", "[]", "[1,2]",
+                                   "[[1.7,0,0,0,0,0,0,0]]",
+                                   "[[true,false,0,1,0,0,0,0]]"])
 def test_classify_rejects_bad_basis(basis, capsys):
     assert main(["classify", "--basis", basis]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -69,6 +71,12 @@ def test_enumerate_to_file(tmp_path, capsys):
         d = json.loads(line)
         label_counts[d["label"]] = label_counts.get(d["label"], 0) + 1
     assert label_counts == {"nO+On": 63, "Qperp": 63, "O": 1}
+
+
+def test_enumerate_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "records.jsonl"
+    assert main(["enumerate", "--dims", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_enumerate_stdout_deterministic(capsys):
@@ -123,6 +131,44 @@ def test_verify_field_restriction(capsys):
     rc = main(["verify", "--suite", "singular", "--field", "3"])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.fixture
+def suite_calls(monkeypatch):
+    """Replace every suite by a stub that records its (suite, field)."""
+    calls = []
+
+    def stub(suite, fixed=None):
+        def run(p=fixed):
+            calls.append((suite, p))
+            return SuiteResult(suite, p)
+        return run
+
+    for suite in ("identities", "centralizers"):
+        monkeypatch.setattr(f"splitoct.verify.verify_{suite}", stub(suite))
+    for suite in ("singular", "classification", "orbits"):
+        monkeypatch.setattr(f"splitoct.verify.verify_{suite}", stub(suite, 2))
+    return calls
+
+
+def test_verify_all_at_f2_only(suite_calls, capsys):
+    assert main(["verify", "--suite", "all", "--field", "2"]) == 0
+    assert suite_calls == [(s, 2) for s in ("identities", "singular", "centralizers",
+                                            "classification", "orbits")]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "--suite", "all", "--field", "3"], None),
+    (["verify", "--suite", "all", "--field", "4"], None),
+    (["verify"], "3"),
+])
+def test_verify_all_rejects_other_fields(argv, env, suite_calls, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("OCT_FIELD", env)
+    assert main(argv) == 2
+    assert suite_calls == []
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -1,5 +1,6 @@
 """Argument and precondition checks raise typed errors that survive
-``python -O``; the package holds no ``assert`` statement."""
+``python -O``; the package holds no ``assert`` statement and raises no
+``AssertionError``."""
 
 import ast
 import subprocess
@@ -16,8 +17,15 @@ def test_no_assert_statements_in_package():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert not found
+
+
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
 def test_typed_errors_survive_optimize_flag():
