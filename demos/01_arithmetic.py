@@ -14,27 +14,25 @@ from splitoct import (algebra, census_report, double, enumerate_subalgebras,
 
 ctx = algebra(3)
 
-# named elements: the identity, the doubling unit w with w*w = 1, and the
-# four matrix units of the 2x2 part
-print("1  =", ctx.one)
+# elements are coordinate tuples; the algebra does the arithmetic.  Named
+# elements: the identity, the doubling unit w with w*w = 1, and the four
+# matrix units of the 2x2 part
+print("1  =", ctx.unit)
 print("w  =", ctx.w)
-print("w*w =", ctx.w * ctx.w)
-print("E12 * E21 =", ctx.n0 * ctx.nbar0)
-print("E21 * E12 =", ctx.nbar0 * ctx.n0)
+print("w*w =", ctx.mul(ctx.w, ctx.w))
+print("E12 * E21 =", ctx.mul(ctx.n0, ctx.nbar0))
+print("E21 * E12 =", ctx.mul(ctx.nbar0, ctx.n0))
 
 # the norm is multiplicative and the involution reverses products
-x = ctx.octonion((1, 2, 0, 1, 0, 1, 2, 0))
-y = ctx.octonion((0, 1, 1, 1, 2, 0, 0, 1))
-print("\nN(x) =", ctx.norm(x.coords), " N(y) =", ctx.norm(y.coords),
-      " N(xy) =", ctx.norm((x * y).coords))
-print("k(xy) == k(y)k(x):",
-      ctx.conj((x * y).coords) == (y.conj() * x.conj()).coords)
+x = (1, 2, 0, 1, 0, 1, 2, 0)
+y = (0, 1, 1, 1, 2, 0, 0, 1)
+xy = ctx.mul(x, y)
+print("\nN(x) =", ctx.norm(x), " N(y) =", ctx.norm(y), " N(xy) =", ctx.norm(xy))
+print("k(xy) == k(y)k(x):", ctx.conj(xy) == ctx.mul(ctx.conj(y), ctx.conj(x)))
 
 # every element satisfies its degree-2 equation  x^2 - tr(x) x + N(x) = 0
-sq = x * x
-lhs = ctx.subv(sq.coords, ctx.smul(ctx.trace(x.coords), x.coords))
-print("x^2 - tr(x)x = -N(x)*1:",
-      lhs == ctx.smul(-ctx.norm(x.coords), ctx.one.coords))
+lhs = ctx.subv(ctx.mul(x, x), ctx.smul(ctx.trace(x), x))
+print("x^2 - tr(x)x = -N(x)*1:", lhs == ctx.smul(-ctx.norm(x), ctx.unit))
 
 # the doubling construction: doubling the split quaternions with mu = -1
 # reproduces the split octonions on the nose

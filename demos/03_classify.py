@@ -25,13 +25,13 @@ for label in OrbitLabel:
 from splitoct import NotClosed  # noqa: E402
 
 try:
-    classify(span([ctx.n0.coords, ctx.nbar0.coords], 5))
+    classify(span([ctx.n0, ctx.nbar0], 5), ctx)
 except NotClosed as exc:
     print("\nnon-closed input is refused:", exc)
 
 # the closure of a couple of random elements is closed and labellable
-gen = closure([(1, 2, 0, 0, 0, 3, 0, 1), (0, 0, 1, 0, 2, 0, 0, 0)], 5)
-print("\nclosure of two elements: dim", gen.dim, "->", classify(gen).value)
+gen = closure([(1, 2, 0, 0, 0, 3, 0, 1), (0, 0, 1, 0, 2, 0, 0, 0)], ctx)
+print("\nclosure of two elements: dim", gen.dim, "->", classify(gen, ctx).value)
 
 # four labels (quaternion division algebras and friends) need imperfect
 # or infinite scalars and never appear over a finite prime field

@@ -22,8 +22,8 @@ Highlights
 - ``splitoct`` console script — the command-line front end.
 """
 
-from .algebra import (Algebra, Octonion, SplitOctonions, algebra, double,
-                      field_table, quaternion_table)
+from .algebra import (Algebra, SplitOctonions, algebra, double, field_table,
+                      quaternion_table)
 from .autos import (Automorphism, CapExceeded, all_alpha_generators, alpha_st,
                     automorphism_generators, count_automorphisms,
                     doubling_extension, element_orbits,
@@ -42,8 +42,8 @@ from .constructions import (PreconditionFailed, UnreachableLabel, centralizer,
 from .field import FieldError, check_prime
 from .lattice import LatticeGraph, LatticeNode, build_lattice, emit_dot, emit_json
 from .subspace import (Subspace, closure, enumerate_subspaces,
-                       gaussian_binomial, intersect, is_closed, perp, radicals,
-                       span, sum_spaces)
+                       gaussian_binomial, intersect, perp, radicals, span,
+                       sum_spaces)
 from .verify import SUITE_NAMES, CheckResult, SuiteResult, run_suite
 
 __version__ = "0.1.0"
@@ -51,7 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebra", "Automorphism", "CapExceeded", "CensusSummary", "CheckResult",
     "ClassificationError", "CostLimitExceeded", "FieldError", "LatticeGraph",
-    "LatticeNode", "NotClosed", "Octonion", "OrbitLabel", "PreconditionFailed",
+    "LatticeNode", "NotClosed", "OrbitLabel", "PreconditionFailed",
     "SUITE_NAMES", "SplitOctonions", "SubalgebraRecord", "Subspace",
     "SuiteResult", "UnreachableLabel", "algebra", "all_alpha_generators",
     "alpha_st", "automorphism_generators", "build_lattice", "census_report",
@@ -60,7 +60,7 @@ __all__ = [
     "element_orbit_invariant", "emit_dot", "emit_json",
     "enumerate_subalgebras", "enumerate_subspaces", "field_table",
     "find_h_moving_extension", "gaussian_binomial", "generate_group",
-    "heisenberg", "intersect", "is_closed", "kernel_of_left_mul",
+    "heisenberg", "intersect", "kernel_of_left_mul",
     "left_mul_space", "orbit_of_space", "orbit_partition", "perp",
     "quaternion_table", "radicals", "record_for", "rep", "right_ideal_double",
     "right_mul_space", "run_suite", "span", "standard_quaternions",

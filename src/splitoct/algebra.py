@@ -39,7 +39,6 @@ it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,7 +46,6 @@ import numpy as np
 from . import field
 
 DIM = 8
-BASIS_NAMES = ("E11", "E12", "E21", "E22", "E11w", "E12w", "E21w", "E22w")
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +206,18 @@ class Algebra:
         """Traces of the integer coordinate rows along the last axis."""
         return X @ self.trace_vec % self.p
 
+    def mul_matrix(self, a, side: str) -> np.ndarray:
+        """Matrix of x ↦ a·x (side='left') or x ↦ x·a, acting on row vectors."""
+        if len(a) != self.dim:
+            raise ValueError(f"an element has {self.dim} coordinates, got {len(a)}")
+        a = np.array([tuple(a)], dtype=np.int64) % self.p
+        E = np.eye(self.dim, dtype=np.int64)
+        if side == "left":
+            P = products(a, E, self.struct, self.p)[0]
+        else:
+            P = products(E, a, self.struct, self.p)[:, 0]
+        return mod(P, self.p).astype(np.int64)
+
     # -- byte tables for p = 2, dimension 8 ---------------------------------
 
     def _build_byte_tables(self) -> None:
@@ -302,75 +312,22 @@ class SplitOctonions(Algebra):
     """The canonical split octonions over F_p, with their named elements.
 
     Built from :data:`STRUCT_Z` when constructed; get the cached instance
-    via :func:`algebra`.
+    via :func:`algebra`.  The named elements are coordinate tuples, the
+    same over every F_p.
     """
+
+    p0 = (1, 0, 0, 0, 0, 0, 0, 0)        #: idempotent E11
+    n0 = (0, 1, 0, 0, 0, 0, 0, 0)        #: square-zero E12, p0·n0 = n0, n0·p0 = 0
+    nbar0 = (0, 0, 1, 0, 0, 0, 0, 0)     #: E21
+    pbar0 = (0, 0, 0, 1, 0, 0, 0, 0)     #: complementary idempotent E22 = 1 − p0
+    p0w = (0, 0, 0, 0, 1, 0, 0, 0)
+    n0w = (0, 0, 0, 0, 0, 1, 0, 0)
+    nbar0w = (0, 0, 0, 0, 0, 0, 1, 0)
+    pbar0w = (0, 0, 0, 0, 0, 0, 0, 1)
+    w = (0, 0, 0, 0, 1, 0, 0, 1)         #: the doubling unit, w·w = 1
 
     def __init__(self, p: int):
         super().__init__(STRUCT_Z, _NORM_FORM_Z, _UNIT, p)
-
-    def mul_matrix(self, a, side: str) -> np.ndarray:
-        """Matrix of x ↦ a·x (side='left') or x ↦ x·a, acting on row vectors."""
-        a = np.array([tuple(a)], dtype=np.int64) % self.p
-        E = np.eye(DIM, dtype=np.int64)
-        if side == "left":
-            P = products(a, E, self.struct, self.p)[0]
-        else:
-            P = products(E, a, self.struct, self.p)[:, 0]
-        return mod(P, self.p).astype(np.int64)
-
-    # -- element containers -------------------------------------------------
-
-    def octonion(self, coords) -> "Octonion":
-        return Octonion(tuple(int(c) % self.p for c in coords), self.p)
-
-    def from_matrices(self, a, x=(0, 0, 0, 0)) -> "Octonion":
-        """Octonion a + x*w from two row-major 2x2 coordinate 4-tuples."""
-        return self.octonion(tuple(a) + tuple(x))
-
-    # -- distinguished elements ---------------------------------------------
-
-    @property
-    def one(self) -> "Octonion":
-        return self.octonion(self.unit)
-
-    @property
-    def w(self) -> "Octonion":
-        return self.octonion((0, 0, 0, 0, 1, 0, 0, 1))
-
-    @property
-    def p0(self) -> "Octonion":
-        """Idempotent E11."""
-        return self.octonion((1, 0, 0, 0, 0, 0, 0, 0))
-
-    @property
-    def pbar0(self) -> "Octonion":
-        """Complementary idempotent E22 = 1 - p0."""
-        return self.octonion((0, 0, 0, 1, 0, 0, 0, 0))
-
-    @property
-    def n0(self) -> "Octonion":
-        """Square-zero element E12 with p0*n0 = n0, n0*p0 = 0."""
-        return self.octonion((0, 1, 0, 0, 0, 0, 0, 0))
-
-    @property
-    def nbar0(self) -> "Octonion":
-        return self.octonion((0, 0, 1, 0, 0, 0, 0, 0))
-
-    @property
-    def p0w(self) -> "Octonion":
-        return self.octonion((0, 0, 0, 0, 1, 0, 0, 0))
-
-    @property
-    def n0w(self) -> "Octonion":
-        return self.octonion((0, 0, 0, 0, 0, 1, 0, 0))
-
-    @property
-    def pbar0w(self) -> "Octonion":
-        return self.octonion((0, 0, 0, 0, 0, 0, 0, 1))
-
-    @property
-    def nbar0w(self) -> "Octonion":
-        return self.octonion((0, 0, 0, 0, 0, 0, 1, 0))
 
 
 @lru_cache(maxsize=None)
@@ -378,52 +335,3 @@ def algebra(p: int) -> SplitOctonions:
     """The (cached) split octonion context over F_p."""
     return SplitOctonions(p)
 
-
-# ---------------------------------------------------------------------------
-# element wrapper
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Octonion:
-    """One split octonion: an 8-tuple of F_p coordinates plus the prime."""
-
-    coords: tuple[int, ...]
-    p: int
-
-    def __post_init__(self):
-        if len(self.coords) != DIM:
-            raise ValueError(f"an octonion has {DIM} coordinates, got {len(self.coords)}")
-
-    def _ctx(self) -> SplitOctonions:
-        return algebra(self.p)
-
-    def _same_field(self, other: "Octonion") -> None:
-        if self.p != other.p:
-            raise ValueError(f"cannot combine elements over F_{self.p} and F_{other.p}")
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        self._same_field(other)
-        return Octonion(self._ctx().add(self.coords, other.coords), self.p)
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        self._same_field(other)
-        return Octonion(self._ctx().subv(self.coords, other.coords), self.p)
-
-    def __mul__(self, other):
-        if isinstance(other, Octonion):
-            self._same_field(other)
-            return Octonion(self._ctx().mul(self.coords, other.coords), self.p)
-        return Octonion(self._ctx().smul(int(other), self.coords), self.p)
-
-    def __rmul__(self, scalar: int) -> "Octonion":
-        return Octonion(self._ctx().smul(int(scalar), self.coords), self.p)
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(self._ctx().smul(-1, self.coords), self.p)
-
-    def conj(self) -> "Octonion":
-        return Octonion(self._ctx().conj(self.coords), self.p)
-
-    def __repr__(self) -> str:
-        terms = [f"{c}*{BASIS_NAMES[i]}" for i, c in enumerate(self.coords) if c]
-        return "Octonion(%s; p=%d)" % (" + ".join(terms) or "0", self.p)

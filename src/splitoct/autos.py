@@ -86,7 +86,7 @@ def _validate(mat: np.ndarray, p: int) -> Automorphism:
     m = mat % p
     if rank(m, p) != DIM:
         raise PreconditionFailed("map is not invertible")
-    if tuple((ctx.one.coords @ m) % p) != ctx.one.coords:
+    if tuple((ctx.unit @ m) % p) != ctx.unit:
         raise PreconditionFailed("map does not fix 1")
     _check_multiplicative(m, ctx.struct, p)
     return Automorphism(tuple(map(tuple, m.tolist())), p)
@@ -133,15 +133,15 @@ def doubling_extension(beta_rows, w_target, p: int) -> Automorphism:
     if rank(B, p) != 4:
         raise PreconditionFailed("images are linearly dependent")
     one_img = tuple((B[0] + B[3]) % p)      # 1 = E11 + E22
-    if one_img != ctx.one.coords:
+    if one_img != ctx.unit:
         raise PreconditionFailed("map must send 1 to 1")
     # the 2x2-matrix part is E11..E22, closed under the octonion product
     _check_multiplicative(B, ctx.struct[:4, :4, :4], p)
-    wt = tuple(int(c) % p for c in (getattr(w_target, "coords", w_target)))
+    wt = tuple(int(c) % p for c in w_target)
     if ctx.norm(wt) != (-1) % p:
         raise PreconditionFailed("target unit must have norm -1")
     h_prime = span(B, p)
-    if not perp(h_prime).contains(wt):
+    if not perp(h_prime, ctx).contains(wt):
         raise PreconditionFailed("target unit must be orthogonal to the image subalgebra")
     m = np.concatenate([B, B @ ctx.mul_matrix(wt, "right") % p])
     return _validate(m, p)
@@ -157,8 +157,8 @@ def find_h_moving_extension(p: int) -> Automorphism:
     automorphism, and it moves the matrix part (E12 ↦ p0·w).
     """
     ctx = algebra(p)
-    beta_rows = [ctx.p0.coords, ctx.p0w.coords, ctx.pbar0w.coords, ctx.pbar0.coords]
-    m0 = ctx.add(ctx.n0.coords, ctx.nbar0.coords)   # [[0,1],[1,0]], norm -1
+    beta_rows = [ctx.p0, ctx.p0w, ctx.pbar0w, ctx.pbar0]
+    m0 = ctx.add(ctx.n0, ctx.nbar0)   # [[0,1],[1,0]], norm -1
     return doubling_extension(beta_rows, m0, p)
 
 
@@ -352,12 +352,12 @@ def count_automorphisms(p: int = 2) -> int:
     coords = ctx.byte_coords
     polar_tab = (coords @ ctx.gram @ coords.T) % 2               # (256, 256)
 
-    n0 = ctx.byte_of(ctx.n0.coords)
-    nbar0 = ctx.byte_of(ctx.nbar0.coords)
-    wb = ctx.byte_of(ctx.w.coords)
-    one = ctx.byte_of(ctx.one.coords)
+    n0 = ctx.byte_of(ctx.n0)
+    nbar0 = ctx.byte_of(ctx.nbar0)
+    wb = ctx.byte_of(ctx.w)
+    one = ctx.byte_of(ctx.unit)
     # sanity: the triple generates everything
-    if closure([ctx.n0, ctx.nbar0, ctx.octonion(ctx.w.coords)]).dim != DIM:
+    if closure([ctx.n0, ctx.nbar0, ctx.w], ctx).dim != DIM:
         raise ArithmeticError("n0, nbar0 and w do not generate the algebra")
 
     everything = np.arange(1, 256, dtype=np.uint8)

@@ -107,6 +107,25 @@ def _tasks(dims, p: int) -> list[tuple]:
     return out
 
 
+def check_scan(p: int, dims=None, *, max_subspaces: int | None = 2_000_000,
+               threads: int = 1) -> tuple[int, ...]:
+    """The sorted dimensions a census over F_p would scan, after the checks
+    that need no work: every dimension in 0..8, at least one thread, and
+    at most ``max_subspaces`` projected subspaces (None disables that
+    bound; CostLimitExceeded otherwise)."""
+    dims = tuple(sorted(set(range(DIM + 1) if dims is None else dims)))
+    if not all(0 <= d <= DIM for d in dims):
+        raise ValueError(f"dimensions must lie in 0..{DIM}, got {list(dims)}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    projected = sum(gaussian_binomial(DIM, k, p) for k in dims)
+    if max_subspaces is not None and projected > max_subspaces:
+        raise CostLimitExceeded(
+            f"projected {projected} subspaces exceeds budget {max_subspaces}; "
+            "raise --max-subspaces to proceed")
+    return dims
+
+
 def enumerate_subalgebras(A: Algebra, dims=None, *,
                           max_subspaces: int | None = 2_000_000,
                           threads: int = 1) -> list[SubalgebraRecord]:
@@ -114,27 +133,19 @@ def enumerate_subalgebras(A: Algebra, dims=None, *,
     in the requested dimensions, as fully classified records, in
     deterministic scan order.
 
-    ``max_subspaces`` bounds the projected number of subspaces visited
-    (None disables the check); exceeding it raises CostLimitExceeded
-    before any work is done.  ``threads`` > 1 runs the scan in one pool
-    of that many processes.  Closure of every record is checked while its
-    structure constants are computed.
+    The request is checked by :func:`check_scan` before any work is done.
+    ``threads`` > 1 runs the scan in one pool of at most that many
+    processes, one per task at most.  Closure of every record is checked
+    while its structure constants are computed.
     """
     if A.dim != DIM:
         raise ValueError(f"the census needs an algebra of dimension {DIM}, "
                          f"not {A.dim}")
-    p = A.p
-    dims = tuple(sorted(set(range(DIM + 1) if dims is None else dims)))
-    if not all(0 <= d <= DIM for d in dims):
-        raise ValueError(f"dimensions must lie in 0..{DIM}, got {list(dims)}")
-    projected = sum(gaussian_binomial(DIM, k, p) for k in dims)
-    if max_subspaces is not None and projected > max_subspaces:
-        raise CostLimitExceeded(
-            f"projected {projected} subspaces exceeds budget {max_subspaces}; "
-            "raise --max-subspaces to proceed")
-    tasks = _tasks(dims, p)
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_adopt,
+    dims = check_scan(A.p, dims, max_subspaces=max_subspaces, threads=threads)
+    tasks = _tasks(dims, A.p)
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_adopt,
                                  initargs=(A,)) as pool:
             results = list(pool.map(_worker_scan, tasks))
     else:

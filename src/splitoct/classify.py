@@ -12,7 +12,7 @@ subspaces of any table of the split octonions (an
 :class:`splitoct.algebra.Algebra`) at once, from their k×k×k structure
 constants and the table's Gram matrix, norms, traces and unit on the
 basis rows.  :func:`record_for` and :func:`classify` are its one-space
-case over the canonical table ``algebra(p)``.
+case; every function here takes the table it works in.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field
-from .algebra import Algebra, algebra
+from .algebra import Algebra
 from .linalg import batch_rank
-from .subspace import NotClosed, Subspace, substructure
+from .subspace import NotClosed, Subspace, check_space, substructure
 
 
 class OrbitLabel(enum.Enum):
@@ -87,17 +87,18 @@ class ClassificationError(ArithmeticError):
     """A closed subspace contradicts the classification (must never fire)."""
 
 
-def element_orbit_invariant(v, p: int | None = None) -> tuple[int, int, bool]:
-    """(norm, trace, is_central): a complete orbit invariant for elements.
+def element_orbit_invariant(v, A: Algebra) -> tuple[int, int, bool]:
+    """(norm, trace, is_central): a complete orbit invariant for elements
+    of the octonion algebra ``A``.
 
     Non-central elements with equal norm and trace lie in one orbit of the
     automorphism group; central means lying in F·1.
     """
-    coords = tuple(getattr(v, "coords", v))
-    p = p if p is not None else getattr(v, "p")
-    ctx = algebra(p)
-    central = any(ctx.smul(c, ctx.unit) == coords for c in range(p))
-    return ctx.norm(coords), ctx.trace(coords), central
+    v = tuple(v)
+    if len(v) != A.dim:
+        raise ValueError(f"an element has {A.dim} coordinates, got {len(v)}")
+    central = any(A.smul(c, A.unit) == v for c in range(A.p))
+    return A.norm(v), A.trace(v), central
 
 
 def _minimal_poly_kind(t: int, n: int, p: int) -> str:
@@ -334,15 +335,17 @@ def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
             for m in range(M)]
 
 
-def record_for(space: Subspace) -> SubalgebraRecord:
+def record_for(space: Subspace, A: Algebra) -> SubalgebraRecord:
     """Compute every invariant plus the orbit label for a closed subspace
-    of the canonical table.
+    of the octonion algebra ``A``.
 
     Closure is always checked: it falls out of the structure constants.
     """
-    return batch_records(space.matrix()[None], algebra(space.p))[0]
+    check_space(space, A)
+    return batch_records(space.matrix()[None], A)[0]
 
 
-def classify(space: Subspace) -> OrbitLabel:
-    """Orbit label of a closed subspace, per the classification theorems."""
-    return record_for(space).label
+def classify(space: Subspace, A: Algebra) -> OrbitLabel:
+    """Orbit label of a closed subspace of ``A``, per the classification
+    theorems."""
+    return record_for(space, A).label

@@ -20,13 +20,15 @@ printed); 2 usage, input, output or resource-budget errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 from .algebra import algebra
 from .autos import automorphism_generators, orbit_partition
-from .census import CostLimitExceeded, enumerate_subalgebras, write_jsonl
+from .census import (CostLimitExceeded, check_scan, enumerate_subalgebras,
+                     write_jsonl)
 from .classify import classify
 from .field import check_prime
 from .lattice import build_lattice, emit_dot, emit_json
@@ -121,13 +123,13 @@ def _cmd_enumerate(args) -> int:
     budget = _resolve_int(args.max_subspaces, "MAX_SUBSPACES",
                           DEFAULT_MAX_SUBSPACES)
     threads = _resolve_int(args.threads, "THREADS", DEFAULT_THREADS)
-    records = enumerate_subalgebras(algebra(p), dims, max_subspaces=budget,
-                                    threads=threads)
-    if args.out == "-":
-        write_jsonl(records, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_jsonl(records, fh)
+    # checks first, then the file, then the scan: a refused request leaves
+    # an existing --out as it was, and a bad path costs no scan
+    check_scan(p, dims, max_subspaces=budget, threads=threads)
+    with (contextlib.nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "w", encoding="utf-8")) as fh:
+        write_jsonl(enumerate_subalgebras(algebra(p), dims, max_subspaces=budget,
+                                          threads=threads), fh)
     return 0
 
 
@@ -140,7 +142,7 @@ def _cmd_classify(args) -> int:
                        and all(type(t) is int for t in r) for r in rows)):
         raise ValueError("--basis must be a JSON list of rows of 8 integers")
     space = span([tuple(t % p for t in r) for r in rows], p)
-    label = classify(space)
+    label = classify(space, algebra(p))
     print(label.value)
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import field
-from .algebra import DIM, Octonion, algebra, quaternion_table
+from .algebra import DIM, Algebra, SplitOctonions, algebra, quaternion_table
 from .classify import LABEL_DIM, OrbitLabel
 from .linalg import nullspace
 from .subspace import Subspace, span, zero_space
@@ -63,62 +63,46 @@ def right_ideal_double(A: Subspace, R: Subspace, p: int) -> Subspace:
     return span(vectors, p)
 
 
-def heisenberg(a, b) -> Subspace:
-    """span{a, b, ab} for nilpotent generators: the Heisenberg span.
+def heisenberg(a, b, A: Algebra) -> Subspace:
+    """span{a, b, ab} for nilpotent generators of ``A``: the Heisenberg span.
 
     Preconditions: a ≠ 0 nilpotent; b nilpotent, orthogonal to a, and
     independent from {1, a}.  Result has dimension 3 (Heisenberg) when
     ab ≠ 0, or dimension 2 with all products zero when ab = 0.
     """
-    ca = tuple(getattr(a, "coords", a))
-    cb = tuple(getattr(b, "coords", b))
-    p = getattr(a, "p", None) or getattr(b, "p")
-    ctx = algebra(p)
-    if not any(ca) or ctx.norm(ca) != 0 or ctx.trace(ca) != 0:
+    a, b = tuple(a), tuple(b)
+    if not any(a) or A.norm(a) != 0 or A.trace(a) != 0:
         raise PreconditionFailed("first generator must be nonzero nilpotent")
-    if ctx.norm(cb) != 0 or ctx.trace(cb) != 0:
+    if A.norm(b) != 0 or A.trace(b) != 0:
         raise PreconditionFailed("second generator must be nilpotent")
-    if ctx.polar(ca, cb) != 0:
+    if A.polar(a, b) != 0:
         raise PreconditionFailed("generators must be orthogonal")
-    if span([ctx.one.coords, ca], p).contains(cb):
+    if span([A.unit, a], A.p, A.dim).contains(b):
         raise PreconditionFailed("second generator must be independent from 1 and the first")
-    ab = ctx.mul(ca, cb)
-    return span([ca, cb, ab], p)
+    return span([a, b, A.mul(a, b)], A.p, A.dim)
 
 
-def left_mul_space(a) -> Subspace:
-    """a·O: the image of left multiplication by a."""
-    ca = tuple(getattr(a, "coords", a))
-    p = getattr(a, "p")
-    return span(algebra(p).mul_matrix(ca, "left"), p)
+def left_mul_space(a, A: Algebra) -> Subspace:
+    """a·A: the image of left multiplication by a."""
+    return span(A.mul_matrix(a, "left"), A.p, A.dim)
 
 
-def right_mul_space(a) -> Subspace:
-    """O·a: the image of right multiplication by a."""
-    ca = tuple(getattr(a, "coords", a))
-    p = getattr(a, "p")
-    return span(algebra(p).mul_matrix(ca, "right"), p)
+def right_mul_space(a, A: Algebra) -> Subspace:
+    """A·a: the image of right multiplication by a."""
+    return span(A.mul_matrix(a, "right"), A.p, A.dim)
 
 
-def kernel_of_left_mul(a) -> Subspace:
-    """ker λ_a = {x : a·x = 0}; for singular a ≠ 0 equals conj(a)·O."""
-    ca = tuple(getattr(a, "coords", a))
-    p = getattr(a, "p")
-    ctx = algebra(p)
+def kernel_of_left_mul(a, A: Algebra) -> Subspace:
+    """ker λ_a = {x : a·x = 0}; for singular a ≠ 0 equals conj(a)·A."""
     # row i of M is a·e_i, so (x @ M) = a·x; the kernel is the left null space
-    M = ctx.mul_matrix(ca, "left")
-    ker = nullspace(M.T % p, p)
-    return span(ker, p)
+    M = A.mul_matrix(a, "left")
+    return span(nullspace(M.T, A.p), A.p, A.dim)
 
 
-def centralizer(v) -> Subspace:
+def centralizer(v, A: Algebra) -> Subspace:
     """{x : x·v = v·x}, computed as the kernel of x ↦ xv − vx."""
-    cv = tuple(getattr(v, "coords", v))
-    p = getattr(v, "p")
-    ctx = algebra(p)
-    M = (ctx.mul_matrix(cv, "right") - ctx.mul_matrix(cv, "left")) % p
-    ker = nullspace(M.T, p)
-    return span(ker, p)
+    M = (A.mul_matrix(v, "right") - A.mul_matrix(v, "left")) % A.p
+    return span(nullspace(M.T, A.p), A.p, A.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +119,11 @@ def smallest_irreducible_quadratic(p: int) -> tuple[int, int]:
     raise ArithmeticError("every finite field admits an irreducible quadratic")
 
 
-def companion_element(p: int) -> Octonion:
-    """The companion matrix of the canonical irreducible quadratic, as an
-    octonion in the 2x2-matrix part; generates a copy of F_{p²}."""
+def companion_element(p: int) -> tuple[int, ...]:
+    """The companion matrix of the canonical irreducible quadratic, in the
+    2x2-matrix part of ``algebra(p)``; generates a copy of F_{p²}."""
     b, c = smallest_irreducible_quadratic(p)
-    ctx = algebra(p)
-    return ctx.from_matrices((0, (-c) % p, 1, (-b) % p))
+    return (0, (-c) % p, 1, (-b) % p, 0, 0, 0, 0)
 
 
 def rep(label: OrbitLabel, p: int) -> Subspace:
@@ -148,10 +131,9 @@ def rep(label: OrbitLabel, p: int) -> Subspace:
     if not label.reachable:
         raise UnreachableLabel(f"label {label.value} has no finite-field instance")
     ctx = algebra(p)
-    one, p0, pbar0, n0 = ctx.one.coords, ctx.p0.coords, ctx.pbar0.coords, ctx.n0.coords
-    nbar0 = ctx.nbar0.coords
-    p0w, n0w, pbar0w = ctx.p0w.coords, ctx.n0w.coords, ctx.pbar0w.coords
-    z = companion_element(p).coords
+    one, p0, pbar0, n0, nbar0 = ctx.unit, ctx.p0, ctx.pbar0, ctx.n0, ctx.nbar0
+    p0w, n0w, pbar0w = ctx.p0w, ctx.n0w, ctx.pbar0w
+    z = companion_element(p)
     table = {
         OrbitLabel.Zero: [],
         OrbitLabel.F: [one],
@@ -192,11 +174,9 @@ def standard_quaternions(p: int) -> Subspace:
 
 
 def upper_triangular(p: int) -> Subspace:
-    ctx = algebra(p)
-    return span([ctx.p0.coords, ctx.n0.coords, ctx.pbar0.coords], p)
+    return span([SplitOctonions.p0, SplitOctonions.n0, SplitOctonions.pbar0], p)
 
 
 def top_row_ideal(p: int) -> Subspace:
     """L = {X : (0,1)·X = 0}, the top-row right ideal of the matrix part."""
-    ctx = algebra(p)
-    return span([ctx.p0.coords, ctx.n0.coords], p)
+    return span([SplitOctonions.p0, SplitOctonions.n0], p)

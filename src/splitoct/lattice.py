@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra
+from .algebra import Algebra, algebra
 from .classify import LABEL_DIM, OrbitLabel, batch_records, record_for
 from .constructions import rep
-from .subspace import (Subspace, block_rows, closed_mask, free_positions,
-                       pivot_block, substructure)
+from .subspace import (Subspace, block_rows, check_space, closed_mask,
+                       free_positions, pivot_block, substructure)
 
 #: Labels that appear as graph nodes: every reachable label of a proper,
 #: nonzero subalgebra (dimensions 1 through 6).  The zero subalgebra and
@@ -59,16 +59,17 @@ class LatticeGraph:
         return [(a.value, b.value) for a, b in self.edges]
 
 
-def labels_inside(space: Subspace) -> set[OrbitLabel]:
-    """Labels of every proper nonzero subalgebra of a closed subspace.
+def labels_inside(space: Subspace, A: Algebra) -> set[OrbitLabel]:
+    """Labels of every proper nonzero subalgebra of a closed subspace of
+    the octonion algebra ``A``.
 
     Sub-subspaces are scanned in representative coordinates, against the
     representative's own structure constants.  An RREF basis there maps
     to an RREF basis in the ambient coordinates, because the
     representative's basis is itself in RREF.
     """
-    p, k = space.p, space.dim
-    A = algebra(p)
+    check_space(space, A)
+    p, k = A.p, space.dim
     basis = space.matrix()                                 # (k, 8)
     struct = substructure(basis[None], A)[0]
     found: set[OrbitLabel] = set()
@@ -87,16 +88,17 @@ def labels_inside(space: Subspace) -> set[OrbitLabel]:
 
 def build_lattice(p: int) -> LatticeGraph:
     """Compute the label-inclusion lattice over F_p and reduce to covers."""
+    A = algebra(p)
     contains: dict[OrbitLabel, set[OrbitLabel]] = {}
     records = {}
     for lab in GRAPH_LABELS:
         space = rep(lab, p)
-        rec = record_for(space)
+        rec = record_for(space, A)
         if rec.label is not lab:
             raise ArithmeticError(f"representative of {lab.value} classified "
                                   f"as {rec.label.value}")
         records[lab] = rec
-        inside = labels_inside(space)
+        inside = labels_inside(space, A)
         inside.discard(OrbitLabel.Zero)
         inside.discard(lab)
         contains[lab] = inside

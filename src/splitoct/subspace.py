@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .algebra import DIM, Algebra, algebra, mod, products
+from .algebra import DIM, Algebra, mod, products
 
 
 class NotClosed(ValueError):
@@ -88,7 +88,10 @@ def span(vectors, p: int, ambient: int = DIM) -> Subspace:
     vecs = [tuple(v) for v in vectors]
     if not vecs:
         return Subspace((), p, ambient)
-    red, _ = linalg.rref(np.array(vecs, dtype=np.int64), p)
+    mat = np.array(vecs, dtype=np.int64)
+    if mat.shape[1] != ambient:
+        raise ValueError(f"vectors of length {mat.shape[1]} do not lie in F_p^{ambient}")
+    red, _ = linalg.rref(mat, p)
     return Subspace(tuple(map(tuple, red.tolist())), p, ambient)
 
 
@@ -122,71 +125,56 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return span(vecs, p, a.ambient)
 
 
-def perp(space: Subspace) -> Subspace:
-    """Orthogonal complement w.r.t. the polar form of the norm."""
-    if space.ambient != DIM:
-        raise ValueError(f"the polar form lives on F_p^{DIM}, not F_p^{space.ambient}")
-    p = space.p
-    ker = linalg.nullspace(space.matrix() @ algebra(p).gram % p, p)
-    return span(ker, p)
+def check_space(space: Subspace, A: Algebra) -> None:
+    """Raise ValueError unless ``space`` lies in the coordinates of ``A``."""
+    if space.p != A.p or space.ambient != A.dim:
+        raise ValueError(f"a subspace of F_{space.p}^{space.ambient} is not in "
+                         f"an algebra over F_{A.p} of dimension {A.dim}")
 
 
-def radicals(space: Subspace) -> tuple[Subspace, Subspace]:
-    """(R, Q): the polar-form radical R = A ∩ A^⊥ and its norm-zero part Q.
+def perp(space: Subspace, A: Algebra) -> Subspace:
+    """Orthogonal complement w.r.t. the polar form of the norm of ``A``."""
+    check_space(space, A)
+    p = A.p
+    ker = linalg.nullspace(space.matrix() @ A.gram % p, p)
+    return span(ker, p, A.dim)
+
+
+def radicals(space: Subspace, A: Algebra) -> tuple[Subspace, Subspace]:
+    """(R, Q): the polar-form radical R = S ∩ S^⊥ of a subspace S of ``A``
+    and its norm-zero part Q.
 
     On R the polar form vanishes, so for odd p the norm is alternating there
     and Q = R; for p = 2 the norm restricted to R is F_2-linear and Q is its
     kernel.
     """
-    p = space.p
-    R = intersect(space, perp(space))
-    ctx = algebra(p)
+    p = A.p
+    R = intersect(space, perp(space, A))
     for x in R.rows:
         for y in R.rows:
-            if ctx.polar(x, y) != 0:
+            if A.polar(x, y) != 0:
                 raise ArithmeticError("polar form must vanish on the radical")
     if p != 2:
         for x in R.rows:
-            if ctx.norm(x) != 0:
+            if A.norm(x) != 0:
                 raise ArithmeticError("odd characteristic: norm must vanish on the radical")
         return R, R
     if R.dim == 0:
         return R, R
-    norms = np.array([[ctx.norm(r) for r in R.rows]], dtype=np.int64)
+    norms = np.array([[A.norm(r) for r in R.rows]], dtype=np.int64)
     ker = linalg.nullspace(norms, p)         # coefficient vectors
-    Q = span((ker @ R.matrix()) % p, p)
+    Q = span((ker @ R.matrix()) % p, p, A.dim)
     return R, Q
 
 
-def is_closed(space: Subspace, ctx: Algebra | None = None) -> bool:
-    """True iff b_i * b_j lies in the space for all basis pairs."""
-    ctx = ctx or algebra(space.p)
-    for u in space.rows:
-        for v in space.rows:
-            if not space.contains(ctx.mul(u, v)):
-                return False
-    return True
-
-
-def closure(gens, p: int | None = None) -> Subspace:
-    """Smallest multiplicatively closed subspace containing the generators.
-
-    Accepts Octonion instances or coordinate tuples; iterates span-and-
-    multiply to a fixpoint (at most 8 rounds).
-    """
-    coords = []
-    for g in gens:
-        c = getattr(g, "coords", g)
-        coords.append(tuple(c))
-        if p is None:
-            p = getattr(g, "p", None)
-    if p is None:
-        raise ValueError("field size required when generators are raw tuples")
-    ctx = algebra(p)
-    space = span(coords, p)
+def closure(gens, A: Algebra) -> Subspace:
+    """Smallest subspace of ``A`` closed under products that contains the
+    generators (coordinate tuples); iterates span-and-multiply to a
+    fixpoint (at most dim A rounds)."""
+    space = span(gens, A.p, A.dim)
     while True:
-        prods = [ctx.mul(u, v) for u in space.rows for v in space.rows]
-        bigger = span(list(space.rows) + prods, p)
+        prods = [A.mul(u, v) for u in space.rows for v in space.rows]
+        bigger = span(list(space.rows) + prods, A.p, A.dim)
         if bigger.dim == space.dim:
             return bigger
         space = bigger

@@ -30,8 +30,8 @@ from .constructions import (centralizer, kernel_of_left_mul, left_mul_space,
 from .field import check_prime
 from .lattice import build_lattice, emit_dot
 from .linalg import batch_rank, batch_rref
-from .subspace import (Subspace, closed_bases, intersect, is_closed, perp,
-                       span, substructure, sum_spaces)
+from .subspace import (Subspace, closed_bases, intersect, perp, span,
+                       substructure, sum_spaces)
 
 RANDOM_SAMPLES = 100_000
 _SEED = 20260814
@@ -314,14 +314,14 @@ def verify_singular() -> SuiteResult:
                                   None if len(singular) == 135
                                   else f"got {len(singular)}"))
     coords = {b: ctx.coords_of_byte(b) for b in singular}
-    left = {b: left_mul_space(ctx.octonion(coords[b])) for b in singular}
-    right = {b: right_mul_space(ctx.octonion(coords[b])) for b in singular}
+    left = {b: left_mul_space(coords[b], ctx) for b in singular}
+    right = {b: right_mul_space(coords[b], ctx) for b in singular}
 
     # aO = ker(lambda_{k(a)})
     bad = None
     for b in singular:
         ka = ctx.conj(coords[b])
-        if left[b].rows != kernel_of_left_mul(ctx.octonion(ka)).rows:
+        if left[b].rows != kernel_of_left_mul(ka, ctx).rows:
             bad = _fmt_bytes(ctx, a=b)
             break
     res.checks.append(CheckResult("aO equals ker of left multiplication by k(a)",
@@ -362,7 +362,7 @@ def verify_singular() -> SuiteResult:
                 bad = bad or (_fmt_bytes(ctx, a=a, b=b) + ": aO^Ob != F(ab)")
             elif want == 3:
                 imgs = [ctx.mul(coords[a], y)
-                        for y in perp(span([coords[b]], 2)).rows]
+                        for y in perp(span([coords[b]], 2), ctx).rows]
                 if span(imgs, 2).rows != span(
                         [ctx.coords_of_byte(x) for x in inter if x], 2).rows:
                     bad = bad or (_fmt_bytes(ctx, a=a, b=b)
@@ -374,17 +374,17 @@ def verify_singular() -> SuiteResult:
         bad is None, 2 * pairs, bad))
 
     # subalgebra iff trace zero
-    bad = None
-    for b in singular:
-        expected = ctx.trace_byte[b] == 0
-        if (is_closed(left[b]) != expected or is_closed(right[b]) != expected):
-            bad = _fmt_bytes(ctx, a=b)
-            break
+    expected = ctx.trace_byte[singular] == 0
+    wrong = np.zeros(len(singular), dtype=bool)
+    for side in (left, right):
+        wrong |= closed_bases(np.stack([side[b].matrix() for b in singular]),
+                              ctx) != expected
+    bad = _fmt_bytes(ctx, a=singular[wrong.argmax()]) if wrong.any() else None
     res.checks.append(CheckResult("aO and Oa closed iff tr(a)=0",
                                   bad is None, 2 * len(singular), bad))
 
     # no linear multiplicative bijection nO -> On  (exhaustive over GL_4(F_2))
-    A, B = left_mul_space(ctx.n0), right_mul_space(ctx.n0)
+    A, B = left_mul_space(ctx.n0, ctx), right_mul_space(ctx.n0, ctx)
     cA = substructure(A.matrix()[None], ctx)[0]
     cB = substructure(B.matrix()[None], ctx)[0]
     bits = ((np.arange(65536)[:, None] >> np.arange(16)[None, :]) & 1)
@@ -495,14 +495,11 @@ def verify_centralizers(p: int) -> SuiteResult:
         f"observed dimensions are exactly {sorted(expected_dims)}",
         dims_seen == expected_dims, len(dims_seen),
         None if dims_seen == expected_dims else f"saw {sorted(dims_seen)}"))
-    n0 = ctx.n0.coords
     if p == 2:
-        want = span([ctx.one.coords, n0, ctx.p0w.coords, ctx.n0w.coords,
-                     ctx.pbar0w.coords, ctx.nbar0w.coords], p)
+        want = span([ctx.unit, ctx.n0, ctx.p0w, ctx.n0w, ctx.pbar0w, ctx.nbar0w], p)
     else:
-        want = span([ctx.one.coords, n0, ctx.n0w.coords,
-                     ctx.pbar0w.coords], p)
-    got = centralizer(ctx.n0)
+        want = span([ctx.unit, ctx.n0, ctx.n0w, ctx.pbar0w], p)
+    got = centralizer(ctx.n0, ctx)
     res.checks.append(CheckResult(
         "centralizer of n0 has the stated basis",
         got.rows == want.rows, 1,
@@ -581,7 +578,7 @@ def verify_classification() -> SuiteResult:
             if not lab.reachable:
                 continue
             n_trips += 1
-            got = classify(rep(lab, p))
+            got = classify(rep(lab, p), algebra(p))
             if got is not lab:
                 bad = f"p={p}: classify(rep({lab.value})) = {got.value}"
                 break
@@ -596,24 +593,23 @@ def verify_classification() -> SuiteResult:
         H = standard_quaternions(p)
         U = upper_triangular(p)
         R_top = top_row_ideal(p)
-        kappa_top = span([ctx.n0.coords, ctx.pbar0.coords], p)
-        n0, n0w, p0w = ctx.n0, ctx.octonion(ctx.n0w.coords), ctx.octonion(ctx.p0w.coords)
+        kappa_top = span([ctx.n0, ctx.pbar0], p)
         cases = [
             (right_ideal_double(H, R_top, p), 6, OrbitLabel.Dim6,
-             sum_spaces(right_mul_space(n0w), right_mul_space(p0w))),
+             sum_spaces(right_mul_space(ctx.n0w, ctx), right_mul_space(ctx.p0w, ctx))),
             (right_ideal_double(U, kappa_top, p), 5, OrbitLabel.Dim5,
-             sum_spaces(left_mul_space(n0), right_mul_space(n0))),
-            (right_ideal_double(span([ctx.one.coords], p), R_top, p), 3,
+             sum_spaces(left_mul_space(ctx.n0, ctx), right_mul_space(ctx.n0, ctx))),
+            (right_ideal_double(span([ctx.unit], p), R_top, p), 3,
              OrbitLabel.FplusQ, None),
-            (right_ideal_double(span([ctx.one.coords, ctx.p0.coords], p),
-                                R_top, p), 4, OrbitLabel.SplusQ, None),
-            (right_ideal_double(R_top, span([n0.coords], p), p), 3,
+            (right_ideal_double(span([ctx.unit, ctx.p0], p), R_top, p), 4,
+             OrbitLabel.SplusQ, None),
+            (right_ideal_double(R_top, span([ctx.n0], p), p), 3,
              OrbitLabel.mOcapOn,
-             intersect(left_mul_space(n0), right_mul_space(n0w))),
+             intersect(left_mul_space(ctx.n0, ctx), right_mul_space(ctx.n0w, ctx))),
         ]
         for space, want_dim, want_label, same_as in cases:
             n_ex += 1
-            lab = classify(space)
+            lab = classify(space, ctx)
             if space.dim != want_dim or lab is not want_label:
                 bad = (f"p={p}: got dim {space.dim} label {lab.value}, "
                        f"expected dim {want_dim} label {want_label.value}")
@@ -662,7 +658,7 @@ def verify_orbits() -> SuiteResult:
     classes: dict = {}
     for b in range(1, 256):
         v = ctx.coords_of_byte(b)
-        classes.setdefault(element_orbit_invariant(v, 2), set()).add(v)
+        classes.setdefault(element_orbit_invariant(v, ctx), set()).add(v)
     ok = (len(orbits) == len(classes)
           and all(any(set(o) == c for c in classes.values()) for o in orbits))
     res.checks.append(CheckResult(

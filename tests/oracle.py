@@ -9,9 +9,9 @@ pairs a + x·w of 2x2 matrices (row-major coordinates) with
     κ(a + x·w) = adj(a) − x·w,
 
 independently of the doubled tables in :mod:`splitoct.algebra`.  Every
-invariant is recomputed from products of basis elements with
-``ctx.mul`` and from subspace spans and intersections, following the
-classification theorems directly.  It shares no code with the batched
+invariant of a subspace of an algebra ``A`` (any table) is recomputed
+from products of elements with ``A.mul`` and from subspace spans and
+intersections, following the classification theorems directly.  It shares no code with the batched
 path in :mod:`splitoct.classify` beyond the algebra itself and the
 subspace helpers, and is slow: tests compare the batched records with it.
 Element orbits are found by a breadth-first search from one element at a
@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 
 from splitoct import field
-from splitoct.algebra import DIM, algebra
+from splitoct.algebra import DIM
 from splitoct.classify import ClassificationError, OrbitLabel
 from splitoct.linalg import nullspace
 from splitoct.subspace import Subspace, intersect, radicals, span
@@ -74,18 +74,18 @@ def _has_one_sided_identity(space: Subspace, ctx, side: str) -> bool:
 
 
 def _annihilator_space(space: Subspace, ctx, side: str) -> Subspace:
-    """Elements a of the ambient space with a·A = 0 (side='left') or A·a = 0."""
+    """Elements a of the ambient space with a·S = 0 (side='left') or S·a = 0."""
     p = ctx.p
-    E = np.eye(DIM, dtype=np.int64)
+    E = np.eye(ctx.dim, dtype=np.int64)
     blocks = []
     for b in space.rows:
         if side == "left":
-            M = np.array([ctx.mul(E[i], b) for i in range(DIM)], dtype=np.int64)
+            M = np.array([ctx.mul(e, b) for e in E], dtype=np.int64)
         else:
-            M = np.array([ctx.mul(b, E[i]) for i in range(DIM)], dtype=np.int64)
+            M = np.array([ctx.mul(b, e) for e in E], dtype=np.int64)
         blocks.append(M)
-    big = np.concatenate(blocks, axis=1)       # (8, 8k); want a @ big = 0
-    return span(nullspace(big.T % p, p), p)
+    big = np.concatenate(blocks, axis=1)       # (n, nk); want a @ big = 0
+    return span(nullspace(big.T % p, p), p, ctx.dim)
 
 
 def _minimal_poly_kind(t: int, n: int, p: int) -> str:
@@ -97,18 +97,18 @@ def _minimal_poly_kind(t: int, n: int, p: int) -> str:
     return "inseparable" if (p == 2 and t % p == 0) else "irreducible"
 
 
-def label(space: Subspace) -> OrbitLabel:
-    """The orbit label by the element-wise decision tree."""
+def label(space: Subspace, ctx) -> OrbitLabel:
+    """The orbit label of a closed subspace of ``ctx`` by the element-wise
+    decision tree."""
     p = space.p
-    ctx = algebra(p)
     k = space.dim
     if k == 0:
         return OrbitLabel.Zero
     if k == 8:
         return OrbitLabel.Full
-    one = ctx.one.coords
+    one = ctx.unit
     if not space.contains(one):
-        if not totally_singular(space):
+        if not totally_singular(space, ctx):
             raise ClassificationError("non-unital subalgebra is not totally singular")
         if k == 1:
             return OrbitLabel.Fp if ctx.trace(space.rows[0]) != 0 else OrbitLabel.Fn
@@ -134,7 +134,7 @@ def label(space: Subspace) -> OrbitLabel:
         return OrbitLabel.Dim5
     if k == 6:
         return OrbitLabel.Dim6
-    R, Q = radicals(space)
+    R, Q = radicals(space, ctx)
     if k == 2:
         gen = next(r for r in space.rows if not span([one], p).contains(r))
         kinds = {"split": OrbitLabel.S, "double": OrbitLabel.FplusFn,
@@ -160,28 +160,27 @@ def label(space: Subspace) -> OrbitLabel:
     raise ClassificationError(f"unital subalgebra of dimension {k} with R={R.dim}")
 
 
-def totally_singular(space: Subspace) -> bool:
-    ctx = algebra(space.p)
+def totally_singular(space: Subspace, ctx) -> bool:
     rows = space.rows
     return all(ctx.norm(u) == 0 for u in rows) and all(
         ctx.polar(u, v) == 0 for i, u in enumerate(rows) for v in rows[i + 1:])
 
 
-def record_fields(space: Subspace) -> dict:
-    """Every field of a census record, computed element-wise."""
-    ctx = algebra(space.p)
+def record_fields(space: Subspace, ctx) -> dict:
+    """Every field of a census record of a subspace of ``ctx``, computed
+    element-wise."""
     rows = space.rows
-    R, Q = radicals(space)
+    R, Q = radicals(space, ctx)
     return {
         "dim": space.dim,
-        "contains_one": space.contains(ctx.one.coords),
-        "totally_singular": totally_singular(space),
+        "contains_one": space.contains(ctx.unit),
+        "totally_singular": totally_singular(space, ctx),
         "radical_R_dim": R.dim,
         "radical_Q_dim": Q.dim,
         "associative": all(ctx.mul(ctx.mul(u, v), t) == ctx.mul(u, ctx.mul(v, t))
                            for u in rows for v in rows for t in rows),
         "commutative": all(ctx.mul(u, v) == ctx.mul(v, u) for u in rows for v in rows),
-        "label": label(space),
+        "label": label(space, ctx),
     }
 
 

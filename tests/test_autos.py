@@ -28,7 +28,7 @@ def _random_check_multiplicative(auto, p, seed=0, n=40):
         assert auto.apply(ctx.mul(x, y)) == ctx.mul(auto.apply(x), auto.apply(y))
         assert ctx.norm(auto.apply(x)) == ctx.norm(x)
         assert ctx.trace(auto.apply(x)) == ctx.trace(x)
-    assert auto.apply(ctx.one.coords) == ctx.one.coords
+    assert auto.apply(ctx.unit) == ctx.unit
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -108,16 +108,16 @@ def test_doubling_extension_and_flip(p):
     ctx = algebra(p)
     # the extension with β = id and w ↦ −w (negates the w-half)
     flip = doubling_extension(np.eye(8, dtype=np.int64)[:4],
-                              ctx.smul(-1, ctx.w.coords), p)
+                              ctx.smul(-1, ctx.w), p)
     _random_check_multiplicative(flip, p, seed=3)
-    assert flip.apply(ctx.w.coords) == ctx.smul(-1, ctx.w.coords)
-    assert flip.apply(ctx.n0.coords) == ctx.n0.coords
+    assert flip.apply(ctx.w) == ctx.smul(-1, ctx.w)
+    assert flip.apply(ctx.n0) == ctx.n0
     # order two for odd p, identity in characteristic 2
     twice = flip.then(flip)
     assert twice.key() == identity_automorphism(p).key()
     # a doubling extension must be refused for a norm-zero slot
     with pytest.raises((PreconditionFailed, ZeroDivisionError, ValueError)):
-        doubling_extension(np.eye(8, dtype=np.int64)[:4], ctx.n0w.coords, p)
+        doubling_extension(np.eye(8, dtype=np.int64)[:4], ctx.n0w, p)
 
 
 def test_full_group_f2_both_routes(group2, brute_count2):
@@ -129,7 +129,7 @@ def test_full_group_f2_both_routes(group2, brute_count2):
 def test_composition_convention(ctx2):
     gens = all_alpha_generators(2)
     g, h = gens[0], gens[-1]
-    x = ctx2.n0w.coords
+    x = ctx2.n0w
     assert g.then(h).apply(x) == h.apply(g.apply(x))
 
 
@@ -157,7 +157,7 @@ def test_element_orbits_f2(generators2):
     assert sizes == [1, 56, 63, 63, 72]
     # orbits refine (here: equal) the element invariant classes
     for orbit in orbits:
-        invs = {element_orbit_invariant(v, 2) for v in orbit}
+        invs = {element_orbit_invariant(v, algebra(2)) for v in orbit}
         assert len(invs) == 1
 
 
@@ -166,7 +166,7 @@ def test_element_orbits_odd_p_respect_invariants():
     orbits = element_orbits(gens, 3)
     assert sum(len(o) for o in orbits) == 3 ** 8 - 1
     for orbit in orbits:
-        invs = {element_orbit_invariant(v, 3) for v in orbit}
+        invs = {element_orbit_invariant(v, algebra(3)) for v in orbit}
         assert len(invs) == 1
 
 
@@ -177,12 +177,12 @@ def _two_transitive_on_lines(p: int) -> bool:
     lines = {}
     for coeffs in itertools.product(range(p), repeat=2):
         if coeffs != (0, 0):
-            v = ctx.add(ctx.smul(coeffs[0], ctx.p0w.coords),
-                        ctx.smul(coeffs[1], ctx.n0w.coords))
+            v = ctx.add(ctx.smul(coeffs[0], ctx.p0w),
+                        ctx.smul(coeffs[1], ctx.n0w))
             lines.setdefault(span([v], p).rows, v)
     assert len(lines) == p + 1
     line_index = {key: i for i, key in enumerate(lines)}
-    q_space = span([ctx.p0w.coords, ctx.n0w.coords], p)
+    q_space = span([ctx.p0w, ctx.n0w], p)
     H = quaternion_table(p)
     pair_orbit = set()
     for s in itertools.product(range(p), repeat=4):
@@ -210,4 +210,4 @@ def test_automorphisms_preserve_labels(census2, generators2):
     from splitoct.classify import classify
     mover = generators2[-1]
     for r in census2[::97]:
-        assert classify(mover.apply_space(r.space)) is r.label
+        assert classify(mover.apply_space(r.space), algebra(2)) is r.label

@@ -1,5 +1,6 @@
-"""Batched census records against the element-wise reference, and the
-scan's independence from the number of worker processes."""
+"""Batched census records against the element-wise reference, over the
+canonical table and another one, and the scan's independence from the
+number of worker processes."""
 
 import dataclasses
 import hashlib
@@ -17,6 +18,7 @@ from splitoct.census import enumerate_subalgebras
 from splitoct.classify import OrbitLabel, batch_records
 from splitoct.cli import main
 from splitoct.constructions import rep
+from test_tables import _change_basis, _random_basis
 
 #: sha256 of ``enumerate --field 3 --dims 1,2``, as recorded by the benchmark
 F3_DIMS12_SHA256 = "41b4f77a87958af740763fe6bd108ce898f60eb778739b399f6dbaa35b32cb7e"
@@ -28,26 +30,33 @@ def _fields(record) -> dict:
     return out
 
 
-def _assert_matches_oracle(records):
+def _assert_matches_oracle(records, A):
     for r in records:
-        assert _fields(r) == oracle.record_fields(r.space), r.space
+        assert _fields(r) == oracle.record_fields(r.space, A), r.space
 
 
 def test_f2_census_matches_elementwise_reference(census2):
     assert len(census2) == 2491
-    _assert_matches_oracle(census2)
+    _assert_matches_oracle(census2, algebra(2))
+
+
+def test_f2_census_after_change_of_basis_matches_elementwise_reference():
+    A = _change_basis(algebra(2), _random_basis(2, seed=2))
+    records = enumerate_subalgebras(A)
+    assert len(records) == 2491
+    _assert_matches_oracle(records, A)
 
 
 def test_f3_lines_and_planes_match_elementwise_reference():
     records = enumerate_subalgebras(algebra(3), [1, 2])
     assert len(records) == 9130
-    _assert_matches_oracle(records)
+    _assert_matches_oracle(records, algebra(3))
 
 
 def test_f5_representatives_match_elementwise_reference():
     reps = [rep(lab, 5) for lab in OrbitLabel if lab.reachable]
     records = [batch_records(s.matrix()[None], algebra(5))[0] for s in reps]
-    _assert_matches_oracle(records)
+    _assert_matches_oracle(records, algebra(5))
 
 
 def test_f3_jsonl_independent_of_threads(tmp_path, monkeypatch):
@@ -65,10 +74,10 @@ def test_f3_jsonl_independent_of_threads(tmp_path, monkeypatch):
 def test_typed_errors_survive_optimize_flag():
     src = Path(splitoct.__file__).resolve().parents[1]
     script = """
-from splitoct.algebra import Octonion, algebra
+from splitoct.algebra import algebra
 from splitoct.census import enumerate_subalgebras
 from splitoct.subspace import pivot_block
-for call in (lambda: Octonion((1, 0, 0), 2),
+for call in (lambda: algebra(2).mul_matrix((1, 0, 0), "left"),
              lambda: pivot_block((0,), 2, 8, 0, 10 ** 6),
              lambda: enumerate_subalgebras(algebra(2), [9])):
     try:

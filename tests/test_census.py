@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from splitoct import census
 from splitoct.algebra import algebra, double, field_table
 from splitoct.census import (CostLimitExceeded, census_report,
                              enumerate_subalgebras, write_jsonl)
 from splitoct.classify import OrbitLabel, batch_records, classify
-from splitoct.subspace import (enumerate_subspaces, gaussian_binomial, is_closed,
-                               radicals)
+from splitoct.subspace import (closed_bases, enumerate_subspaces,
+                               gaussian_binomial, radicals)
 
 # Golden census over F_2, cross-checked against an independent bitmask
 # scan of all 417,199 subspaces of F_2^8.
@@ -50,9 +51,9 @@ def test_f2_census_records_are_valid(census2):
     assert len(census2) == F2_TOTAL
     assert len({r.space.key() for r in census2}) == F2_TOTAL
     for r in census2[::17]:  # every 17th record: full recheck
-        assert is_closed(r.space, ctx)
-        assert classify(r.space) is r.label
-        rr, qq = radicals(r.space)
+        assert closed_bases(r.space.matrix()[None], ctx)[0]
+        assert classify(r.space, ctx) is r.label
+        rr, qq = radicals(r.space, ctx)
         assert (rr.dim, qq.dim) == (r.radical_R_dim, r.radical_Q_dim)
 
 
@@ -90,9 +91,8 @@ def test_f3_lines_census():
     records = enumerate_subalgebras(algebra(3), [1])
     # independent recount: scan all 3280 lines directly
     ctx = algebra(3)
-    closed_lines = [sp for sp in enumerate_subspaces(1, 3)
-                    if is_closed(sp, ctx)]
-    assert len(records) == len(closed_lines)
+    lines = np.array([sp.matrix() for sp in enumerate_subspaces(1, 3)])
+    assert len(records) == closed_bases(lines, ctx).sum()
     summary = census_report(records)
     by_label = {k[1]: v for k, v in summary.counts.items()}
     assert set(by_label) == {"F", "Fn", "Fp"}
@@ -133,6 +133,51 @@ def test_scan_covers_zero_and_full_space(table, dims, threads):
     assert [r.label.value for r in (got[0], got[-1])] == ["0", "O"]
     with pytest.raises(CostLimitExceeded):
         enumerate_subalgebras(A, dims, threads=threads, max_subspaces=visited - 1)
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that records ``max_workers`` and
+    runs the tasks in this process, so no pool is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(census, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(census, "_worker_algebra", None)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    return _InlinePool.sizes
+
+
+@pytest.mark.parametrize("threads,dims,workers", [(64, (0, 8), [2]),
+                                                  (3, (0, 1, 8), [3]),
+                                                  (2, (8,), [])])
+def test_pool_has_at_most_one_worker_per_task(inline_pool, threads, dims, workers):
+    A = algebra(3)
+    got = enumerate_subalgebras(A, dims, threads=threads)
+    assert inline_pool == workers
+    assert got == enumerate_subalgebras(A, dims)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_rejected(inline_pool, threads):
+    with pytest.raises(ValueError):
+        enumerate_subalgebras(algebra(2), [8], threads=threads)
+    assert inline_pool == []
 
 
 def test_write_jsonl_shape_and_determinism(census2):

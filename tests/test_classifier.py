@@ -35,7 +35,7 @@ def test_label_catalog_shape():
 def test_representative_round_trip(p, label):
     space = rep(label, p)
     assert space.dim == LABEL_DIM[label]
-    assert classify(space) is label
+    assert classify(space, algebra(p)) is label
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -49,9 +49,9 @@ def test_classify_rejects_open_spaces():
     open_space = span([(0, 1, 0, 0, 0, 0, 0, 0),
                        (0, 0, 1, 0, 0, 0, 0, 0)], 2)
     with pytest.raises(NotClosed):
-        classify(open_space)
+        classify(open_space, algebra(2))
     with pytest.raises(NotClosed):
-        record_for(open_space)
+        record_for(open_space, algebra(2))
 
 
 def test_record_flags_match_element_level_bruteforce(ctx2):
@@ -59,7 +59,7 @@ def test_record_flags_match_element_level_bruteforce(ctx2):
     ctx = ctx2
     for label in REACHABLE:
         space = rep(label, 2)
-        record = record_for(space)
+        record = record_for(space, ctx)
         bytes_ = sorted(ctx.byte_of(v) for v in space.elements())
         arr = np.array(bytes_, dtype=np.intp)
         prod = ctx.mul_byte[np.ix_(arr, arr)]
@@ -69,7 +69,7 @@ def test_record_flags_match_element_level_bruteforce(ctx2):
             ctx.mul_byte[arr[:, None, None], prod[None, :, :]]))
         assert record.commutative == comm, label
         assert record.associative == assoc, label
-        assert record.contains_one == (ctx.byte_of(ctx.one.coords) in bytes_)
+        assert record.contains_one == (ctx.byte_of(ctx.unit) in bytes_)
         assert record.label is label
         assert record.dim == space.dim
         d = record.to_json_dict()
@@ -79,26 +79,26 @@ def test_record_flags_match_element_level_bruteforce(ctx2):
 
 
 def test_element_invariant_named_elements(ctx2):
-    assert element_orbit_invariant(ctx2.one) == (1, 0, True)
-    assert element_orbit_invariant(ctx2.n0) == (0, 0, False)
-    assert element_orbit_invariant(ctx2.p0) == (0, 1, False)
-    assert element_orbit_invariant(ctx2.w) == (1, 0, False)
-    assert element_orbit_invariant((0,) * 8, 2) == (0, 0, True)
+    assert element_orbit_invariant(ctx2.unit, ctx2) == (1, 0, True)
+    assert element_orbit_invariant(ctx2.n0, ctx2) == (0, 0, False)
+    assert element_orbit_invariant(ctx2.p0, ctx2) == (0, 1, False)
+    assert element_orbit_invariant(ctx2.w, ctx2) == (1, 0, False)
+    assert element_orbit_invariant((0,) * 8, ctx2) == (0, 0, True)
 
 
 def test_element_invariant_class_sizes_f2(ctx2):
     counts = Counter(
-        element_orbit_invariant(ctx2.coords_of_byte(b), 2)
+        element_orbit_invariant(ctx2.coords_of_byte(b), ctx2)
         for b in range(1, 256))
     assert counts == {(1, 0, True): 1, (1, 1, False): 56, (0, 0, False): 63,
                       (1, 0, False): 63, (0, 1, False): 72}
 
 
 def test_element_invariant_odd_p(ctx3):
-    inv = element_orbit_invariant(ctx3.one)
+    inv = element_orbit_invariant(ctx3.unit, ctx3)
     assert inv == (1, 2, True)
-    two_one = tuple((2 * c) % 3 for c in ctx3.one.coords)
-    assert element_orbit_invariant(two_one, 3) == (4 % 3, 4 % 3, True)
+    two_one = tuple((2 * c) % 3 for c in ctx3.unit)
+    assert element_orbit_invariant(two_one, ctx3) == (4 % 3, 4 % 3, True)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -114,12 +114,12 @@ def test_classify_agrees_on_all_dim_one_spaces(p):
         sq = ctx.mul(v, v)
         if not line.contains(sq):
             with pytest.raises(NotClosed):
-                classify(line)
+                classify(line, ctx)
             continue
-        label = classify(line)
+        label = classify(line, ctx)
         seen[label] += 1
         if label is OrbitLabel.F:
-            assert line.contains(ctx.one.coords)
+            assert line.contains(ctx.unit)
         elif label is OrbitLabel.Fn:
             assert sq == (0,) * 8
         else:

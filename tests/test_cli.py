@@ -8,6 +8,7 @@ import subprocess
 
 import pytest
 
+from splitoct import census
 from splitoct.cli import main
 from splitoct.verify import CheckResult, SuiteResult
 
@@ -77,6 +78,37 @@ def test_enumerate_unwritable_out_is_usage_error(tmp_path, capsys):
     out = tmp_path / "missing" / "records.jsonl"
     assert main(["enumerate", "--dims", "8", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_enumerate_checks_out_path_before_scanning(tmp_path, monkeypatch, capsys):
+    scans = []
+    monkeypatch.setattr(census, "_scan_range", lambda *a: scans.append(a) or [])
+    out = tmp_path / "missing" / "records.jsonl"
+    assert main(["enumerate", "--field", "3", "--dims", "1,2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert scans == []
+
+
+def test_enumerate_budget_failure_keeps_existing_out(tmp_path, capsys):
+    out = tmp_path / "records.jsonl"
+    out.write_bytes(b"earlier output\n")
+    assert main(["enumerate", "--field", "3", "--max-subspaces", "1000",
+                 "--out", str(out)]) == 2
+    assert "resource limit" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "orbits"])
+@pytest.mark.parametrize("flag,env", [("0", None), ("-3", None), (None, "0")])
+def test_threads_below_one_is_usage_error(command, flag, env, monkeypatch, capsys):
+    scans = []
+    monkeypatch.setattr(census, "_scan_range", lambda *a: scans.append(a) or [])
+    if env is not None:
+        monkeypatch.setenv("OCT_THREADS", env)
+    argv = [command, "--dims", "8"] + (["--threads", flag] if flag else [])
+    assert main(argv) == 2
+    assert "threads" in capsys.readouterr().err
+    assert scans == []
 
 
 def test_enumerate_stdout_deterministic(capsys):

@@ -105,7 +105,7 @@ def test_element_orbits_f3_are_the_invariant_classes():
     classes: dict = {}
     for v in itertools.product(range(3), repeat=8):
         if any(v):
-            classes.setdefault(element_orbit_invariant(v, 3), set()).add(v)
+            classes.setdefault(element_orbit_invariant(v, algebra(3)), set()).add(v)
     assert len(classes) == 11
     assert sorted(map(sorted, orbits)) == sorted(map(sorted, classes.values()))
 

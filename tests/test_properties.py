@@ -30,7 +30,7 @@ def test_norm_and_involution_laws(p, data):
     assert ctx.norm(ctx.mul(x, y)) == (ctx.norm(x) * ctx.norm(y)) % p
     assert ctx.conj(ctx.mul(x, y)) == ctx.mul(ctx.conj(y), ctx.conj(x))
     assert ctx.conj(ctx.conj(x)) == x
-    assert ctx.mul(x, ctx.conj(x)) == ctx.smul(ctx.norm(x), ctx.one.coords)
+    assert ctx.mul(x, ctx.conj(x)) == ctx.smul(ctx.norm(x), ctx.unit)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -57,7 +57,7 @@ def test_degree_two_and_adjoint(p, data):
     c = data.draw(octonions(p))
     sq = ctx.mul(x, x)
     lin = ctx.smul(ctx.trace(x), x)
-    assert ctx.subv(sq, lin) == ctx.smul((-ctx.norm(x)) % p, ctx.one.coords)
+    assert ctx.subv(sq, lin) == ctx.smul((-ctx.norm(x)) % p, ctx.unit)
     assert ctx.polar(ctx.mul(c, x), y) == ctx.polar(x, ctx.mul(ctx.conj(c), y))
     assert ctx.polar(ctx.mul(x, c), y) == ctx.polar(x, ctx.mul(y, ctx.conj(c)))
 
@@ -67,11 +67,12 @@ def test_degree_two_and_adjoint(p, data):
 @given(data=st.data())
 def test_closure_and_duality(p, data):
     gens = [data.draw(octonions(p)) for _ in range(2)]
-    c = closure(gens, p)
+    ctx = algebra(p)
+    c = closure(gens, ctx)
     for g in gens:
         assert c.contains(g)
-    assert closure(list(c.rows), p) == c
-    assert perp(perp(c)) == c
+    assert closure(list(c.rows), ctx) == c
+    assert perp(perp(c, ctx), ctx) == c
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -88,11 +89,12 @@ def test_modular_dimension_law(p, data):
 @given(data=st.data())
 def test_labels_are_automorphism_invariants(p, data):
     gens = [data.draw(octonions(p)) for _ in range(2)]
-    space = closure(gens, p)
-    label = classify(space)
+    ctx = algebra(p)
+    space = closure(gens, ctx)
+    label = classify(space, ctx)
     s = data.draw(invertible_2x2(p))
     auto = alpha_st(s, s, p)
-    assert classify(auto.apply_space(space)) is label
+    assert classify(auto.apply_space(space), ctx) is label
 
 
 @settings(max_examples=200, derandomize=True)

@@ -1,5 +1,6 @@
 """One algebra value: the derived tables against the README formulas, the
-doubled norm on μ-tables, and a census that does not depend on the table."""
+doubled norm on μ-tables, a census that does not depend on the table, and
+per-space answers that read the table they are given."""
 
 import ast
 import itertools
@@ -12,8 +13,11 @@ import oracle
 import splitoct
 from splitoct.algebra import Algebra, algebra, double, field_table, mod, products
 from splitoct.census import census_report, enumerate_subalgebras
+from splitoct.classify import OrbitLabel, classify, record_for
+from splitoct.constructions import rep
 from splitoct.field import SUPPORTED_PRIMES
 from splitoct.linalg import mat_inv, rank
+from splitoct.subspace import perp, radicals
 
 #: Per-label counts of the F_3 census in dimensions 1 and 2.
 F3_DIMS12_COUNTS = {"F": 1, "Fn": 364, "Fp": 756, "E": 351, "F+Fn": 364,
@@ -110,6 +114,40 @@ def test_only_the_algebra_module_reads_the_canonical_tables():
     assert not found
 
 
+#: modules that work in whatever table they are handed
+GENERIC_MODULES = ("subspace.py", "classify.py", "census.py", "linalg.py")
+
+
+def test_generic_modules_never_reach_for_the_canonical_table():
+    package = Path(splitoct.__file__).resolve().parent
+    found = []
+    for name in GENERIC_MODULES:
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                hits = [a.name for a in node.names if a.name == "algebra"]
+            elif isinstance(node, ast.Call):
+                f = node.func
+                hits = [n for n in (getattr(f, "id", None), getattr(f, "attr", None))
+                        if n == "algebra"]
+            else:
+                hits = []
+            found += [f"{name}:{node.lineno}" for _ in hits]
+    assert not found
+
+
+def test_no_duck_typed_element_inputs():
+    # every element is a coordinate tuple of an explicit algebra
+    package = Path(splitoct.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in ("coords", "p")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
 # ---------------------------------------------------------------------------
 # the census does not depend on the table
 # ---------------------------------------------------------------------------
@@ -128,3 +166,21 @@ def test_f3_census_over_mu_table(basis_seed):
     if basis_seed is not None:
         A = _change_basis(A, _random_basis(3, basis_seed))
     assert _label_counts(A, [1, 2]) == F3_DIMS12_COUNTS
+
+
+def test_per_space_answers_read_the_given_table():
+    """Over a μ-table the labels, records and radicals of its own census
+    come back from the one-space functions, which read that table and no
+    other."""
+    T = _mu_table(3, (2, 1, 2))
+    records = enumerate_subalgebras(T, [1, 2])
+    assert len(records) == 9130
+    for r in records:
+        assert classify(r.space, T) is r.label
+        assert record_for(r.space, T) == r
+        R, Q = radicals(r.space, T)
+        assert (R.dim, Q.dim) == (r.radical_R_dim, r.radical_Q_dim)
+    wrong_field = rep(OrbitLabel.F, 5)
+    for call in (classify, record_for, radicals, perp):
+        with pytest.raises(ValueError):
+            call(wrong_field, T)
