@@ -18,7 +18,6 @@ case; every function here takes the table it works in.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,8 @@ import numpy as np
 from . import field
 from .algebra import Algebra
 from .linalg import batch_rank
-from .subspace import NotClosed, Subspace, check_space, substructure
+from .subspace import (NotClosed, Subspace, check_space, coefficient_vectors,
+                       substructure)
 
 
 class OrbitLabel(enum.Enum):
@@ -153,15 +153,12 @@ def _form_values(X: np.ndarray, norms: np.ndarray, gram: np.ndarray,
     return (((X * X) @ norms.T).T + np.einsum("vi,vj,mij->mv", X, X, upper)) % p
 
 
-def _coefficient_vectors(k: int, p: int) -> np.ndarray:
-    """All p^k coefficient vectors, as rows of a (p^k, k) array."""
-    return np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64)
-
-
 def _solvable(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Per stacked system A[m] x = b mod p: whether a solution exists."""
-    aug = np.concatenate([A, np.broadcast_to(b, A.shape[:2])[..., None]], axis=2)
-    return batch_rank(A, p) == batch_rank(aug, p)
+    """Whether each A[m] x = b mod p is solvable: rank [A | 0] = rank [A | b]."""
+    last = np.zeros((2, *A.shape[:2], 1), dtype=A.dtype)
+    last[1, ..., 0] = b
+    aug = np.concatenate([np.stack([A, A]), last], axis=3)
+    return np.equal(*batch_rank(aug.reshape(-1, *aug.shape[2:]), p).reshape(2, -1))
 
 
 def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
@@ -204,7 +201,7 @@ def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
     R = k - batch_rank(gram, p)
     if p == 2:
         # N is additive on R over F_2; Q is its kernel there
-        X = _coefficient_vectors(k, 2)
+        X = coefficient_vectors(k, 2)
         in_R = ~((X @ gram) % 2).any(-1)
         Q = R - (in_R & (_form_values(X, norms, gram, 2) == 1)).any(1)
     else:
@@ -213,8 +210,8 @@ def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
         zero_products = ~C.any((1, 2, 3))
         delta = np.eye(k, dtype=np.int64).reshape(k * k)
         # e·b_j = b_j: Σ_i x_i C[i, j, c] = δ_jc; b_j·e = b_j: Σ_i x_i C[j, i, c]
-        left_id = _solvable(C.transpose(0, 2, 3, 1).reshape(M, k * k, k), delta, p)
-        right_id = _solvable(C.transpose(0, 1, 3, 2).reshape(M, k * k, k), delta, p)
+        both = np.concatenate([C.transpose(0, 2, 3, 1), C.transpose(0, 1, 3, 2)])
+        left_id, right_id = _solvable(both.reshape(2 * M, k * k, k), delta, p).reshape(2, M)
     if k == 4:
         # a nonzero a in A with a·A = 0 (left) or A·a = 0 (right)
         left_ann = batch_rank(C.reshape(M, k, k * k), p) < k
@@ -222,7 +219,7 @@ def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
         isotropic = np.zeros(M, dtype=bool)
         nondeg = np.nonzero(unital & (R == 0))[0]
         if len(nondeg):
-            X = _coefficient_vectors(k, p)[1:]
+            X = coefficient_vectors(k, p)[1:]
             isotropic[nondeg] = (
                 _form_values(X, norms[nondeg], gram[nondeg], p) == 0).any(1)
     # the multiple of 1 with leading entry 1: the one RREF row inside F·1

@@ -313,6 +313,48 @@ def pivot_block(pivots: tuple[int, ...], p: int, ambient: int = DIM,
     return out
 
 
+def closed_subspaces(struct: np.ndarray, unit, p: int):
+    """Yield the closed subspaces of the unital algebra with (k, k, k)
+    structure tensor ``struct`` and unit ``unit``: int64 stacks (M, d, k)
+    of bases in its coordinates, not reduced, one per closure-kernel call.
+
+    With the unit last, the unital ones are the quotient's subspaces by F·1
+    with the unit appended.  A closed T ∌ 1 lies in the closed U = T + F·1,
+    as (t + a)(t' + b) = tt' + at' + bt + ab, and is spanned by U's quotient
+    rows, each with its own last entry: still RREF.  So a closed U of
+    dimension d + 1 lifts to p^d candidates, and each T comes from one U.
+    """
+    unit = np.asarray(unit, dtype=np.int64) % p
+    k, eye = len(unit), np.eye(len(unit), dtype=np.int64)
+    basis = np.concatenate([np.delete(eye, unit.argmax(), axis=0), unit[None]])
+    T = np.einsum("ia,jb,abc,cd->ijd", basis, basis, struct,
+                  linalg.mat_inv(basis, p)) % p
+    if (T[-1] != eye).any() or (T[:, -1] != eye).any():
+        raise ValueError(f"{unit.tolist()} is not a two-sided unit of the table")
+    for d in range(k):
+        lifts, block = coefficient_vectors(d, p), block_rows(d + 1, k)
+        for piv in itertools.combinations(range(k - 1), d):
+            total = p ** len(free_positions(piv, k - 1))
+            for start in range(0, total, block):
+                q = pivot_block(piv, p, k - 1, start, min(total, start + block))
+                U = np.zeros((len(q), d + 1, k), dtype=np.int8)
+                U[:, :d, :-1], U[:, d, -1] = q, 1
+                U = U[closed_mask(U, piv + (k - 1,), T, p)]
+                yield U.astype(np.int64) @ basis % p
+                n = len(U) * len(lifts)
+                for lo in range(0, n, block_rows(d, k)):
+                    i = np.arange(lo, min(n, lo + block_rows(d, k)))
+                    cand = U[i // len(lifts), :d]
+                    cand[:, :, -1] = lifts[i % len(lifts)]
+                    yield cand[closed_mask(cand, piv, T, p)].astype(np.int64) @ basis % p
+
+
+def coefficient_vectors(k: int, p: int) -> np.ndarray:
+    """All p^k coefficient vectors, as rows of a (p^k, k) array."""
+    return np.array(list(itertools.product(range(p), repeat=k)),
+                    dtype=np.int64).reshape(p ** k, k)
+
+
 def enumerate_subspaces(k: int, p: int, ambient: int = DIM):
     """Yield every k-dim subspace of F_p^ambient exactly once.
 

@@ -16,6 +16,9 @@ path in :mod:`splitoct.classify` beyond the algebra itself and the
 subspace helpers, and is slow: tests compare the batched records with it.
 Element orbits are found by a breadth-first search from one element at a
 time, for comparison with the packed :func:`splitoct.autos.element_orbits`.
+The closed sub-subspaces of a subalgebra come from testing every one of
+its subspaces, for comparison with the pruned
+:func:`splitoct.lattice.subalgebras_inside`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from splitoct import field
 from splitoct.algebra import DIM
 from splitoct.classify import ClassificationError, OrbitLabel
 from splitoct.linalg import nullspace
-from splitoct.subspace import Subspace, intersect, radicals, span
+from splitoct.subspace import (Subspace, closed_mask, intersect, pivot_block,
+                               radicals, span, substructure)
 
 
 def _mat_mul(x, y) -> tuple[int, ...]:
@@ -212,3 +216,23 @@ def element_orbits(generators, p: int) -> list[set]:
         seen |= orbit
         orbits.append({tuple(y) for y in orbit})
     return orbits
+
+
+def closed_inside(space: Subspace, ctx) -> set:
+    """Every proper nonzero closed subspace of the closed ``space``, as a
+    tuple of ambient RREF rows, found by testing all of its subspaces.
+
+    Subspaces are enumerated in the space's own coordinates, where the
+    structure constants are the space's; an RREF basis there maps to an
+    RREF basis of the ambient because the space's basis is in RREF.
+    """
+    p, k = ctx.p, space.dim
+    basis = space.matrix()
+    struct = substructure(basis[None], ctx)[0]
+    found = set()
+    for r in range(1, k):
+        for piv in itertools.combinations(range(k), r):
+            mats = pivot_block(piv, p, k)
+            rows = mats[closed_mask(mats, piv, struct, p)].astype(np.int64) @ basis % p
+            found.update(tuple(map(tuple, m)) for m in rows.tolist())
+    return found

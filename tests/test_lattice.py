@@ -5,8 +5,13 @@ import pathlib
 
 import pytest
 
+import oracle
+from splitoct import subspace
+from splitoct.algebra import algebra
 from splitoct.classify import LABEL_DIM, OrbitLabel
-from splitoct.lattice import build_lattice, emit_dot, emit_json
+from splitoct.constructions import rep
+from splitoct.lattice import (GRAPH_LABELS, build_lattice, emit_dot, emit_json,
+                              subalgebras_inside)
 from splitoct.verify import LATTICE_FIXTURE_EDGES
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -88,3 +93,47 @@ def test_json_golden_bytes(graph):
     assert len(parsed["nodes"]) == 21 and len(parsed["edges"]) == 40
     for node in parsed["nodes"]:
         assert set(node) == {"label", "dim", "flags"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subalgebras_inside_match_every_subspace_scan(p):
+    # the pruned scan finds the same closed sub-subspaces as testing every
+    # subspace of the representative; at F_5 the 6-dimensional Qperp (3.6 M
+    # subspaces) is left to the total below
+    A = algebra(p)
+    total = 0
+    for lab in GRAPH_LABELS:
+        space = rep(lab, p)
+        stacks = list(subalgebras_inside(space, A))
+        dims = [s.shape[1] for s in stacks]
+        assert dims == sorted(dims) and set(dims) == set(range(1, space.dim))
+        got = [tuple(map(tuple, m)) for s in stacks for m in s.tolist()]
+        assert len(got) == len(set(got)), lab
+        total += len(got)
+        if p < 5 or space.dim <= 5:
+            assert set(got) == oracle.closed_inside(space, A), lab
+    assert total == {2: 619, 3: 1688, 5: 7876}[p]
+
+
+def test_lattice_f7():
+    # the label graph is field-independent: the F_3 goldens with the
+    # graph renamed (which is also the F_5 output)
+    graph = build_lattice(7)
+    golden = (DATA / "lattice_f3.dot").read_text()
+    assert emit_dot(graph) == golden.replace("lattice_f3", "lattice_f7")
+    assert emit_json(graph) == (DATA / "lattice_f3.json").read_text()
+
+
+def test_lattice_f5_scan_stays_pruned(monkeypatch):
+    # every sub-subspace of the 21 representatives would be 3,632,396
+    # bases; the pruned scan hands the closure kernel about 213,000
+    kernel = subspace.closed_mask
+    rows = []
+
+    def counting(mats, *args):
+        rows.append(len(mats))
+        return kernel(mats, *args)
+
+    monkeypatch.setattr(subspace, "closed_mask", counting)
+    build_lattice(5)
+    assert 0 < sum(rows) <= 250_000

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from splitoct.algebra import algebra
-from splitoct.subspace import (Subspace, closed_bases, closure,
+from splitoct.linalg import batch_rref
+from splitoct.subspace import (Subspace, closed_bases, closed_subspaces, closure,
                                enumerate_subspaces, full_space,
                                gaussian_binomial, intersect, perp, radicals,
                                span, sum_spaces, zero_space)
@@ -143,3 +144,18 @@ def test_enumerate_subspaces_distinct_and_canonical(p):
         assert key not in seen
         seen.add(key)
     assert len(seen) == gaussian_binomial(4, 2, p)
+
+
+def test_closed_subspaces_of_the_whole_algebra_are_the_census(census2, ctx2):
+    # every closed subspace of O over F_2, zero and O included, once each
+    found = []
+    for mats in closed_subspaces(ctx2.struct, ctx2.unit, 2):
+        red, _ = batch_rref(mats, 2)
+        found += [tuple(map(tuple, m)) for m in red.tolist()]
+    assert len(found) == len(set(found))
+    assert set(found) == {r.space.rows for r in census2}
+
+
+def test_closed_subspaces_needs_a_unit(ctx3):
+    with pytest.raises(ValueError):
+        next(closed_subspaces(ctx3.struct, ctx3.w, 3))
