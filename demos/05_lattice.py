@@ -2,8 +2,8 @@
 The inclusion lattice of orbit labels
 =====================================
 
-Which orbit types contain which?  The answer is computed by scanning all
-subspaces of each representative, and is the same over F_2 and F_3:
+Which orbit types contain which?  The answer is computed from the
+subalgebras of each representative, and is the same over F_2 and F_3:
 21 nodes, 40 covering edges, and a unique maximal proper node.
 """
 

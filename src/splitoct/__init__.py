@@ -13,8 +13,8 @@ Highlights
   Cayley–Dickson doubling.
 - :func:`splitoct.algebra.algebra` — the canonical split octonions over F_p
   (named elements and, over F_2, byte tables).
-- :func:`splitoct.census.enumerate_subalgebras` — the exhaustive census,
-  over any table of the split octonions.
+- :func:`splitoct.census.enumerate_subalgebras` — the census of every
+  subalgebra, over any table of the split octonions.
 - :func:`splitoct.classify.classify` — the isomorphism-type labeller.
 - :mod:`splitoct.autos` — automorphisms, group closure, orbit partitions.
 - :mod:`splitoct.verify` — the brute-force verification suites.
@@ -41,9 +41,8 @@ from .constructions import (PreconditionFailed, UnreachableLabel, centralizer,
                             top_row_ideal, upper_triangular)
 from .field import FieldError, check_prime
 from .lattice import LatticeGraph, LatticeNode, build_lattice, emit_dot, emit_json
-from .subspace import (Subspace, closure, enumerate_subspaces,
-                       gaussian_binomial, intersect, perp, radicals, span,
-                       sum_spaces)
+from .subspace import (Subspace, closure, gaussian_binomial, intersect, perp,
+                       radicals, span, sum_spaces)
 from .verify import SUITE_NAMES, CheckResult, SuiteResult, run_suite
 
 __version__ = "0.1.0"
@@ -58,7 +57,7 @@ __all__ = [
     "centralizer", "check_prime", "classify", "closure", "companion_element",
     "count_automorphisms", "double", "doubling_extension", "element_orbits",
     "element_orbit_invariant", "emit_dot", "emit_json",
-    "enumerate_subalgebras", "enumerate_subspaces", "field_table",
+    "enumerate_subalgebras", "field_table",
     "find_h_moving_extension", "gaussian_binomial", "generate_group",
     "heisenberg", "intersect", "kernel_of_left_mul",
     "left_mul_space", "orbit_of_space", "orbit_partition", "perp",

@@ -1,4 +1,4 @@
-"""Exhaustive subalgebra census: scan every subspace, keep the closed ones.
+"""Subalgebra census: every closed subspace, from the pruned enumerator.
 
 The census runs over any table of the split octonions, an
 :class:`splitoct.algebra.Algebra` of dimension 8; ``algebra(p)`` is the
@@ -6,28 +6,23 @@ canonical one.  Every kernel reads the product, norm, trace and unit from
 that value, so a change of basis or another Cayley–Dickson doubling gives
 the same per-label counts.
 
-The scan walks subspaces partitioned by pivot-column set (deterministic
-order) and splits each partition into index ranges, the tasks of one
-process pool per call.  A task runs three batched steps on its range:
-
-1. the closure mask (:func:`closed_block_mask`) over blocks of RREF bases:
-   over F_2 the product of two packed rows is one lookup in the algebra's
-   uint8 byte table;
-   for odd p :func:`splitoct.subspace.closed_mask` runs the package's
-   float32 product kernel (:func:`splitoct.algebra.products`), in blocks
-   sized by working set;
-2. the k×k×k structure constants of the survivors only
-   (:func:`splitoct.subspace.substructure`);
-3. their full records and orbit labels
-   (:func:`splitoct.classify.batch_records`).
-
-Records come back in task order, so the output does not depend on the
-number of worker processes.  A pool worker receives the algebra once, when
-it starts, and each task only its pivots and index range.
+Its subalgebras come from :func:`splitoct.subspace.closed_subspaces`,
+which tests only what can be closed: the subspaces of the 7-dimensional
+quotient by F·1, with 1 appended (the unital subalgebras), and the
+hyperplanes avoiding 1 of each closed one (all the others).  A request
+for dimensions D runs the quotient dimensions {d − 1, d : d ∈ D} only.
+The quotient pivot sets are dealt into one task per process, which gets
+the algebra with them; a task reduces what it finds with
+:func:`splitoct.linalg.batch_rref` and builds the records and orbit
+labels with :func:`splitoct.classify.batch_records`, sorted by (dim,
+pivots, rows), the order of :meth:`splitoct.subspace.Subspace.key`.  The
+tasks' records are merged in that order, so the output does not depend
+on the number of worker processes.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -37,92 +32,79 @@ import numpy as np
 
 from .algebra import DIM, Algebra
 from .classify import OrbitLabel, SubalgebraRecord, batch_records
-from .subspace import (block_rows, closed_mask, free_positions,
-                       gaussian_binomial, pivot_block)
+from .linalg import batch_rref
+from .subspace import (closed_mask, closed_subspaces, free_positions,
+                       gaussian_binomial)
 
 
 class CostLimitExceeded(RuntimeError):
-    """Projected scan size exceeds the configured subspace budget."""
-
-
-#: rows per F_2 byte-table block
-_BLOCK = 1 << 13
-#: subspaces per pool task; large partitions are split so workers balance
-_TASK = 1 << 16
-
-
-def _closed_block_mask_f2(mats: np.ndarray, pivots: tuple[int, ...],
-                          mul_byte: np.ndarray) -> np.ndarray:
-    """Boolean mask of multiplicatively closed row-spans, p = 2 byte path."""
-    weights = (1 << np.arange(DIM)).astype(np.int64)
-    B = (mats.astype(np.int64) * weights).sum(-1).astype(np.uint8)    # (M, k)
-    P = mul_byte[B[:, :, None], B[:, None, :]].copy()                 # (M, k, k)
-    for i, c in enumerate(pivots):
-        bit = (P >> c) & 1
-        P ^= bit * B[:, i, None, None]
-    return (P == 0).all(axis=(1, 2))
+    """Projected quotient bases exceed the configured budget."""
 
 
 def closed_block_mask(mats: np.ndarray, pivots: tuple[int, ...], A: Algebra) -> np.ndarray:
-    """Boolean mask of the closed row-spans among RREF bases ``mats``."""
-    if A.p == 2:
-        return _closed_block_mask_f2(mats, pivots, A.mul_byte)
+    """Boolean mask of the closed row-spans among RREF bases ``mats``.  The
+    census does not call it; the bench tracer resolves this name until the
+    in-code recorder (ROADMAP item 1) replaces it."""
     return closed_mask(mats, pivots, A.struct, A.p)
 
 
-def _scan_range(A: Algebra, pivots: tuple[int, ...], start: int,
-                stop: int) -> list[SubalgebraRecord]:
-    """Records of the closed subspaces among indices [start, stop) of one
-    pivot partition."""
-    p = A.p
-    block = _BLOCK if p == 2 else block_rows(len(pivots), DIM)
-    closed = []
-    for lo in range(start, stop, block):
-        mats = pivot_block(pivots, p, DIM, lo, min(lo + block, stop))
-        closed.append(mats[closed_block_mask(mats, pivots, A)])
-    return batch_records(np.concatenate(closed), A)
+def quotient_dims(dims) -> tuple[int, ...]:
+    """The quotient dimensions whose pivot sets yield the subalgebras of
+    dimensions ``dims``: a unital one of dimension d has d − 1 quotient
+    rows, and every other one of dimension d is lifted from d rows."""
+    return tuple(sorted({e for d in dims for e in (d - 1, d) if 0 <= e < DIM}))
 
 
-#: the algebra a pool worker scans, set once when the worker starts
-_worker_algebra: Algebra | None = None
-
-
-def _adopt(A: Algebra) -> None:
-    global _worker_algebra
-    _worker_algebra = A
-
-
-def _worker_scan(task: tuple) -> list[SubalgebraRecord]:
-    return _scan_range(_worker_algebra, *task)
-
-
-def _tasks(dims, p: int) -> list[tuple]:
-    """(pivots, start, stop) for every requested dimension, in scan order."""
-    out = []
-    for k in dims:
-        for piv in itertools.combinations(range(DIM), k):
-            total = p ** len(free_positions(piv))
-            out.extend((piv, lo, min(lo + _TASK, total))
-                       for lo in range(0, total, _TASK))
+def _records(A: Algebra, pivot_sets, dims) -> list[SubalgebraRecord]:
+    """Records of the closed subspaces of ``A`` of dimensions ``dims``
+    that the quotient pivot sets ``pivot_sets`` yield, sorted by (dim,
+    pivots, rows)."""
+    found, out = {}, []
+    for mats in closed_subspaces(A.struct, A.unit, A.p, pivot_sets, dims):
+        found.setdefault(mats.shape[1], []).append(mats)
+    for d in sorted(found):
+        red = batch_rref(np.concatenate(found.pop(d)), A.p)[0]
+        # pivot columns, then every entry; the lone zero space has no key
+        keys = np.concatenate([(red != 0).argmax(-1), red.reshape(len(red), d * DIM)], 1)
+        out += batch_records(red[np.lexsort(keys.T[::-1])] if d else red, A)
     return out
+
+
+def _groups(dims, p: int, threads: int) -> list[list[tuple[int, ...]]]:
+    """The quotient pivot sets for ``dims``, dealt into at most ``threads``
+    groups of about equal bases: the largest set goes to the lightest
+    group first."""
+    def size(piv):
+        return p ** len(free_positions(piv, DIM - 1))
+
+    sets = [piv for e in quotient_dims(dims)
+            for piv in itertools.combinations(range(DIM - 1), e)]
+    groups = [[] for _ in range(min(threads, len(sets)))]
+    loads = [0] * len(groups)
+    for piv in sorted(sets, key=size, reverse=True):
+        g = loads.index(min(loads))
+        groups[g].append(piv)
+        loads[g] += size(piv)
+    return groups
 
 
 def check_scan(p: int, dims=None, *, max_subspaces: int | None = 2_000_000,
                threads: int = 1) -> tuple[int, ...]:
-    """The sorted dimensions a census over F_p would scan, after the checks
+    """The sorted dimensions a census over F_p would find, after the checks
     that need no work: every dimension in 0..8, at least one thread, and
-    at most ``max_subspaces`` projected subspaces (None disables that
-    bound; CostLimitExceeded otherwise)."""
+    at most ``max_subspaces`` projected quotient bases, the exact count
+    Σ [7, e]_p over :func:`quotient_dims` (None disables that bound;
+    CostLimitExceeded otherwise).  The hyperplane lifts come on top."""
     dims = tuple(sorted(set(range(DIM + 1) if dims is None else dims)))
     if not all(0 <= d <= DIM for d in dims):
         raise ValueError(f"dimensions must lie in 0..{DIM}, got {list(dims)}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    projected = sum(gaussian_binomial(DIM, k, p) for k in dims)
+    projected = sum(gaussian_binomial(DIM - 1, e, p) for e in quotient_dims(dims))
     if max_subspaces is not None and projected > max_subspaces:
         raise CostLimitExceeded(
-            f"projected {projected} subspaces exceeds budget {max_subspaces}; "
-            "raise --max-subspaces to proceed")
+            f"projected {projected:,} quotient bases exceeds budget "
+            f"{max_subspaces:,}; raise --max-subspaces to proceed")
     return dims
 
 
@@ -130,27 +112,26 @@ def enumerate_subalgebras(A: Algebra, dims=None, *,
                           max_subspaces: int | None = 2_000_000,
                           threads: int = 1) -> list[SubalgebraRecord]:
     """Every multiplicatively closed subspace of the octonion algebra ``A``
-    in the requested dimensions, as fully classified records, in
-    deterministic scan order.
+    in the requested dimensions, as fully classified records, sorted by
+    (dim, pivots, rows).
 
     The request is checked by :func:`check_scan` before any work is done.
-    ``threads`` > 1 runs the scan in one pool of at most that many
-    processes, one per task at most.  Closure of every record is checked
-    while its structure constants are computed.
+    ``threads`` > 1 runs the census in one pool of at most that many
+    processes, one task of quotient pivot sets each.  Closure of every
+    record is checked while its structure constants are computed.
     """
     if A.dim != DIM:
         raise ValueError(f"the census needs an algebra of dimension {DIM}, "
                          f"not {A.dim}")
     dims = check_scan(A.p, dims, max_subspaces=max_subspaces, threads=threads)
-    tasks = _tasks(dims, A.p)
-    workers = min(threads, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_adopt,
-                                 initargs=(A,)) as pool:
-            results = list(pool.map(_worker_scan, tasks))
+    groups = _groups(dims, A.p, threads)
+    if len(groups) > 1:
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            results = list(pool.map(_records, itertools.repeat(A), groups,
+                                    itertools.repeat(dims)))
     else:
-        results = [_scan_range(A, *t) for t in tasks]
-    return [r for chunk in results for r in chunk]
+        results = [_records(A, group, dims) for group in groups]
+    return list(heapq.merge(*results, key=lambda r: r.space.key()))
 
 
 @dataclass

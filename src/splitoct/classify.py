@@ -18,7 +18,7 @@ case; every function here takes the table it works in.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -144,6 +144,11 @@ class SubalgebraRecord:
             "Q_dim": self.radical_Q_dim,
         }
 
+    def __reduce__(self):
+        # pickled as constructor arguments (so is Subspace), not as a state
+        # dict per object, which a pool result's loader keeps to the end
+        return SubalgebraRecord, tuple(getattr(self, f.name) for f in fields(self))
+
 
 def _form_values(X: np.ndarray, norms: np.ndarray, gram: np.ndarray,
                  p: int) -> np.ndarray:
@@ -161,6 +166,12 @@ def _solvable(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.equal(*batch_rank(aug.reshape(-1, *aug.shape[2:]), p).reshape(2, -1))
 
 
+#: cap on rows × max(k⁴, p^k) per batch: it bounds the int64 temporaries
+#: of the associator check (rows, k, k, k, k) and of the norm form's
+#: values at every coefficient vector (rows, p^k) to 256 KB each
+_BATCH = 1 << 15
+
+
 def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
     """Records, with orbit labels, of closed subspaces given by RREF bases.
 
@@ -174,11 +185,16 @@ def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
     coordinate of A is read directly, so any table of the split octonions
     gives the same labels.  Raises NotClosed if some basis does not span
     a closed subspace and ClassificationError if one contradicts the
-    classification.
+    classification.  A stack of any size is taken in blocks of at most
+    ``_BATCH // max(k⁴, p^k)`` rows.
     """
     p = A.p
     rows = np.asarray(rows, dtype=np.int64) % p
     M, k, _ = rows.shape
+    step = max(1, _BATCH // max(k ** 4, p ** k))
+    if M > step:
+        return [r for lo in range(0, M, step)
+                for r in batch_records(rows[lo:lo + step], A)]
     if not M:
         return []
     spaces = [Subspace(tuple(map(tuple, m)), p, A.dim) for m in rows.tolist()]

@@ -2,16 +2,17 @@
 
 Subcommands
 -----------
-- ``enumerate``  scan every subspace over F_p, emit closed ones as JSON lines
+- ``enumerate``  every subalgebra over F_p as JSON lines
 - ``classify``   label one subspace given by a JSON list of basis rows
 - ``verify``     run verification suites; exit 1 on the first failure
 - ``orbits``     orbit partition of the census under the automorphism group
 - ``lattice``    label-inclusion lattice as DOT or JSON
 
 Configuration precedence: command-line flags, then ``OCT_*`` environment
-variables, then built-in defaults (field 2, threads 1, subspace budget
-2,000,000).  One scan process is the default because a second one did not
-make the full F_2 census faster end to end.
+variables, then built-in defaults (field 2, threads 1, a budget of
+2,000,000 quotient bases, see :func:`splitoct.census.check_scan`).  One
+census process is the default because a second one did not make the full
+F_2 census faster end to end.
 
 Exit codes: 0 success; 1 verification failure (first counterexample is
 printed); 2 usage, input, output or resource-budget errors.
@@ -76,17 +77,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_budgets(p):
         p.add_argument("--max-subspaces", type=int, default=None,
-                       help=f"abort if the scan would visit more subspaces "
+                       help=f"abort if the census would enumerate more bases "
+                            f"of F_p^8 / F·1, lifts not counted "
                             f"(default {DEFAULT_MAX_SUBSPACES})")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker processes for the scan "
+                       help=f"worker processes for the census "
                             f"(default {DEFAULT_THREADS})")
 
     p_enum = sub.add_parser("enumerate",
                             help="emit every closed subspace as JSON lines")
     add_field(p_enum)
     p_enum.add_argument("--dims", type=str, default=None,
-                        help="comma-separated dimensions to scan (default all)")
+                        help="comma-separated dimensions to find (default all)")
     p_enum.add_argument("--out", type=str, default="-",
                         help="output path (default stdout)")
     add_budgets(p_enum)
@@ -123,8 +125,8 @@ def _cmd_enumerate(args) -> int:
     budget = _resolve_int(args.max_subspaces, "MAX_SUBSPACES",
                           DEFAULT_MAX_SUBSPACES)
     threads = _resolve_int(args.threads, "THREADS", DEFAULT_THREADS)
-    # checks first, then the file, then the scan: a refused request leaves
-    # an existing --out as it was, and a bad path costs no scan
+    # checks first, then the file, then the census: a refused request leaves
+    # an existing --out as it was, and a bad path costs no work
     check_scan(p, dims, max_subspaces=budget, threads=threads)
     with (contextlib.nullcontext(sys.stdout) if args.out == "-"
           else open(args.out, "w", encoding="utf-8")) as fh:

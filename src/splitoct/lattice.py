@@ -21,8 +21,8 @@ from .algebra import Algebra, algebra
 from .classify import LABEL_DIM, OrbitLabel, batch_records, record_for
 from .constructions import rep
 from .linalg import batch_rref
-from .subspace import (Subspace, block_rows, check_space, closed_subspaces,
-                       span, substructure)
+from .subspace import (Subspace, check_space, closed_subspaces, span,
+                       substructure)
 
 #: Labels that appear as graph nodes: every reachable label of a proper,
 #: nonzero subalgebra (dimensions 1 through 6).  The zero subalgebra and
@@ -63,8 +63,8 @@ class LatticeGraph:
 
 def subalgebras_inside(space: Subspace, A: Algebra) -> Iterator[np.ndarray]:
     """RREF bases, in the coordinates of the octonion algebra ``A``, of
-    every proper nonzero subalgebra of a closed subspace S: stacks (M, d, 8)
-    of at most ``block_rows(d, 8)`` bases, by increasing d."""
+    every proper nonzero subalgebra of a closed subspace S: one stack
+    (M, d, 8) per dimension d, by increasing d."""
     check_space(space, A)
     p, k, inner = A.p, space.dim, space.matrix()
     substructure(inner[None], A)                   # NotClosed unless S is
@@ -77,8 +77,7 @@ def subalgebras_inside(space: Subspace, A: Algebra) -> Iterator[np.ndarray]:
             inside = ~((rows - rows[..., list(space.pivots)] @ inner) % p).any((1, 2))
             stacks[rows.shape[1]].append(rows[inside].astype(np.int8))
     for d in range(1, k):
-        red, step = batch_rref(np.concatenate(stacks[d]), p)[0], block_rows(d, A.dim)
-        yield from (red[lo:lo + step] for lo in range(0, len(red), step))
+        yield batch_rref(np.concatenate(stacks[d]), p)[0]
 
 
 def labels_inside(space: Subspace, A: Algebra) -> set[OrbitLabel]:

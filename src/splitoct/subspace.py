@@ -2,10 +2,10 @@
 
 A subspace is stored as its reduced row echelon basis (pivot columns
 normalized and cleared, pivots strictly increasing), which makes equality,
-hashing and deterministic ordering trivial.  Enumeration walks pivot-column
-sets in lexicographic order and, within a pivot set, the free entries in
-row-major order, least-significant-last — so the stream order is
-reproducible and partitions cleanly by pivot set.
+hashing and deterministic ordering trivial.  :func:`pivot_block` lists the
+bases of one pivot-column set, the free entries in row-major order,
+least-significant-last; :func:`closed_subspaces` runs it over the quotient
+by F·1 and tests only what can be closed.
 
 Stacks of RREF bases are tested for closure and reduced to structure
 constants in batches: :func:`closed_mask` and :func:`substructure` call
@@ -81,6 +81,9 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, p={self.p}, rows={list(map(list, self.rows))})"
+
+    def __reduce__(self):
+        return Subspace, (self.rows, self.p, self.ambient)
 
 
 def span(vectors, p: int, ambient: int = DIM) -> Subspace:
@@ -313,7 +316,8 @@ def pivot_block(pivots: tuple[int, ...], p: int, ambient: int = DIM,
     return out
 
 
-def closed_subspaces(struct: np.ndarray, unit, p: int):
+def closed_subspaces(struct: np.ndarray, unit, p: int, pivot_sets=None,
+                     dims=None):
     """Yield the closed subspaces of the unital algebra with (k, k, k)
     structure tensor ``struct`` and unit ``unit``: int64 stacks (M, d, k)
     of bases in its coordinates, not reduced, one per closure-kernel call.
@@ -323,6 +327,11 @@ def closed_subspaces(struct: np.ndarray, unit, p: int):
     as (t + a)(t' + b) = tt' + at' + bt + ab, and is spanned by U's quotient
     rows, each with its own last entry: still RREF.  So a closed U of
     dimension d + 1 lifts to p^d candidates, and each T comes from one U.
+
+    ``pivot_sets`` are the quotient pivot sets to run, pivot columns of
+    F_p^(k−1) (default: every one, by size); ``dims`` the dimensions to
+    yield (default all).  A set of d pivots yields the unital spaces of
+    dimension d + 1 and, lifted, the others of dimension d.
     """
     unit = np.asarray(unit, dtype=np.int64) % p
     k, eye = len(unit), np.eye(len(unit), dtype=np.int64)
@@ -331,42 +340,35 @@ def closed_subspaces(struct: np.ndarray, unit, p: int):
                   linalg.mat_inv(basis, p)) % p
     if (T[-1] != eye).any() or (T[:, -1] != eye).any():
         raise ValueError(f"{unit.tolist()} is not a two-sided unit of the table")
-    for d in range(k):
-        lifts, block = coefficient_vectors(d, p), block_rows(d + 1, k)
-        for piv in itertools.combinations(range(k - 1), d):
-            total = p ** len(free_positions(piv, k - 1))
-            for start in range(0, total, block):
-                q = pivot_block(piv, p, k - 1, start, min(total, start + block))
-                U = np.zeros((len(q), d + 1, k), dtype=np.int8)
-                U[:, :d, :-1], U[:, d, -1] = q, 1
-                U = U[closed_mask(U, piv + (k - 1,), T, p)]
-                yield U.astype(np.int64) @ basis % p
-                n = len(U) * len(lifts)
-                for lo in range(0, n, block_rows(d, k)):
-                    i = np.arange(lo, min(n, lo + block_rows(d, k)))
-                    cand = U[i // len(lifts), :d]
-                    cand[:, :, -1] = lifts[i % len(lifts)]
-                    yield cand[closed_mask(cand, piv, T, p)].astype(np.int64) @ basis % p
-
-
-def coefficient_vectors(k: int, p: int) -> np.ndarray:
-    """All p^k coefficient vectors, as rows of a (p^k, k) array."""
-    return np.array(list(itertools.product(range(p), repeat=k)),
-                    dtype=np.int64).reshape(p ** k, k)
-
-
-def enumerate_subspaces(k: int, p: int, ambient: int = DIM):
-    """Yield every k-dim subspace of F_p^ambient exactly once.
-
-    Order: pivot-column sets lexicographically, then free entries
-    lexicographically.
-    """
-    if not 0 <= k <= ambient:
-        raise ValueError(f"dimension {k} is outside 0..{ambient}")
-    block = 1 << 14
-    for pivots in itertools.combinations(range(ambient), k):
-        total = p ** len(free_positions(pivots, ambient))
+    if pivot_sets is None:
+        pivot_sets = (piv for d in range(k)
+                      for piv in itertools.combinations(range(k - 1), d))
+    dims = range(k + 1) if dims is None else dims
+    for piv in pivot_sets:
+        d = len(piv)
+        total, block = p ** len(free_positions(piv, k - 1)), block_rows(d + 1, k)
         for start in range(0, total, block):
-            mats = pivot_block(pivots, p, ambient, start, min(start + block, total))
-            for m in mats:
-                yield Subspace(tuple(map(tuple, m.tolist())), p, ambient)
+            q = pivot_block(piv, p, k - 1, start, min(total, start + block))
+            U = np.zeros((len(q), d + 1, k), dtype=np.int8)
+            U[:, :d, :-1], U[:, d, -1] = q, 1
+            U = U[closed_mask(U, piv + (k - 1,), T, p)]
+            if d + 1 in dims:
+                yield U.astype(np.int64) @ basis % p
+            if d not in dims:
+                continue
+            lifts = coefficient_vectors(d, p)
+            n = len(U) * len(lifts)
+            for lo in range(0, n, block_rows(d, k)):
+                i = np.arange(lo, min(n, lo + block_rows(d, k)))
+                cand = U[i // len(lifts), :d]
+                cand[:, :, -1] = lifts[i % len(lifts)]
+                yield cand[closed_mask(cand, piv, T, p)].astype(np.int64) @ basis % p
+
+
+@lru_cache(maxsize=None)
+def coefficient_vectors(k: int, p: int) -> np.ndarray:
+    """All p^k coefficient vectors, as rows of a read-only (p^k, k) array."""
+    out = np.array(list(itertools.product(range(p), repeat=k)),
+                   dtype=np.int64).reshape(p ** k, k)
+    out.flags.writeable = False
+    return out

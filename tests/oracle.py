@@ -18,7 +18,8 @@ Element orbits are found by a breadth-first search from one element at a
 time, for comparison with the packed :func:`splitoct.autos.element_orbits`.
 The closed sub-subspaces of a subalgebra come from testing every one of
 its subspaces, for comparison with the pruned
-:func:`splitoct.lattice.subalgebras_inside`.
+:func:`splitoct.lattice.subalgebras_inside`, and
+:func:`enumerate_subspaces` lists every subspace of F_p^n one by one.
 """
 
 from __future__ import annotations
@@ -236,3 +237,16 @@ def closed_inside(space: Subspace, ctx) -> set:
             rows = mats[closed_mask(mats, piv, struct, p)].astype(np.int64) @ basis % p
             found.update(tuple(map(tuple, m)) for m in rows.tolist())
     return found
+
+
+def enumerate_subspaces(k: int, p: int, ambient: int = DIM):
+    """Yield every k-dim subspace of F_p^ambient exactly once.
+
+    Order: pivot-column sets lexicographically, then free entries
+    lexicographically.
+    """
+    if not 0 <= k <= ambient:
+        raise ValueError(f"dimension {k} is outside 0..{ambient}")
+    for pivots in itertools.combinations(range(ambient), k):
+        for m in pivot_block(pivots, p, ambient):
+            yield Subspace(tuple(map(tuple, m.tolist())), p, ambient)

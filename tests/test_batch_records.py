@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from splitoct.census import enumerate_subalgebras
 from splitoct.classify import OrbitLabel, batch_records
 from splitoct.cli import main
 from splitoct.constructions import rep
+from splitoct.lattice import subalgebras_inside
 from test_tables import _change_basis, _random_basis
 
 #: sha256 of ``enumerate --field 3 --dims 1,2``, as recorded by the benchmark
@@ -57,6 +59,23 @@ def test_f5_representatives_match_elementwise_reference():
     reps = [rep(lab, 5) for lab in OrbitLabel if lab.reachable]
     records = [batch_records(s.matrix()[None], algebra(5))[0] for s in reps]
     _assert_matches_oracle(records, algebra(5))
+
+
+def test_records_working_set_is_bounded():
+    # one call on all 818 four-dimensional subalgebras of Qperp over F_5;
+    # in a single batch the associator and norm-form temporaries took 7.5 MB
+    A = algebra(5)
+    rows = [s for s in subalgebras_inside(rep(OrbitLabel.Dim6, 5), A)
+            if s.shape[1] == 4][0]
+    batch_records(rows[:1], A)
+    tracemalloc.start()
+    try:
+        records = batch_records(rows, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 818
+    assert peak < 2 * 2 ** 20
 
 
 def test_f3_jsonl_independent_of_threads(tmp_path, monkeypatch):

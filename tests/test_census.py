@@ -1,5 +1,6 @@
-"""Exhaustive subalgebra scan: golden counts over F_2, budgets, output."""
+"""Subalgebra census: golden counts over F_2 and F_3, budgets, output."""
 
+import hashlib
 import io
 import json
 
@@ -9,10 +10,10 @@ import pytest
 from splitoct import census
 from splitoct.algebra import algebra, double, field_table
 from splitoct.census import (CostLimitExceeded, census_report,
-                             enumerate_subalgebras, write_jsonl)
+                             enumerate_subalgebras, quotient_dims, write_jsonl)
 from splitoct.classify import OrbitLabel, batch_records, classify
-from splitoct.subspace import (closed_bases, enumerate_subspaces,
-                               gaussian_binomial, radicals)
+from splitoct.subspace import closed_bases, gaussian_binomial, radicals
+from oracle import enumerate_subspaces
 
 # Golden census over F_2, cross-checked against an independent bitmask
 # scan of all 417,199 subspaces of F_2^8.
@@ -82,7 +83,7 @@ def test_f2_associativity_census(census2):
 
 def test_full_scan_budget_is_enforced():
     with pytest.raises(CostLimitExceeded):
-        enumerate_subalgebras(algebra(3))     # ~1.28e8 subspaces > default
+        enumerate_subalgebras(algebra(3))     # 2,052,656 quotient bases > default
     with pytest.raises(CostLimitExceeded):
         enumerate_subalgebras(algebra(2), max_subspaces=1000)
 
@@ -106,6 +107,39 @@ def test_dims_filter(census2):
     assert {r.space.key() for r in records} == {r.space.key() for r in expected}
 
 
+@pytest.mark.parametrize("d", range(9))
+def test_each_dimension_alone_is_the_census_filtered(census2, d):
+    # a lone dimension runs quotient dimensions d − 1 and d only
+    assert enumerate_subalgebras(algebra(2), [d]) == [r for r in census2 if r.dim == d]
+
+
+@pytest.mark.parametrize("dims,quotient", [((1, 2), (0, 1, 2)),
+                                           ((0, 1, 8), (0, 1, 7)),
+                                           ((8,), (7,)), (range(9), range(8))])
+def test_quotient_dims(dims, quotient):
+    assert quotient_dims(dims) == tuple(quotient)
+
+
+#: the full census over F_3, from the exhaustive scan of all 127,902,864
+#: subspaces of F_3^8 (a run of several minutes outside the tests)
+F3_FULL_SHA256 = "3d34421ef88091a97f4c56eed277d29b7333b1456b1ee5a14e77040fd0f538b6"
+F3_DIM_TOTALS = [1, 1121, 8009, 8372, 11739, 364, 364, 0, 1]
+
+
+def test_f3_full_census_and_the_papers_trichotomy():
+    records = enumerate_subalgebras(algebra(3), threads=2, max_subspaces=None)
+    buf = io.StringIO()
+    assert write_jsonl(records, buf) == 29971
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == F3_FULL_SHA256
+    assert [sum(r.dim == d for r in records) for d in range(9)] == F3_DIM_TOTALS
+    assoc = {d: sum(r.associative for r in records if r.dim == d) for d in range(9)}
+    # every subalgebra of dimension < 4 is associative, none of dimension > 4
+    # is, and dimension 4 has both
+    assert all(assoc[d] == F3_DIM_TOTALS[d] for d in (1, 2, 3))
+    assert assoc[4] == 11011 and F3_DIM_TOTALS[4] - assoc[4] == 728
+    assert assoc[5] == assoc[6] == assoc[8] == 0
+
+
 TABLES = {
     "F2": lambda: algebra(2),
     "F3": lambda: algebra(3),
@@ -118,16 +152,17 @@ TABLES = {
 @pytest.mark.parametrize("dims", [(0, 8), (0, 1, 8)])
 @pytest.mark.parametrize("table", sorted(TABLES))
 def test_scan_covers_zero_and_full_space(table, dims, threads):
-    """The scan visits the zero and the full space like any other: their
+    """The census finds the zero and the full space like any other: their
     records equal the ones built from their bases, and come first and
     last, around the proper dimensions.  The budget admits exactly the
-    subspaces visited."""
+    quotient bases: dimensions 0 and 7 of F_p^8 / F·1, and 1 for a line."""
     A = TABLES[table]()
     proper = [d for d in dims if 0 < d < 8]
     want = (batch_records(np.zeros((1, 0, 8), dtype=np.int64), A)
             + enumerate_subalgebras(A, proper)
             + batch_records(np.eye(8, dtype=np.int64)[None], A))
-    visited = sum(gaussian_binomial(8, d, A.p) for d in dims)
+    quotient = (0, 1, 7) if 1 in dims else (0, 7)
+    visited = sum(gaussian_binomial(7, e, A.p) for e in quotient)
     got = enumerate_subalgebras(A, dims, threads=threads, max_subspaces=visited)
     assert got == want
     assert [r.label.value for r in (got[0], got[-1])] == ["0", "O"]
@@ -141,9 +176,8 @@ class _InlinePool:
 
     sizes: list = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -151,14 +185,13 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return [fn(t) for t in tasks]
+    def map(self, fn, *iterables):
+        return [fn(*args) for args in zip(*iterables)]
 
 
 @pytest.fixture
 def inline_pool(monkeypatch):
     monkeypatch.setattr(census, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(census, "_worker_algebra", None)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     return _InlinePool.sizes
 

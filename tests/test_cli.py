@@ -80,29 +80,45 @@ def test_enumerate_unwritable_out_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_enumerate_checks_out_path_before_scanning(tmp_path, monkeypatch, capsys):
-    scans = []
-    monkeypatch.setattr(census, "_scan_range", lambda *a: scans.append(a) or [])
+@pytest.fixture
+def scans(monkeypatch):
+    """Calls of the census's enumerator, which is replaced by one that
+    finds nothing."""
+    calls = []
+    monkeypatch.setattr(census, "closed_subspaces",
+                        lambda *a: calls.append(a) or iter(()))
+    return calls
+
+
+def test_enumerate_checks_out_path_before_scanning(tmp_path, scans, capsys):
     out = tmp_path / "missing" / "records.jsonl"
     assert main(["enumerate", "--field", "3", "--dims", "1,2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert scans == []
 
 
-def test_enumerate_budget_failure_keeps_existing_out(tmp_path, capsys):
+def test_enumerate_budget_failure_keeps_existing_out(tmp_path, scans, capsys):
     out = tmp_path / "records.jsonl"
     out.write_bytes(b"earlier output\n")
     assert main(["enumerate", "--field", "3", "--max-subspaces", "1000",
                  "--out", str(out)]) == 2
     assert "resource limit" in capsys.readouterr().err
     assert out.read_bytes() == b"earlier output\n"
+    assert scans == []
+
+
+def test_full_f3_census_needs_a_larger_budget(scans, capsys):
+    # Σ_e [7, e]_3 over e = 0..7 quotient bases, over the default 2,000,000
+    assert main(["enumerate", "--field", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "2,052,656" in err and "--max-subspaces" in err
+    assert scans == []
 
 
 @pytest.mark.parametrize("command", ["enumerate", "orbits"])
 @pytest.mark.parametrize("flag,env", [("0", None), ("-3", None), (None, "0")])
-def test_threads_below_one_is_usage_error(command, flag, env, monkeypatch, capsys):
-    scans = []
-    monkeypatch.setattr(census, "_scan_range", lambda *a: scans.append(a) or [])
+def test_threads_below_one_is_usage_error(command, flag, env, scans, monkeypatch,
+                                          capsys):
     if env is not None:
         monkeypatch.setenv("OCT_THREADS", env)
     argv = [command, "--dims", "8"] + (["--threads", flag] if flag else [])

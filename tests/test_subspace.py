@@ -6,9 +6,9 @@ import pytest
 from splitoct.algebra import algebra
 from splitoct.linalg import batch_rref
 from splitoct.subspace import (Subspace, closed_bases, closed_subspaces, closure,
-                               enumerate_subspaces, full_space,
-                               gaussian_binomial, intersect, perp, radicals,
-                               span, sum_spaces, zero_space)
+                               full_space, gaussian_binomial, intersect, perp,
+                               radicals, span, sum_spaces, zero_space)
+from oracle import enumerate_subspaces
 
 PRIMES = [2, 3, 5]
 

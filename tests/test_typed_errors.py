@@ -35,7 +35,7 @@ from splitoct.algebra import algebra
 from splitoct.autos import count_automorphisms, doubling_extension, generate_group
 from splitoct.constructions import PreconditionFailed
 from splitoct.linalg import mat_inv
-from splitoct.subspace import enumerate_subspaces, intersect, perp, span, sum_spaces
+from splitoct.subspace import intersect, perp, span, sum_spaces
 calls = (
     lambda: doubling_extension(np.eye(8, dtype=np.int64)[:3], (0,) * 8, 2),
     lambda: generate_group([]),
@@ -47,7 +47,6 @@ calls = (
     lambda: sum_spaces(span([(1,) * 8], 2), span([(1,) * 8], 3)),
     lambda: intersect(span([(1,) * 8], 2), span([(1,) * 8], 3)),
     lambda: perp(span([(1, 0, 0, 0)], 2, 4), algebra(2)),
-    lambda: next(enumerate_subspaces(9, 2)),
 )
 for call in calls:
     try:
@@ -62,4 +61,4 @@ for call in calls:
     proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=PACKAGE.parent,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 10
+    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 9
