@@ -83,9 +83,13 @@ def mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p for float32 integers of magnitude below 2²⁰.
 
     x / p then lies within 1/(16p) of its true value, so its floor is
-    exact; np.fmod gives the same result about thirty times slower.
+    exact; np.fmod gives the same result about thirty times slower.  One
+    temporary holds every step, and ``x`` is not written.
     """
-    return x - np.floor(x / p) * p
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    return np.subtract(x, q, out=q)
 
 
 # ---------------------------------------------------------------------------

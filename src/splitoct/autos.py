@@ -201,6 +201,16 @@ def all_alpha_generators(p: int) -> list[Automorphism]:
 # One packed path serves every prime: a group element or a subspace basis
 # is an int8 matrix (entries < p <= 13), images are int16 products reduced
 # mod p (at most 8·12² per entry), and the int8 bytes are the dedupe key.
+# Two engines share it.  ``_orbit`` is the one BFS, for discovering an
+# orbit: the group as the orbit of the identity, or the images of one
+# subspace.  ``_components`` partitions a set already known to be
+# invariant (the census records, the elements of F_p^8): every generator
+# becomes one index permutation of the set, computed in one batch, and the
+# orbits are the connected components of their union.
+
+#: most basis rows one batched RREF gets in :func:`orbit_partition`, so a
+#: large class (218,737 planes over F_5) is mapped in bounded blocks
+PARTITION_BLOCK_ROWS = 16384
 
 @dataclass
 class GroupClosure:
@@ -267,32 +277,83 @@ def orbit_of_space(space: Subspace, generators: list) -> set:
     return {tuple(map(tuple, basis)) for basis in bases.tolist()}
 
 
+def _components(perms: list[np.ndarray]) -> np.ndarray:
+    """The smallest index in the connected component of every point under
+    the index permutations ``perms`` (at least one, all of one length).
+
+    Min-label propagation with pointer jumping: each label stays inside its
+    component and ends at the component's smallest index.  Following each
+    permutation forwards suffices, since its inverse is one of its powers.
+    """
+    label = np.arange(len(perms[0]), dtype=np.int64)
+    while True:
+        nxt = label
+        for perm in perms:
+            nxt = np.minimum(nxt, label[perm])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
+
+
+def _keys(bases: np.ndarray) -> list[bytes]:
+    """The int8 bytes of every basis in a stack (M, d, 8)."""
+    width = bases.shape[1] * bases.shape[2]
+    if not width:
+        return [b""] * len(bases)
+    return bases.astype(np.int8).reshape(len(bases), width).view(f"V{width}").ravel().tolist()
+
+
+def _image_keys(bases: np.ndarray, M: np.ndarray, p: int):
+    """The keys of the RREF images x·M of a stack of bases (n, d, 8), in
+    blocks of at most ``PARTITION_BLOCK_ROWS`` basis rows."""
+    step = PARTITION_BLOCK_ROWS // max(bases.shape[1], 1)
+    for a in range(0, len(bases), step):
+        yield from _keys(batch_rref(bases[a:a + step].astype(np.int16) @ M % p, p)[0])
+
+
 def orbit_partition(records, generators: list) -> list[dict]:
     """Partition census records into automorphism orbits.
 
-    Returns one dict per (dim, label): {"dim", "label", "orbit_count",
-    "orbit_sizes"}; raises if an orbit strays outside its label class
-    (soundness check).
+    Per dimension, the stacked bases are mapped through each generator in
+    blocks of at most ``PARTITION_BLOCK_ROWS`` basis rows (one matmul and
+    one batched RREF per block) and looked up among the records, which
+    makes every generator an index permutation; the orbits are the
+    connected components of their union.  Returns one dict per (dim,
+    label), in that order: {"dim", "label", "orbit_count", "orbit_sizes"}
+    with the sizes sorted.  Raises ArithmeticError if an image is not a
+    record or lies in another label class (soundness checks).
     """
-    by_label: dict = {}
+    p, mats = _generator_mats(generators)
+    by_dim: dict[int, dict] = {}
     for r in records:
-        by_label.setdefault((r.dim, r.label), {})[r.space.rows] = r.space
+        by_dim.setdefault(r.dim, {})[r.space.rows] = r.label
     out = []
-    for (dim, label), spaces in sorted(by_label.items(),
-                                       key=lambda kv: (kv[0][0], kv[0][1].value)):
-        remaining = dict(spaces)
-        sizes = []
-        while remaining:
-            seed_key = min(remaining)
-            orbit = orbit_of_space(remaining[seed_key], generators)
-            for key in orbit:
-                if key not in remaining:
-                    raise ArithmeticError(
-                        f"orbit of a {label.value} record left its label class")
-                del remaining[key]
-            sizes.append(len(orbit))
-        out.append({"dim": dim, "label": label.value,
-                    "orbit_count": len(sizes), "orbit_sizes": sorted(sizes)})
+    for dim, label_of in sorted(by_dim.items()):
+        labels = list(label_of.values())
+        classes = sorted(set(labels), key=lambda lab: lab.value)
+        code = np.array([classes.index(lab) for lab in labels])
+        bases = np.array(list(label_of), dtype=np.int8).reshape(len(labels), dim, DIM)
+        index = {key: i for i, key in enumerate(_keys(bases))}
+        perms = []
+        for M in mats:
+            perm = np.array([index.get(key, -1) for key in _image_keys(bases, M, p)])
+            lost = np.flatnonzero(perm < 0)
+            if len(lost):
+                raise ArithmeticError(
+                    f"the image of a {labels[lost[0]].value} record is no record: "
+                    f"the census is not closed under the group")
+            moved = np.flatnonzero(code[perm] != code)
+            if len(moved):
+                raise ArithmeticError(
+                    f"orbit of a {labels[moved[0]].value} record left its label class")
+            perms.append(perm)
+        root = _components(perms)
+        for c, lab in enumerate(classes):
+            sizes = np.unique(root[code == c], return_counts=True)[1]
+            out.append({"dim": dim, "label": lab.value,
+                        "orbit_count": len(sizes),
+                        "orbit_sizes": sorted(sizes.tolist())})
     return out
 
 
@@ -308,18 +369,7 @@ def element_orbits(generators: list, p: int) -> list[set]:
     n = p ** DIM
     weights = p ** np.arange(DIM, dtype=np.int64)
     coords = (np.arange(n, dtype=np.int64)[:, None] // weights % p).astype(np.int16)
-    perms = [(coords @ M % p).astype(np.int64) @ weights for M in mats]
-    # min-label propagation with pointer jumping: each label stays inside
-    # its orbit and ends at the orbit's smallest index
-    label = np.arange(n, dtype=np.int64)
-    while True:
-        nxt = label
-        for perm in perms:
-            nxt = np.minimum(nxt, label[perm])
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, label):
-            break
-        label = nxt
+    label = _components([(coords @ M % p).astype(np.int64) @ weights for M in mats])
     order = np.argsort(label[1:], kind="stable") + 1
     starts = np.flatnonzero(np.diff(label[order], prepend=-1))
     points = [tuple(v) for v in coords[order].tolist()]

@@ -100,12 +100,18 @@ def check_scan(p: int, dims=None, *, max_subspaces: int | None = 2_000_000,
         raise ValueError(f"dimensions must lie in 0..{DIM}, got {list(dims)}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    projected = sum(gaussian_binomial(DIM - 1, e, p) for e in quotient_dims(dims))
+    check_budget(sum(gaussian_binomial(DIM - 1, e, p) for e in quotient_dims(dims)),
+                 max_subspaces)
+    return dims
+
+
+def check_budget(projected: int, max_subspaces: int | None) -> None:
+    """Raise CostLimitExceeded if ``projected`` quotient bases exceed
+    ``max_subspaces``; None disables the bound."""
     if max_subspaces is not None and projected > max_subspaces:
         raise CostLimitExceeded(
             f"projected {projected:,} quotient bases exceeds budget "
             f"{max_subspaces:,}; raise --max-subspaces to proceed")
-    return dims
 
 
 def enumerate_subalgebras(A: Algebra, dims=None, *,

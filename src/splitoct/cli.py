@@ -10,9 +10,10 @@ Subcommands
 
 Configuration precedence: command-line flags, then ``OCT_*`` environment
 variables, then built-in defaults (field 2, threads 1, a budget of
-2,000,000 quotient bases, see :func:`splitoct.census.check_scan`).  One
-census process is the default because a second one did not make the full
-F_2 census faster end to end.
+2,000,000 quotient bases, see :func:`splitoct.census.check_scan` and
+:func:`splitoct.lattice.projected_bases`; ``lattice --field 11`` needs a
+larger one).  One census process is the default because a second one did
+not make the full F_2 census faster end to end.
 
 Exit codes: 0 success; 1 verification failure (first counterexample is
 printed); 2 usage, input, output or resource-budget errors.
@@ -75,11 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", type=int, default=None,
                        help="prime order of the scalar field (default 2)")
 
-    def add_budgets(p):
+    def add_budget(p, what):
         p.add_argument("--max-subspaces", type=int, default=None,
-                       help=f"abort if the census would enumerate more bases "
-                            f"of F_p^8 / F·1, lifts not counted "
+                       help=f"abort if {what} would enumerate more bases "
+                            f"of a quotient by F·1, lifts not counted "
                             f"(default {DEFAULT_MAX_SUBSPACES})")
+
+    def add_budgets(p):
+        add_budget(p, "the census")
         p.add_argument("--threads", type=int, default=None,
                        help=f"worker processes for the census "
                             f"(default {DEFAULT_THREADS})")
@@ -115,6 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_field(p_lat)
     p_lat.add_argument("--format", choices=("dot", "json"), default="dot",
                        help="output format (default dot)")
+    add_budget(p_lat, "the lattice")
     return top
 
 
@@ -183,7 +188,8 @@ def _cmd_orbits(args) -> int:
 def _cmd_lattice(args) -> int:
     p = _resolve_int(args.field, "FIELD", DEFAULT_FIELD)
     check_prime(p)
-    graph = build_lattice(p)
+    graph = build_lattice(p, max_subspaces=_resolve_int(
+        args.max_subspaces, "MAX_SUBSPACES", DEFAULT_MAX_SUBSPACES))
     text = emit_dot(graph) if args.format == "dot" else emit_json(graph)
     sys.stdout.write(text)
     return 0

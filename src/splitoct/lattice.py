@@ -6,7 +6,9 @@ some subalgebra labelled X (any other Y-labelled subalgebra is an
 automorphic image of the representative, so the answer is orbit-invariant).
 The subalgebras of a representative S are the closed subspaces of S + F·1
 that lie in S, from :func:`splitoct.subspace.closed_subspaces`: over F_5
-it tests 213,217 candidates in place of all 3,632,396 sub-subspaces.
+it tests 213,217 candidates in place of all 3,632,396 sub-subspaces.  The
+quotient bases among them are counted before any work, and bounded by the
+census's budget.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, algebra
+from .census import check_budget
 from .classify import LABEL_DIM, OrbitLabel, batch_records, record_for
 from .constructions import rep
 from .linalg import batch_rref
-from .subspace import (Subspace, check_space, closed_subspaces, span,
-                       substructure)
+from .subspace import (Subspace, check_space, closed_subspaces,
+                       gaussian_binomial, span, substructure)
 
 #: Labels that appear as graph nodes: every reachable label of a proper,
 #: nonzero subalgebra (dimensions 1 through 6).  The zero subalgebra and
@@ -86,8 +89,24 @@ def labels_inside(space: Subspace, A: Algebra) -> set[OrbitLabel]:
             for rec in batch_records(rows, A)}
 
 
-def build_lattice(p: int) -> LatticeGraph:
-    """Compute the label-inclusion lattice over F_p and reduce to covers."""
+def projected_bases(p: int) -> int:
+    """The quotient bases :func:`build_lattice` tests over F_p: Σ_e [h − 1,
+    e]_p summed over ``GRAPH_LABELS``, where h = dim(S + F·1) for the
+    representative S (45,971 over F_5; the hyperplane lifts come on top)."""
+    total = 0
+    for lab in GRAPH_LABELS:
+        h = span(rep(lab, p).rows + (algebra(p).unit,), p).dim
+        total += sum(gaussian_binomial(h - 1, e, p) for e in range(h))
+    return total
+
+
+def build_lattice(p: int, *, max_subspaces: int | None = 2_000_000) -> LatticeGraph:
+    """Compute the label-inclusion lattice over F_p and reduce to covers.
+
+    Raises CostLimitExceeded before any work if :func:`projected_bases`
+    exceeds ``max_subspaces`` (None disables the bound).
+    """
+    check_budget(projected_bases(p), max_subspaces)
     A = algebra(p)
     contains: dict[OrbitLabel, set[OrbitLabel]] = {}
     records = {}

@@ -15,7 +15,9 @@ intersections, following the classification theorems directly.  It shares no cod
 path in :mod:`splitoct.classify` beyond the algebra itself and the
 subspace helpers, and is slow: tests compare the batched records with it.
 Element orbits are found by a breadth-first search from one element at a
-time, for comparison with the packed :func:`splitoct.autos.element_orbits`.
+time, for comparison with the packed :func:`splitoct.autos.element_orbits`,
+and census orbits by one subspace BFS per orbit, for comparison with the
+components of :func:`splitoct.autos.orbit_partition`.
 The closed sub-subspaces of a subalgebra come from testing every one of
 its subspaces, for comparison with the pruned
 :func:`splitoct.lattice.subalgebras_inside`, and
@@ -30,6 +32,7 @@ import numpy as np
 
 from splitoct import field
 from splitoct.algebra import DIM
+from splitoct.autos import orbit_of_space
 from splitoct.classify import ClassificationError, OrbitLabel
 from splitoct.linalg import nullspace
 from splitoct.subspace import (Subspace, closed_mask, intersect, pivot_block,
@@ -217,6 +220,32 @@ def element_orbits(generators, p: int) -> list[set]:
         seen |= orbit
         orbits.append({tuple(y) for y in orbit})
     return orbits
+
+
+def orbit_partition(records, generators) -> list[dict]:
+    """The rows of :func:`splitoct.autos.orbit_partition`, one subspace BFS
+    (:func:`splitoct.autos.orbit_of_space`) from the least unvisited record
+    of each (dim, label) class at a time; raises ArithmeticError if an
+    orbit leaves its class."""
+    by_label: dict = {}
+    for r in records:
+        by_label.setdefault((r.dim, r.label), {})[r.space.rows] = r.space
+    out = []
+    for (dim, label), spaces in sorted(by_label.items(),
+                                       key=lambda kv: (kv[0][0], kv[0][1].value)):
+        remaining = dict(spaces)
+        sizes = []
+        while remaining:
+            orbit = orbit_of_space(remaining[min(remaining)], generators)
+            for key in orbit:
+                if key not in remaining:
+                    raise ArithmeticError(
+                        f"orbit of a {label.value} record left its label class")
+                del remaining[key]
+            sizes.append(len(orbit))
+        out.append({"dim": dim, "label": label.value,
+                    "orbit_count": len(sizes), "orbit_sizes": sorted(sizes)})
+    return out
 
 
 def closed_inside(space: Subspace, ctx) -> set:

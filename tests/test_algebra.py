@@ -154,6 +154,18 @@ def test_products_match_tuple_product(p):
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_mod_matches_numpy_and_keeps_its_input(p):
+    rng = np.random.default_rng(800 + p)
+    x = rng.integers(-(2 ** 20) + 1, 2 ** 20, (64, 3, 3, 8)).astype(np.float32)
+    x[0, 0, 0] = (-(2 ** 20) + 1, -p, -1, 0, 1, p, p + 1, 2 ** 20 - 1)
+    before = x.copy()
+    r = mod(x, p)
+    assert r.dtype == np.float32 and r.shape == x.shape
+    assert np.array_equal(r, np.mod(x, p))
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
 @pytest.mark.parametrize("label", [OrbitLabel.SplitQuat, OrbitLabel.NO])
 def test_products_under_substructure_tensor(p, label):
     # coordinates in a 4-dimensional subalgebra's own basis multiply like

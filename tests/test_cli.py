@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, configuration."""
 
+import hashlib
 import json
 import pathlib
 import re
@@ -8,7 +9,7 @@ import subprocess
 
 import pytest
 
-from splitoct import census
+from splitoct import census, lattice, subspace
 from splitoct.cli import main
 from splitoct.verify import CheckResult, SuiteResult
 
@@ -273,6 +274,68 @@ def test_orbits_odd_p_one_orbit_per_label(p, dims, sizes, capsys):
     for row in rows:
         for size in row["orbit_sizes"]:
             assert _g2_order(p) % size == 0, row
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["orbits", "--field", "2"],
+     "35183818b824259c26248bdd34789467018d33675224ff2cbe3ef4e2e9c20494"),
+    (["orbits", "--field", "3", "--dims", "1,2"],
+     "64cc15fd91ba362528a5a6ed58fd357b034025dc9f2a87796490dfab8a58955e"),
+    (["lattice", "--field", "5"],
+     "0281bef8723f839c34e4e2e622e2fc477f4cc755b2b34ad95bebab9b26cbb6fd"),
+], ids=["orbits-f2", "orbits-f3-dims-1-2", "lattice-f5"])
+def test_stdout_is_pinned(argv, sha256, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+@pytest.fixture
+def lattice_scans(monkeypatch):
+    """Calls of the lattice's enumerator, which is replaced by one that
+    finds nothing."""
+    calls = []
+    monkeypatch.setattr(lattice, "closed_subspaces",
+                        lambda *a: calls.append(a) or iter(()))
+    return calls
+
+
+def test_lattice_budget_is_checked_before_any_work(lattice_scans, capsys):
+    assert main(["lattice", "--field", "13"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "resource limit" in err and "10,691,739" in err
+    assert lattice_scans == []
+
+
+def test_lattice_budget_one_below_the_projection_fails(lattice_scans, monkeypatch,
+                                                     capsys):
+    assert main(["lattice", "--field", "3", "--max-subspaces", "3508"]) == 2
+    assert "3,509" in capsys.readouterr().err
+    monkeypatch.setenv("OCT_MAX_SUBSPACES", "3508")
+    assert main(["lattice", "--field", "3"]) == 2
+    capsys.readouterr()
+    assert lattice_scans == []
+
+
+def test_lattice_budget_at_the_projection_passes(monkeypatch, capsys):
+    monkeypatch.setenv("OCT_MAX_SUBSPACES", "3509")
+    assert main(["lattice", "--field", "3"]) == 0
+    assert capsys.readouterr().out == (DATA / "lattice_f3.dot").read_text()
+
+
+def test_lattice_projection_counts_the_quotient_bases(monkeypatch):
+    rows = []
+    real = subspace.pivot_block
+
+    def counting(*args):
+        block = real(*args)
+        rows.append(len(block))
+        return block
+
+    monkeypatch.setattr(subspace, "pivot_block", counting)
+    lattice.build_lattice(3)
+    assert sum(rows) == lattice.projected_bases(3) == 3509
+    assert lattice.projected_bases(5) == 45971
 
 
 def test_env_configuration(monkeypatch, capsys):

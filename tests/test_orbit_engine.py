@@ -1,18 +1,21 @@
 """The packed orbit engine: short generating set, int8 group closure,
-batched subspace orbits and index-permutation element orbits."""
+batched subspace orbits and index-permutation element and census orbits."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 import oracle
+from splitoct import autos
 from splitoct.algebra import algebra
-from splitoct.autos import (CapExceeded, all_alpha_generators,
+from splitoct.autos import (Automorphism, CapExceeded, all_alpha_generators,
                             automorphism_generators,
                             element_orbits, find_h_moving_extension,
                             generate_group, orbit_of_space, orbit_partition)
-from splitoct.classify import element_orbit_invariant
+from splitoct.census import enumerate_subalgebras
+from splitoct.classify import OrbitLabel, element_orbit_invariant
 from splitoct.linalg import batch_rref, rref
 
 G2_ORDER_F3 = 3 ** 6 * (3 ** 6 - 1) * (3 ** 2 - 1)
@@ -21,6 +24,12 @@ G2_ORDER_F3 = 3 ** 6 * (3 ** 6 - 1) * (3 ** 2 - 1)
 @pytest.fixture(scope="module")
 def alpha3():
     return all_alpha_generators(3)
+
+
+@pytest.fixture(scope="module")
+def census3():
+    """The F_3 subalgebras of dimensions 1 and 2 (9,130 records)."""
+    return enumerate_subalgebras(algebra(3), (1, 2))
 
 
 def test_short_generating_set_closes_to_full_group_f2(brute_count2):
@@ -46,6 +55,74 @@ def test_closure_elements_are_products_of_generators(generators2):
 def test_orbit_partition_same_for_both_generating_sets(census2, generators2):
     assert (orbit_partition(census2, automorphism_generators(2))
             == orbit_partition(census2, generators2))
+
+
+@pytest.mark.parametrize("p, maps, orbits", [(2, 3, 23), (2, 2, 336),
+                                             (3, 3, 9), (3, 2, 175)])
+def test_orbit_partition_matches_per_orbit_bfs(p, maps, orbits, census2, census3):
+    """The components equal one subspace BFS per orbit, under the short
+    generating set (one orbit per label) and under its two alpha maps
+    alone, whose orbits split the label classes."""
+    records = census2 if p == 2 else census3
+    gens = automorphism_generators(p)[:maps]
+    rows = orbit_partition(records, gens)
+    assert rows == oracle.orbit_partition(records, gens)
+    assert sum(row["orbit_count"] for row in rows) == orbits
+
+
+def test_orbit_partition_refuses_a_census_not_closed(census2, generators2):
+    dropped = next(i for i, r in enumerate(census2) if r.label is OrbitLabel.Fn)
+    with pytest.raises(ArithmeticError, match="not closed"):
+        orbit_partition(census2[:dropped] + census2[dropped + 1:], generators2)
+
+
+def test_orbit_partition_refuses_an_orbit_across_labels(census2, generators2):
+    moved = next(i for i, r in enumerate(census2) if r.label is OrbitLabel.Fn)
+    records = list(census2)
+    records[moved] = dataclasses.replace(records[moved], label=OrbitLabel.Fp)
+    with pytest.raises(ArithmeticError, match="left its label class"):
+        orbit_partition(records, generators2)
+
+
+def test_orbit_partition_refuses_a_map_that_is_no_automorphism(census2):
+    swap = np.eye(8, dtype=np.int64)[[1, 0, 2, 3, 4, 5, 6, 7]]   # E11 <-> E12
+    bijection = Automorphism(tuple(map(tuple, swap.tolist())), 2)
+    with pytest.raises(ArithmeticError):
+        orbit_partition(census2, automorphism_generators(2)[:2] + [bijection])
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The shape of every stack handed to autos.batch_rref."""
+    shapes = []
+    real = autos.batch_rref
+
+    def recording(mats, p):
+        shapes.append(mats.shape)
+        return real(mats, p)
+
+    monkeypatch.setattr(autos, "batch_rref", recording)
+    return shapes
+
+
+def test_orbit_partition_reduces_in_capped_blocks(rref_calls):
+    """The 19,657 lines over F_5 take two blocks per generator, and no
+    batched RREF gets more basis rows than the cap."""
+    records = enumerate_subalgebras(algebra(5), (1,))
+    rows = orbit_partition(records, automorphism_generators(5))
+    assert [row["orbit_sizes"] for row in rows] == [[1], [3906], [15750]]
+    assert len(rref_calls) == 2 * 3
+    assert all(m * d <= autos.PARTITION_BLOCK_ROWS for m, d, _ in rref_calls)
+
+
+def test_orbit_partition_blocks_do_not_change_the_answer(census2, rref_calls,
+                                                         monkeypatch):
+    want = orbit_partition(census2, automorphism_generators(2)[:2])
+    rref_calls.clear()
+    monkeypatch.setattr(autos, "PARTITION_BLOCK_ROWS", 60)
+    assert orbit_partition(census2, automorphism_generators(2)[:2]) == want
+    assert all(m * d <= 60 for m, d, _ in rref_calls)
+    assert len(rref_calls) > 2 * 9
 
 
 def test_orbit_of_space_returns_rref_row_tuples(census2):
