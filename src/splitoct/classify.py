@@ -1,11 +1,15 @@
 """Orbit classification of closed subspaces of the split octonions.
 
 Every multiplicatively closed subspace falls into one of finitely many
-orbits of the automorphism group; the decision tree below reads off the
-orbit from cheap invariants (dimension, unitality, radicals, one-sided
-identities, minimal polynomials).  Labels D, H, D+Q, K require imperfect
-or infinite scalars and can never occur over F_p; their branches raise
-:class:`ClassificationError` so a scan hitting one is loudly wrong.
+orbits of the automorphism group, read off from cheap invariants
+(dimension, unitality, radicals, one-sided identities and annihilators,
+the minimal polynomial of a generator).  The classification is a rule
+table: each label of a dimension has one rule, a conjunction of those
+invariants, and a closed subspace must fit exactly one rule of its
+dimension.  Labels D, H, D+Q, K require imperfect or infinite scalars and
+can never occur over F_p, so they have no rule: a subspace that fits no
+rule, or several, raises :class:`ClassificationError`, so a scan meeting
+one is loudly wrong.
 
 :func:`batch_records` computes every invariant of a stack of closed
 subspaces of any table of the split octonions (an
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,7 +89,7 @@ LABEL_DIM = {
 
 
 class ClassificationError(ArithmeticError):
-    """A closed subspace contradicts the classification (must never fire)."""
+    """A closed subspace fits no label's rule, or several (must never fire)."""
 
 
 def element_orbit_invariant(v, A: Algebra) -> tuple[int, int, bool]:
@@ -150,6 +155,19 @@ class SubalgebraRecord:
         return SubalgebraRecord, tuple(getattr(self, f.name) for f in fields(self))
 
 
+@lru_cache(maxsize=None)
+def _kinds(p: int) -> np.ndarray:
+    """_kinds(p)[t, n]: the kind of X² - tX + n for every t, n in F_p."""
+    return np.array([[_minimal_poly_kind(t, n, p) for n in range(p)] for t in range(p)])
+
+
+def _generator_kind(outside: np.ndarray, traces: np.ndarray, norms: np.ndarray,
+                    p: int) -> np.ndarray:
+    """Minimal-polynomial kind of each basis's first row flagged in ``outside``."""
+    at = np.arange(len(outside)), outside.argmax(1)
+    return _kinds(p)[traces[at], norms[at]]
+
+
 def _form_values(X: np.ndarray, norms: np.ndarray, gram: np.ndarray,
                  p: int) -> np.ndarray:
     """N(Σ x_i b_i) for every coefficient row x of X (V, k) and every basis,
@@ -183,9 +201,11 @@ def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
     norms and the Gram matrix, dim R = k − rank(Gram) mod p and, over
     F_2, dim Q from the norm on the Gram kernel (Q = R for odd p).  No
     coordinate of A is read directly, so any table of the split octonions
-    gives the same labels.  Raises NotClosed if some basis does not span
-    a closed subspace and ClassificationError if one contradicts the
-    classification.  A stack of any size is taken in blocks of at most
+    gives the same labels.  Each label's rule is a boolean mask over the
+    stack, and every subspace must fit exactly one rule of dimension k.
+    Raises NotClosed if some basis does not span a closed subspace and
+    ClassificationError, naming the first offender, if one fits no rule
+    or several.  A stack of any size is taken in blocks of at most
     ``_BATCH // max(k⁴, p^k)`` rows.
     """
     p = A.p
@@ -222,12 +242,33 @@ def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
         Q = R - (in_R & (_form_values(X, norms, gram, 2) == 1)).any(1)
     else:
         Q = R
+    # 1 ∉ A forces N ≡ 0 on A: an invertible x gives 1 = (tr(x)·x − x²)/N(x)
+    own = ~unital & singular
+    traced = traces.any(1)
+    rules = {5: {OrbitLabel.Dim5: unital}, 6: {OrbitLabel.Dim6: unital},
+             8: {OrbitLabel.Full: unital}}.get(k, {})
+    if k == 1:
+        rules = {OrbitLabel.F: unital, OrbitLabel.Fp: own & traced,
+                 OrbitLabel.Fn: own & ~traced}
     if k == 2:
-        zero_products = ~C.any((1, 2, 3))
         delta = np.eye(k, dtype=np.int64).reshape(k * k)
         # e·b_j = b_j: Σ_i x_i C[i, j, c] = δ_jc; b_j·e = b_j: Σ_i x_i C[j, i, c]
         both = np.concatenate([C.transpose(0, 2, 3, 1), C.transpose(0, 1, 3, 2)])
         left_id, right_id = _solvable(both.reshape(2 * M, k * k, k), delta, p).reshape(2, M)
+        # the generator is the first row that is not a multiple of 1; RREF
+        # rows lead with 1, so the only such multiple is 1 scaled to lead with 1
+        lead = next(c for c in A.unit if c)
+        kind = _generator_kind((rows != A.smul(pow(lead, -1, p), A.unit)).any(-1),
+                               traces, norms, p)
+        rules = {OrbitLabel.S: unital & (kind == "split"),
+                 OrbitLabel.FplusFn: unital & (kind == "double"),
+                 OrbitLabel.E: unital & (kind == "irreducible"),
+                 OrbitLabel.Q: own & ~C.any((1, 2, 3)),
+                 OrbitLabel.FnFp: own & left_id, OrbitLabel.FnFpbar: own & right_id}
+    if k == 3:
+        rules = {OrbitLabel.T: unital & (R == 1),
+                 OrbitLabel.FplusQ: unital & (R >= 2) & (Q >= 2),
+                 OrbitLabel.mOcapOn: own & traced, OrbitLabel.HeisNOcapOn: own & ~traced}
     if k == 4:
         # a nonzero a in A with a·A = 0 (left) or A·a = 0 (right)
         left_ann = batch_rank(C.reshape(M, k, k * k), p) < k
@@ -238,114 +279,33 @@ def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
             X = coefficient_vectors(k, p)[1:]
             isotropic[nondeg] = (
                 _form_values(X, norms[nondeg], gram[nondeg], p) == 0).any(1)
-    # the multiple of 1 with leading entry 1: the one RREF row inside F·1
-    lead = next(c for c in A.unit if c)
-    one_row = A.smul(pow(lead, -1, p), A.unit)
-
-    def kind_of(m: int, i: int) -> str:
-        return _minimal_poly_kind(int(traces[m, i]), int(norms[m, i]), p)
-
-    def label(m: int) -> OrbitLabel:
-        if k == 8:
-            return OrbitLabel.Full
-        if k == 7:
-            raise ClassificationError("7-dimensional subalgebra cannot exist")
-        if not unital[m]:
-            # 1 ∉ A forces N ≡ 0 on A: an invertible x would put
-            # 1 = (tr(x)·x − x²)/N(x) inside the closed space
-            if not singular[m]:
-                if norms[m].any():
-                    raise ClassificationError(
-                        "non-unital subalgebra containing an invertible element")
-                raise ClassificationError("non-unital subalgebra is not totally singular")
-            if k == 1:
-                return OrbitLabel.Fp if traces[m, 0] else OrbitLabel.Fn
-            if k == 2:
-                if zero_products[m]:
-                    return OrbitLabel.Q
-                if left_id[m]:
-                    return OrbitLabel.FnFp
-                if right_id[m]:
-                    return OrbitLabel.FnFpbar
-                raise ClassificationError(
-                    "2-dim singular algebra with no identity and products")
-            if k == 3:
-                return OrbitLabel.mOcapOn if traces[m].any() else OrbitLabel.HeisNOcapOn
-            if k == 4:
-                if left_ann[m]:
-                    return OrbitLabel.NO
-                if right_ann[m]:
-                    return OrbitLabel.ON
-                raise ClassificationError("4-dim singular algebra with no annihilator")
-            raise ClassificationError(f"totally singular subalgebra of dimension {k}")
-
-        # unital branch
-        if k == 1:
-            return OrbitLabel.F
-        if k == 5:
-            return OrbitLabel.Dim5
-        if k == 6:
-            return OrbitLabel.Dim6
-        if k == 2:
-            gen = next(i for i, r in enumerate(spaces[m].rows) if r != one_row)
-            kind = kind_of(m, gen)
-            if kind == "split":
-                return OrbitLabel.S
-            if kind == "double":
-                return OrbitLabel.FplusFn
-            if kind == "irreducible":
-                return OrbitLabel.E
-            raise ClassificationError("label D requires an imperfect field")
-        r_dim, q_dim = R[m], Q[m]
-        if k == 3:
-            if r_dim == 1:
-                return OrbitLabel.T
-            if r_dim >= 2:
-                if q_dim < 2:
-                    raise ClassificationError("3-dim unital: dim R >= 2 forces dim Q >= 2")
-                return OrbitLabel.FplusQ
-            raise ClassificationError("3-dim unital nondegenerate subalgebra")
-        if k == 4:
-            if r_dim == 0:
-                if isotropic[m]:
-                    return OrbitLabel.SplitQuat
-                raise ClassificationError("label H (division quaternions) cannot occur "
-                                          "over a finite field")
-            if q_dim == 3:
-                return OrbitLabel.FplusHeis
-            if r_dim == 2:
-                if q_dim != 2:
-                    raise ClassificationError("dim R = 2 with Q != R")
-                # b_i lies in F·1 + R iff its Gram column is a multiple of
-                # the Gram column of 1
-                g1 = gram[m] @ one_coef[m] % p
-                gen = next(i for i in range(k)
-                           if not any(((gram[m, :, i] - c * g1) % p == 0).all()
-                                      for c in range(p)))
-                kind = kind_of(m, gen)
-                if kind == "split":
-                    return OrbitLabel.SplusQ
-                if kind == "irreducible":
-                    return OrbitLabel.EplusQ
-                if kind == "inseparable":
-                    raise ClassificationError("label D+Q requires an imperfect field")
-                raise ClassificationError("quotient by radical is not a composition algebra")
-            if r_dim == 4:
-                if q_dim == 2:
-                    raise ClassificationError("label D+Q requires an imperfect field")
-                if q_dim == 0:
-                    raise ClassificationError("label K requires an imperfect field")
-            raise ClassificationError(
-                f"4-dim unital: unexpected radicals R={r_dim} Q={q_dim}")
-        raise ClassificationError(f"unital subalgebra of dimension {k}")
-
+        # the generator of the quotient by F·1 + R: b_i lies in F·1 + R iff
+        # its Gram column is a multiple of the Gram column of 1
+        g1 = np.einsum("mij,mj->mi", gram, one_coef) % p
+        multiples = np.arange(p)[:, None] * g1[:, None, :] % p
+        kind = _generator_kind((gram[:, :, None] != multiples[:, None]).any(-1).all(-1),
+                               traces, norms, p)
+        unital_RQ2 = unital & (R == 2) & (Q == 2)
+        rules = {OrbitLabel.SplitQuat: unital & (R == 0) & isotropic,
+                 OrbitLabel.FplusHeis: unital & (Q == 3),
+                 OrbitLabel.SplusQ: unital_RQ2 & (kind == "split"),
+                 OrbitLabel.EplusQ: unital_RQ2 & (kind == "irreducible"),
+                 OrbitLabel.NO: own & left_ann, OrbitLabel.ON: own & right_ann}
+    fits = np.array(list(rules.values()), dtype=bool).reshape(-1, M)
+    count = fits.sum(0)
+    if (count != 1).any():
+        m = int((count != 1).argmax())
+        raise ClassificationError(
+            f"closed subspace {spaces[m].rows} fits {count[m]} labels, not one (unital="
+            f"{bool(unital[m])}, singular={bool(singular[m])}, R={R[m]}, Q={Q[m]})")
+    labels = list(rules)
     return [SubalgebraRecord(space=spaces[m], dim=k,
                              contains_one=bool(unital[m]),
                              totally_singular=bool(singular[m]),
                              radical_R_dim=int(R[m]), radical_Q_dim=int(Q[m]),
                              associative=bool(assoc[m]),
-                             commutative=bool(comm[m]), label=label(m))
-            for m in range(M)]
+                             commutative=bool(comm[m]), label=labels[i])
+            for m, i in enumerate(fits.argmax(0))]
 
 
 def record_for(space: Subspace, A: Algebra) -> SubalgebraRecord:

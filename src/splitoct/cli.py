@@ -54,6 +54,20 @@ def _resolve_int(flag_value: int | None, env_name: str, default: int | None) -> 
     return env if env is not None else default
 
 
+def _field(args) -> int:
+    """The prime of --field, OCT_FIELD or the default, checked."""
+    p = _resolve_int(args.field, "FIELD", DEFAULT_FIELD)
+    check_prime(p)
+    return p
+
+
+def _census_args(args):
+    """(p, dims, budget, threads) of a census command."""
+    return (_field(args), _parse_dims(args.dims),
+            _resolve_int(args.max_subspaces, "MAX_SUBSPACES", DEFAULT_MAX_SUBSPACES),
+            _resolve_int(args.threads, "THREADS", DEFAULT_THREADS))
+
+
 def _parse_dims(raw: str | None):
     if raw is None:
         return None
@@ -124,12 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> int:
-    p = _resolve_int(args.field, "FIELD", DEFAULT_FIELD)
-    check_prime(p)
-    dims = _parse_dims(args.dims)
-    budget = _resolve_int(args.max_subspaces, "MAX_SUBSPACES",
-                          DEFAULT_MAX_SUBSPACES)
-    threads = _resolve_int(args.threads, "THREADS", DEFAULT_THREADS)
+    p, dims, budget, threads = _census_args(args)
     # checks first, then the file, then the census: a refused request leaves
     # an existing --out as it was, and a bad path costs no work
     check_scan(p, dims, max_subspaces=budget, threads=threads)
@@ -141,8 +150,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    p = _resolve_int(args.field, "FIELD", DEFAULT_FIELD)
-    check_prime(p)
+    p = _field(args)
     rows = json.loads(args.basis)
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) and len(r) == 8
@@ -172,12 +180,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    p = _resolve_int(args.field, "FIELD", DEFAULT_FIELD)
-    check_prime(p)
-    dims = _parse_dims(args.dims)
-    budget = _resolve_int(args.max_subspaces, "MAX_SUBSPACES",
-                          DEFAULT_MAX_SUBSPACES)
-    threads = _resolve_int(args.threads, "THREADS", DEFAULT_THREADS)
+    p, dims, budget, threads = _census_args(args)
     records = enumerate_subalgebras(algebra(p), dims, max_subspaces=budget,
                                     threads=threads)
     for row in orbit_partition(records, automorphism_generators(p)):
@@ -186,9 +189,7 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    p = _resolve_int(args.field, "FIELD", DEFAULT_FIELD)
-    check_prime(p)
-    graph = build_lattice(p, max_subspaces=_resolve_int(
+    graph = build_lattice(_field(args), max_subspaces=_resolve_int(
         args.max_subspaces, "MAX_SUBSPACES", DEFAULT_MAX_SUBSPACES))
     text = emit_dot(graph) if args.format == "dot" else emit_json(graph)
     sys.stdout.write(text)

@@ -6,10 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from splitoct.algebra import algebra
+from splitoct.algebra import Algebra, algebra
 from splitoct.classify import (LABEL_DIM, ClassificationError, NotClosed,
-                               OrbitLabel, classify, element_orbit_invariant,
-                               record_for)
+                               OrbitLabel, batch_records, classify,
+                               element_orbit_invariant, record_for)
 from splitoct.constructions import UnreachableLabel, rep
 from splitoct.subspace import span
 
@@ -52,6 +52,27 @@ def test_classify_rejects_open_spaces():
         classify(open_space, algebra(2))
     with pytest.raises(NotClosed):
         record_for(open_space, algebra(2))
+
+
+def _componentwise(p):
+    """F_p⁸ with componentwise products, a zero norm form and unit (1, ..., 1):
+    not an octonion algebra, so its subalgebras need not fit the rules."""
+    struct = np.zeros((8, 8, 8), dtype=np.int64)
+    struct[range(8), range(8), range(8)] = 1
+    return Algebra(struct, np.zeros((8, 8), dtype=np.int64), (1,) * 8, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rule_table_raises_unless_exactly_one_rule_fits(p):
+    A = _componentwise(p)
+    e = np.eye(8, dtype=np.int64)
+    # span{e0, e1} is non-unital and singular with the two-sided identity
+    # e0 + e1: it fits the rules of both Fn+Fp and Fn+Fpbar
+    with pytest.raises(ClassificationError, match="fits 2 labels"):
+        batch_records(e[None, :2], A)
+    # no rule covers dimension 7
+    with pytest.raises(ClassificationError, match="fits 0 labels"):
+        batch_records(e[None, :7], A)
 
 
 def test_record_flags_match_element_level_bruteforce(ctx2):

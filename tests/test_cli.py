@@ -277,13 +277,18 @@ def test_orbits_odd_p_one_orbit_per_label(p, dims, sizes, capsys):
 
 
 @pytest.mark.parametrize("argv, sha256", [
+    (["enumerate", "--field", "2"],
+     "083b940961063dbae47da4ff7bc027f71247c1163e37ddb0fb6604e4c46c9c59"),
+    (["enumerate", "--field", "5", "--dims", "1"],
+     "150433f4514b9fdd42dc8b6389c44faaf233ca83828d3faa02aa0ed8a34c0f08"),
     (["orbits", "--field", "2"],
      "35183818b824259c26248bdd34789467018d33675224ff2cbe3ef4e2e9c20494"),
     (["orbits", "--field", "3", "--dims", "1,2"],
      "64cc15fd91ba362528a5a6ed58fd357b034025dc9f2a87796490dfab8a58955e"),
     (["lattice", "--field", "5"],
      "0281bef8723f839c34e4e2e622e2fc477f4cc755b2b34ad95bebab9b26cbb6fd"),
-], ids=["orbits-f2", "orbits-f3-dims-1-2", "lattice-f5"])
+], ids=["enumerate-f2", "enumerate-f5-dims-1", "orbits-f2", "orbits-f3-dims-1-2",
+        "lattice-f5"])
 def test_stdout_is_pinned(argv, sha256, capsys):
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
