@@ -7,8 +7,10 @@ N(x) = x·Q·xᵀ, and the coordinates of 1.  Everything else is derived
 once, here: the Gram matrix Q + Qᵀ of the polar form
 (x|y) = N(x+y) − N(x) − N(y), the trace tr(x) = (x|1), the involution
 κ(x) = tr(x)·1 − x as a matrix, the scalar and array operations, and over
-F_2 in dimension 8 the 256×256 byte tables (bit c of a byte is
-coordinate c).  No other module knows a coordinate layout.
+F_2 in dimension 8 the byte tables (bit c of a byte is coordinate c):
+the 256×256 ``mul_byte`` and ``polar_byte`` and the 256-entry
+``conj_byte``, ``norm_byte`` and ``trace_byte``.  No other module knows a
+coordinate layout.
 
 Tables come from Cayley–Dickson doubling.  :func:`field_table` is F_p
 with N(x) = x², :func:`quaternion_table` the 2x2 matrices with the
@@ -62,7 +64,12 @@ def products(X: np.ndarray, Y: np.ndarray, struct: np.ndarray, p: int) -> np.nda
     T[..., i].  This measured about five times faster than multiplying the
     k·l row-pair outer products by struct.reshape(n², n), with the same
     sums.  Stacked per-basis products stay single-threaded in BLAS, which
-    keeps the census pool workers from oversubscribing the cores.
+    keeps the census pool workers from oversubscribing the cores.  Folding
+    the first matmul into one 2-D GEMM sped the odd-field identities suite
+    up (0.73 → 0.51 s), but OpenBLAS threads that GEMM: on a 2-vCPU VM
+    ``enumerate --field 3 --dims 1,2 --threads 2`` went from 0.49 to
+    0.89 s wall and from 0.65 to 1.61 s CPU, and the CPU time of
+    ``lattice --field 5`` and ``orbits --field 2`` rose by about half.
     Entries are non-negative integers at most n²(p−1)³, and (n² + n)(p−1)³
     bounds the differences the closure test forms from them; below 2²⁰
     (n = 8 and every supported prime) all of them are exact in float32,
@@ -234,6 +241,9 @@ class Algebra:
         self.conj_byte = ((coords @ self.conj_mat % 2) * weights).sum(-1).astype(np.uint8)
         self.norm_byte = self.norms(coords).astype(np.uint8)
         self.trace_byte = self.traces(coords).astype(np.uint8)
+        norm = self.norm_byte
+        # (x|y) = N(x+y) − N(x) − N(y), where + and − are XOR
+        self.polar_byte = norm[bits[:, None] ^ bits] ^ norm[:, None] ^ norm
 
     def byte_of(self, u) -> int:
         if self.p != 2:

@@ -399,8 +399,7 @@ def count_automorphisms(p: int = 2) -> int:
     mul = ctx.mul_byte
     norm = ctx.norm_byte
     trace = ctx.trace_byte
-    coords = ctx.byte_coords
-    polar_tab = (coords @ ctx.gram @ coords.T) % 2               # (256, 256)
+    polar = ctx.polar_byte
 
     n0 = ctx.byte_of(ctx.n0)
     nbar0 = ctx.byte_of(ctx.nbar0)
@@ -415,13 +414,13 @@ def count_automorphisms(p: int = 2) -> int:
     w_class = everything[(norm[1:] == norm[wb]) & (trace[1:] == trace[wb])]
     # pairs (h1, h2) of nilpotents with the invariants of (n0, nbar0)
     h1, h2 = (a.ravel() for a in np.meshgrid(nil, nil, indexing="ij"))
-    keep = ((polar_tab[h1, h2] == polar_tab[n0, nbar0])
+    keep = ((polar[h1, h2] == polar[n0, nbar0])
             & (trace[mul[h1, h2]] == trace[mul[n0, nbar0]])
             & (trace[mul[h2, h1]] == trace[mul[nbar0, n0]]))
     h1, h2 = h1[keep], h2[keep]
     # images h3 of w with the polar values of w against n0 and nbar0
-    ok = ((polar_tab[w_class[None, :], h1[:, None]] == polar_tab[wb, n0])
-          & (polar_tab[w_class[None, :], h2[:, None]] == polar_tab[wb, nbar0]))
+    ok = ((polar[w_class[None, :], h1[:, None]] == polar[wb, n0])
+          & (polar[w_class[None, :], h2[:, None]] == polar[wb, nbar0]))
     pair, w_idx = np.nonzero(ok)
     h1, h2, h3 = h1[pair], h2[pair], w_class[w_idx]
     top = [mul[h1, h2], h1, h2, mul[h2, h1]]

@@ -215,8 +215,13 @@ def test_byte_tables_match_tuple_arithmetic(ctx2):
     rng = np.random.default_rng(0)
     for _ in range(2000):
         xb, yb = int(rng.integers(256)), int(rng.integers(256))
-        prod = ctx.mul(ctx.coords_of_byte(xb), ctx.coords_of_byte(yb))
-        assert ctx.coords_of_byte(int(ctx.mul_byte[xb, yb])) == prod
+        x, y = ctx.coords_of_byte(xb), ctx.coords_of_byte(yb)
+        assert ctx.coords_of_byte(int(ctx.mul_byte[xb, yb])) == ctx.mul(x, y)
+        assert ctx.polar_byte[xb, yb] == ctx.polar(x, y)
+    for table in (ctx.mul_byte, ctx.polar_byte):
+        assert table.dtype == np.uint8 and table.shape == (256, 256)
+    coords = ctx.byte_coords
+    assert np.array_equal(ctx.polar_byte, coords @ ctx.gram @ coords.T % 2)
 
 
 # ---------------------------------------------------------------------------

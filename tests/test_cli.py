@@ -175,6 +175,14 @@ def test_verify_identities_pass(capsys):
     assert re.sub(r" in \d+\.\ds", "", out) == IDENTITIES_F2
 
 
+def test_verify_identities_all_fields_pinned(capsys):
+    # the digest bench/workloads.py checks for the identities workload
+    assert main(["verify", "--suite", "identities"]) == 0
+    out = re.sub(r" in \d+\.\ds", "", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c6da877d826a1d731dc59bae6efadfc14bd87d8cb178b8a11dc0f029de5e53d8")
+
+
 def test_verify_field_restriction(capsys):
     # the exhaustive geometry suite only exists over F_2
     rc = main(["verify", "--suite", "singular", "--field", "3"])

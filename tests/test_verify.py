@@ -3,6 +3,7 @@
 import importlib
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from splitoct import verify
@@ -65,6 +66,40 @@ def test_centralizers_suite_runs_quickly():
     assert res.field == 2
     assert res.total_checked > 250
     assert res.first_counterexample() is None
+
+
+# ---------------------------------------------------------------------------
+# identities: the flat byte reads
+# ---------------------------------------------------------------------------
+
+def _byte_grids(E):
+    """The full 256×256 grid (so x = y = 255, index 65,535), open and
+    dense, and the open grids of ``chunks`` for one to three variables."""
+    full = np.arange(256, dtype=np.uint8)
+    yield np.ix_(full, full)
+    yield np.meshgrid(full, full, indexing="ij")
+    for nvars in (1, 2, 3):
+        yield from E.chunks(nvars)
+
+
+def test_byte_reads_equal_the_2d_tables():
+    ctx = verify.algebra(2)
+    E = verify._Bytes(ctx)
+    binary = {E.mul: ctx.mul_byte, E.polar: ctx.polar_byte}
+    unary = {E.conj: ctx.conj_byte, E.norm: ctx.norm_byte, E.trace: ctx.trace_byte}
+    for grid in _byte_grids(E):
+        args = list(grid) + [E.one]                  # the 0-d unit with each
+        for a in args:
+            for op, table in unary.items():
+                got = op(a)
+                assert got.dtype == np.uint8 and got.shape == np.shape(a)
+                assert np.array_equal(got, table[a])
+            for b in args:
+                for op, table in binary.items():
+                    got = op(a, b)
+                    assert got.dtype == np.uint8
+                    assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+                    assert np.array_equal(got, table[a, b])
 
 
 # ---------------------------------------------------------------------------
