@@ -31,11 +31,12 @@ and N(a + x·w) = det(a) − det(x), in the coordinate order
 so 1 = (1,0,0,1,0,0,0,0) and w = (0,0,0,0,1,0,0,1).  Its structure
 constants :data:`STRUCT_Z` come from the same doubling over Z.
 
-:func:`products` is the package's one batched product: every stack of
-products under a structure tensor (the closure mask and structure
-constants of :mod:`splitoct.subspace`, the byte tables, multiplication
-matrices, the automorphism checks and the identities suite) goes through
-it.
+:func:`products` is the package's one batched product of basis stacks:
+the closure mask and structure constants of :mod:`splitoct.subspace`, the
+byte tables, multiplication matrices and the automorphism checks go
+through it.  The odd-field identities suite multiplies single elements
+from the algebra's term lists instead; both are exact in float32 under
+the one bound of :func:`check_float32_exact`.
 """
 
 from __future__ import annotations
@@ -54,6 +55,19 @@ DIM = 8
 # the batched product kernel
 # ---------------------------------------------------------------------------
 
+def check_float32_exact(n: int, p: int) -> None:
+    """Raise ``ValueError`` unless float32 sums of products over F_p^n are exact.
+
+    A product of two elements has coordinates of at most n² terms
+    c·x_i·y_j with c, x_i, y_j in [0, p), so at most n²(p−1)³, and
+    (n² + n)(p−1)³ bounds the differences the closure test forms from
+    them.  Below 2²⁰ (n = 8 and every supported prime) all of them are
+    exact in float32, and so is :func:`mod`.
+    """
+    if (n + 1) * n * (p - 1) ** 3 >= 1 << 20:
+        raise ValueError(f"float32 products are not exact for n={n}, p={p}")
+
+
 def products(X: np.ndarray, Y: np.ndarray, struct: np.ndarray, p: int) -> np.ndarray:
     """P[..., i, j, :] = X_i·Y_j under ``struct``, unreduced, as float32.
 
@@ -65,20 +79,16 @@ def products(X: np.ndarray, Y: np.ndarray, struct: np.ndarray, p: int) -> np.nda
     k·l row-pair outer products by struct.reshape(n², n), with the same
     sums.  Stacked per-basis products stay single-threaded in BLAS, which
     keeps the census pool workers from oversubscribing the cores.  Folding
-    the first matmul into one 2-D GEMM sped the odd-field identities suite
-    up (0.73 → 0.51 s), but OpenBLAS threads that GEMM: on a 2-vCPU VM
-    ``enumerate --field 3 --dims 1,2 --threads 2`` went from 0.49 to
-    0.89 s wall and from 0.65 to 1.61 s CPU, and the CPU time of
+    the first matmul into one 2-D GEMM lets OpenBLAS thread it: on a
+    2-vCPU VM ``enumerate --field 3 --dims 1,2 --threads 2`` went from
+    0.49 to 0.89 s wall and from 0.65 to 1.61 s CPU, and the CPU time of
     ``lattice --field 5`` and ``orbits --field 2`` rose by about half.
-    Entries are non-negative integers at most n²(p−1)³, and (n² + n)(p−1)³
-    bounds the differences the closure test forms from them; below 2²⁰
-    (n = 8 and every supported prime) all of them are exact in float32,
-    and so is :func:`mod`.  Pass the same array as X and Y to convert it
-    once.
+    Entries are non-negative integers at most n²(p−1)³, exact in float32
+    where :func:`check_float32_exact` passes.  Pass the same array as X
+    and Y to convert it once.
     """
     n = struct.shape[-1]
-    if (n + 1) * n * (p - 1) ** 3 >= 1 << 20:
-        raise ValueError(f"float32 products are not exact for n={n}, p={p}")
+    check_float32_exact(n, p)
     x = np.asarray(X, dtype=np.float32)
     y = x if Y is X else np.asarray(Y, dtype=np.float32)
     S = np.asarray(struct, dtype=np.float32).reshape(n, n * n)

@@ -92,10 +92,6 @@ def _validate(mat: np.ndarray, p: int) -> Automorphism:
     return Automorphism(tuple(map(tuple, m.tolist())), p)
 
 
-def identity_automorphism(p: int) -> Automorphism:
-    return Automorphism(tuple(map(tuple, np.eye(DIM, dtype=np.int64).tolist())), p)
-
-
 def alpha_st(s, t, p: int) -> Automorphism:
     """The automorphism a + x·w ↦ s·a·s⁻¹ + (t·x·s⁻¹)·w.
 

@@ -153,9 +153,6 @@ class CensusSummary:
     def count(self, dim: int, label: OrbitLabel) -> int:
         return self.counts.get((dim, label.value), 0)
 
-    def dim_total(self, dim: int) -> int:
-        return sum(v for (d, _), v in self.counts.items() if d == dim)
-
     def to_json_dict(self) -> dict:
         items = sorted(self.counts.items())
         return {

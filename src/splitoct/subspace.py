@@ -60,9 +60,6 @@ class Subspace:
         v = np.array(tuple(vec), dtype=np.int64) % self.p
         return linalg.row_space_contains(self.matrix(), self.pivots, v, self.p)
 
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
-
     def key(self) -> tuple:
         """Deterministic sort key: (dim, pivot columns, entries)."""
         return (self.dim, self.pivots, self.rows)
@@ -73,11 +70,6 @@ class Subspace:
         for coeffs in itertools.product(range(self.p), repeat=self.dim):
             v = (np.array(coeffs, dtype=np.int64) @ mat) % self.p
             yield tuple(int(c) for c in v)
-
-    def nonzero_elements(self):
-        for v in self.elements():
-            if any(v):
-                yield v
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, p={self.p}, rows={list(map(list, self.rows))})"
@@ -100,10 +92,6 @@ def span(vectors, p: int, ambient: int = DIM) -> Subspace:
 
 def zero_space(p: int, ambient: int = DIM) -> Subspace:
     return Subspace((), p, ambient)
-
-
-def full_space(p: int, ambient: int = DIM) -> Subspace:
-    return span(np.eye(ambient, dtype=np.int64), p, ambient)
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:

@@ -22,6 +22,9 @@ The closed sub-subspaces of a subalgebra come from testing every one of
 its subspaces, for comparison with the pruned
 :func:`splitoct.lattice.subalgebras_inside`, and
 :func:`enumerate_subspaces` lists every subspace of F_p^n one by one.
+The small helpers at the end (:func:`full_space`, :func:`nonzero_elements`,
+:func:`contains_space`, :func:`identity_automorphism`, :func:`dim_total`)
+serve only the tests.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from splitoct import field
 from splitoct.algebra import DIM
-from splitoct.autos import orbit_of_space
+from splitoct.autos import Automorphism, orbit_of_space
 from splitoct.classify import ClassificationError, OrbitLabel
 from splitoct.linalg import nullspace
 from splitoct.subspace import (Subspace, closed_mask, intersect, pivot_block,
@@ -72,7 +75,7 @@ def octonion_trace(u, p: int) -> int:
 
 
 def _has_one_sided_identity(space: Subspace, ctx, side: str) -> bool:
-    for e in space.nonzero_elements():
+    for e in nonzero_elements(space):
         if side == "left":
             if all(ctx.mul(e, b) == b for b in space.rows):
                 return True
@@ -279,3 +282,25 @@ def enumerate_subspaces(k: int, p: int, ambient: int = DIM):
     for pivots in itertools.combinations(range(ambient), k):
         for m in pivot_block(pivots, p, ambient):
             yield Subspace(tuple(map(tuple, m.tolist())), p, ambient)
+
+
+def full_space(p: int, ambient: int = DIM) -> Subspace:
+    return span(np.eye(ambient, dtype=np.int64), p, ambient)
+
+
+def nonzero_elements(space: Subspace):
+    """The p^dim − 1 nonzero elements of a subspace, as int tuples."""
+    return (v for v in space.elements() if any(v))
+
+
+def contains_space(space: Subspace, other: Subspace) -> bool:
+    return all(space.contains(r) for r in other.rows)
+
+
+def identity_automorphism(p: int) -> Automorphism:
+    return Automorphism(tuple(map(tuple, np.eye(DIM, dtype=np.int64).tolist())), p)
+
+
+def dim_total(summary, dim: int) -> int:
+    """Records of one dimension in a :class:`splitoct.census.CensusSummary`."""
+    return sum(v for (d, _), v in summary.counts.items() if d == dim)

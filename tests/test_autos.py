@@ -10,11 +10,11 @@ from splitoct.autos import (CapExceeded, PreconditionFailed, _check_multiplicati
                             alpha_st, all_alpha_generators,
                             automorphism_generators, doubling_extension,
                             element_orbits, find_h_moving_extension,
-                            generate_group, identity_automorphism,
-                            orbit_of_space, orbit_partition)
+                            generate_group, orbit_of_space, orbit_partition)
 from splitoct.classify import element_orbit_invariant
 from splitoct.constructions import standard_quaternions
 from splitoct.subspace import span
+from oracle import identity_automorphism
 
 FULL_GROUP_ORDER_F2 = 12096
 

@@ -11,6 +11,7 @@ from splitoct.constructions import (PreconditionFailed, UnreachableLabel,
                                     right_mul_space, standard_quaternions,
                                     top_row_ideal, upper_triangular)
 from splitoct.subspace import closed_bases, intersect, span, sum_spaces
+from oracle import nonzero_elements
 
 PRIMES = [2, 3, 5]
 
@@ -138,7 +139,7 @@ def test_companion_element_generates_quadratic_field(p):
     assert line.contains(sq)
     assert classify(line, ctx) is OrbitLabel.E
     # no zero divisors: every nonzero element is invertible
-    assert all(ctx.norm(v) != 0 for v in line.nonzero_elements())
+    assert all(ctx.norm(v) != 0 for v in nonzero_elements(line))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -148,7 +149,7 @@ def test_split_etale_pair(p):
     pair = span([ctx.unit, ctx.p0], p)
     assert classify(pair, ctx) is OrbitLabel.S
     # it contains a zero divisor, unlike the quadratic field extension
-    assert any(ctx.norm(v) == 0 for v in pair.nonzero_elements())
+    assert any(ctx.norm(v) == 0 for v in nonzero_elements(pair))
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from splitoct import verify
+from splitoct.algebra import check_float32_exact, double, field_table
+from splitoct.field import SUPPORTED_PRIMES
 from splitoct.verify import (SUITE_NAMES, CheckResult, SuiteResult, run_suite,
                              verify_centralizers)
 
@@ -100,6 +102,68 @@ def test_byte_reads_equal_the_2d_tables():
                     assert got.dtype == np.uint8
                     assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
                     assert np.array_equal(got, table[a, b])
+
+
+# ---------------------------------------------------------------------------
+# identities: the coordinate planes of the odd fields
+# ---------------------------------------------------------------------------
+
+ODD_PRIMES = [p for p in SUPPORTED_PRIMES if p > 2]
+
+
+def _assert_planes_agree(A, seed: int, m: int = 300):
+    """The plane engine against the algebra's scalar operations on ``m``
+    seeded random elements, the first of them all p − 1 (the largest sums)."""
+    E = verify._Planes(A)
+    rng = np.random.default_rng(seed)
+    X, Y = rng.integers(0, A.p, size=(2, A.dim, m))
+    X[:, 0] = Y[:, 0] = A.p - 1
+    x, y = X.astype(np.float32), Y.astype(np.float32)
+
+    def cols(planes):
+        assert planes.dtype == np.float32 and planes.shape == (A.dim, m)
+        return [tuple(int(c) for c in planes[:, i]) for i in range(m)]
+
+    def values(scalars):
+        assert scalars.dtype == np.float32 and scalars.shape == (m,)
+        return [int(c) for c in scalars]
+
+    xs, ys = cols(x), cols(y)
+    assert cols(E.mul(x, y)) == [A.mul(u, v) for u, v in zip(xs, ys)]
+    assert cols(E.conj(x)) == [A.conj(u) for u in xs]
+    assert values(E.norm(x)) == [A.norm(u) for u in xs]
+    assert values(E.trace(x)) == [A.trace(u) for u in xs]
+    assert values(E.polar(x, y)) == [A.polar(u, v) for u, v in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_planes_agree_with_the_scalar_operations(p):
+    _assert_planes_agree(verify.algebra(p), seed=p)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES[1:])
+def test_planes_agree_on_a_mu_doubled_table(p):
+    A = double(double(double(field_table(p), 2), 3), p - 2)
+    coefficients = {c for terms in A._mul_terms for *_, c in terms}
+    assert coefficients - {1, p - 1}              # not a ±1 table
+    _assert_planes_agree(A, seed=100 + p)
+
+
+def test_planes_refuse_a_size_float32_cannot_serve():
+    check_float32_exact(8, 13)
+    with pytest.raises(ValueError):
+        check_float32_exact(64, 13)
+    big = field_table(13)
+    for mu in (2, 3, 5, 6, 7):                    # 32 coordinates
+        big = double(big, mu)
+    with pytest.raises(ValueError):
+        verify._Planes(big)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_identities_pass_at_the_larger_primes(p):
+    res = verify.verify_identities(p)
+    assert res.passed and res.total_checked == 1_100_000
 
 
 # ---------------------------------------------------------------------------
