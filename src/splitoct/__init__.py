@@ -11,8 +11,7 @@ Highlights
   norm form and unit, with the involution, trace and operations derived;
   ``field_table``, ``quaternion_table`` and ``double`` build it by
   Cayley–Dickson doubling.
-- :func:`splitoct.algebra.algebra` — the canonical split octonions over F_p
-  (named elements and, over F_2, byte tables).
+- :func:`splitoct.algebra.algebra` — the canonical split octonions over F_p.
 - :func:`splitoct.census.enumerate_subalgebras` — the census of every
   subalgebra, over any table of the split octonions.
 - :func:`splitoct.classify.classify` — the isomorphism-type labeller.
@@ -25,10 +24,9 @@ Highlights
 from .algebra import (Algebra, SplitOctonions, algebra, double, field_table,
                       quaternion_table)
 from .autos import (Automorphism, CapExceeded, all_alpha_generators, alpha_st,
-                    automorphism_generators, count_automorphisms,
-                    doubling_extension, element_orbits,
-                    find_h_moving_extension, generate_group, orbit_of_space,
-                    orbit_partition)
+                    automorphism_generators, doubling_extension,
+                    element_orbits, find_h_moving_extension, generate_group,
+                    orbit_of_space, orbit_partition)
 from .census import (CensusSummary, CostLimitExceeded, census_report,
                      enumerate_subalgebras, write_jsonl)
 from .classify import (ClassificationError, NotClosed, OrbitLabel,
@@ -43,7 +41,8 @@ from .field import FieldError, check_prime
 from .lattice import LatticeGraph, LatticeNode, build_lattice, emit_dot, emit_json
 from .subspace import (Subspace, closure, gaussian_binomial, intersect, perp,
                        radicals, span, sum_spaces)
-from .verify import SUITE_NAMES, CheckResult, SuiteResult, run_suite
+from .verify import (SUITE_NAMES, CheckResult, SuiteResult,
+                     count_automorphisms, run_suite)
 
 __version__ = "0.1.0"
 

@@ -6,11 +6,10 @@ coordinates of e_i·e_j), the upper-triangular norm form Q with
 N(x) = x·Q·xᵀ, and the coordinates of 1.  Everything else is derived
 once, here: the Gram matrix Q + Qᵀ of the polar form
 (x|y) = N(x+y) − N(x) − N(y), the trace tr(x) = (x|1), the involution
-κ(x) = tr(x)·1 − x as a matrix, the scalar and array operations, and over
-F_2 in dimension 8 the byte tables (bit c of a byte is coordinate c):
-the 256×256 ``mul_byte`` and ``polar_byte`` and the 256-entry
-``conj_byte``, ``norm_byte`` and ``trace_byte``.  No other module knows a
-coordinate layout.
+κ(x) = tr(x)·1 − x as a matrix, and the scalar and array operations,
+the same way over every prime.  No other module knows a coordinate
+layout, except that the F_2 certifications of :mod:`splitoct.verify`
+pack F_2^8 into bytes.
 
 Tables come from Cayley–Dickson doubling.  :func:`field_table` is F_p
 with N(x) = x², :func:`quaternion_table` the 2x2 matrices with the
@@ -33,10 +32,10 @@ constants :data:`STRUCT_Z` come from the same doubling over Z.
 
 :func:`products` is the package's one batched product of basis stacks:
 the closure mask and structure constants of :mod:`splitoct.subspace`, the
-byte tables, multiplication matrices and the automorphism checks go
-through it.  The odd-field identities suite multiplies single elements
-from the algebra's term lists instead; both are exact in float32 under
-the one bound of :func:`check_float32_exact`.
+F_2 byte tables of :mod:`splitoct.verify`, multiplication matrices and the
+automorphism checks go through it.  The odd-field identities suite
+multiplies single elements from the algebra's term lists instead; both are
+exact in float32 under the one bound of :func:`check_float32_exact`.
 """
 
 from __future__ import annotations
@@ -160,8 +159,6 @@ class Algebra:
         self._polar_terms = _terms(self.gram)
         self._conj_terms = _terms(self.conj_mat)
         self._trace_terms = _terms(self.trace_vec)
-        if p == 2 and n == DIM:
-            self._build_byte_tables()
 
     # -- scalar operations on coordinate tuples -----------------------------
 
@@ -238,32 +235,6 @@ class Algebra:
         else:
             P = products(E, a, self.struct, self.p)[:, 0]
         return mod(P, self.p).astype(np.int64)
-
-    # -- byte tables for p = 2, dimension 8 ---------------------------------
-
-    def _build_byte_tables(self) -> None:
-        bits = np.arange(256, dtype=np.uint16)
-        coords = ((bits[:, None] >> np.arange(8)) & 1).astype(np.int64)  # (256,8)
-        self.byte_coords = coords
-        prod = mod(products(coords, coords, self.struct, 2), 2).astype(np.int64)
-        weights = 1 << np.arange(8)
-        self.mul_byte = (prod * weights).sum(-1).astype(np.uint8)        # (256,256)
-        self.conj_byte = ((coords @ self.conj_mat % 2) * weights).sum(-1).astype(np.uint8)
-        self.norm_byte = self.norms(coords).astype(np.uint8)
-        self.trace_byte = self.traces(coords).astype(np.uint8)
-        norm = self.norm_byte
-        # (x|y) = N(x+y) − N(x) − N(y), where + and − are XOR
-        self.polar_byte = norm[bits[:, None] ^ bits] ^ norm[:, None] ^ norm
-
-    def byte_of(self, u) -> int:
-        if self.p != 2:
-            raise ValueError("byte packing exists only over F_2")
-        return sum((int(c) & 1) << i for i, c in enumerate(u))
-
-    def coords_of_byte(self, b: int) -> tuple[int, ...]:
-        if self.p != 2:
-            raise ValueError("byte packing exists only over F_2")
-        return tuple(int(x) for x in self.byte_coords[b])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ part setwise (conjugation on matrices twisted by a norm-matched second
 unit, ``alpha_st``), and extensions along a change of quaternion
 subalgebra (``doubling_extension``).  The generated subgroup is certified
 against the full automorphism group by an independent brute-force count
-of all multiplicative unital bijections (see ``count_automorphisms``).
+of all multiplicative unital bijections, which lives with the other F_2
+certifications (:func:`splitoct.verify.count_automorphisms`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .algebra import DIM, algebra, mod, products, quaternion_table
 from .constructions import PreconditionFailed
 from .linalg import batch_rref, rank
-from .subspace import Subspace, closure, perp, span
+from .subspace import Subspace, perp, span
 
 
 class CapExceeded(RuntimeError):
@@ -371,65 +372,3 @@ def element_orbits(generators: list, p: int) -> list[set]:
     points = [tuple(v) for v in coords[order].tolist()]
     bounds = list(starts) + [len(order)]
     return [set(points[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force count of all automorphisms (p = 2)
-# ---------------------------------------------------------------------------
-
-def count_automorphisms(p: int = 2) -> int:
-    """Count all multiplicative unital linear bijections of O over F_2 by
-    constraint search on the images of the generating triple
-    (n0, nbar0, w), independent of any constructed generator set.
-
-    Every candidate image triple (h1, h2, h3) that keeps the polar values
-    and product traces of (n0, nbar0, w) is gathered into one array; the
-    images of the coordinate basis follow from the word DAG
-    p0 = n0·nbar0, pbar0 = nbar0·n0, e·w for the w-half.  The unit, the
-    bijectivity and all 64 basis-pair products are then checked for every
-    candidate at once on its packed images of all 256 bytes.
-    """
-    if p != 2:
-        raise ValueError("brute-force count is a char-2 certification")
-    ctx = algebra(2)
-    mul = ctx.mul_byte
-    norm = ctx.norm_byte
-    trace = ctx.trace_byte
-    polar = ctx.polar_byte
-
-    n0 = ctx.byte_of(ctx.n0)
-    nbar0 = ctx.byte_of(ctx.nbar0)
-    wb = ctx.byte_of(ctx.w)
-    one = ctx.byte_of(ctx.unit)
-    # sanity: the triple generates everything
-    if closure([ctx.n0, ctx.nbar0, ctx.w], ctx).dim != DIM:
-        raise ArithmeticError("n0, nbar0 and w do not generate the algebra")
-
-    everything = np.arange(1, 256, dtype=np.uint8)
-    nil = everything[(norm[1:] == 0) & (trace[1:] == 0)]
-    w_class = everything[(norm[1:] == norm[wb]) & (trace[1:] == trace[wb])]
-    # pairs (h1, h2) of nilpotents with the invariants of (n0, nbar0)
-    h1, h2 = (a.ravel() for a in np.meshgrid(nil, nil, indexing="ij"))
-    keep = ((polar[h1, h2] == polar[n0, nbar0])
-            & (trace[mul[h1, h2]] == trace[mul[n0, nbar0]])
-            & (trace[mul[h2, h1]] == trace[mul[nbar0, n0]]))
-    h1, h2 = h1[keep], h2[keep]
-    # images h3 of w with the polar values of w against n0 and nbar0
-    ok = ((polar[w_class[None, :], h1[:, None]] == polar[wb, n0])
-          & (polar[w_class[None, :], h2[:, None]] == polar[wb, nbar0]))
-    pair, w_idx = np.nonzero(ok)
-    h1, h2, h3 = h1[pair], h2[pair], w_class[w_idx]
-    top = [mul[h1, h2], h1, h2, mul[h2, h1]]
-    rows = np.stack(top + [mul[r, h3] for r in top], axis=1)   # (n, 8) bytes
-    # packed images of all 256 bytes: XOR of the rows at the set bits
-    imgs = np.zeros((len(rows), 256), dtype=np.uint8)
-    for bit in range(DIM):
-        imgs ^= rows[:, bit, None] * ((np.arange(256) >> bit) & 1).astype(np.uint8)
-    unital = imgs[:, one] == one
-    ordered = np.sort(imgs, axis=1, kind="stable")     # radix sort on bytes
-    bijective = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-    base, other = (1 << np.indices((DIM, DIM)).reshape(2, -1))
-    multiplicative = (mul[imgs[:, base], imgs[:, other]]
-                      == imgs[:, mul[base, other]]).all(axis=1)
-    return int((unital & bijective & multiplicative).sum())
-

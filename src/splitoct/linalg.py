@@ -97,7 +97,8 @@ def mat_inv(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows, in RREF) of the right kernel {x : mat @ x = 0 mod p}."""
+    """Basis of the right kernel {x : mat @ x = 0 mod p}, one row per free
+    column c, with 1 at c and 0 at the other free columns; not RREF in general."""
     m = np.array(mat, dtype=np.int64) % p
     _, cols = m.shape
     red, pivots = rref(m, p)
@@ -109,7 +110,6 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
         basis[k, c] = 1
         for i, pc in enumerate(pivots):
             basis[k, pc] = (-red[i, c]) % p
-    # free-column unit vectors in increasing order already give RREF rows
     return basis
 
 

@@ -58,6 +58,8 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         v = np.array(tuple(vec), dtype=np.int64) % self.p
+        if v.shape != (self.ambient,):
+            raise ValueError(f"a vector of length {v.size} is not in F_p^{self.ambient}")
         return linalg.row_space_contains(self.matrix(), self.pivots, v, self.p)
 
     def key(self) -> tuple:

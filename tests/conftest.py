@@ -20,9 +20,10 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from splitoct.algebra import algebra
-from splitoct.autos import (all_alpha_generators, count_automorphisms,
-                            find_h_moving_extension, generate_group)
+from splitoct.autos import (all_alpha_generators, find_h_moving_extension,
+                            generate_group)
 from splitoct.census import enumerate_subalgebras
+from splitoct.verify import count_automorphisms
 
 
 @pytest.fixture(scope="session")

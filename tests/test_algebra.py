@@ -201,30 +201,6 @@ def test_multiplication_matrices_match_tuple_product(p):
 
 
 # ---------------------------------------------------------------------------
-# byte tables (F_2 fast path)
-# ---------------------------------------------------------------------------
-
-def test_byte_tables_match_tuple_arithmetic(ctx2):
-    ctx = ctx2
-    for xb in range(256):
-        x = ctx.coords_of_byte(xb)
-        assert ctx.byte_of(x) == xb
-        assert ctx.norm_byte[xb] == ctx.norm(x)
-        assert ctx.trace_byte[xb] == ctx.trace(x)
-        assert ctx.coords_of_byte(ctx.conj_byte[xb]) == ctx.conj(x)
-    rng = np.random.default_rng(0)
-    for _ in range(2000):
-        xb, yb = int(rng.integers(256)), int(rng.integers(256))
-        x, y = ctx.coords_of_byte(xb), ctx.coords_of_byte(yb)
-        assert ctx.coords_of_byte(int(ctx.mul_byte[xb, yb])) == ctx.mul(x, y)
-        assert ctx.polar_byte[xb, yb] == ctx.polar(x, y)
-    for table in (ctx.mul_byte, ctx.polar_byte):
-        assert table.dtype == np.uint8 and table.shape == (256, 256)
-    coords = ctx.byte_coords
-    assert np.array_equal(ctx.polar_byte, coords @ ctx.gram @ coords.T % 2)
-
-
-# ---------------------------------------------------------------------------
 # doubling chain
 # ---------------------------------------------------------------------------
 

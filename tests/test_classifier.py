@@ -12,6 +12,7 @@ from splitoct.classify import (LABEL_DIM, ClassificationError, NotClosed,
                                element_orbit_invariant, record_for)
 from splitoct.constructions import UnreachableLabel, rep
 from splitoct.subspace import span
+from splitoct.verify import byte_tables
 from oracle import nonzero_elements
 
 REACHABLE = [lab for lab in OrbitLabel if lab.reachable]
@@ -78,20 +79,20 @@ def test_rule_table_raises_unless_exactly_one_rule_fits(p):
 
 def test_record_flags_match_element_level_bruteforce(ctx2):
     """Recompute every flag from scratch on all elements, via byte tables."""
-    ctx = ctx2
+    ctx, T = ctx2, byte_tables(ctx2)
     for label in REACHABLE:
         space = rep(label, 2)
         record = record_for(space, ctx)
-        bytes_ = sorted(ctx.byte_of(v) for v in space.elements())
+        bytes_ = sorted(T.byte_of(v) for v in space.elements())
         arr = np.array(bytes_, dtype=np.intp)
-        prod = ctx.mul_byte[np.ix_(arr, arr)]
+        prod = T.mul_byte[np.ix_(arr, arr)]
         comm = bool(np.array_equal(prod, prod.T))
         assoc = bool(np.array_equal(
-            ctx.mul_byte[prod[:, :, None], arr[None, None, :]],
-            ctx.mul_byte[arr[:, None, None], prod[None, :, :]]))
+            T.mul_byte[prod[:, :, None], arr[None, None, :]],
+            T.mul_byte[arr[:, None, None], prod[None, :, :]]))
         assert record.commutative == comm, label
         assert record.associative == assoc, label
-        assert record.contains_one == (ctx.byte_of(ctx.unit) in bytes_)
+        assert record.contains_one == (T.byte_of(ctx.unit) in bytes_)
         assert record.label is label
         assert record.dim == space.dim
         d = record.to_json_dict()
@@ -109,8 +110,9 @@ def test_element_invariant_named_elements(ctx2):
 
 
 def test_element_invariant_class_sizes_f2(ctx2):
+    T = byte_tables(ctx2)
     counts = Counter(
-        element_orbit_invariant(ctx2.coords_of_byte(b), ctx2)
+        element_orbit_invariant(T.coords_of_byte(b), ctx2)
         for b in range(1, 256))
     assert counts == {(1, 0, True): 1, (1, 1, False): 56, (0, 0, False): 63,
                       (1, 0, False): 63, (0, 1, False): 72}

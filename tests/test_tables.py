@@ -97,20 +97,32 @@ def test_mu_tables_compose_their_doubled_norm(p):
                               A.norms(X) * A.norms(Y) % p), mus
 
 
+#: (owner module, names no other module may import or read as attributes):
+#: the canonical tables over Z, and the F_2 byte packing of the certifications
+TABLE_OWNERS = (
+    ("algebra.py", ("STRUCT_Z", "GRAM_Z", "CONJ_Z")),
+    ("verify.py", ("byte_tables", "_build_byte_tables", "byte_coords",
+                   "mul_byte", "polar_byte", "conj_byte", "norm_byte",
+                   "trace_byte", "byte_of", "coords_of_byte")),
+)
+
+
 def test_only_the_algebra_module_reads_the_canonical_tables():
     package = Path(splitoct.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "algebra.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = []
-            if isinstance(node, ast.ImportFrom):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            found += [f"{path.name}:{node.lineno} {n}" for n in names
-                      if n in ("STRUCT_Z", "GRAM_Z", "CONJ_Z")]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner, owned in TABLE_OWNERS:
+            if path.name == owner:
+                continue
+            for node in ast.walk(tree):
+                names = []
+                if isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                found += [f"{path.name}:{node.lineno} {n}" for n in names
+                          if n in owned]
     assert not found
 
 

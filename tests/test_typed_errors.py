@@ -31,22 +31,25 @@ def _raises_assertion_error(node) -> bool:
 def test_typed_errors_survive_optimize_flag():
     script = """
 import numpy as np
-from splitoct.algebra import algebra
-from splitoct.autos import count_automorphisms, doubling_extension, generate_group
+from splitoct.algebra import algebra, quaternion_table
+from splitoct.autos import doubling_extension, generate_group
 from splitoct.constructions import PreconditionFailed
 from splitoct.linalg import mat_inv
 from splitoct.subspace import intersect, perp, span, sum_spaces
+from splitoct.verify import byte_tables, count_automorphisms
 calls = (
     lambda: doubling_extension(np.eye(8, dtype=np.int64)[:3], (0,) * 8, 2),
     lambda: generate_group([]),
     lambda: count_automorphisms(3),
-    lambda: algebra(3).byte_of((1,) * 8),
-    lambda: algebra(3).coords_of_byte(1),
+    lambda: byte_tables(algebra(3)),
+    lambda: byte_tables(quaternion_table(2)),
     lambda: perp(span([(1,) * 8], 3), algebra(2)),
     lambda: mat_inv(np.ones((2, 3), dtype=np.int64), 2),
     lambda: sum_spaces(span([(1,) * 8], 2), span([(1,) * 8], 3)),
     lambda: intersect(span([(1,) * 8], 2), span([(1,) * 8], 3)),
     lambda: perp(span([(1, 0, 0, 0)], 2, 4), algebra(2)),
+    lambda: span([(1, 0, 0, 1, 0, 0, 0, 0)], 2).contains((0, 0, 0)),
+    lambda: span([(0, 0, 0, 0, 1, 0, 0, 0)], 2).contains((1, 0, 0)),
 )
 for call in calls:
     try:
@@ -61,4 +64,4 @@ for call in calls:
     proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=PACKAGE.parent,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 9
+    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 11

@@ -71,8 +71,29 @@ def test_centralizers_suite_runs_quickly():
 
 
 # ---------------------------------------------------------------------------
-# identities: the flat byte reads
+# the F_2 byte tables and the flat byte reads of the identities suite
 # ---------------------------------------------------------------------------
+
+def test_byte_tables_match_tuple_arithmetic(ctx2):
+    ctx, T = ctx2, verify.byte_tables(ctx2)
+    for xb in range(256):
+        x = T.coords_of_byte(xb)
+        assert T.byte_of(x) == xb
+        assert T.norm_byte[xb] == ctx.norm(x)
+        assert T.trace_byte[xb] == ctx.trace(x)
+        assert T.coords_of_byte(T.conj_byte[xb]) == ctx.conj(x)
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        xb, yb = int(rng.integers(256)), int(rng.integers(256))
+        x, y = T.coords_of_byte(xb), T.coords_of_byte(yb)
+        assert T.coords_of_byte(int(T.mul_byte[xb, yb])) == ctx.mul(x, y)
+        assert T.polar_byte[xb, yb] == ctx.polar(x, y)
+    for table in (T.mul_byte, T.polar_byte):
+        assert table.dtype == np.uint8 and table.shape == (256, 256)
+    coords = T.byte_coords
+    assert np.array_equal(T.polar_byte, coords @ ctx.gram @ coords.T % 2)
+    assert verify.byte_tables(ctx) is T                   # built once
+
 
 def _byte_grids(E):
     """The full 256×256 grid (so x = y = 255, index 65,535), open and
@@ -85,10 +106,9 @@ def _byte_grids(E):
 
 
 def test_byte_reads_equal_the_2d_tables():
-    ctx = verify.algebra(2)
-    E = verify._Bytes(ctx)
-    binary = {E.mul: ctx.mul_byte, E.polar: ctx.polar_byte}
-    unary = {E.conj: ctx.conj_byte, E.norm: ctx.norm_byte, E.trace: ctx.trace_byte}
+    E = verify.byte_tables(verify.algebra(2))
+    binary = {E.mul: E.mul_byte, E.polar: E.polar_byte}
+    unary = {E.conj: E.conj_byte, E.norm: E.norm_byte, E.trace: E.trace_byte}
     for grid in _byte_grids(E):
         args = list(grid) + [E.one]                  # the 0-d unit with each
         for a in args:
