@@ -41,6 +41,7 @@ exact in float32 under the one bound of :func:`check_float32_exact`.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -67,7 +68,29 @@ def check_float32_exact(n: int, p: int) -> None:
         raise ValueError(f"float32 products are not exact for n={n}, p={p}")
 
 
-def products(X: np.ndarray, Y: np.ndarray, struct: np.ndarray, p: int) -> np.ndarray:
+class Workspace:
+    """Float32 work buffers that one scan lends to every kernel call it makes.
+
+    ``take(name, shape)`` returns a view of the buffer ``name``, grown to
+    the largest size asked of it so far; the next ``take`` of that name
+    overwrites it.  Reusing the buffers keeps a long scan from mapping and
+    faulting in fresh megabyte temporaries on every call, which otherwise
+    depends on glibc's dynamic mmap threshold and on what ran before.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype=np.float32)
+        return buf[:size].reshape(shape)
+
+
+def products(X: np.ndarray, Y: np.ndarray, struct: np.ndarray, p: int,
+             work: Workspace | None = None) -> np.ndarray:
     """P[..., i, j, :] = X_i·Y_j under ``struct``, unreduced, as float32.
 
     ``X`` has shape (..., k, n) and ``Y`` shape (..., l, n), entries in
@@ -84,25 +107,34 @@ def products(X: np.ndarray, Y: np.ndarray, struct: np.ndarray, p: int) -> np.nda
     ``lattice --field 5`` and ``orbits --field 2`` rose by about half.
     Entries are non-negative integers at most n²(p−1)³, exact in float32
     where :func:`check_float32_exact` passes.  Pass the same array as X
-    and Y to convert it once.
+    and Y to convert it once.  With ``work``, T and P are written into its
+    buffers ``"left"`` and ``"products"``, and P is valid until the next
+    call that takes them.
     """
     n = struct.shape[-1]
     check_float32_exact(n, p)
     x = np.asarray(X, dtype=np.float32)
     y = x if Y is X else np.asarray(Y, dtype=np.float32)
     S = np.asarray(struct, dtype=np.float32).reshape(n, n * n)
-    T = (x @ S).reshape(*x.shape[:-1], n, n)
-    return np.matmul(y[..., None, :, :], T)
+    lead = x.shape[:-1]
+    out_T = out_P = None
+    if work is not None:
+        out_T = work.take("left", (*lead, n * n))
+        out_P = work.take("products", np.broadcast_shapes(y.shape[:-2], x.shape[:-2])
+                          + (x.shape[-2], y.shape[-2], n))
+    T = np.matmul(x, S, out=out_T).reshape(*lead, n, n)
+    return np.matmul(y[..., None, :, :], T, out=out_P)
 
 
-def mod(x: np.ndarray, p: int) -> np.ndarray:
+def mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """x mod p for float32 integers of magnitude below 2²⁰.
 
     x / p then lies within 1/(16p) of its true value, so its floor is
     exact; np.fmod gives the same result about thirty times slower.  One
-    temporary holds every step, and ``x`` is not written.
+    temporary holds every step, ``out`` if given (it must not overlap
+    ``x``), and ``x`` is not written.
     """
-    q = x / p
+    q = np.divide(x, p, out=out)
     np.floor(q, out=q)
     q *= p
     return np.subtract(x, q, out=q)

@@ -12,17 +12,21 @@ quotient by F·1, with 1 appended (the unital subalgebras), and the
 hyperplanes avoiding 1 of each closed one (all the others).  A request
 for dimensions D runs the quotient dimensions {d − 1, d : d ∈ D} only.
 The quotient pivot sets are dealt into one task per process, which gets
-the algebra with them; a task reduces what it finds with
-:func:`splitoct.linalg.batch_rref` and builds the records and orbit
-labels with :func:`splitoct.classify.batch_records`, sorted by (dim,
-pivots, rows), the order of :meth:`splitoct.subspace.Subspace.key`.  The
-tasks' records are merged in that order, so the output does not depend
-on the number of worker processes.
+the algebra with them.  A task reduces what it finds with
+:func:`splitoct.linalg.batch_rref` and classifies it with
+:func:`splitoct.classify.batch_columns`, and returns, per dimension, int8
+:class:`splitoct.classify.Columns`: the RREF bases plus one small-int
+column per invariant and a label code.  No record object crosses the
+pool.  The parent joins each dimension's columns and sorts them with one
+``np.lexsort`` by (pivots, rows), the order of
+:meth:`splitoct.subspace.Subspace.key`, so the output does not depend on
+the number of worker processes.  :func:`write_jsonl` renders each JSON
+line from those arrays, and :func:`enumerate_subalgebras` builds its
+records from the same columns; ``splitoct enumerate`` builds none.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +35,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebra import DIM, Algebra
-from .classify import OrbitLabel, SubalgebraRecord, batch_records
+from .classify import (LABELS, Columns, OrbitLabel, SubalgebraRecord,
+                       batch_columns)
 from .linalg import batch_rref
 from .subspace import (closed_mask, closed_subspaces, free_positions,
                        gaussian_binomial)
@@ -55,19 +60,26 @@ def quotient_dims(dims) -> tuple[int, ...]:
     return tuple(sorted({e for d in dims for e in (d - 1, d) if 0 <= e < DIM}))
 
 
-def _records(A: Algebra, pivot_sets, dims) -> list[SubalgebraRecord]:
-    """Records of the closed subspaces of ``A`` of dimensions ``dims``
-    that the quotient pivot sets ``pivot_sets`` yield, sorted by (dim,
-    pivots, rows)."""
-    found, out = {}, []
+def _records(A: Algebra, pivot_sets, dims) -> dict[int, Columns]:
+    """The closed subspaces of ``A`` of dimensions ``dims`` that the
+    quotient pivot sets ``pivot_sets`` yield, classified, as int8
+    :class:`Columns` per dimension, unsorted."""
+    found = {}
     for mats in closed_subspaces(A.struct, A.unit, A.p, pivot_sets, dims):
         found.setdefault(mats.shape[1], []).append(mats)
-    for d in sorted(found):
-        red = batch_rref(np.concatenate(found.pop(d)), A.p)[0]
-        # pivot columns, then every entry; the lone zero space has no key
-        keys = np.concatenate([(red != 0).argmax(-1), red.reshape(len(red), d * DIM)], 1)
-        out += batch_records(red[np.lexsort(keys.T[::-1])] if d else red, A)
-    return out
+    return {d: batch_columns(batch_rref(np.concatenate(stacks), A.p)[0], A)
+            for d, stacks in found.items()}
+
+
+def _sorted(cols: Columns) -> Columns:
+    """The subspaces sorted by pivot columns, then every entry, the order
+    of :meth:`splitoct.subspace.Subspace.key` within one dimension."""
+    rows = cols.rows
+    if len(rows) < 2:
+        return cols
+    keys = np.concatenate([(rows != 0).argmax(-1), rows.reshape(len(rows), -1)], 1)
+    order = np.lexsort(keys.T[::-1])
+    return Columns(*(col[order] for col in cols))
 
 
 def _groups(dims, p: int, threads: int) -> list[list[tuple[int, ...]]]:
@@ -114,17 +126,19 @@ def check_budget(projected: int, max_subspaces: int | None) -> None:
             f"{max_subspaces:,}; raise --max-subspaces to proceed")
 
 
-def enumerate_subalgebras(A: Algebra, dims=None, *,
-                          max_subspaces: int | None = 2_000_000,
-                          threads: int = 1) -> list[SubalgebraRecord]:
+def census_columns(A: Algebra, dims=None, *,
+                   max_subspaces: int | None = 2_000_000,
+                   threads: int = 1) -> list[Columns]:
     """Every multiplicatively closed subspace of the octonion algebra ``A``
-    in the requested dimensions, as fully classified records, sorted by
-    (dim, pivots, rows).
+    in the requested dimensions, classified, as one :class:`Columns` per
+    dimension found, by increasing dimension, each sorted by (pivots,
+    rows).
 
     The request is checked by :func:`check_scan` before any work is done.
     ``threads`` > 1 runs the census in one pool of at most that many
-    processes, one task of quotient pivot sets each.  Closure of every
-    record is checked while its structure constants are computed.
+    processes, one task of quotient pivot sets each; the tasks return
+    int8 arrays, merged here with one sort per dimension.  Closure of
+    every subspace is checked while its structure constants are computed.
     """
     if A.dim != DIM:
         raise ValueError(f"the census needs an algebra of dimension {DIM}, "
@@ -137,7 +151,18 @@ def enumerate_subalgebras(A: Algebra, dims=None, *,
                                     itertools.repeat(dims)))
     else:
         results = [_records(A, group, dims) for group in groups]
-    return list(heapq.merge(*results, key=lambda r: r.space.key()))
+    return [_sorted(Columns.concat([res[d] for res in results if d in res]))
+            for d in sorted({d for res in results for d in res})]
+
+
+def enumerate_subalgebras(A: Algebra, dims=None, *,
+                          max_subspaces: int | None = 2_000_000,
+                          threads: int = 1) -> list[SubalgebraRecord]:
+    """The subalgebras of :func:`census_columns` as records, sorted by
+    (dim, pivots, rows)."""
+    return [r for cols in census_columns(A, dims, max_subspaces=max_subspaces,
+                                         threads=threads)
+            for r in cols.records(A.p)]
 
 
 @dataclass
@@ -183,10 +208,24 @@ def census_report(records) -> CensusSummary:
     return summary
 
 
-def write_jsonl(records, fh) -> int:
-    """Write one JSON object per record; returns the number written."""
+_FLAG = ("false", "true")
+_LABEL_JSON = tuple(json.dumps(lab.value) for lab in LABELS)
+
+
+def write_jsonl(columns, fh) -> int:
+    """Write one JSON object per subspace of the :class:`Columns` stacks
+    ``columns``, rendered from the arrays with the bytes of
+    ``json.dumps(record.to_json_dict(), separators=(", ", ": "))``;
+    returns the number written."""
     n = 0
-    for r in records:
-        fh.write(json.dumps(r.to_json_dict(), separators=(", ", ": ")) + "\n")
-        n += 1
+    for c in columns:
+        k = c.rows.shape[1]
+        lines = [f'{{"dim": {k}, "basis": {basis}, "label": {_LABEL_JSON[label]}, '
+                 f'"flags": {{"assoc": {_FLAG[assoc]}, "comm": {_FLAG[comm]}, '
+                 f'"unital": {_FLAG[unital]}}}, "R_dim": {R}, "Q_dim": {Q}}}\n'
+                 for basis, unital, R, Q, assoc, comm, label in zip(
+                     *(col.tolist() for col in (c.rows, c.unital, c.R, c.Q,
+                                                c.assoc, c.comm, c.label)))]
+        fh.write("".join(lines))
+        n += len(lines)
     return n

@@ -11,19 +11,23 @@ can never occur over F_p, so they have no rule: a subspace that fits no
 rule, or several, raises :class:`ClassificationError`, so a scan meeting
 one is loudly wrong.
 
-:func:`batch_records` computes every invariant of a stack of closed
+:func:`batch_columns` computes every invariant of a stack of closed
 subspaces of any table of the split octonions (an
 :class:`splitoct.algebra.Algebra`) at once, from their k×k×k structure
 constants and the table's Gram matrix, norms, traces and unit on the
-basis rows.  :func:`record_for` and :func:`classify` are its one-space
-case; every function here takes the table it works in.
+basis rows, and returns them as int8 :class:`Columns` with a label code
+per subspace.  :func:`batch_records` turns those columns into
+:class:`SubalgebraRecord` objects; :func:`record_for` and
+:func:`classify` are its one-space case.  Every function here takes the
+table it works in.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +76,10 @@ class OrbitLabel(enum.Enum):
 
 
 _UNREACHABLE = {OrbitLabel.D, OrbitLabel.QuatField, OrbitLabel.DplusQ, OrbitLabel.K}
+
+#: every label, in the order of the label codes of :class:`Columns`
+LABELS: tuple[OrbitLabel, ...] = tuple(OrbitLabel)
+_CODE = {lab: code for code, lab in enumerate(LABELS)}
 
 #: dimension of any subalgebra carrying the label
 LABEL_DIM = {
@@ -149,10 +157,34 @@ class SubalgebraRecord:
             "Q_dim": self.radical_Q_dim,
         }
 
-    def __reduce__(self):
-        # pickled as constructor arguments (so is Subspace), not as a state
-        # dict per object, which a pool result's loader keeps to the end
-        return SubalgebraRecord, tuple(getattr(self, f.name) for f in fields(self))
+
+class Columns(NamedTuple):
+    """Classified closed subspaces of one dimension k as int8 arrays: the
+    RREF bases (M, k, n) and one column (M,) per invariant, flags as 0 or
+    1 and ``label`` an index into :data:`LABELS`."""
+
+    rows: np.ndarray
+    unital: np.ndarray
+    singular: np.ndarray
+    R: np.ndarray
+    Q: np.ndarray
+    assoc: np.ndarray
+    comm: np.ndarray
+    label: np.ndarray
+
+    @classmethod
+    def concat(cls, parts) -> Columns:
+        """One stack of the stacks ``parts`` (at least one), in order."""
+        return cls(*map(np.concatenate, zip(*parts)))
+
+    def records(self, p: int) -> list[SubalgebraRecord]:
+        """One record per subspace, the bases read over F_p."""
+        _, k, n = self.rows.shape
+        return [SubalgebraRecord(Subspace(tuple(map(tuple, basis)), p, n), k,
+                                 bool(unital), bool(singular), R, Q, bool(assoc),
+                                 bool(comm), LABELS[label])
+                for basis, unital, singular, R, Q, assoc, comm, label
+                in zip(*(col.tolist() for col in self))]
 
 
 @lru_cache(maxsize=None)
@@ -190,8 +222,9 @@ def _solvable(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 _BATCH = 1 << 15
 
 
-def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
-    """Records, with orbit labels, of closed subspaces given by RREF bases.
+def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
+    """The invariants and orbit labels of closed subspaces given by RREF
+    bases, as :class:`Columns`.
 
     ``rows`` has shape (M, k, 8), one basis per subspace of the octonion
     algebra ``A``, all of one dimension k.  Every invariant comes from the
@@ -213,14 +246,12 @@ def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
     M, k, _ = rows.shape
     step = max(1, _BATCH // max(k ** 4, p ** k))
     if M > step:
-        return [r for lo in range(0, M, step)
-                for r in batch_records(rows[lo:lo + step], A)]
-    if not M:
-        return []
-    spaces = [Subspace(tuple(map(tuple, m)), p, A.dim) for m in rows.tolist()]
-    if k == 0:
-        return [SubalgebraRecord(s, 0, False, True, 0, 0, True, True, OrbitLabel.Zero)
-                for s in spaces]
+        return Columns.concat([batch_columns(rows[lo:lo + step], A)
+                               for lo in range(0, M, step)])
+    if k == 0 or not M:
+        # zero spaces (or none): not unital, singular, R = Q = 0, assoc, comm
+        return Columns(rows.astype(np.int8), *(np.full(M, v, dtype=np.int8) for v in
+                                               (0, 1, 0, 0, 1, 1, _CODE[OrbitLabel.Zero])))
     C = substructure(rows, A)
     gram = rows @ A.gram @ rows.transpose(0, 2, 1) % p
     norms = A.norms(rows)
@@ -296,16 +327,20 @@ def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
     if (count != 1).any():
         m = int((count != 1).argmax())
         raise ClassificationError(
-            f"closed subspace {spaces[m].rows} fits {count[m]} labels, not one (unital="
-            f"{bool(unital[m])}, singular={bool(singular[m])}, R={R[m]}, Q={Q[m]})")
-    labels = list(rules)
-    return [SubalgebraRecord(space=spaces[m], dim=k,
-                             contains_one=bool(unital[m]),
-                             totally_singular=bool(singular[m]),
-                             radical_R_dim=int(R[m]), radical_Q_dim=int(Q[m]),
-                             associative=bool(assoc[m]),
-                             commutative=bool(comm[m]), label=labels[i])
-            for m, i in enumerate(fits.argmax(0))]
+            f"closed subspace {tuple(map(tuple, rows[m].tolist()))} fits {count[m]} "
+            f"labels, not one (unital={bool(unital[m])}, singular={bool(singular[m])}, "
+            f"R={R[m]}, Q={Q[m]})")
+    codes = np.array([_CODE[lab] for lab in rules], dtype=np.int8)
+    return Columns(rows.astype(np.int8),
+                   *(col.astype(np.int8) for col in (unital, singular, R, Q, assoc, comm)),
+                   codes[fits.argmax(0)])
+
+
+def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
+    """Records, with orbit labels, of closed subspaces given by RREF bases
+    (M, k, 8) of the octonion algebra ``A``: :func:`batch_columns` as
+    :class:`SubalgebraRecord` objects."""
+    return batch_columns(rows, A).records(A.p)
 
 
 def record_for(space: Subspace, A: Algebra) -> SubalgebraRecord:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import Algebra, algebra
 from .census import check_budget
-from .classify import LABEL_DIM, OrbitLabel, batch_records, record_for
+from .classify import LABEL_DIM, LABELS, OrbitLabel, batch_columns, record_for
 from .constructions import rep
 from .linalg import batch_rref
 from .subspace import (Subspace, check_space, closed_subspaces,
@@ -85,8 +85,8 @@ def subalgebras_inside(space: Subspace, A: Algebra) -> Iterator[np.ndarray]:
 
 def labels_inside(space: Subspace, A: Algebra) -> set[OrbitLabel]:
     """Labels of every proper nonzero subalgebra of a closed subspace of ``A``."""
-    return {rec.label for rows in subalgebras_inside(space, A)
-            for rec in batch_records(rows, A)}
+    return {LABELS[code] for rows in subalgebras_inside(space, A)
+            for code in np.unique(batch_columns(rows, A).label).tolist()}
 
 
 def projected_bases(p: int) -> int:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .algebra import DIM, Algebra, mod, products
+from .algebra import DIM, Algebra, Workspace, mod, products
 
 
 class NotClosed(ValueError):
@@ -75,9 +75,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, p={self.p}, rows={list(map(list, self.rows))})"
-
-    def __reduce__(self):
-        return Subspace, (self.rows, self.p, self.ambient)
 
 
 def span(vectors, p: int, ambient: int = DIM) -> Subspace:
@@ -188,28 +185,43 @@ def block_rows(k: int, n: int) -> int:
     return max(1, _WORKSET // (max(k, 1) ** 2 * n * n))
 
 
-def _residual(P: np.ndarray, rows: np.ndarray, coef: np.ndarray, p: int) -> np.ndarray:
+def _residual(P: np.ndarray, rows: np.ndarray, coef: np.ndarray, p: int,
+              work: Workspace) -> np.ndarray:
     """Per basis: whether some product leaves the span, given the float32
     bases ``rows``, their products ``P`` and the products' coordinates
-    ``coef`` (entries at the pivot columns)."""
+    ``coef`` (entries at the pivot columns).  P is overwritten."""
     M, k, n = rows.shape
-    proj = coef.reshape(M, k * k, k) @ rows
-    return mod(P.reshape(M, k * k, n) - proj, p).any(axis=(1, 2))
+    proj = np.matmul(coef.reshape(M, k * k, k), rows, out=work.take("proj", (M, k * k, n)))
+    diff = np.subtract(P.reshape(M, k * k, n), proj, out=P.reshape(M, k * k, n))
+    return mod(diff, p, out=proj).any(axis=(1, 2))
+
+
+def _float_rows(mats: np.ndarray, work: Workspace) -> np.ndarray:
+    """``mats`` as float32, in the buffer ``"rows"`` of ``work``."""
+    r = work.take("rows", mats.shape)
+    r[...] = mats
+    return r
 
 
 def closed_mask(mats: np.ndarray, pivots: tuple[int, ...], struct: np.ndarray,
-                p: int) -> np.ndarray:
+                p: int, work: Workspace | None = None) -> np.ndarray:
     """Boolean mask of the closed row-spans among RREF bases ``mats``.
 
     ``mats`` has shape (M, k, n), every basis with pivot columns
     ``pivots``; ``struct`` is the (n, n, n) structure tensor of the
     algebra the rows live in.  A span is closed when each product of two
-    rows equals its pivot-column entries times the rows, mod p.
+    rows equals its pivot-column entries times the rows, mod p.  A scan
+    passes one :class:`splitoct.algebra.Workspace` to all its calls, so
+    the products, projections and residues reuse its buffers.
     """
-    r = mats.astype(np.float32)
-    P = products(r, r, struct, p)
-    coef = mod(P[..., list(pivots)], p)
-    return ~_residual(P, r, coef, p)
+    work = Workspace() if work is None else work
+    r = _float_rows(mats, work)
+    P = products(r, r, struct, p, work)
+    M, k, n = r.shape
+    raw = np.take(P, pivots, axis=-1, mode="clip",
+                  out=work.take("proj", (M, k, k, len(pivots))))
+    coef = mod(raw, p, out=work.take("coef", raw.shape))
+    return ~_residual(P, r, coef, p, work)
 
 
 def _pivot_coordinates(rows: np.ndarray, A: Algebra) -> tuple[np.ndarray, np.ndarray]:
@@ -218,11 +230,12 @@ def _pivot_coordinates(rows: np.ndarray, A: Algebra) -> tuple[np.ndarray, np.nda
     the product's coordinates when it lies in the span, and per basis
     whether some product leaves the span."""
     rows = np.asarray(rows)
-    r = rows.astype(np.float32)
-    P = products(r, r, A.struct, A.p)
+    work = Workspace()
+    r = _float_rows(rows, work)
+    P = products(r, r, A.struct, A.p, work)
     piv = (rows != 0).argmax(-1)                                 # (M, k)
     coef = mod(np.take_along_axis(P, piv[:, None, None, :], axis=-1), A.p)
-    return coef, _residual(P, r, coef, A.p)
+    return coef, _residual(P, r, coef, A.p, work)
 
 
 def closed_bases(rows: np.ndarray, A: Algebra) -> np.ndarray:
@@ -334,6 +347,7 @@ def closed_subspaces(struct: np.ndarray, unit, p: int, pivot_sets=None,
         pivot_sets = (piv for d in range(k)
                       for piv in itertools.combinations(range(k - 1), d))
     dims = range(k + 1) if dims is None else dims
+    work = Workspace()
     for piv in pivot_sets:
         d = len(piv)
         total, block = p ** len(free_positions(piv, k - 1)), block_rows(d + 1, k)
@@ -341,7 +355,7 @@ def closed_subspaces(struct: np.ndarray, unit, p: int, pivot_sets=None,
             q = pivot_block(piv, p, k - 1, start, min(total, start + block))
             U = np.zeros((len(q), d + 1, k), dtype=np.int8)
             U[:, :d, :-1], U[:, d, -1] = q, 1
-            U = U[closed_mask(U, piv + (k - 1,), T, p)]
+            U = U[closed_mask(U, piv + (k - 1,), T, p, work)]
             if d + 1 in dims:
                 yield U.astype(np.int64) @ basis % p
             if d not in dims:
@@ -352,7 +366,7 @@ def closed_subspaces(struct: np.ndarray, unit, p: int, pivot_sets=None,
                 i = np.arange(lo, min(n, lo + block_rows(d, k)))
                 cand = U[i // len(lifts), :d]
                 cand[:, :, -1] = lifts[i % len(lifts)]
-                yield cand[closed_mask(cand, piv, T, p)].astype(np.int64) @ basis % p
+                yield cand[closed_mask(cand, piv, T, p, work)].astype(np.int64) @ basis % p
 
 
 @lru_cache(maxsize=None)

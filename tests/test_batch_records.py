@@ -9,17 +9,18 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import splitoct
 import oracle
 from splitoct.algebra import algebra
 from splitoct.autos import alpha_st
-from splitoct.census import enumerate_subalgebras
-from splitoct.classify import OrbitLabel, batch_records
+from splitoct.census import census_columns, enumerate_subalgebras
+from splitoct.classify import LABEL_DIM, LABELS, OrbitLabel, batch_columns, batch_records
 from splitoct.cli import main
 from splitoct.constructions import rep
-from splitoct.lattice import subalgebras_inside
+from splitoct.lattice import GRAPH_LABELS, subalgebras_inside
 from test_tables import _change_basis, _random_basis
 
 #: sha256 of ``enumerate --field 3 --dims 1,2``, as recorded by the benchmark
@@ -59,6 +60,36 @@ def test_f5_representatives_match_elementwise_reference():
     reps = [rep(lab, 5) for lab in OrbitLabel if lab.reachable]
     records = [batch_records(s.matrix()[None], algebra(5))[0] for s in reps]
     _assert_matches_oracle(records, algebra(5))
+
+
+def _stacks():
+    """(algebra, RREF stack) for every F_5 lattice stack and every
+    dimension of the F_2 census and the F_3 dims 1–2 census."""
+    A = algebra(5)
+    for lab in GRAPH_LABELS:
+        for rows in subalgebras_inside(rep(lab, 5), A):
+            yield A, rows
+    for A, dims in ((algebra(2), None), (algebra(3), (1, 2))):
+        for cols in census_columns(A, dims):
+            yield A, cols.rows
+
+
+def test_label_codes_decode_to_the_record_labels():
+    stacks = 0
+    for A, rows in _stacks():
+        cols = batch_columns(rows, A)
+        records = batch_records(rows, A)
+        k = rows.shape[1]
+        assert cols.rows.dtype == cols.label.dtype == np.int8
+        assert [LABELS[c] for c in cols.label.tolist()] == [r.label for r in records]
+        assert all(LABEL_DIM[r.label] == k for r in records)
+        assert [r.space.rows for r in records] == [tuple(map(tuple, b))
+                                                  for b in cols.rows.tolist()]
+        # the decoding, checked against the element-wise labeller
+        if records:
+            assert records[0].label is oracle.label(records[0].space, A)
+            stacks += 1
+    assert stacks == 41 + 8 + 2      # F_5 lattice, F_2 census, F_3 dims 1–2
 
 
 def test_records_working_set_is_bounded():

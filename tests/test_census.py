@@ -3,13 +3,14 @@
 import hashlib
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from splitoct import census
 from splitoct.algebra import algebra, double, field_table
-from splitoct.census import (CostLimitExceeded, census_report,
+from splitoct.census import (CostLimitExceeded, census_columns, census_report,
                              enumerate_subalgebras, quotient_dims, write_jsonl)
 from splitoct.classify import OrbitLabel, batch_records, classify
 from splitoct.subspace import closed_bases, gaussian_binomial, radicals
@@ -127,10 +128,11 @@ F3_DIM_TOTALS = [1, 1121, 8009, 8372, 11739, 364, 364, 0, 1]
 
 
 def test_f3_full_census_and_the_papers_trichotomy():
-    records = enumerate_subalgebras(algebra(3), threads=2, max_subspaces=None)
+    columns = census_columns(algebra(3), threads=2, max_subspaces=None)
     buf = io.StringIO()
-    assert write_jsonl(records, buf) == 29971
+    assert write_jsonl(columns, buf) == 29971
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == F3_FULL_SHA256
+    records = [r for cols in columns for r in cols.records(3)]
     assert [sum(r.dim == d for r in records) for d in range(9)] == F3_DIM_TOTALS
     assoc = {d: sum(r.associative for r in records if r.dim == d) for d in range(9)}
     # every subalgebra of dimension < 4 is associative, none of dimension > 4
@@ -214,18 +216,30 @@ def test_threads_below_one_rejected(inline_pool, threads):
 
 
 def test_write_jsonl_shape_and_determinism(census2):
-    records = [r for r in census2 if r.dim in (5, 6)]
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    n1 = write_jsonl(records, buf1)
-    n2 = write_jsonl(records, buf2)
-    assert n1 == n2 == len(records)
-    assert buf1.getvalue() == buf2.getvalue()
-    lines = buf1.getvalue().splitlines()
-    assert len(lines) == len(records)
-    for line, r in zip(lines, records):
-        d = json.loads(line)
-        assert d == r.to_json_dict()
-        assert set(d) == {"dim", "basis", "label", "flags", "R_dim", "Q_dim"}
+    """The JSONL rendered from the census columns is, line for line, the
+    bytes of ``json.dumps`` of the records, at one and two processes."""
+    for A, dims, total in ((algebra(2), None, 2491), (algebra(3), (1, 2), 9130)):
+        for threads in (1, 2):
+            columns = census_columns(A, dims, threads=threads)
+            buf1, buf2 = io.StringIO(), io.StringIO()
+            assert write_jsonl(columns, buf1) == write_jsonl(columns, buf2) == total
+            assert buf1.getvalue() == buf2.getvalue()
+            records = enumerate_subalgebras(A, dims, threads=threads)
+            if A.p == 2:
+                assert records == census2
+            lines = buf1.getvalue().splitlines(keepends=True)
+            assert len(lines) == len(records) == total
+            for line, r in zip(lines, records):
+                assert line == json.dumps(r.to_json_dict(), separators=(", ", ": ")) + "\n"
+                assert set(json.loads(line)) == {"dim", "basis", "label", "flags",
+                                                 "R_dim", "Q_dim"}
+
+
+def test_records_pickle_as_dataclasses(census2):
+    # records no longer cross the pool, and default pickling round-trips
+    sample = census2[::97]
+    assert pickle.loads(pickle.dumps(sample)) == sample
+    assert pickle.loads(pickle.dumps(sample[3].space)) == sample[3].space
 
 
 def test_summary_json_round_trip(census2):

@@ -1,6 +1,7 @@
 """Labelling of closed subspaces and element-level invariants."""
 
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from splitoct.algebra import Algebra, algebra
 from splitoct.classify import (LABEL_DIM, ClassificationError, NotClosed,
-                               OrbitLabel, batch_records, classify,
+                               OrbitLabel, batch_columns, batch_records, classify,
                                element_orbit_invariant, record_for)
 from splitoct.constructions import UnreachableLabel, rep
 from splitoct.subspace import span
@@ -70,11 +71,13 @@ def test_rule_table_raises_unless_exactly_one_rule_fits(p):
     e = np.eye(8, dtype=np.int64)
     # span{e0, e1} is non-unital and singular with the two-sided identity
     # e0 + e1: it fits the rules of both Fn+Fp and Fn+Fpbar
-    with pytest.raises(ClassificationError, match="fits 2 labels"):
-        batch_records(e[None, :2], A)
-    # no rule covers dimension 7
-    with pytest.raises(ClassificationError, match="fits 0 labels"):
-        batch_records(e[None, :7], A)
+    plane = "closed subspace ((1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0)) fits 2 labels"
+    for classify_stack in (batch_columns, batch_records):
+        with pytest.raises(ClassificationError, match=re.escape(plane)):
+            classify_stack(e[None, :2], A)
+        # no rule covers dimension 7
+        with pytest.raises(ClassificationError, match="fits 0 labels"):
+            classify_stack(e[None, :7], A)
 
 
 def test_record_flags_match_element_level_bruteforce(ctx2):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, configuration."""
 
 import hashlib
+import importlib
 import json
 import pathlib
 import re
@@ -10,6 +11,7 @@ import subprocess
 import pytest
 
 from splitoct import census, lattice, subspace
+from splitoct.algebra import algebra
 from splitoct.cli import main
 from splitoct.verify import CheckResult, SuiteResult
 
@@ -300,6 +302,27 @@ def test_orbits_odd_p_one_orbit_per_label(p, dims, sizes, capsys):
 def test_stdout_is_pinned(argv, sha256, capsys):
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+class _RecordBuilt(Exception):
+    pass
+
+
+def test_enumerate_builds_no_record_objects(monkeypatch, capsys):
+    """``enumerate`` renders its JSONL from the census columns: with the
+    record and subspace constructors made to raise, here and in the
+    forked pool workers, it still prints the pinned census-f3 output."""
+    def refuse(*args, **kwargs):
+        raise _RecordBuilt
+    # the package exports the function ``classify`` under the module's name
+    classify = importlib.import_module("splitoct.classify")
+    monkeypatch.setattr(classify, "SubalgebraRecord", refuse)
+    monkeypatch.setattr(classify, "Subspace", refuse)
+    with pytest.raises(_RecordBuilt):
+        census.enumerate_subalgebras(algebra(3), [1])
+    assert main(["enumerate", "--field", "3", "--dims", "1,2", "--threads", "2"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "41b4f77a87958af740763fe6bd108ce898f60eb778739b399f6dbaa35b32cb7e")
 
 
 @pytest.fixture

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from splitoct.algebra import algebra
+from splitoct import subspace
+from splitoct.algebra import Workspace, algebra
+from splitoct.field import SUPPORTED_PRIMES
 from splitoct.linalg import batch_rref
-from splitoct.subspace import (Subspace, closed_bases, closed_subspaces, closure,
-                               gaussian_binomial, intersect, perp, radicals,
-                               span, sum_spaces, zero_space)
+from splitoct.subspace import (Subspace, block_rows, closed_bases, closed_mask,
+                               closed_subspaces, closure, gaussian_binomial,
+                               intersect, perp, pivot_block, radicals, span,
+                               sum_spaces, zero_space)
 from oracle import (contains_space, enumerate_subspaces, full_space,
                     nonzero_elements)
 
@@ -160,3 +163,31 @@ def test_closed_subspaces_of_the_whole_algebra_are_the_census(census2, ctx2):
 def test_closed_subspaces_needs_a_unit(ctx3):
     with pytest.raises(ValueError):
         next(closed_subspaces(ctx3.struct, ctx3.w, 3))
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_work_buffers_hold_no_stale_data(p, monkeypatch):
+    """One workspace serves every kernel call of a scan.  After a larger
+    block with another k and other pivots, ``closed_mask`` gives the masks
+    of freshly allocated buffers, and so does a whole scan, hyperplane
+    lifts included."""
+    A = algebra(p)
+    work = Workspace()
+    # index 0 of each block: E11, span{E11, E12, E22}, span{E11, E22} are
+    # closed, span{E12, E21} is not
+    blocks = [((0,), min(p ** 7, block_rows(1, 8)), True), ((0, 1, 3), 600, True),
+              ((0, 3), 300, True), ((1, 2), 40, False)]
+    for pivots, size, first in blocks:
+        mats = pivot_block(pivots, p, 8, 0, size)
+        got = closed_mask(mats, pivots, A.struct, p, work)
+        assert np.array_equal(got, closed_mask(mats, pivots, A.struct, p))
+        assert got[0] == first and not got.all()
+
+    sets = [(3, 5), (4,), (2, 4, 6), (5, 6), (6,), ()]
+    shared = [m.tolist() for m in closed_subspaces(A.struct, A.unit, p, sets)]
+    real = subspace.closed_mask
+    monkeypatch.setattr(subspace, "closed_mask",
+                        lambda mats, piv, struct, q, work: real(mats, piv, struct, q))
+    fresh = [m.tolist() for m in closed_subspaces(A.struct, A.unit, p, sets)]
+    assert shared == fresh
+    assert sum(map(len, shared)) > len(sets)
