@@ -8,8 +8,8 @@ once, here: the Gram matrix Q + Qᵀ of the polar form
 (x|y) = N(x+y) − N(x) − N(y), the trace tr(x) = (x|1), the involution
 κ(x) = tr(x)·1 − x as a matrix, and the scalar and array operations,
 the same way over every prime.  No other module knows a coordinate
-layout, except that the F_2 certifications of :mod:`splitoct.verify`
-pack F_2^8 into bytes.
+layout, except that the exhaustive F_2 identities of
+:mod:`splitoct.verify` pack F_2^8 into bytes.
 
 Tables come from Cayley–Dickson doubling.  :func:`field_table` is F_p
 with N(x) = x², :func:`quaternion_table` the 2x2 matrices with the
@@ -32,8 +32,8 @@ constants :data:`STRUCT_Z` come from the same doubling over Z.
 
 :func:`products` is the package's one batched product of basis stacks:
 the closure mask and structure constants of :mod:`splitoct.subspace`, the
-F_2 byte tables of :mod:`splitoct.verify`, multiplication matrices and the
-automorphism checks go through it.  The odd-field identities suite
+F_2 certifications of :mod:`splitoct.verify`, multiplication matrices and
+the automorphism checks go through it.  The odd-field identities suite
 multiplies single elements from the algebra's term lists instead; both are
 exact in float32 under the one bound of :func:`check_float32_exact`.
 """

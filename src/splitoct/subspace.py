@@ -66,13 +66,6 @@ class Subspace:
         """Deterministic sort key: (dim, pivot columns, entries)."""
         return (self.dim, self.pivots, self.rows)
 
-    def elements(self):
-        """All p^dim elements of the span, coordinates as int tuples."""
-        mat = self.matrix()
-        for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            v = (np.array(coeffs, dtype=np.int64) @ mat) % self.p
-            yield tuple(int(c) for c in v)
-
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, p={self.p}, rows={list(map(list, self.rows))})"
 

@@ -14,9 +14,8 @@ counts and the first counterexample found (if any):
                      round-trips, and the worked construction examples.
 - ``orbits``         F_2: automorphism group order and orbit structure.
 
-Only this module packs F_2^8 into bytes (bit c of a byte is coordinate c),
-in the :func:`byte_tables` that the F_2 identities and singular suites and
-the brute-force :func:`count_automorphisms` read.
+Only the exhaustive F_2 identities pack F_2^8 into bytes (bit c of a byte
+is coordinate c), in :func:`byte_tables`; the other checks use coordinate rows.
 """
 
 from __future__ import annotations
@@ -32,15 +31,15 @@ from .algebra import (DIM, Algebra, algebra, check_float32_exact, mod,
                       products)
 from .census import enumerate_subalgebras
 from .classify import OrbitLabel, classify, element_orbit_invariant
-from .constructions import (centralizer, kernel_of_left_mul, left_mul_space,
+from .constructions import (PreconditionFailed, centralizer, left_mul_space,
                             rep, right_ideal_double, right_mul_space,
                             standard_quaternions, top_row_ideal,
                             upper_triangular)
 from .field import check_prime
 from .lattice import build_lattice, emit_dot
 from .linalg import batch_rank, batch_rref
-from .subspace import (Subspace, closed_bases, closure, intersect, perp,
-                       span, substructure, sum_spaces)
+from .subspace import (closed_bases, closure, intersect, span, substructure,
+                       sum_spaces)
 
 RANDOM_SAMPLES = 100_000
 _SEED = 20260814
@@ -129,10 +128,6 @@ class SuiteResult:
         return [head] + [c.line() for c in self.checks]
 
 
-def _fmt_bytes(tables: _Bytes, **named) -> str:
-    return ", ".join(f"{k}={tables.coords_of_byte(v)}" for k, v in named.items())
-
-
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
@@ -177,6 +172,17 @@ LAWS = (
 _CHUNK = 1 << 14
 
 
+def _grid() -> np.ndarray:
+    """The 256 elements of F_2^8 as int64 coordinate rows, element i at
+    i = Σ c_j·2^j (the order of :func:`splitoct.autos.element_orbits`)."""
+    return (np.arange(256)[:, None] >> np.arange(DIM)) & 1
+
+
+def _row_products(X: np.ndarray, Y: np.ndarray, A: Algebra) -> np.ndarray:
+    """The products X_i·Y_j of two stacks of rows, mod 2, as int64."""
+    return mod(products(X, Y, A.struct, 2), 2).astype(np.int64)
+
+
 class _Bytes:
     """An F_2 octonion algebra on packed bytes, and the element interface of
     the exhaustive identities over its grid; get it from :func:`byte_tables`.
@@ -201,9 +207,9 @@ class _Bytes:
         if A.p != 2 or A.dim != DIM:
             raise ValueError(f"byte packing exists only over F_2^{DIM}, not F_{A.p}^{A.dim}")
         bits = np.arange(256, dtype=np.uint16)
-        coords = self.byte_coords = ((bits[:, None] >> np.arange(DIM)) & 1).astype(np.int64)
+        coords = self.byte_coords = _grid()
         weights = 1 << np.arange(DIM)
-        prod = mod(products(coords, coords, A.struct, 2), 2).astype(np.int64)
+        prod = _row_products(coords, coords, A)
         self.mul_byte = (prod * weights).sum(-1).astype(np.uint8)
         self.conj_byte = ((coords @ A.conj_mat % 2) * weights).sum(-1).astype(np.uint8)
         norm = self.norm_byte = A.norms(coords).astype(np.uint8)
@@ -366,115 +372,108 @@ def verify_identities(p: int = 2) -> SuiteResult:
 # singular geometry (F_2)
 # ---------------------------------------------------------------------------
 
-def _byte_set(tables: _Bytes, space: Subspace) -> frozenset:
-    return frozenset(tables.byte_of(v) for v in space.elements())
+def _reduce(U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The rows of W[m] reduced mod 2 by the RREF rows of U[m], zero rows
+    included (they subtract nothing): rank [U; W] = rank U + rank of that."""
+    piv = (U != 0).argmax(-1)
+    return (W - np.take_along_axis(W, piv[:, None, :], -1) @ U) % 2
 
 
 def verify_singular() -> SuiteResult:
-    """Maximal totally singular subspaces over F_2, exhaustively."""
+    """Maximal totally singular subspaces over F_2, exhaustively.
+
+    Every a·O and O·a is an RREF stack padded with zero rows, so spaces of
+    any dimension stack.  dim(U ∩ W) = dim W − rank (W reduced by U) is one
+    batched rank over all ordered pairs of singular directions.
+    """
     t0 = time.perf_counter()
     res = SuiteResult("singular", 2)
     ctx = algebra(2)
-    T = byte_tables(ctx)
-    singular = [b for b in range(1, 256)
-                if T.norm_byte[b] == 0]                    # 135 directions
+    grid = _grid()[1:]
+    a = grid[ctx.norms(grid) == 0]                         # 135 directions
+    n = len(a)
     res.checks.append(CheckResult("singular direction count is 135",
-                                  len(singular) == 135, 1,
-                                  None if len(singular) == 135
-                                  else f"got {len(singular)}"))
-    coords = {b: T.coords_of_byte(b) for b in singular}
-    left = {b: left_mul_space(coords[b], ctx) for b in singular}
-    right = {b: right_mul_space(coords[b], ctx) for b in singular}
+                                  n == 135, 1, None if n == 135 else f"got {n}"))
+    eye = np.eye(DIM, dtype=np.int64)
+    lmat = _row_products(a[:, None], eye, ctx)[:, 0]      # row j is a·e_j
+    L, lrank = batch_rref(lmat, 2)
+    R, rrank = batch_rref(_row_products(eye, a[:, None], ctx)[:, :, 0], 2)
+    # RREF rows come first; int8 keeps the pair stacks small
+    L, R = (U[:, :r.max(initial=0)].astype(np.int8) for U, r in ((L, lrank), (R, rrank)))
 
-    # aO = ker(lambda_{k(a)})
-    bad = None
-    for b in singular:
-        ka = ctx.conj(coords[b])
-        if left[b].rows != kernel_of_left_mul(ka, ctx).rows:
-            bad = _fmt_bytes(T, a=b)
-            break
+    def at(idx) -> str:
+        return ", ".join(f"{v}={tuple(a[r].tolist())}" for v, r in zip("ab", idx))
+
+    # aO = ker(lambda_{k(a)}): contained in it, of the same dimension
+    kmat = _row_products((a @ ctx.conj_mat % 2)[:, None], eye, ctx)[:, 0]
+    ok = ~(L @ kmat % 2).any((1, 2)) & (lrank + batch_rank(kmat, 2) == DIM)
     res.checks.append(CheckResult("aO equals ker of left multiplication by k(a)",
-                                  bad is None, len(singular), bad))
+                                  ok.all(), n, None if ok.all() else at([ok.argmin()])))
 
-    # intersection-dimension table
-    lsets = {b: _byte_set(T, left[b]) for b in singular}
-    rsets = {b: _byte_set(T, right[b]) for b in singular}
-    polar_of = ctx.polar
-    table: dict[str, int] = {"same-side dim 4": 0, "same-side dim 2": 0,
-                             "same-side dim 0": 0, "mixed dim 1": 0,
-                             "mixed dim 3": 0}
+    # intersection-dimension table, pairs (a, b) in row-major order
+    i, j = np.divmod(np.arange(n * n), n)
+    same = lrank[j] - batch_rank(_reduce(L[i], L[j]), 2)
+    mixed = rrank[j] - batch_rank(_reduce(L[i], R[j]), 2)
+    want_same = np.where(np.eye(n, dtype=bool), 4,
+                         np.where(a @ ctx.gram @ a.T % 2 == 0, 2, 0)).ravel()
+    want_mixed = np.where(_row_products(a, a, ctx).any(-1).ravel(), 1, 3)
+    # Where aO^Ob is a line it is F(ab), since ab lies in both by
+    # bilinearity.  Where it has dimension 3 it is a*(b-perp): that image
+    # lies in aO, so it must lie in Ob and have dimension 3.
+    K, kdim = _left_kernels(ctx.gram @ a[:, :, None] % 2, 2)
+    K[np.arange(DIM) < DIM - kdim[:, None]] = 0           # b-perp, padded
+    plane = np.zeros(n * n, dtype=bool)
+    m = np.flatnonzero((mixed == 3) & (want_mixed == 3))
+    W = K[j[m]] @ lmat[i[m]] % 2
+    plane[m] = (batch_rank(W, 2) != 3) | _reduce(R[j[m]], W).any((1, 2))
+    fails = [(same != want_same, "dim(aO^bO)={same}, expected {want_same}"),
+             (mixed != want_mixed, "dim(aO^Ob)={mixed}, expected {want_mixed}"),
+             (plane, "aO^Ob != a*(b-perp)")]
+    first = np.any([mask for mask, _ in fails], axis=0)
     bad = None
-    pairs = 0
-    for a in singular:
-        for b in singular:
-            pairs += 1
-            inter = lsets[a] & lsets[b]
-            d = len(inter).bit_length() - 1
-            if a == b:
-                want = 4
-            elif polar_of(coords[a], coords[b]) == 0:
-                want = 2
-            else:
-                want = 0
-            if d != want:
-                bad = bad or (_fmt_bytes(T, a=a, b=b)
-                              + f": dim(aO^bO)={d}, expected {want}")
-            table[f"same-side dim {want}"] += 1
-            inter = lsets[a] & rsets[b]
-            d = len(inter).bit_length() - 1
-            ab = ctx.mul(coords[a], coords[b])
-            want = 1 if any(ab) else 3
-            if d != want:
-                bad = bad or (_fmt_bytes(T, a=a, b=b)
-                              + f": dim(aO^Ob)={d}, expected {want}")
-            elif want == 1 and inter != {0, T.byte_of(ab)}:
-                bad = bad or (_fmt_bytes(T, a=a, b=b) + ": aO^Ob != F(ab)")
-            elif want == 3:
-                imgs = [ctx.mul(coords[a], y)
-                        for y in perp(span([coords[b]], 2), ctx).rows]
-                if span(imgs, 2).rows != span(
-                        [T.coords_of_byte(x) for x in inter if x], 2).rows:
-                    bad = bad or (_fmt_bytes(T, a=a, b=b)
-                                  + ": aO^Ob != a*(b-perp)")
-            table[f"mixed dim {want}"] += 1
+    if first.any():
+        k = int(first.argmax())
+        text = next(text for mask, text in fails if mask[k])
+        bad = at([i[k], j[k]]) + ": " + text.format(
+            same=same[k], want_same=want_same[k], mixed=mixed[k], want_mixed=want_mixed[k])
+    table = {f"same-side dim {d}": int((want_same == d).sum()) for d in (0, 2, 4)}
+    table |= {f"mixed dim {d}": int((want_mixed == d).sum()) for d in (1, 3)}
     detail = ", ".join(f"{k}: {v}" for k, v in sorted(table.items()))
     res.checks.append(CheckResult(
-        f"intersection table on {pairs} ordered pairs ({detail})",
-        bad is None, 2 * pairs, bad))
+        f"intersection table on {n * n} ordered pairs ({detail})",
+        bad is None, 2 * n * n, bad))
 
-    # subalgebra iff trace zero
-    expected = T.trace_byte[singular] == 0
-    wrong = np.zeros(len(singular), dtype=bool)
-    for side in (left, right):
-        wrong |= closed_bases(np.stack([side[b].matrix() for b in singular]),
-                              ctx) != expected
-    bad = _fmt_bytes(T, a=singular[wrong.argmax()]) if wrong.any() else None
-    res.checks.append(CheckResult("aO and Oa closed iff tr(a)=0",
-                                  bad is None, 2 * len(singular), bad))
+    # subalgebra iff trace zero; zero rows add no products to the closure test
+    expected = ctx.traces(a) == 0
+    wrong = (closed_bases(L, ctx) != expected) | (closed_bases(R, ctx) != expected)
+    res.checks.append(CheckResult("aO and Oa closed iff tr(a)=0", not wrong.any(),
+                                  2 * n, at([wrong.argmax()]) if wrong.any() else None))
 
     # no linear multiplicative bijection nO -> On  (exhaustive over GL_4(F_2))
-    A, B = left_mul_space(ctx.n0, ctx), right_mul_space(ctx.n0, ctx)
-    cA = substructure(A.matrix()[None], ctx)[0]
-    cB = substructure(B.matrix()[None], ctx)[0]
-    bits = ((np.arange(65536)[:, None] >> np.arange(16)[None, :]) & 1)
-    P = bits.reshape(-1, 4, 4)                             # all 4x4 maps
+    nO, On = left_mul_space(ctx.n0, ctx), right_mul_space(ctx.n0, ctx)
+    iso = anti = f"nO and On (dimensions {nO.dim}, {On.dim}) are not 4-dim subalgebras"
+    tested = 0
+    both = np.stack([nO.matrix(), On.matrix()]) if nO.dim == On.dim == 4 else None
+    if both is not None and closed_bases(both, ctx).all():
+        cA, cB = substructure(both, ctx)
+        bits = ((np.arange(65536)[:, None] >> np.arange(16)[None, :]) & 1)
+        P = bits.reshape(-1, 4, 4)                         # all 4x4 maps
 
-    def bijections(tgt) -> int:
-        """How many of the maps are multiplicative into ``tgt`` and invertible."""
-        homo = [m[~autos.mismatches(m, cA, tgt, 2).any((-2, -1))]
-                for m in np.split(P, 16)]       # 4,096 maps per block stay in cache
-        return int((batch_rank(np.concatenate(homo), 2) == 4).sum())
+        def bijections(tgt) -> int:
+            """How many of the maps are multiplicative into ``tgt`` and invertible."""
+            homo = [m[~autos.mismatches(m, cA, tgt, 2).any((-2, -1))]
+                    for m in np.split(P, 16)]   # 4,096 maps per block stay in cache
+            return int((batch_rank(np.concatenate(homo), 2) == 4).sum())
 
-    iso_count = bijections(cB)
+        n_iso, n_anti, tested = bijections(cB), bijections(cB.swapaxes(0, 1)), len(P)
+        iso = f"{n_iso} isomorphisms found" if n_iso else None
+        anti = None if n_anti else "no anti-isomorphism found"
     res.checks.append(CheckResult(
         "no multiplicative linear bijection nO -> On (65536 maps tested)",
-        iso_count == 0, int(P.shape[0]),
-        None if iso_count == 0 else f"{iso_count} isomorphisms found"))
-    anti_count = bijections(cB.swapaxes(0, 1))
+        iso is None, tested, iso))
     res.checks.append(CheckResult(
         "anti-isomorphism nO -> On exists (positive control)",
-        anti_count > 0, int(P.shape[0]),
-        None if anti_count else "no anti-isomorphism found"))
+        anti is None, tested, anti))
     res.elapsed = time.perf_counter() - t0
     return res
 
@@ -704,50 +703,46 @@ def count_automorphisms(p: int = 2) -> int:
     constraint search on the images of the generating triple
     (n0, nbar0, w), independent of any constructed generator set.
 
-    Every candidate image triple (h1, h2, h3) that keeps the polar values
-    and product traces of (n0, nbar0, w) is gathered into one array; the
+    Every candidate image triple (h1, h2, h3) of coordinate rows that keeps
+    the polar values and product traces of (n0, nbar0, w) is gathered; the
     images of the coordinate basis follow from the word DAG
-    p0 = n0·nbar0, pbar0 = nbar0·n0, e·w for the w-half.  The unit, the
-    bijectivity and all 64 basis-pair products are then checked for every
-    candidate at once on its packed images of all 256 bytes.
+    p0 = n0·nbar0, pbar0 = nbar0·n0, e·w for the w-half.  Each candidate
+    8×8 map is then checked, 4,096 at a time, for the unit, for all 64
+    basis-pair products by :func:`splitoct.autos.mismatches`, and for rank 8.
     """
     if p != 2:
         raise ValueError("brute-force count is a char-2 certification")
     ctx = algebra(2)
-    T = byte_tables(ctx)
-    mul, norm, trace, polar = T.mul_byte, T.norm_byte, T.trace_byte, T.polar_byte
-    n0, nbar0, wb, one = map(T.byte_of, (ctx.n0, ctx.nbar0, ctx.w, ctx.unit))
     # sanity: the triple generates everything
     if closure([ctx.n0, ctx.nbar0, ctx.w], ctx).dim != DIM:
         raise ArithmeticError("n0, nbar0 and w do not generate the algebra")
 
-    everything = np.arange(1, 256, dtype=np.uint8)
-    nil = everything[(norm[1:] == 0) & (trace[1:] == 0)]
-    w_class = everything[(norm[1:] == norm[wb]) & (trace[1:] == trace[wb])]
+    def mul(x, y):
+        return _row_products(x[:, None], y[:, None], ctx)[:, 0, 0]
+
+    X = _grid()[1:]
+    norm, trace = ctx.norms(X), ctx.traces(X)
+    nil = X[(norm == 0) & (trace == 0)]
+    w_class = X[(norm == ctx.norm(ctx.w)) & (trace == ctx.trace(ctx.w))]
     # pairs (h1, h2) of nilpotents with the invariants of (n0, nbar0)
-    h1, h2 = (a.ravel() for a in np.meshgrid(nil, nil, indexing="ij"))
-    keep = ((polar[h1, h2] == polar[n0, nbar0])
-            & (trace[mul[h1, h2]] == trace[mul[n0, nbar0]])
-            & (trace[mul[h2, h1]] == trace[mul[nbar0, n0]]))
+    h1, h2 = np.repeat(nil, len(nil), axis=0), np.tile(nil, (len(nil), 1))
+    keep = ((np.einsum("mi,ij,mj->m", h1, ctx.gram, h2) % 2 == ctx.polar(ctx.n0, ctx.nbar0))
+            & (ctx.traces(mul(h1, h2)) == ctx.trace(ctx.mul(ctx.n0, ctx.nbar0)))
+            & (ctx.traces(mul(h2, h1)) == ctx.trace(ctx.mul(ctx.nbar0, ctx.n0))))
     h1, h2 = h1[keep], h2[keep]
     # images h3 of w with the polar values of w against n0 and nbar0
-    ok = ((polar[w_class[None, :], h1[:, None]] == polar[wb, n0])
-          & (polar[w_class[None, :], h2[:, None]] == polar[wb, nbar0]))
-    pair, w_idx = np.nonzero(ok)
-    h1, h2, h3 = h1[pair], h2[pair], w_class[w_idx]
-    top = [mul[h1, h2], h1, h2, mul[h2, h1]]
-    rows = np.stack(top + [mul[r, h3] for r in top], axis=1)   # (n, 8) bytes
-    # packed images of all 256 bytes: XOR of the rows at the set bits
-    imgs = np.zeros((len(rows), 256), dtype=np.uint8)
-    for bit in range(DIM):
-        imgs ^= rows[:, bit, None] * ((np.arange(256) >> bit) & 1).astype(np.uint8)
-    unital = imgs[:, one] == one
-    ordered = np.sort(imgs, axis=1, kind="stable")     # radix sort on bytes
-    bijective = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-    base, other = (1 << np.indices((DIM, DIM)).reshape(2, -1))
-    multiplicative = (mul[imgs[:, base], imgs[:, other]]
-                      == imgs[:, mul[base, other]]).all(axis=1)
-    return int((unital & bijective & multiplicative).sum())
+    pair, w_idx = np.nonzero((h1 @ ctx.gram @ w_class.T % 2 == ctx.polar(ctx.w, ctx.n0))
+                             & (h2 @ ctx.gram @ w_class.T % 2 == ctx.polar(ctx.w, ctx.nbar0)))
+    count = 0
+    for s in range(0, len(pair), 4096):
+        blk = slice(s, s + 4096)
+        x, y, z = h1[pair[blk]], h2[pair[blk]], w_class[w_idx[blk]]
+        top = [mul(x, y), x, y, mul(y, x)]
+        B = np.stack(top + [mul(r, z) for r in top], axis=1)     # images of e_0..e_7
+        B = B[(np.array(ctx.unit) @ B % 2 == ctx.unit).all(-1)
+              & ~autos.mismatches(B, ctx.struct, ctx.struct, 2).any((-2, -1))]
+        count += int((batch_rank(B, 2) == DIM).sum())
+    return count
 
 
 def verify_orbits() -> SuiteResult:
@@ -774,11 +769,9 @@ def verify_orbits() -> SuiteResult:
                                f"{multi[0]['orbit_count']} orbits"))
 
     ctx = algebra(2)
-    T = byte_tables(ctx)
     orbits = autos.element_orbits(gens, 2)
     classes: dict = {}
-    for b in range(1, 256):
-        v = T.coords_of_byte(b)
+    for v in map(tuple, _grid()[1:].tolist()):
         classes.setdefault(element_orbit_invariant(v, ctx), set()).add(v)
     ok = (len(orbits) == len(classes)
           and all(any(set(o) == c for c in classes.values()) for o in orbits))
@@ -798,6 +791,18 @@ SUITE_NAMES = ("identities", "singular", "centralizers", "classification",
                "orbits", "all")
 
 
+def _completed(suite: str, p: int, run, *args) -> SuiteResult:
+    """``run(*args)``, or a failed result if it raises ArithmeticError (a
+    broken invariant) or PreconditionFailed (a map the algebra's laws
+    should make valid): over a broken table both are verification failures."""
+    t0 = time.perf_counter()
+    try:
+        return run(*args)
+    except (ArithmeticError, PreconditionFailed) as exc:
+        why = CheckResult("suite runs to completion", False, 0, f"{type(exc).__name__}: {exc}")
+        return SuiteResult(suite, p, [why], time.perf_counter() - t0)
+
+
 def run_suite(name: str, field: int | None = None) -> list[SuiteResult]:
     """Run one named suite (or ``all``) and return its results.
 
@@ -806,26 +811,27 @@ def run_suite(name: str, field: int | None = None) -> list[SuiteResult]:
     2 or 3 (default both); the remaining suites are fixed at F_2 and reject
     other fields.  ``all`` runs every suite at its default fields, or at
     F_2 alone when the field is 2, and rejects any other field before a
-    suite runs.
+    suite runs.  A suite that stops on a broken invariant gives a failed
+    result (:func:`_completed`).
     """
     if name == "identities":
         fields = (field,) if field is not None else (2, 3, 5)
-        return [verify_identities(p) for p in fields]
+        return [_completed(name, p, verify_identities, p) for p in fields]
     if name == "singular":
         if field not in (None, 2):
             raise ValueError("singular suite is specified over F_2 only")
-        return [verify_singular()]
+        return [_completed(name, 2, verify_singular)]
     if name == "centralizers":
         fields = (field,) if field is not None else (2, 3)
-        return [verify_centralizers(p) for p in fields]
+        return [_completed(name, p, verify_centralizers, p) for p in fields]
     if name == "classification":
         if field not in (None, 2):
             raise ValueError("classification suite is pinned to the F_2 census")
-        return [verify_classification()]
+        return [_completed(name, 2, verify_classification)]
     if name == "orbits":
         if field not in (None, 2):
             raise ValueError("orbit suite is specified over F_2 only")
-        return [verify_orbits()]
+        return [_completed(name, 2, verify_orbits)]
     if name == "all":
         if field not in (None, 2):
             raise ValueError("suite all runs at the default fields or at F_2 only")

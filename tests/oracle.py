@@ -22,9 +22,9 @@ The closed sub-subspaces of a subalgebra come from testing every one of
 its subspaces, for comparison with the pruned
 :func:`splitoct.lattice.subalgebras_inside`, and
 :func:`enumerate_subspaces` lists every subspace of F_p^n one by one.
-The small helpers at the end (:func:`full_space`, :func:`nonzero_elements`,
-:func:`contains_space`, :func:`identity_automorphism`, :func:`dim_total`)
-serve only the tests.
+The small helpers at the end (:func:`full_space`, :func:`elements`,
+:func:`nonzero_elements`, :func:`contains_space`,
+:func:`identity_automorphism`, :func:`dim_total`) serve only the tests.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def label(space: Subspace, ctx) -> OrbitLabel:
         if R.dim >= 2 and Q.dim >= 2:
             return OrbitLabel.FplusQ
     if k == 4:
-        if R.dim == 0 and any(any(x) and ctx.norm(x) == 0 for x in space.elements()):
+        if R.dim == 0 and any(ctx.norm(x) == 0 for x in nonzero_elements(space)):
             return OrbitLabel.SplitQuat
         if Q.dim == 3:
             return OrbitLabel.FplusHeis
@@ -288,9 +288,17 @@ def full_space(p: int, ambient: int = DIM) -> Subspace:
     return span(np.eye(ambient, dtype=np.int64), p, ambient)
 
 
+def elements(space: Subspace):
+    """All p^dim elements of a subspace, coordinates as int tuples."""
+    mat = space.matrix()
+    for coeffs in itertools.product(range(space.p), repeat=space.dim):
+        v = (np.array(coeffs, dtype=np.int64) @ mat) % space.p
+        yield tuple(int(c) for c in v)
+
+
 def nonzero_elements(space: Subspace):
     """The p^dim − 1 nonzero elements of a subspace, as int tuples."""
-    return (v for v in space.elements() if any(v))
+    return (v for v in elements(space) if any(v))
 
 
 def contains_space(space: Subspace, other: Subspace) -> bool:

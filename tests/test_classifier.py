@@ -14,7 +14,7 @@ from splitoct.classify import (LABEL_DIM, ClassificationError, NotClosed,
 from splitoct.constructions import UnreachableLabel, rep
 from splitoct.subspace import span
 from splitoct.verify import byte_tables
-from oracle import nonzero_elements
+from oracle import elements, nonzero_elements
 
 REACHABLE = [lab for lab in OrbitLabel if lab.reachable]
 UNREACHABLE = [lab for lab in OrbitLabel if not lab.reachable]
@@ -86,7 +86,7 @@ def test_record_flags_match_element_level_bruteforce(ctx2):
     for label in REACHABLE:
         space = rep(label, 2)
         record = record_for(space, ctx)
-        bytes_ = sorted(T.byte_of(v) for v in space.elements())
+        bytes_ = sorted(T.byte_of(v) for v in elements(space))
         arr = np.array(bytes_, dtype=np.intp)
         prod = T.mul_byte[np.ix_(arr, arr)]
         comm = bool(np.array_equal(prod, prod.T))

@@ -185,6 +185,46 @@ def test_verify_identities_all_fields_pinned(capsys):
         "c6da877d826a1d731dc59bae6efadfc14bd87d8cb178b8a11dc0f029de5e53d8")
 
 
+@pytest.mark.parametrize("suite, sha256", [
+    ("singular", "06a2ddaa513b200e8591d259cbee83852ff0193a8fdbc9fff8503681f57e161f"),
+    ("orbits", "512aa74443a616648ab75fee926477cc8bc98550ebfa1c38448f378633ab8ae2"),
+], ids=["singular", "orbits"])
+def test_verify_suite_stdout_is_pinned(suite, sha256, capsys):
+    assert main(["verify", "--suite", suite]) == 0
+    out = re.sub(r" in \d+\.\ds", "", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+#: the first counterexample of each F_2 suite over the table with
+#: STRUCT_Z[1, 2, 0] raised; "orbits+autos" also builds the generators from it
+PERTURBED_FIRST = {
+    "singular": "aO equals ker of left multiplication by k(a): a=(0, 1, 0, 0, 0, 0, 0, 0)",
+    "classification": "suite runs to completion: ClassificationError: closed subspace",
+    "orbits": "suite runs to completion: ClassificationError: closed subspace",
+    "orbits+autos": "suite runs to completion: PreconditionFailed: map is not "
+                    "multiplicative at basis pair (1,0)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBED_FIRST))
+def test_verify_fails_on_a_perturbed_table(case, monkeypatch, capsys):
+    """A broken table is a verification failure (exit 1 and the first
+    counterexample), not a usage error or a traceback."""
+    algebra_mod = importlib.import_module("splitoct.algebra")
+    algebra_mod.algebra(2)                        # the canonical table stays cached
+    broken = algebra_mod.STRUCT_Z.copy()
+    broken[1, 2, 0] += 1
+    monkeypatch.setattr(algebra_mod, "STRUCT_Z", broken)
+    ctx = algebra_mod.SplitOctonions(2)
+    suite, _, also = case.partition("+")
+    monkeypatch.setattr("splitoct.verify.algebra", lambda q: ctx)
+    if also:
+        monkeypatch.setattr("splitoct.autos.algebra", lambda q: ctx)
+    assert main(["verify", "--suite", suite]) == 1
+    out = capsys.readouterr().out
+    assert f"FIRST COUNTEREXAMPLE ({suite}): {PERTURBED_FIRST[case]}" in out
+
+
 def test_verify_field_restriction(capsys):
     # the exhaustive geometry suite only exists over F_2
     rc = main(["verify", "--suite", "singular", "--field", "3"])

@@ -11,7 +11,7 @@ from splitoct.subspace import (Subspace, block_rows, closed_bases, closed_mask,
                                closed_subspaces, closure, gaussian_binomial,
                                intersect, perp, pivot_block, radicals, span,
                                sum_spaces, zero_space)
-from oracle import (contains_space, enumerate_subspaces, full_space,
+from oracle import (contains_space, elements, enumerate_subspaces, full_space,
                     nonzero_elements)
 
 PRIMES = [2, 3, 5]
@@ -41,7 +41,7 @@ def test_span_is_canonical(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_elements_enumeration(p):
     sp = span([(1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0)], p)
-    elems = list(sp.elements())
+    elems = list(elements(sp))
     assert len(elems) == p ** 2
     assert len(set(elems)) == p ** 2
     assert all(sp.contains(v) for v in elems)

@@ -126,6 +126,31 @@ def test_only_the_algebra_module_reads_the_canonical_tables():
     assert not found
 
 
+#: the F_2 byte packing, and the only definitions in verify.py that may name
+#: it: the exhaustive identities engine
+BYTE_NAMES = ("byte_tables", "mul_byte", "polar_byte", "norm_byte", "trace_byte",
+              "byte_of", "coords_of_byte")
+BYTE_USERS = ("_Bytes", "byte_tables", "verify_identities")
+
+
+def test_only_the_identities_engine_packs_bytes():
+    package = Path(splitoct.__file__).resolve().parent
+    tree = ast.parse((package / "verify.py").read_text(encoding="utf-8"))
+    found, users = [], set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name not in BYTE_NAMES:
+                continue
+            if getattr(top, "name", None) in BYTE_USERS:
+                users.add(top.name)
+            else:
+                found.append(f"verify.py:{node.lineno} {name}")
+    assert not found
+    assert "verify_identities" in users           # the walk sees the one caller
+
+
 #: modules that work in whatever table they are handed
 GENERIC_MODULES = ("subspace.py", "classify.py", "census.py", "linalg.py")
 

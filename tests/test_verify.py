@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitoct import verify
+from splitoct import autos, verify
 from splitoct.algebra import check_float32_exact, double, field_table
 from splitoct.field import SUPPORTED_PRIMES
 from splitoct.verify import (SUITE_NAMES, CheckResult, SuiteResult, run_suite,
@@ -68,6 +68,21 @@ def test_centralizers_suite_runs_quickly():
     assert res.field == 2
     assert res.total_checked > 250
     assert res.first_counterexample() is None
+
+
+def test_the_count_tests_every_candidate_with_mismatches(monkeypatch):
+    """The brute-force count checks its 32,256 candidate maps with the one
+    homomorphism test, in blocks of at most 4,096."""
+    blocks = []
+    real = autos.mismatches
+
+    def spy(B, *rest):
+        blocks.append(len(B))
+        return real(B, *rest)
+
+    monkeypatch.setattr(autos, "mismatches", spy)
+    assert verify.count_automorphisms(2) == 12096
+    assert sum(blocks) == 32256 and max(blocks) <= 4096
 
 
 # ---------------------------------------------------------------------------
