@@ -33,7 +33,7 @@ import numpy as np
 
 from . import field
 from .algebra import Algebra
-from .linalg import batch_rank
+from .linalg import batch_rank, batch_rref
 from .subspace import (NotClosed, Subspace, check_space, coefficient_vectors,
                        substructure)
 
@@ -203,22 +203,37 @@ def _generator_kind(outside: np.ndarray, traces: np.ndarray, norms: np.ndarray,
 def _form_values(X: np.ndarray, norms: np.ndarray, gram: np.ndarray,
                  p: int) -> np.ndarray:
     """N(Σ x_i b_i) for every coefficient row x of X (V, k) and every basis,
-    from the basis norms (M, k) and polar Gram matrices (M, k, k)."""
-    upper = np.triu(gram, 1)
-    return (((X * X) @ norms.T).T + np.einsum("vi,vj,mij->mv", X, X, upper)) % p
+    from the basis norms (M, k) and polar Gram matrices (M, k, k): the
+    upper-triangular matrix of the norm times every outer product x xᵀ."""
+    M, k = norms.shape
+    form = np.triu(gram, 1)
+    form[:, range(k), range(k)] = norms
+    outer = (X[:, :, None] * X[:, None, :]).reshape(len(X), k * k)
+    return form.reshape(M, k * k) @ outer.T % p
+
+
+def _associative(C: np.ndarray, p: int) -> np.ndarray:
+    """Whether each subalgebra with structure constants C (M, k, k, k) is
+    associative: (b_i b_j) b_l against b_i (b_j b_l), both as stacked
+    matmuls indexed [i, (j, l), c]."""
+    M, k = C.shape[:2]
+    left = C.reshape(M, k * k, k) @ C.reshape(M, k, k * k) % p
+    right = C.reshape(M, 1, k * k, k) @ C % p
+    return (left.reshape(M, k, k * k, k) == right).all((1, 2, 3))
 
 
 def _solvable(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Whether each A[m] x = b mod p is solvable: rank [A | 0] = rank [A | b]."""
-    last = np.zeros((2, *A.shape[:2], 1), dtype=A.dtype)
-    last[1, ..., 0] = b
-    aug = np.concatenate([np.stack([A, A]), last], axis=3)
-    return np.equal(*batch_rank(aug.reshape(-1, *aug.shape[2:]), p).reshape(2, -1))
+    """Whether each A[m] x = b mod p is solvable: no row of the reduced
+    [A | b] is zero but in its last column."""
+    aug = np.concatenate([A, np.broadcast_to(b[:, None], (*A.shape[:2], 1))], axis=2)
+    red = batch_rref(aug, p)[0]
+    return ~((red[..., -1] != 0) & ~red[..., :-1].any(-1)).any(1)
 
 
 #: cap on rows × max(k⁴, p^k) per batch: it bounds the int64 temporaries
-#: of the associator check (rows, k, k, k, k) and of the norm form's
-#: values at every coefficient vector (rows, p^k) to 256 KB each
+#: of the associativity check, two stacked matmul products of k⁴ entries
+#: per row, and of the norm form's values at every coefficient vector
+#: (rows, p^k) to 256 KB each
 _BATCH = 1 << 15
 
 
@@ -259,12 +274,10 @@ def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
     # in RREF, 1 lies in the span iff it equals its pivot entries times the rows
     one = np.array(A.unit, dtype=np.int64)
     one_coef = one[(rows != 0).argmax(-1)]
-    unital = ~((one - np.einsum("mi,mic->mc", one_coef, rows)) % p).any(1)
+    unital = ~((one - (one_coef[:, None] @ rows)[:, 0]) % p).any(1)
     singular = ~norms.any(1) & ~np.triu(gram, 1).any((1, 2))
     comm = (C == C.transpose(0, 2, 1, 3)).all((1, 2, 3))
-    # (b_i b_j) b_l against b_i (b_j b_l)
-    assoc = (np.einsum("mija,malc->mijlc", C, C) % p
-             == np.einsum("mjla,miac->mijlc", C, C) % p).all((1, 2, 3, 4))
+    assoc = _associative(C, p)
     R = k - batch_rank(gram, p)
     if p == 2:
         # N is additive on R over F_2; Q is its kernel there
@@ -312,7 +325,7 @@ def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
                 _form_values(X, norms[nondeg], gram[nondeg], p) == 0).any(1)
         # the generator of the quotient by F·1 + R: b_i lies in F·1 + R iff
         # its Gram column is a multiple of the Gram column of 1
-        g1 = np.einsum("mij,mj->mi", gram, one_coef) % p
+        g1 = (gram @ one_coef[..., None])[..., 0] % p
         multiples = np.arange(p)[:, None] * g1[:, None, :] % p
         kind = _generator_kind((gram[:, :, None] != multiples[:, None]).any(-1).all(-1),
                                traces, norms, p)

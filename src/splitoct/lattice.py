@@ -7,8 +7,10 @@ automorphic image of the representative, so the answer is orbit-invariant).
 The subalgebras of a representative S are the closed subspaces of S + F·1
 that lie in S, from :func:`splitoct.subspace.closed_subspaces`: over F_5
 it tests 213,217 candidates in place of all 3,632,396 sub-subspaces.  The
-quotient bases among them are counted before any work, and bounded by the
-census's budget.
+closure test rejects most of them on the products of their first row
+alone: 20,054 reach its second stage, which computes the other rows'
+products, and 9,480 are closed.  The quotient bases among the candidates
+are counted before any work, and bounded by the census's budget.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ def subalgebras_inside(space: Subspace, A: Algebra) -> Iterator[np.ndarray]:
 
 def labels_inside(space: Subspace, A: Algebra) -> set[OrbitLabel]:
     """Labels of every proper nonzero subalgebra of a closed subspace of ``A``."""
+    # a set of the codes, not np.unique, which imports numpy.ma on first use
     return {LABELS[code] for rows in subalgebras_inside(space, A)
-            for code in np.unique(batch_columns(rows, A).label).tolist()}
+            for code in set(batch_columns(rows, A).label.tolist())}
 
 
 def projected_bases(p: int) -> int:

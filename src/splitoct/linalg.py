@@ -52,9 +52,10 @@ def batch_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form mod p of every matrix in a stack (M, r, c).
 
     Gauss-Jordan elimination run on all matrices at once, one column at a
-    time.  Returns ``(reduced, ranks)``: ``reduced`` is an int64 stack of
-    the input's shape whose first ``ranks[i]`` rows of matrix i are its RREF
-    basis (the rows :func:`rref` returns) and whose other rows are zero.
+    time, until every matrix has rank r.  Returns ``(reduced, ranks)``:
+    ``reduced`` is an int64 stack of the input's shape whose first
+    ``ranks[i]`` rows of matrix i are its RREF basis (the rows :func:`rref`
+    returns) and whose other rows are zero.
     """
     a = np.array(mats, dtype=np.int64) % p
     M, r, c = a.shape
@@ -75,11 +76,17 @@ def batch_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         factor[np.arange(len(m)), dst] = 0
         a[m] = (a[m] - factor[:, :, None] * pivot_row[:, None, :]) % p
         ranks[m] += 1
+        if ranks.min() == r:
+            break
     return a, ranks
 
 
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Rank mod p of every matrix in a stack of shape (M, r, c), as int64 (M,)."""
+    """Rank mod p of every matrix in a stack of shape (M, r, c), as int64
+    (M,).  A wide stack is reduced transposed: one pass per column."""
+    mats = np.asarray(mats)
+    if mats.shape[2] > mats.shape[1]:
+        mats = mats.transpose(0, 2, 1)
     return batch_rref(mats, p)[1]
 
 

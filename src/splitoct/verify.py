@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -126,6 +126,33 @@ class SuiteResult:
                 f"{'PASS' if self.passed else 'FAIL'} — "
                 f"{self.total_checked} checks in {self.elapsed:.1f}s")
         return [head] + [c.line() for c in self.checks]
+
+
+def _completed(suite: str, field: int | None = None):
+    """Turn a suite body ``body(res, *args)`` into the suite ``run(*args)``.
+
+    The run owns one :class:`SuiteResult`, of field ``args[0]`` or else
+    ``field``, and the body appends each check to it as the check ends.
+    If the body raises ArithmeticError (a broken invariant) or
+    PreconditionFailed (a map the algebra's laws should make valid), the
+    checks it already made stay in the result, followed by a failed
+    "suite runs to completion": over a broken table both are
+    verification failures.
+    """
+    def wrap(body):
+        @wraps(body)
+        def run(*args) -> SuiteResult:
+            res = SuiteResult(suite, args[0] if args else field)
+            t0 = time.perf_counter()
+            try:
+                body(res, *args)
+            except (ArithmeticError, PreconditionFailed) as exc:
+                res.checks.append(CheckResult("suite runs to completion", False, 0,
+                                              f"{type(exc).__name__}: {exc}"))
+            res.elapsed = time.perf_counter() - t0
+            return res
+        return run
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +375,10 @@ class _Planes:
         return [tuple(int(t) for t in a[:, i]) for a in args]
 
 
-def verify_identities(p: int = 2) -> SuiteResult:
+@_completed("identities", 2)
+def verify_identities(res: SuiteResult, p: int = 2) -> None:
     """Composition-algebra laws: exhaustive (F_2) or random (odd fields)."""
     check_prime(p)
-    t0 = time.perf_counter()
-    res = SuiteResult("identities", p)
     ctx = algebra(p)
     E = byte_tables(ctx) if p == 2 else _Planes(ctx)
     for name, names, law in LAWS:
@@ -364,8 +390,6 @@ def verify_identities(p: int = 2) -> SuiteResult:
                 values = E.instance(args, int(np.argmin(ok.ravel())))
                 ce = ", ".join(f"{v}={c}" for v, c in zip(names, values))
         res.checks.append(CheckResult(name, ce is None, checked, ce))
-    res.elapsed = time.perf_counter() - t0
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +403,14 @@ def _reduce(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     return (W - np.take_along_axis(W, piv[:, None, :], -1) @ U) % 2
 
 
-def verify_singular() -> SuiteResult:
+@_completed("singular", 2)
+def verify_singular(res: SuiteResult) -> None:
     """Maximal totally singular subspaces over F_2, exhaustively.
 
     Every a·O and O·a is an RREF stack padded with zero rows, so spaces of
     any dimension stack.  dim(U ∩ W) = dim W − rank (W reduced by U) is one
     batched rank over all ordered pairs of singular directions.
     """
-    t0 = time.perf_counter()
-    res = SuiteResult("singular", 2)
     ctx = algebra(2)
     grid = _grid()[1:]
     a = grid[ctx.norms(grid) == 0]                         # 135 directions
@@ -474,8 +497,6 @@ def verify_singular() -> SuiteResult:
     res.checks.append(CheckResult(
         "anti-isomorphism nO -> On exists (positive control)",
         anti is None, tested, anti))
-    res.elapsed = time.perf_counter() - t0
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +516,8 @@ def _left_kernels(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return reduced[:, :, c:], (~reduced[:, :, :c].any(2)).sum(1)
 
 
-def verify_centralizers(p: int) -> SuiteResult:
+@_completed("centralizers")
+def verify_centralizers(res: SuiteResult, p: int) -> None:
     """Exact centralizer dimensions for every element of the algebra.
 
     The centralizer of v is the left kernel of x ↦ x·v − v·x.  All p⁸ of
@@ -504,8 +526,6 @@ def verify_centralizers(p: int) -> SuiteResult:
     """
     if p not in (2, 3):
         raise ValueError("centralizer suite is specified for fields 2 and 3")
-    t0 = time.perf_counter()
-    res = SuiteResult("centralizers", p)
     ctx = algebra(p)
     n = p ** DIM
     # every element, in itertools.product order
@@ -572,19 +592,16 @@ def verify_centralizers(p: int) -> SuiteResult:
         "centralizer of n0 has the stated basis",
         got.rows == want.rows, 1,
         None if got.rows == want.rows else f"got rows {got.rows}"))
-    res.elapsed = time.perf_counter() - t0
-    return res
 
 
 # ---------------------------------------------------------------------------
 # classification (census theorems + lattice fixture + round-trips)
 # ---------------------------------------------------------------------------
 
-def verify_classification() -> SuiteResult:
+@_completed("classification", 2)
+def verify_classification(res: SuiteResult) -> None:
     """F_2 census laws, the label lattice fixture, and representative
     round-trips over F_2/F_3/F_5."""
-    t0 = time.perf_counter()
-    res = SuiteResult("classification", 2)
     records = enumerate_subalgebras(algebra(2))
 
     dims = sorted({r.dim for r in records})
@@ -690,8 +707,6 @@ def verify_classification() -> SuiteResult:
     res.checks.append(CheckResult(
         "right-ideal doubling examples (dims 6, 5, 3/4/5 family, 3)",
         bad is None, n_ex, bad))
-    res.elapsed = time.perf_counter() - t0
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +760,9 @@ def count_automorphisms(p: int = 2) -> int:
     return count
 
 
-def verify_orbits() -> SuiteResult:
+@_completed("orbits", 2)
+def verify_orbits(res: SuiteResult) -> None:
     """Automorphism group order and orbit structure over F_2."""
-    t0 = time.perf_counter()
-    res = SuiteResult("orbits", 2)
     gens = autos.automorphism_generators(2)
     group = autos.generate_group(gens)
     brute = count_automorphisms(2)
@@ -779,8 +793,6 @@ def verify_orbits() -> SuiteResult:
         "element orbits coincide with (norm, trace) classes on 255 elements",
         ok, 255,
         None if ok else f"{len(orbits)} orbits vs {len(classes)} classes"))
-    res.elapsed = time.perf_counter() - t0
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -789,18 +801,6 @@ def verify_orbits() -> SuiteResult:
 
 SUITE_NAMES = ("identities", "singular", "centralizers", "classification",
                "orbits", "all")
-
-
-def _completed(suite: str, p: int, run, *args) -> SuiteResult:
-    """``run(*args)``, or a failed result if it raises ArithmeticError (a
-    broken invariant) or PreconditionFailed (a map the algebra's laws
-    should make valid): over a broken table both are verification failures."""
-    t0 = time.perf_counter()
-    try:
-        return run(*args)
-    except (ArithmeticError, PreconditionFailed) as exc:
-        why = CheckResult("suite runs to completion", False, 0, f"{type(exc).__name__}: {exc}")
-        return SuiteResult(suite, p, [why], time.perf_counter() - t0)
 
 
 def run_suite(name: str, field: int | None = None) -> list[SuiteResult]:
@@ -816,22 +816,22 @@ def run_suite(name: str, field: int | None = None) -> list[SuiteResult]:
     """
     if name == "identities":
         fields = (field,) if field is not None else (2, 3, 5)
-        return [_completed(name, p, verify_identities, p) for p in fields]
+        return [verify_identities(p) for p in fields]
     if name == "singular":
         if field not in (None, 2):
             raise ValueError("singular suite is specified over F_2 only")
-        return [_completed(name, 2, verify_singular)]
+        return [verify_singular()]
     if name == "centralizers":
         fields = (field,) if field is not None else (2, 3)
-        return [_completed(name, p, verify_centralizers, p) for p in fields]
+        return [verify_centralizers(p) for p in fields]
     if name == "classification":
         if field not in (None, 2):
             raise ValueError("classification suite is pinned to the F_2 census")
-        return [_completed(name, 2, verify_classification)]
+        return [verify_classification()]
     if name == "orbits":
         if field not in (None, 2):
             raise ValueError("orbit suite is specified over F_2 only")
-        return [_completed(name, 2, verify_orbits)]
+        return [verify_orbits()]
     if name == "all":
         if field not in (None, 2):
             raise ValueError("suite all runs at the default fields or at F_2 only")

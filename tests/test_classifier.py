@@ -9,10 +9,12 @@ import pytest
 
 from splitoct.algebra import Algebra, algebra
 from splitoct.classify import (LABEL_DIM, ClassificationError, NotClosed,
-                               OrbitLabel, batch_columns, batch_records, classify,
+                               OrbitLabel, _associative, _form_values, _solvable,
+                               batch_columns, batch_records, classify,
                                element_orbit_invariant, record_for)
 from splitoct.constructions import UnreachableLabel, rep
-from splitoct.subspace import span
+from splitoct.lattice import subalgebras_inside
+from splitoct.subspace import coefficient_vectors, span, substructure
 from splitoct.verify import byte_tables
 from oracle import elements, nonzero_elements
 
@@ -154,3 +156,76 @@ def test_classify_agrees_on_all_dim_one_spaces(p):
             # spanned by an idempotent: some multiple e of v has e² = e
             assert any(ctx.mul(e, e) == e for e in nonzero_elements(line))
     assert set(seen) == {OrbitLabel.F, OrbitLabel.Fn, OrbitLabel.Fp}
+
+
+def _closed_stacks(p):
+    """RREF bases of closed subspaces over F_p, one stack per dimension
+    k ≥ 1: every representative and, over F_5, the 4-dimensional
+    subalgebras of Qperp, where the ``isotropic`` rule runs."""
+    stacks = {}
+    for lab in REACHABLE:
+        space = rep(lab, p)
+        if space.dim:
+            stacks.setdefault(space.dim, []).append(space.matrix()[None])
+    if p == 5:
+        inside = list(subalgebras_inside(rep(OrbitLabel.Dim6, 5), algebra(5)))
+        stacks[4].append(inside[3])
+    return {k: np.concatenate(v) for k, v in stacks.items()}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_associativity_matmuls_match_every_triple(p):
+    """The stacked matmuls against (b_i b_j) b_l = b_i (b_j b_l) tested one
+    triple at a time on the structure constants; nO and On are not
+    associative."""
+    A, found = algebra(p), set()
+    for k, rows in _closed_stacks(p).items():
+        C = substructure(rows, A)
+        want = [all(((c[i, j] @ c[:, l]) % p == (c[j, l] @ c[i]) % p).all()
+                    for i, j, l in itertools.product(range(k), repeat=3)) for c in C]
+        assert _associative(C, p).tolist() == want, k
+        found.update(want)
+    assert found == {True, False}
+    for lab in (OrbitLabel.NO, OrbitLabel.ON):
+        assert not _associative(substructure(rep(lab, p).matrix()[None], A), p)[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_norm_form_values_match_the_norm_of_each_element(p):
+    """N(Σ x_i b_i) from the basis norms and Gram matrix equals the norm of
+    the element Σ x_i b_i, for every coefficient vector x (k ≤ 4 at odd
+    p, where the ``isotropic`` rule reads it; every k over F_2)."""
+    A = algebra(p)
+    for k, rows in _closed_stacks(p).items():
+        if p > 2 and k > 4:
+            continue
+        X = coefficient_vectors(k, p)
+        for block in np.array_split(rows, -(-len(rows) // 128)):
+            gram = block @ A.gram @ block.transpose(0, 2, 1) % p
+            got = _form_values(X, A.norms(block), gram, p)
+            assert np.array_equal(got, A.norms(X @ block % p)), k
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_rref_solvability_matches_brute_force(p):
+    """A x = b is solvable mod p exactly when some x in F_p^c solves it, on
+    random stacks of each shape (rank-deficient ones too) and on the
+    one-sided identity systems of the planes the k = 2 rules read."""
+    rng = np.random.default_rng(p)
+    cases = []
+    for r, c in [(4, 2), (4, 3), (3, 4), (2, 2)]:
+        full = rng.integers(0, p, (40, r, c))
+        thin = rng.integers(0, p, (40, r, 1)) @ rng.integers(0, p, (40, 1, c)) % p
+        for b in (rng.integers(0, p, r), full[0] @ rng.integers(0, p, c) % p):
+            cases.append((np.concatenate([full, thin]), b))
+    C = substructure(_closed_stacks(p)[2], algebra(p))
+    delta = np.eye(2, dtype=np.int64).reshape(4)
+    for sides in (C.transpose(0, 2, 3, 1), C.transpose(0, 1, 3, 2)):
+        cases.append((sides.reshape(-1, 4, 2), delta))
+    outcomes = set()
+    for mats, b in cases:
+        X = coefficient_vectors(mats.shape[2], p)
+        want = ((mats @ X.T - b[:, None]) % p == 0).all(1).any(-1)
+        assert np.array_equal(_solvable(mats, b, p), want)
+        outcomes.update(want.tolist())
+    assert outcomes == {True, False}

@@ -200,29 +200,49 @@ def test_verify_suite_stdout_is_pinned(suite, sha256, capsys):
 PERTURBED_FIRST = {
     "singular": "aO equals ker of left multiplication by k(a): a=(0, 1, 0, 0, 0, 0, 0, 0)",
     "classification": "suite runs to completion: ClassificationError: closed subspace",
-    "orbits": "suite runs to completion: ClassificationError: closed subspace",
+    "orbits": "group closure order 12096 equals brute-forced count 0 equals 12096: "
+              "closure 12096, brute 0",
     "orbits+autos": "suite runs to completion: PreconditionFailed: map is not "
                     "multiplicative at basis pair (1,0)",
 }
 
 
-@pytest.mark.parametrize("case", sorted(PERTURBED_FIRST))
-def test_verify_fails_on_a_perturbed_table(case, monkeypatch, capsys):
-    """A broken table is a verification failure (exit 1 and the first
-    counterexample), not a usage error or a traceback."""
+def _perturb(monkeypatch, autos_too: bool) -> None:
+    """Point the suites (and with ``autos_too`` the automorphism
+    generators) at the F_2 table with STRUCT_Z[1, 2, 0] raised."""
     algebra_mod = importlib.import_module("splitoct.algebra")
     algebra_mod.algebra(2)                        # the canonical table stays cached
     broken = algebra_mod.STRUCT_Z.copy()
     broken[1, 2, 0] += 1
     monkeypatch.setattr(algebra_mod, "STRUCT_Z", broken)
     ctx = algebra_mod.SplitOctonions(2)
-    suite, _, also = case.partition("+")
     monkeypatch.setattr("splitoct.verify.algebra", lambda q: ctx)
-    if also:
+    if autos_too:
         monkeypatch.setattr("splitoct.autos.algebra", lambda q: ctx)
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBED_FIRST))
+def test_verify_fails_on_a_perturbed_table(case, monkeypatch, capsys):
+    """A broken table is a verification failure (exit 1 and the first
+    counterexample), not a usage error or a traceback."""
+    suite, _, also = case.partition("+")
+    _perturb(monkeypatch, bool(also))
     assert main(["verify", "--suite", suite]) == 1
     out = capsys.readouterr().out
     assert f"FIRST COUNTEREXAMPLE ({suite}): {PERTURBED_FIRST[case]}" in out
+
+
+def test_a_suite_that_raises_keeps_the_checks_it_made(monkeypatch, capsys):
+    """Over the broken table the orbits suite makes its group-order check,
+    then stops on a ClassificationError: the report lists both."""
+    _perturb(monkeypatch, False)
+    assert main(["verify", "--suite", "orbits"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if "[" in line] == [
+        "  [FAIL] group closure order 12096 equals brute-forced count 0 equals 12096",
+        "  [FAIL] suite runs to completion"]
+    assert lines[-2].startswith("         first counterexample: ClassificationError: "
+                                "closed subspace")
 
 
 def test_verify_field_restriction(capsys):

@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -137,3 +139,16 @@ def test_lattice_f5_scan_stays_pruned(monkeypatch):
     monkeypatch.setattr(subspace, "closed_mask", counting)
     build_lattice(5)
     assert 0 < sum(rows) <= 250_000
+
+
+def test_lattice_command_leaves_numpy_ma_unimported():
+    """A cold ``splitoct lattice`` does not import numpy.ma, which
+    ``np.unique`` imports on first use at a cost of milliseconds."""
+    src = pathlib.Path(subspace.__file__).resolve().parents[1]
+    script = ("import sys\nfrom splitoct.cli import main\n"
+              "rc = main(['lattice', '--field', '3'])\n"
+              "print(rc, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=src,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from splitoct.linalg import mat_inv, nullspace, rank, row_space_contains, rref
+from splitoct.linalg import (batch_rank, batch_rref, mat_inv, nullspace, rank,
+                             row_space_contains, rref)
 
 
 def _random_matrix(rng, rows, cols, p):
@@ -69,3 +70,27 @@ def test_mat_inv_rejects_singular():
     m = np.array([[1, 1], [1, 1]], dtype=np.int64)
     with pytest.raises(ValueError):
         mat_inv(m, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("shape", [(3, 8), (4, 16), (8, 3), (5, 5)],
+                         ids=["wide", "wider", "tall", "square"])
+def test_batch_rref_and_rank_match_rref(p, shape):
+    """Random, rank-deficient and early-pivoting stacks: ``batch_rref``
+    stops once every matrix has full row rank, ``batch_rank`` reduces a
+    wide stack transposed, and both agree with ``rref`` matrix by matrix."""
+    rng = np.random.default_rng(31 * p + shape[1])
+    r, c = shape
+    full = rng.integers(0, p, (50, r, c))
+    thin = rng.integers(0, p, (50, r, 2)) @ rng.integers(0, p, (50, 2, c)) % p
+    # every matrix pivots in its first min(r, c) columns
+    early = rng.integers(0, p, (20, r, c))
+    early[:, :, :min(r, c)] = np.eye(r, min(r, c), dtype=np.int64)
+    mats = np.concatenate([full, thin, early])
+    red, ranks = batch_rref(mats, p)
+    for m, got, k in zip(mats, red, ranks):
+        want, pivots = rref(m, p)
+        assert k == len(pivots)
+        assert np.array_equal(got[:k], want) and not got[k:].any()
+    assert np.array_equal(batch_rank(mats, p), ranks)
+    assert np.array_equal(batch_rank(early, p), np.full(len(early), min(r, c)))

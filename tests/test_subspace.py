@@ -1,16 +1,20 @@
 """Subspaces of F_p^8: spans, duality, radicals, closure, enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from splitoct import subspace
 from splitoct.algebra import Workspace, algebra
+from splitoct.classify import OrbitLabel
+from splitoct.constructions import rep
 from splitoct.field import SUPPORTED_PRIMES
 from splitoct.linalg import batch_rref
 from splitoct.subspace import (Subspace, block_rows, closed_bases, closed_mask,
-                               closed_subspaces, closure, gaussian_binomial,
-                               intersect, perp, pivot_block, radicals, span,
-                               sum_spaces, zero_space)
+                               closed_subspaces, closure, free_positions,
+                               gaussian_binomial, intersect, perp, pivot_block,
+                               radicals, span, sum_spaces, zero_space)
 from oracle import (contains_space, elements, enumerate_subspaces, full_space,
                     nonzero_elements)
 
@@ -191,3 +195,48 @@ def test_work_buffers_hold_no_stale_data(p, monkeypatch):
     fresh = [m.tolist() for m in closed_subspaces(A.struct, A.unit, p, sets)]
     assert shared == fresh
     assert sum(map(len, shared)) > len(sets)
+
+
+def _random_rref(rng, pivots, p, count):
+    """``count`` random RREF bases of F_p^8 with pivot columns ``pivots``."""
+    mats = np.zeros((count, len(pivots), 8), dtype=np.int8)
+    mats[:, range(len(pivots)), pivots] = 1
+    for i, col in free_positions(pivots):
+        mats[:, i, col] = rng.integers(0, p, count)
+    return mats
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_two_stage_mask_matches_the_single_stage_test(p):
+    """``closed_mask`` rejects most bases on row 0's products and tests the
+    rest on all of theirs; ``closed_bases`` tests every product at once.
+    They agree on random RREF blocks for k = 1..7, on bases led by the
+    unit (which pass the first stage, so the second decides) and on every
+    representative, with and without a shared workspace."""
+    A, rng, work = algebra(p), np.random.default_rng(p), Workspace()
+    blocks = []
+    for k in range(1, 8):
+        every = list(itertools.combinations(range(8), k))
+        for i in rng.choice(len(every), min(3, len(every)), replace=False):
+            blocks.append((every[i], _random_rref(rng, every[i], p, 60)))
+        # 1 = E11 + E22: pivot 0, free entry 1 at column 3
+        rest = rng.choice([1, 2, 4, 5, 6, 7], k - 1, replace=False)
+        pivots = (0, *sorted(rest.tolist()))
+        led = _random_rref(rng, pivots, p, 60)
+        led[:, 0] = A.unit
+        blocks.append((pivots, led))
+    reps = [rep(lab, p) for lab in OrbitLabel
+            if lab.reachable and lab is not OrbitLabel.Zero]
+    blocks += [(s.pivots, s.matrix()[None]) for s in reps]
+    closed_led = open_led = 0
+    for pivots, mats in blocks:
+        want = closed_bases(mats, A)
+        assert np.array_equal(closed_mask(mats, pivots, A.struct, p), want), pivots
+        assert np.array_equal(closed_mask(mats, pivots, A.struct, p, work), want), pivots
+        led = (mats[:, 0] == A.unit).all(-1)
+        closed_led += want[led].sum()
+        open_led += (~want[led]).sum()
+    assert all(closed_bases(s.matrix()[None], A)[0] for s in reps)
+    # unit-led bases with k ≤ 2 are closed, as x² = tr(x)·x − N(x)·1; some
+    # with k ≥ 3 fail in the second stage alone
+    assert closed_led >= 120 and open_led > 0
