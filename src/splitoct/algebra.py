@@ -9,7 +9,8 @@ once, here: the Gram matrix Q + Qᵀ of the polar form
 κ(x) = tr(x)·1 − x as a matrix, and the scalar and array operations,
 the same way over every prime.  No other module knows a coordinate
 layout, except that the exhaustive F_2 identities of
-:mod:`splitoct.verify` pack F_2^8 into bytes.
+:mod:`splitoct.verify` pack 64 instances into each word of a coordinate
+plane.
 
 Tables come from Cayley–Dickson doubling.  :func:`field_table` is F_p
 with N(x) = x², :func:`quaternion_table` the 2x2 matrices with the
@@ -69,23 +70,24 @@ def check_float32_exact(n: int, p: int) -> None:
 
 
 class Workspace:
-    """Float32 work buffers that one scan lends to every kernel call it makes.
+    """Work buffers that one scan lends to every kernel call it makes.
 
-    ``take(name, shape)`` returns a view of the buffer ``name``, grown to
-    the largest size asked of it so far; the next ``take`` of that name
-    overwrites it.  Reusing the buffers keeps a long scan from mapping and
-    faulting in fresh megabyte temporaries on every call, which otherwise
-    depends on glibc's dynamic mmap threshold and on what ran before.
+    ``take(name, shape)`` returns a float32 view (or one of ``dtype``) of
+    the buffer ``name``, grown to the largest size asked of it so far; the
+    next ``take`` of that name overwrites it.  Reusing the buffers keeps a
+    long scan from mapping and faulting in fresh megabyte temporaries on
+    every call, which otherwise depends on glibc's dynamic mmap threshold
+    and on what ran before.
     """
 
     def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
+        self._buffers: dict = {}
 
-    def take(self, name: str, shape) -> np.ndarray:
+    def take(self, name, shape, dtype=np.float32) -> np.ndarray:
         size = math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, dtype=np.float32)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype=dtype)
         return buf[:size].reshape(shape)
 
 

@@ -3,32 +3,33 @@
 Five named suites, each returning a structured result with per-check
 counts and the first counterexample found (if any):
 
-- ``identities``     field-parametric; exhaustive over F_2 through byte
-                     tables, seeded random sampling (1e5 tuples per
-                     identity) over odd fields, run on one thread as
-                     float32 coordinate planes built from the algebra's
-                     term lists.
+- ``identities``     field-parametric; exhaustive over F_2 on bitsliced
+                     uint64 coordinate planes, seeded random sampling
+                     (1e5 tuples per identity) over odd fields on float32
+                     coordinate planes, both on one thread and built from
+                     the algebra's term lists.
 - ``singular``       F_2 only: maximal totally singular subspace geometry.
 - ``centralizers``   F_2 and F_3: exact centralizer dimensions, elementwise.
 - ``classification`` F_2 census theorems, lattice fixture, representative
                      round-trips, and the worked construction examples.
 - ``orbits``         F_2: automorphism group order and orbit structure.
 
-Only the exhaustive F_2 identities pack F_2^8 into bytes (bit c of a byte
-is coordinate c), in :func:`byte_tables`; the other checks use coordinate rows.
+Only the exhaustive F_2 identities pack instances into bits, 64 to a
+word of each coordinate plane (:class:`_Bits`); the other checks use
+coordinate rows.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, wraps
+from functools import wraps
 
 import numpy as np
 
 from . import autos
-from .algebra import (DIM, Algebra, algebra, check_float32_exact, mod,
-                      products)
+from .algebra import (DIM, Algebra, Workspace, algebra, check_float32_exact,
+                      mod, products)
 from .census import enumerate_subalgebras
 from .classify import OrbitLabel, classify, element_orbit_invariant
 from .constructions import (PreconditionFailed, centralizer, left_mul_space,
@@ -161,11 +162,12 @@ def _completed(suite: str, field: int | None = None):
 
 #: The composition-algebra laws as (name, variables, predicate).  A
 #: predicate gets an element interface E (mul, conj, add, scale, one, eq
-#: on elements; norm, trace, polar give scalars mod E.p) and one batch of
-#: values per variable, and returns one verdict per instance.
+#: on elements; norm, trace, polar give scalars, elements of one
+#: coordinate) and one batch of values per variable, and returns the
+#: engine's verdicts, which its ``tally`` reads.
 LAWS = (
     ("norm multiplicativity N(xy)=N(x)N(y)", "xy",
-     lambda E, x, y: E.norm(E.mul(x, y)) == E.norm(x) * E.norm(y) % E.p),
+     lambda E, x, y: E.eq(E.norm(E.mul(x, y)), E.scale(E.norm(x), E.norm(y)))),
     ("involution anti-automorphism k(xy)=k(y)k(x)", "xy",
      lambda E, x, y: E.eq(E.conj(E.mul(x, y)), E.mul(E.conj(y), E.conj(x)))),
     ("involution is involutory k(k(x))=x", "x",
@@ -176,9 +178,11 @@ LAWS = (
      lambda E, x, y: E.eq(E.add(E.mul(x, E.conj(y)), E.mul(y, E.conj(x))),
                           E.scale(E.polar(x, y), E.one))),
     ("adjoint (cx|y)=(x|k(c)y)", "cxy",
-     lambda E, c, x, y: E.polar(E.mul(c, x), y) == E.polar(x, E.mul(E.conj(c), y))),
+     lambda E, c, x, y: E.eq(E.polar(E.mul(c, x), y),
+                             E.polar(x, E.mul(E.conj(c), y)))),
     ("adjoint (xc|y)=(x|y k(c))", "cxy",
-     lambda E, c, x, y: E.polar(E.mul(x, c), y) == E.polar(x, E.mul(y, E.conj(c)))),
+     lambda E, c, x, y: E.eq(E.polar(E.mul(x, c), y),
+                             E.polar(x, E.mul(y, E.conj(c))))),
     ("Moufang (ax)(ya)=a((xy)a)", "axy",
      lambda E, a, x, y: E.eq(E.mul(E.mul(a, x), E.mul(y, a)),
                              E.mul(a, E.mul(E.mul(x, y), a)))),
@@ -194,9 +198,14 @@ LAWS = (
                        E.scale(E.trace(x), x))),
 )
 
-#: instances per chunk (at least one value of the first variable), which
-#: bounds the working set
+#: instances per chunk of the odd-field identities, which bounds the
+#: working set
 _CHUNK = 1 << 14
+
+#: values of the first variable per chunk of a three-variable F_2 law:
+#: 2²⁰ instances and 1 MiB an element.  Blocks of 8, 16, 32 and 64 took
+#: 0.22, 0.17, 0.16 and 0.18 s for the F_2 suite (2-vCPU Xeon VM).
+_BLOCK = 16
 
 
 def _grid() -> np.ndarray:
@@ -210,108 +219,133 @@ def _row_products(X: np.ndarray, Y: np.ndarray, A: Algebra) -> np.ndarray:
     return mod(products(X, Y, A.struct, 2), 2).astype(np.int64)
 
 
-class _Bytes:
-    """An F_2 octonion algebra on packed bytes, and the element interface of
-    the exhaustive identities over its grid; get it from :func:`byte_tables`.
-
-    ``byte_coords`` (256, 8) holds the coordinates of each byte, and the
-    uint8 tables ``mul_byte`` and ``polar_byte`` (256×256) and
-    ``conj_byte``, ``norm_byte`` and ``trace_byte`` (256) the operations:
-    products through :func:`splitoct.algebra.products`, and
-    (x|y) = N(x+y) − N(x) − N(y), where + and − are XOR.  Every operation
-    is one ``np.take`` from a table.  The two-argument tables are read
-    raveled, at the uint16 pair index x << 8 | y, which cannot leave their
-    65,536 entries.  Over a 256×256 grid that gather took about 170 µs,
-    against 460 µs for indexing the 2-D table with the pair of broadcast
-    arrays, and ``np.take`` from a 256-entry table 145 µs against 220 µs
-    (2-vCPU Xeon VM, numpy 2.4.6).  A law in v variables runs over all
-    256^v instances, the grid split along the first variable.
+class _TermPlanes:
+    """The operations both identities engines build from the algebra's own
+    term lists (the tables its scalar operations read).  An element is a
+    stack of coordinate planes and a scalar one plane; an engine supplies
+    ``_new`` (a result buffer of the broadcast shape), ``_sum`` (which
+    writes Σ c·a·b over the (k, a, b, c) of its terms into plane k) and
+    ``ones`` (a plane of 1s, for the linear maps).
     """
 
-    p = 2
+    def mul(self, x, y):
+        return self._sum(self._new(x, y), ((k, xi, y[j], c) for xi, terms in
+                                           zip(x, self.ctx._mul_terms) for j, k, c in terms))
+
+    def conj(self, x):
+        return self._sum(self._new(x), ((j, x[i], self.ones, c)
+                                        for i, j, c in self.ctx._conj_terms))
+
+    def trace(self, x):
+        return self._sum(self._new(x[:1]), ((0, x[i], self.ones, c)
+                                            for i, c in self.ctx._trace_terms))
+
+    def norm(self, x):
+        return self._form(x, x, self.ctx._norm_terms)
+
+    def polar(self, x, y):
+        return self._form(x, y, self.ctx._polar_terms)
+
+    def _form(self, x, y, terms):
+        """Σ c·x_i·y_j over the (i, j, c) terms of a bilinear form."""
+        return self._sum(self._new(x[:1], y[:1]), ((0, x[i], y[j], c) for i, j, c in terms))
+
+
+class _Bits(_TermPlanes):
+    """An algebra over F_2^8 as bitsliced uint64 coordinate planes, the
+    engine of the exhaustive F_2 identities; ``ValueError`` for any other.
+
+    Bit b of word (w, l, m) of plane c is coordinate c of the instance
+    whose last variable is element 64w + b, whose middle one is element m
+    and whose first one is the l-th of the chunk (element i at
+    i = Σ c_j·2^j).  Every coefficient is 1 over F_2, so a term is one AND
+    and one XOR of whole planes, 64 instances a word.  A law in three
+    variables takes the first in blocks of ``_BLOCK`` values, so every loop
+    runs along 256 contiguous words or more (with the 4 words innermost it
+    was up to 9× slower).  The i-th result of a chunk reuses buffer i of
+    the chunk before: fresh 1 MiB arrays cost 200k minor faults and half
+    the time.
+    """
+
+    ones = ~np.uint64(0)
 
     def __init__(self, A: Algebra):
         if A.p != 2 or A.dim != DIM:
-            raise ValueError(f"byte packing exists only over F_2^{DIM}, not F_{A.p}^{A.dim}")
-        bits = np.arange(256, dtype=np.uint16)
-        coords = self.byte_coords = _grid()
-        weights = 1 << np.arange(DIM)
-        prod = _row_products(coords, coords, A)
-        self.mul_byte = (prod * weights).sum(-1).astype(np.uint8)
-        self.conj_byte = ((coords @ A.conj_mat % 2) * weights).sum(-1).astype(np.uint8)
-        norm = self.norm_byte = A.norms(coords).astype(np.uint8)
-        self.trace_byte = A.traces(coords).astype(np.uint8)
-        self.polar_byte = norm[bits[:, None] ^ bits] ^ norm[:, None] ^ norm
-        self.mul_flat = self.mul_byte.ravel()
-        self.polar_flat = self.polar_byte.ravel()
-        self.one = np.uint8(self.byte_of(A.unit))
+            raise ValueError(f"bit planes exist only over F_2^{DIM}, not F_{A.p}^{A.dim}")
+        self.ctx, self.work, self._taken = A, Workspace(), 0
+        coords = _grid().T.astype(np.uint8, order="C")
+        self.spread = -coords.astype(np.uint64)   # (8, 256) words of 0s or 1s
+        # (8, 4): bit b of word w is coordinate c of element 64w + b
+        self.packed = np.packbits(coords, axis=-1, bitorder="little").view("<u8")
+        self.one = -np.array(A.unit, dtype=np.uint64)[:, None, None, None]
 
-    @staticmethod
-    def byte_of(u) -> int:
-        return sum((int(c) & 1) << i for i, c in enumerate(u))
+    def _new(self, *arrays) -> np.ndarray:
+        self._taken += 1
+        return self.work.take(self._taken, np.broadcast(*arrays).shape, np.uint64)
 
-    def coords_of_byte(self, b: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.byte_coords[b])
-
-    def mul(self, x, y):
-        return np.take(self.mul_flat, (np.asarray(x, dtype=np.uint16) << 8) | y)
-
-    def conj(self, x):
-        return np.take(self.conj_byte, x)
+    def _sum(self, out, terms):
+        """The first term of a plane is written straight into it, and a
+        plane that gets none is 0."""
+        tmp = self.work.take("term", out.shape[1:], np.uint64)
+        outs, unset = list(out), set(range(len(out)))
+        for k, a, b, _ in terms:
+            if k in unset:
+                unset.remove(k)
+                np.bitwise_and(a, b, out=outs[k])
+            else:
+                outs[k] ^= np.bitwise_and(a, b, out=tmp)
+        for k in unset:
+            outs[k].fill(0)
+        return out
 
     def add(self, x, y):
-        return x ^ y
+        return np.bitwise_xor(x, y, out=self._new(x, y))
 
     def scale(self, c, x):
-        return c * x
+        return np.bitwise_and(c, x, out=self._new(c, x))
 
     def eq(self, u, v):
-        return u == v
-
-    def norm(self, x):
-        return np.take(self.norm_byte, x)
-
-    def trace(self, x):
-        return np.take(self.trace_byte, x)
-
-    def polar(self, x, y):
-        return np.take(self.polar_flat, (np.asarray(x, dtype=np.uint16) << 8) | y)
+        out = np.bitwise_or.reduce(self.add(u, v), out=self._new(u[0], v[0]))
+        return np.invert(out, out=out)
 
     def chunks(self, nvars: int):
-        """Open byte grids, one axis per variable, chunk by chunk."""
-        ar = np.arange(256, dtype=np.uint8)
-        step = max(1, _CHUNK >> 8 * (nvars - 1))
-        for lo in range(0, 256, step):
-            yield np.ix_(ar[lo:lo + step], *[ar] * (nvars - 1))
+        mid, last = self.spread[:, None, None, :], self.packed[:, :, None, None]
+        for lo in range(0, 256, _BLOCK) if nvars == 3 else [0]:
+            self._taken = 0
+            yield ([self.spread[:, None, lo:lo + _BLOCK, None]] * (nvars == 3)
+                   + [mid, last][-nvars:])
 
-    def instance(self, args, i: int) -> list[tuple]:
-        idx = np.unravel_index(i, [a.size for a in args])
-        return [self.coords_of_byte(int(a.ravel()[j])) for a, j in zip(args, idx)]
+    def tally(self, ok, args) -> tuple[int, list | None]:
+        """The chunk's instance count, and its first failing instance in
+        the order of the variables or None."""
+        shape = np.broadcast(*(a[0] for a in args)).shape
+        bad = ~np.broadcast_to(ok, shape).transpose(1, 2, 0)     # (l, m, w)
+        if not bad.any():
+            return 64 * bad.size, None
+        l, m, w = np.argwhere(bad)[0]
+        b = np.uint64((int(bad[l, m, w]) & -int(bad[l, m, w])).bit_length() - 1)
+        return 64 * bad.size, [tuple(int(c) for c in np.broadcast_to(
+            a, (DIM, *shape))[:, w, l, m] >> b & 1) for a in args]
 
 
-@lru_cache(maxsize=None)
-def byte_tables(A: Algebra) -> _Bytes:
-    """The byte tables of an algebra over F_2^8, built once per algebra;
-    ``ValueError`` for any other algebra."""
-    return _Bytes(A)
-
-
-class _Planes:
-    """Elements of F_p^n as float32 coordinate planes, over seeded samples.
+class _Planes(_TermPlanes):
+    """Elements of F_p^n as float32 coordinate planes, over seeded samples:
+    the identities engine of every odd prime (F_2 runs on :class:`_Bits`).
 
     A chunk of N instances is an (n, N) array, contiguous per coordinate.
-    Every operation is a loop of whole-plane multiply-adds over the
-    algebra's own term lists (the tables its scalar operations read),
-    reduced with :func:`mod`; the sums stay below the bound
-    :func:`check_float32_exact` enforces.  Nothing goes through BLAS, so
-    the suite runs on one thread.  A product of 16,384 pairs at F_5 took
-    0.4–0.6 ms this way, against 1.8–3.1 ms for one 1×8·8×8 matmul per
-    pair through :func:`splitoct.algebra.products` and 1.3 ms for the same
-    loop over strided coordinate columns; skipping the multiply by a
-    coefficient 1 saved about 15% (2-vCPU Xeon VM, numpy 2.4.6).  Every
-    law sees the same ``RANDOM_SAMPLES`` instances: the first variable
-    takes the third sample, the others the first and second, in order.
+    Every operation is a loop of whole-plane multiply-adds, reduced with
+    :func:`mod`; the sums stay below the bound :func:`check_float32_exact`
+    enforces.  Nothing goes through BLAS, so the suite runs on one thread.
+    A product of 16,384 pairs at F_5 took 0.4–0.6 ms this way, against
+    1.8–3.1 ms for one 1×8·8×8 matmul per pair through
+    :func:`splitoct.algebra.products` and 1.3 ms for the same loop over
+    strided coordinate columns; skipping the multiply by a coefficient 1
+    saved about 15% (2-vCPU Xeon VM, numpy 2.4.6).  Every law sees the
+    same ``RANDOM_SAMPLES`` instances: the first variable takes the third
+    sample, the others the first and second, in order.
     """
+
+    ones = np.float32(1)
 
     def __init__(self, ctx):
         p = self.p = ctx.p
@@ -324,17 +358,12 @@ class _Planes:
                          dtype=np.int64).astype(np.int8).T)
             for _ in range(3)]
 
-    def mul(self, x, y):
-        out = np.zeros_like(x)
-        for xi, terms in zip(x, self.ctx._mul_terms):
-            for j, k, c in terms:
-                out[k] += (xi * c if c != 1 else xi) * y[j]
-        return mod(out, self.p)
+    def _new(self, *arrays) -> np.ndarray:
+        return np.zeros(np.broadcast(*arrays).shape, dtype=np.float32)
 
-    def conj(self, x):
-        out = np.zeros_like(x)
-        for i, j, c in self.ctx._conj_terms:
-            out[j] += x[i] * c
+    def _sum(self, out, terms):
+        for k, a, b, c in terms:
+            out[k] += (a * c if c != 1 else a) * b
         return mod(out, self.p)
 
     def add(self, x, y):
@@ -346,33 +375,17 @@ class _Planes:
     def eq(self, u, v):
         return (u == v).all(0)
 
-    def norm(self, x):
-        return self._form(x, x, self.ctx._norm_terms)
-
-    def trace(self, x):
-        out = np.zeros_like(x[0])
-        for i, c in self.ctx._trace_terms:
-            out += x[i] * c
-        return mod(out, self.p)
-
-    def polar(self, x, y):
-        return self._form(x, y, self.ctx._polar_terms)
-
-    def _form(self, x, y, terms):
-        """Σ c·x_i·y_j over the (i, j, c) terms of a bilinear form."""
-        out = np.zeros_like(x[0])
-        for i, j, c in terms:
-            out += x[i] * y[j] * c
-        return mod(out, self.p)
-
     def chunks(self, nvars: int):
         order = [2, 0, 1] if nvars == 3 else [0, 1][:nvars]
         for lo in range(0, RANDOM_SAMPLES, _CHUNK):
             yield [np.ascontiguousarray(self.samples[s][:, lo:lo + _CHUNK],
                                         dtype=np.float32) for s in order]
 
-    def instance(self, args, i: int) -> list[tuple]:
-        return [tuple(int(t) for t in a[:, i]) for a in args]
+    def tally(self, ok, args) -> tuple[int, list | None]:
+        if ok.all():
+            return ok.size, None
+        i = int(np.argmin(ok))
+        return ok.size, [tuple(int(t) for t in a[:, i]) for a in args]
 
 
 @_completed("identities", 2)
@@ -380,14 +393,13 @@ def verify_identities(res: SuiteResult, p: int = 2) -> None:
     """Composition-algebra laws: exhaustive (F_2) or random (odd fields)."""
     check_prime(p)
     ctx = algebra(p)
-    E = byte_tables(ctx) if p == 2 else _Planes(ctx)
+    E = _Bits(ctx) if p == 2 else _Planes(ctx)
     for name, names, law in LAWS:
         checked, ce = 0, None
         for args in E.chunks(len(names)):
-            ok = law(E, *args)
-            checked += ok.size
-            if ce is None and not ok.all():
-                values = E.instance(args, int(np.argmin(ok.ravel())))
+            n, values = E.tally(law(E, *args), args)
+            checked += n
+            if ce is None and values:
                 ce = ", ".join(f"{v}={c}" for v, c in zip(names, values))
         res.checks.append(CheckResult(name, ce is None, checked, ce))
 

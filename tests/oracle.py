@@ -22,6 +22,8 @@ The closed sub-subspaces of a subalgebra come from testing every one of
 its subspaces, for comparison with the pruned
 :func:`splitoct.lattice.subalgebras_inside`, and
 :func:`enumerate_subspaces` lists every subspace of F_p^n one by one.
+:func:`byte_tables` holds the operations of an algebra over F_2^8 as
+tables on packed bytes, for element-by-element brute force over F_2.
 The small helpers at the end (:func:`full_space`, :func:`elements`,
 :func:`nonzero_elements`, :func:`contains_space`,
 :func:`identity_automorphism`, :func:`dim_total`) serve only the tests.
@@ -30,11 +32,12 @@ The small helpers at the end (:func:`full_space`, :func:`elements`,
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
 from splitoct import field
-from splitoct.algebra import DIM
+from splitoct.algebra import DIM, mod, products
 from splitoct.autos import Automorphism, orbit_of_space
 from splitoct.classify import ClassificationError, OrbitLabel
 from splitoct.linalg import nullspace
@@ -282,6 +285,65 @@ def enumerate_subspaces(k: int, p: int, ambient: int = DIM):
     for pivots in itertools.combinations(range(ambient), k):
         for m in pivot_block(pivots, p, ambient):
             yield Subspace(tuple(map(tuple, m.tolist())), p, ambient)
+
+
+class _Bytes:
+    """An F_2 algebra of dimension 8 on packed bytes (bit c of a byte is
+    coordinate c); get it from :func:`byte_tables`.
+
+    ``byte_coords`` (256, 8) holds the coordinates of each byte, and the
+    uint8 tables ``mul_byte`` and ``polar_byte`` (256×256) and
+    ``conj_byte``, ``norm_byte`` and ``trace_byte`` (256) the operations:
+    products through :func:`splitoct.algebra.products`, and
+    (x|y) = N(x+y) − N(x) − N(y), where + and − are XOR.  The methods read
+    the tables with ``np.take``, the two-argument ones raveled at the
+    uint16 pair index x << 8 | y.
+    """
+
+    def __init__(self, A):
+        if A.p != 2 or A.dim != DIM:
+            raise ValueError(f"byte packing exists only over F_2^{DIM}, not F_{A.p}^{A.dim}")
+        bits = np.arange(256, dtype=np.uint16)
+        coords = self.byte_coords = (np.arange(256)[:, None] >> np.arange(DIM)) & 1
+        weights = 1 << np.arange(DIM)
+        prod = mod(products(coords, coords, A.struct, 2), 2).astype(np.int64)
+        self.mul_byte = (prod * weights).sum(-1).astype(np.uint8)
+        self.conj_byte = ((coords @ A.conj_mat % 2) * weights).sum(-1).astype(np.uint8)
+        norm = self.norm_byte = A.norms(coords).astype(np.uint8)
+        self.trace_byte = A.traces(coords).astype(np.uint8)
+        self.polar_byte = norm[bits[:, None] ^ bits] ^ norm[:, None] ^ norm
+        self.mul_flat = self.mul_byte.ravel()
+        self.polar_flat = self.polar_byte.ravel()
+        self.one = np.uint8(self.byte_of(A.unit))
+
+    @staticmethod
+    def byte_of(u) -> int:
+        return sum((int(c) & 1) << i for i, c in enumerate(u))
+
+    def coords_of_byte(self, b: int) -> tuple[int, ...]:
+        return tuple(int(x) for x in self.byte_coords[b])
+
+    def mul(self, x, y):
+        return np.take(self.mul_flat, (np.asarray(x, dtype=np.uint16) << 8) | y)
+
+    def conj(self, x):
+        return np.take(self.conj_byte, x)
+
+    def norm(self, x):
+        return np.take(self.norm_byte, x)
+
+    def trace(self, x):
+        return np.take(self.trace_byte, x)
+
+    def polar(self, x, y):
+        return np.take(self.polar_flat, (np.asarray(x, dtype=np.uint16) << 8) | y)
+
+
+@lru_cache(maxsize=None)
+def byte_tables(A) -> _Bytes:
+    """The byte tables of an algebra over F_2^8, built once per algebra;
+    ``ValueError`` for any other algebra."""
+    return _Bytes(A)
 
 
 def full_space(p: int, ambient: int = DIM) -> Subspace:

@@ -15,8 +15,7 @@ from splitoct.classify import (LABEL_DIM, ClassificationError, NotClosed,
 from splitoct.constructions import UnreachableLabel, rep
 from splitoct.lattice import subalgebras_inside
 from splitoct.subspace import coefficient_vectors, span, substructure
-from splitoct.verify import byte_tables
-from oracle import elements, nonzero_elements
+from oracle import byte_tables, elements, nonzero_elements
 
 REACHABLE = [lab for lab in OrbitLabel if lab.reachable]
 UNREACHABLE = [lab for lab in OrbitLabel if not lab.reachable]

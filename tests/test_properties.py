@@ -7,7 +7,7 @@ from splitoct.algebra import algebra
 from splitoct.autos import alpha_st
 from splitoct.classify import classify
 from splitoct.subspace import closure, intersect, perp, span, sum_spaces
-from splitoct.verify import byte_tables
+from oracle import byte_tables
 
 PRIMES = [2, 3, 5]
 

@@ -98,12 +98,9 @@ def test_mu_tables_compose_their_doubled_norm(p):
 
 
 #: (owner module, names no other module may import or read as attributes):
-#: the canonical tables over Z, and the F_2 byte packing of the certifications
+#: the canonical tables over Z
 TABLE_OWNERS = (
     ("algebra.py", ("STRUCT_Z", "GRAM_Z", "CONJ_Z")),
-    ("verify.py", ("byte_tables", "_build_byte_tables", "byte_coords",
-                   "mul_byte", "polar_byte", "conj_byte", "norm_byte",
-                   "trace_byte", "byte_of", "coords_of_byte")),
 )
 
 
@@ -126,29 +123,29 @@ def test_only_the_algebra_module_reads_the_canonical_tables():
     assert not found
 
 
-#: the F_2 byte packing, and the only definitions in verify.py that may name
-#: it: the exhaustive identities engine
-BYTE_NAMES = ("byte_tables", "mul_byte", "polar_byte", "norm_byte", "trace_byte",
-              "byte_of", "coords_of_byte")
-BYTE_USERS = ("_Bytes", "byte_tables", "verify_identities")
+#: the F_2 byte tables, which only the tests' oracle builds
+BYTE_NAMES = frozenset({"_Bytes", "byte_tables", "_build_byte_tables", "byte_coords",
+                        "mul_byte", "polar_byte", "conj_byte", "norm_byte",
+                        "trace_byte", "mul_flat", "polar_flat", "byte_of",
+                        "coords_of_byte"})
 
 
-def test_only_the_identities_engine_packs_bytes():
+def _byte_names(path: Path) -> list[str]:
+    """Every name of ``BYTE_NAMES`` a module defines, imports, reads or
+    passes as a keyword, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for attr in ("id", "attr", "name", "arg"):
+            name = getattr(node, attr, None)
+            if name in BYTE_NAMES:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    return found
+
+
+def test_no_module_names_a_byte_table():
     package = Path(splitoct.__file__).resolve().parent
-    tree = ast.parse((package / "verify.py").read_text(encoding="utf-8"))
-    found, users = [], set()
-    for top in tree.body:
-        for node in ast.walk(top):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute) else None)
-            if name not in BYTE_NAMES:
-                continue
-            if getattr(top, "name", None) in BYTE_USERS:
-                users.add(top.name)
-            else:
-                found.append(f"verify.py:{node.lineno} {name}")
-    assert not found
-    assert "verify_identities" in users           # the walk sees the one caller
+    assert not [hit for path in sorted(package.glob("*.py")) for hit in _byte_names(path)]
+    assert _byte_names(Path(oracle.__file__))         # the walk sees them where they are
 
 
 #: modules that work in whatever table they are handed

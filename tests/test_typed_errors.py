@@ -36,13 +36,13 @@ from splitoct.autos import doubling_extension, generate_group
 from splitoct.constructions import PreconditionFailed
 from splitoct.linalg import mat_inv
 from splitoct.subspace import intersect, perp, span, sum_spaces
-from splitoct.verify import byte_tables, count_automorphisms
+from splitoct.verify import _Bits, count_automorphisms
 calls = (
     lambda: doubling_extension(np.eye(8, dtype=np.int64)[:3], (0,) * 8, 2),
     lambda: generate_group([]),
     lambda: count_automorphisms(3),
-    lambda: byte_tables(algebra(3)),
-    lambda: byte_tables(quaternion_table(2)),
+    lambda: _Bits(algebra(3)),
+    lambda: _Bits(quaternion_table(2)),
     lambda: perp(span([(1,) * 8], 3), algebra(2)),
     lambda: mat_inv(np.ones((2, 3), dtype=np.int64), 2),
     lambda: sum_spaces(span([(1,) * 8], 2), span([(1,) * 8], 3)),

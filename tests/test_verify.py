@@ -1,16 +1,20 @@
 """Verification-suite plumbing: dispatch rules, result formatting."""
 
 import importlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracle
 from splitoct import autos, verify
-from splitoct.algebra import check_float32_exact, double, field_table
+from splitoct.algebra import (SplitOctonions, check_float32_exact, double,
+                              field_table)
 from splitoct.field import SUPPORTED_PRIMES
 from splitoct.verify import (SUITE_NAMES, CheckResult, SuiteResult, run_suite,
                              verify_centralizers)
+from test_tables import _change_basis, _random_basis
 
 
 def test_suite_names():
@@ -86,11 +90,11 @@ def test_the_count_tests_every_candidate_with_mismatches(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the F_2 byte tables and the flat byte reads of the identities suite
+# the oracle's F_2 byte tables and their flat byte reads
 # ---------------------------------------------------------------------------
 
 def test_byte_tables_match_tuple_arithmetic(ctx2):
-    ctx, T = ctx2, verify.byte_tables(ctx2)
+    ctx, T = ctx2, oracle.byte_tables(ctx2)
     for xb in range(256):
         x = T.coords_of_byte(xb)
         assert T.byte_of(x) == xb
@@ -107,24 +111,27 @@ def test_byte_tables_match_tuple_arithmetic(ctx2):
         assert table.dtype == np.uint8 and table.shape == (256, 256)
     coords = T.byte_coords
     assert np.array_equal(T.polar_byte, coords @ ctx.gram @ coords.T % 2)
-    assert verify.byte_tables(ctx) is T                   # built once
+    assert oracle.byte_tables(ctx) is T                   # built once
 
 
-def _byte_grids(E):
+def _byte_grids():
     """The full 256×256 grid (so x = y = 255, index 65,535), open and
-    dense, and the open grids of ``chunks`` for one to three variables."""
+    dense, and open grids of one to three variables split along the
+    first, 2¹⁴ instances a grid (one value of the first for three)."""
     full = np.arange(256, dtype=np.uint8)
     yield np.ix_(full, full)
     yield np.meshgrid(full, full, indexing="ij")
     for nvars in (1, 2, 3):
-        yield from E.chunks(nvars)
+        step = max(1, (1 << 14) >> 8 * (nvars - 1))
+        for lo in range(0, 256, step):
+            yield np.ix_(full[lo:lo + step], *[full] * (nvars - 1))
 
 
 def test_byte_reads_equal_the_2d_tables():
-    E = verify.byte_tables(verify.algebra(2))
+    E = oracle.byte_tables(verify.algebra(2))
     binary = {E.mul: E.mul_byte, E.polar: E.polar_byte}
     unary = {E.conj: E.conj_byte, E.norm: E.norm_byte, E.trace: E.trace_byte}
-    for grid in _byte_grids(E):
+    for grid in _byte_grids():
         args = list(grid) + [E.one]                  # the 0-d unit with each
         for a in args:
             for op, table in unary.items():
@@ -137,6 +144,88 @@ def test_byte_reads_equal_the_2d_tables():
                     assert got.dtype == np.uint8
                     assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
                     assert np.array_equal(got, table[a, b])
+
+
+# ---------------------------------------------------------------------------
+# identities: the bitsliced planes of F_2
+# ---------------------------------------------------------------------------
+
+def _unpack(planes) -> np.ndarray:
+    """Bit planes over the grid of a two-variable law as an array indexed
+    [x, y, c] by the elements of the instance (x along the 256 words, y in
+    their bits) and the coordinate."""
+    words = np.broadcast_to(planes, (len(planes), 4, 1, 256))[:, :, 0]
+    bits = (words[..., None] >> np.arange(64, dtype=np.uint64) & 1).astype(np.int64)
+    return bits.transpose(2, 1, 3, 0).reshape(256, 256, -1)
+
+
+def _f2_tables():
+    """The canonical F_2 table and the same algebra in another basis."""
+    A = verify.algebra(2)
+    return [A, _change_basis(A, _random_basis(2, seed=21))]
+
+
+@pytest.mark.parametrize("A", _f2_tables(), ids=["canonical", "changed-basis"])
+def test_bits_agree_with_the_scalar_operations(A):
+    """Every operation of the bit engine against the algebra's own, on all
+    256 elements in both layouts of a variable and all 65,536 pairs."""
+    E = verify._Bits(A)
+    x, y = next(E.chunks(2))                      # (8, 1, 1, 256), (8, 4, 1, 1)
+    grid = [tuple(int(c) for c in row) for row in verify._grid()]
+    for u, along_x in ((x, True), (y, False)):
+        def values(planes):
+            got = _unpack(planes)
+            return [tuple(map(int, c)) for c in (got[:, 0] if along_x else got[0])]
+        assert values(E.conj(u)) == [A.conj(g) for g in grid]
+        assert values(E.norm(u)) == [(A.norm(g),) for g in grid]
+        assert values(E.trace(u)) == [(A.trace(g),) for g in grid]
+    xy, yx, polar = _unpack(E.mul(x, y)), _unpack(E.mul(y, x)), _unpack(E.polar(x, y))
+    for i, g in enumerate(grid):
+        for j, h in enumerate(grid):
+            assert tuple(xy[i, j]) == A.mul(g, h)
+            assert tuple(yx[i, j]) == A.mul(h, g)
+            assert polar[i, j, 0] == A.polar(g, h)
+
+
+class _Scalars:
+    """The element interface of ``LAWS`` on single coordinate tuples,
+    through the algebra's scalar operations."""
+
+    def __init__(self, A):
+        self.A, self.one = A, A.unit
+        self.mul, self.conj, self.add = A.mul, A.conj, A.add
+        self.norm, self.trace, self.polar = A.norm, A.trace, A.polar
+
+    def scale(self, c, x):
+        return self.A.smul(c, x) if isinstance(x, tuple) else c * x % self.A.p
+
+    def eq(self, u, v):
+        return u == v
+
+
+@pytest.mark.parametrize("row, at", [(0, 0), (5, 2), (7, 3), (None, 0), (None, 6)],
+                         ids=["mul-0-0", "mul-5-2", "mul-7-3", "polar-0", "polar-6"])
+def test_bits_find_a_dropped_term(row, at, monkeypatch):
+    """A table with entry ``at`` of ``_mul_terms[row]`` (or, with no row,
+    of ``_polar_terms``) dropped fails the F_2 suite, and each failing law
+    fails on its counterexample in the algebra's scalar arithmetic, which
+    reads the same term lists."""
+    A = SplitOctonions(2)                         # uncached
+    if row is None:
+        A._polar_terms = A._polar_terms[:at] + A._polar_terms[at + 1:]
+    else:
+        rows = list(A._mul_terms)
+        rows[row] = rows[row][:at] + rows[row][at + 1:]
+        A._mul_terms = tuple(rows)
+    monkeypatch.setattr(verify, "algebra", lambda q: A)
+    res = verify.verify_identities(2)
+    assert not res.passed and res.total_checked == 84_083_456
+    laws = {name: law for name, _, law in verify.LAWS}
+    for check in res.checks:
+        if not check.passed:
+            values = [tuple(map(int, v.split(", ")))
+                      for v in re.findall(r"\w=\(([^)]*)\)", check.counterexample)]
+            assert not laws[check.name](_Scalars(A), *values), check
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +249,8 @@ def _assert_planes_agree(A, seed: int, m: int = 300):
         return [tuple(int(c) for c in planes[:, i]) for i in range(m)]
 
     def values(scalars):
-        assert scalars.dtype == np.float32 and scalars.shape == (m,)
-        return [int(c) for c in scalars]
+        assert scalars.dtype == np.float32 and scalars.shape == (1, m)
+        return [int(c) for c in scalars[0]]
 
     xs, ys = cols(x), cols(y)
     assert cols(E.mul(x, y)) == [A.mul(u, v) for u, v in zip(xs, ys)]
@@ -223,8 +312,8 @@ PERTURBED_COUNTEREXAMPLES = {
 }
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_identities_fail_on_perturbed_structure_tensor(p, monkeypatch):
+def _perturb(monkeypatch, p: int) -> None:
+    """Point the suites at the table over F_p with STRUCT_Z[1, 2, 0] raised."""
     # the package exports the function algebra under the module's name
     algebra_mod = importlib.import_module("splitoct.algebra")
     broken = algebra_mod.STRUCT_Z.copy()
@@ -232,6 +321,11 @@ def test_identities_fail_on_perturbed_structure_tensor(p, monkeypatch):
     monkeypatch.setattr(algebra_mod, "STRUCT_Z", broken)
     ctx = algebra_mod.SplitOctonions(p)           # uncached, built from it
     monkeypatch.setattr(verify, "algebra", lambda q: ctx)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_identities_fail_on_perturbed_structure_tensor(p, monkeypatch):
+    _perturb(monkeypatch, p)
     res = verify.verify_identities(p)
     first, adjoint = PERTURBED_COUNTEREXAMPLES[p]
     assert not res.passed
@@ -239,6 +333,22 @@ def test_identities_fail_on_perturbed_structure_tensor(p, monkeypatch):
     by_name = {c.name: c for c in res.checks}
     assert by_name["adjoint (cx|y)=(x|k(c)y)"].counterexample == adjoint
     assert res.total_checked == (84_083_456 if p == 2 else 1_100_000)
+
+
+def test_f2_results_do_not_depend_on_the_block(monkeypatch):
+    """Blocks of 1, 4, 16 and 256 values of the first variable give the
+    same counts, verdicts and first counterexamples on the perturbed table;
+    with one value a chunk, the adjoint law's first failure (c = e_1) falls
+    in the third chunk."""
+    _perturb(monkeypatch, 2)
+    results = []
+    for block in (1, 4, 16, 256):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        res = verify.verify_identities(2)
+        results.append([(c.name, c.passed, c.checked, c.counterexample)
+                        for c in res.checks])
+    assert all(r == results[0] for r in results)
+    assert results[0][5][3] == PERTURBED_COUNTEREXAMPLES[2][1]
 
 
 #: First counterexamples of the centralizer suite with the same entry raised,
@@ -251,12 +361,7 @@ PERTURBED_CENTRALIZERS = {
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_centralizers_fail_on_perturbed_structure_tensor(p, monkeypatch):
-    algebra_mod = importlib.import_module("splitoct.algebra")
-    broken = algebra_mod.STRUCT_Z.copy()
-    broken[1, 2, 0] += 1
-    monkeypatch.setattr(algebra_mod, "STRUCT_Z", broken)
-    ctx = algebra_mod.SplitOctonions(p)
-    monkeypatch.setattr(verify, "algebra", lambda q: ctx)
+    _perturb(monkeypatch, p)
     law = verify.verify_centralizers(p).checks[0]
     assert not law.passed and law.checked == p ** 8
     assert law.counterexample == PERTURBED_CENTRALIZERS[p]
