@@ -7,9 +7,9 @@ automorphic image of the representative, so the answer is orbit-invariant).
 The subalgebras of a representative S are the closed subspaces of S + F·1
 that lie in S, from :func:`splitoct.subspace.closed_subspaces`: over F_5
 it tests 213,217 candidates in place of all 3,632,396 sub-subspaces.  The
-closure test rejects most of them on the products of their first row
-alone: 20,054 reach its second stage, which computes the other rows'
-products, and 9,480 are closed.  The quotient bases among the candidates
+closure test rejects most of those with three or more rows on the
+products of their first row alone: 10,220 reach its second stage, which
+computes the other rows' products.  9,480 candidates are closed.  The quotient bases among the candidates
 are counted before any work, and bounded by the census's budget.
 """
 

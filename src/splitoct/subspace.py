@@ -8,9 +8,12 @@ least-significant-last; :func:`closed_subspaces` runs it over the quotient
 by F·1 and tests only what can be closed.
 
 Stacks of RREF bases are tested for closure and reduced to structure
-constants in batches: :func:`closed_mask` and :func:`substructure` call
-the package's one float32 product kernel, :func:`splitoct.algebra.products`,
-which is exact for every supported prime.
+constants in batches, by one closure stage, :func:`_escapes`, over the
+package's one float32 product kernel, :func:`splitoct.algebra.products`,
+which is exact for every supported prime.  :func:`closed_mask` runs it
+in one or two stages, :func:`substructure` once.  The pivot columns come
+as the tuple a whole block shares (the scan's blocks) or as an array of
+each basis's own (:func:`closed_bases`, :func:`substructure`).
 """
 
 from __future__ import annotations
@@ -178,81 +181,64 @@ def block_rows(k: int, n: int) -> int:
     return max(1, _WORKSET // (max(k, 1) ** 2 * n * n))
 
 
-def _residual(P: np.ndarray, rows: np.ndarray, coef: np.ndarray, p: int,
-              work: Workspace) -> np.ndarray:
-    """Per basis: whether some product leaves the span, given the float32
-    bases ``rows`` (M, k, n), products ``P`` (M, a, k, n) of a of their
-    rows with every row, and the products' coordinates ``coef`` (entries
-    at the pivot columns).  P is overwritten."""
-    M, k, n = rows.shape
-    a = P.shape[1]
+def _escapes(X: np.ndarray, rows: np.ndarray, pivots: tuple[int, ...] | np.ndarray,
+             struct: np.ndarray, p: int, work: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """The one closure stage, for float32 RREF bases ``rows`` (M, k, n)
+    and rows X (M, a, n) of them: the entries (M, a, k, k) of each
+    product of a row of X with a row of the basis at the basis's pivot
+    columns, its coordinates if it lies in the span, and per basis whether
+    some such product leaves the span.  ``pivots`` is the tuple every
+    basis shares, gathered with one :func:`numpy.take`, or an (M, k)
+    array of each basis's own, gathered with the several times slower
+    :func:`numpy.take_along_axis`.  The entries live in ``work``."""
+    P = products(X, rows, struct, p, work)
+    M, a, k, n = P.shape
+    if isinstance(pivots, tuple):
+        raw = np.take(P, pivots, axis=-1, mode="clip", out=work.take("proj", (M, a, k, k)))
+    else:
+        raw = np.take_along_axis(P, pivots[:, None, None, :], axis=-1)
+    coef = mod(raw, p, out=work.take("coef", raw.shape))
     proj = np.matmul(coef.reshape(M, a * k, k), rows, out=work.take("proj", (M, a * k, n)))
     diff = np.subtract(P.reshape(M, a * k, n), proj, out=P.reshape(M, a * k, n))
-    return mod(diff, p, out=proj).any(axis=(1, 2))
+    return coef, mod(diff, p, out=proj).any(axis=(1, 2))
 
 
-def _float_rows(mats: np.ndarray, work: Workspace) -> np.ndarray:
-    """``mats`` as float32, in the buffer ``"rows"`` of ``work``."""
-    r = work.take("rows", mats.shape)
-    r[...] = mats
-    return r
-
-
-def _escapes(X: np.ndarray, rows: np.ndarray, pivots: tuple[int, ...],
-             struct: np.ndarray, p: int, work: Workspace) -> np.ndarray:
-    """Per basis of the float32 stack ``rows`` (M, k, n) with pivot columns
-    ``pivots``: whether a product of a row of X (M, a, n) with a row of
-    the basis leaves its span."""
-    P = products(X, rows, struct, p, work)
-    raw = np.take(P, pivots, axis=-1, mode="clip",
-                  out=work.take("proj", (*P.shape[:-1], len(pivots))))
-    coef = mod(raw, p, out=work.take("coef", raw.shape))
-    return _residual(P, rows, coef, p, work)
-
-
-def closed_mask(mats: np.ndarray, pivots: tuple[int, ...], struct: np.ndarray,
-                p: int, work: Workspace | None = None) -> np.ndarray:
+def closed_mask(mats: np.ndarray, pivots: tuple[int, ...] | np.ndarray,
+                struct: np.ndarray, p: int, work: Workspace | None = None) -> np.ndarray:
     """Boolean mask of the closed row-spans among RREF bases ``mats``.
 
-    ``mats`` has shape (M, k, n), every basis with pivot columns
-    ``pivots``; ``struct`` is the (n, n, n) structure tensor of the
-    algebra the rows live in.  A span is closed when each product of two
-    rows equals its pivot-column entries times the rows, mod p.  The test
-    runs in two stages: the products of row 0 with every row, a k-th of
-    the work, reject most bases, and only the survivors have the products
-    of their other rows computed.  Over F_5 the lattice's scan tests
-    213,217 bases, 20,054 reach stage two and 9,480 are closed.  A
-    scan passes one :class:`splitoct.algebra.Workspace` to all its calls,
-    so the products, projections and residues reuse its buffers.
+    ``mats`` has shape (M, k, n); ``pivots`` is the tuple of pivot
+    columns every basis shares, or an (M, k) array of each basis's own
+    (see :func:`_escapes`); ``struct`` is the (n, n, n) structure tensor
+    of the algebra the rows live in.  A span is closed when each product
+    of two rows equals its pivot-column entries times the rows, mod p.
+    For k > 2 the test runs in two stages: the products of row 0 with
+    every row, a k-th of the work, reject most bases, and only the
+    survivors have the products of their other rows computed.  Over F_5
+    the lattice's scan tests 213,217 bases, 10,220 reach stage two and
+    9,480 are closed.  For k ≤ 2 one stage takes every product: a unital
+    plane always passes row 0 (x² = tr(x)·x − N(x)·1), and splitting
+    off row 0 measured slower there.  A scan passes one
+    :class:`splitoct.algebra.Workspace` to all its calls, so the bases,
+    products, projections and residues reuse its buffers.
     """
     work = Workspace() if work is None else work
-    r = _float_rows(mats, work)
-    keep = ~_escapes(r[:, :1], r, pivots, struct, p, work)
+    r = work.take("rows", mats.shape)
+    r[...] = mats
+    k = r.shape[1]
+    keep = ~_escapes(r if k <= 2 else r[:, :1], r, pivots, struct, p, work)[1]
     live = np.flatnonzero(keep)
-    if r.shape[1] > 1 and len(live):
+    if k > 2 and len(live):
         s = np.take(r, live, axis=0, out=work.take("survivors", (len(live), *r.shape[1:])))
-        keep[live] = ~_escapes(s[:, 1:], s, pivots, struct, p, work)
+        piv = pivots if isinstance(pivots, tuple) else pivots[live]
+        keep[live] = ~_escapes(s[:, 1:], s, piv, struct, p, work)[1]
     return keep
-
-
-def _pivot_coordinates(rows: np.ndarray, A: Algebra) -> tuple[np.ndarray, np.ndarray]:
-    """For RREF bases ``rows`` (M, k, n) of any pivot columns: the entries
-    of every product of two rows at its basis's pivot columns, which are
-    the product's coordinates when it lies in the span, and per basis
-    whether some product leaves the span."""
-    rows = np.asarray(rows)
-    work = Workspace()
-    r = _float_rows(rows, work)
-    P = products(r, r, A.struct, A.p, work)
-    piv = (rows != 0).argmax(-1)                                 # (M, k)
-    coef = mod(np.take_along_axis(P, piv[:, None, None, :], axis=-1), A.p)
-    return coef, _residual(P, r, coef, A.p, work)
 
 
 def closed_bases(rows: np.ndarray, A: Algebra) -> np.ndarray:
     """Boolean mask of the closed row-spans among RREF bases of ``A``,
-    each basis with its own pivot columns."""
-    return ~_pivot_coordinates(rows, A)[1]
+    each basis with its own pivot columns (zero rows allowed)."""
+    return closed_mask(rows, (rows != 0).argmax(-1), A.struct, A.p)
 
 
 def substructure(rows: np.ndarray, A: Algebra) -> np.ndarray:
@@ -264,7 +250,8 @@ def substructure(rows: np.ndarray, A: Algebra) -> np.ndarray:
     member are its entries at the pivot columns.  Raises NotClosed if
     some basis does not span a closed subspace.
     """
-    coef, escapes = _pivot_coordinates(rows, A)
+    r = np.asarray(rows, dtype=np.float32)
+    coef, escapes = _escapes(r, r, (r != 0).argmax(-1), A.struct, A.p, Workspace())
     if escapes.any():
         bad = np.asarray(rows)[escapes.argmax()].tolist()
         raise NotClosed("subspace is not closed under multiplication: "

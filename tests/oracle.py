@@ -18,6 +18,8 @@ Element orbits are found by a breadth-first search from one element at a
 time, for comparison with the packed :func:`splitoct.autos.element_orbits`,
 and census orbits by one subspace BFS per orbit, for comparison with the
 components of :func:`splitoct.autos.orbit_partition`.
+Closure is tested product by product (:func:`closed_by_products`), for
+comparison with the batched closure kernel of :mod:`splitoct.subspace`.
 The closed sub-subspaces of a subalgebra come from testing every one of
 its subspaces, for comparison with the pruned
 :func:`splitoct.lattice.subalgebras_inside`, and
@@ -252,6 +254,17 @@ def orbit_partition(records, generators) -> list[dict]:
         out.append({"dim": dim, "label": label.value,
                     "orbit_count": len(sizes), "orbit_sizes": sorted(sizes)})
     return out
+
+
+def closed_by_products(mats, ctx) -> np.ndarray:
+    """Per basis of the stack ``mats`` (M, k, n), zero rows allowed:
+    whether its span holds every product ``ctx.mul(x, y)`` of two of its
+    rows, tested one :meth:`Subspace.contains` at a time."""
+    out = []
+    for rows in np.asarray(mats).tolist():
+        space = span(rows, ctx.p, ctx.dim)
+        out.append(all(space.contains(ctx.mul(x, y)) for x in rows for y in rows))
+    return np.array(out, dtype=bool)
 
 
 def closed_inside(space: Subspace, ctx) -> set:

@@ -108,7 +108,7 @@ def test_right_ideal_double_preconditions(p):
     with pytest.raises(PreconditionFailed):
         right_ideal_double(upper_triangular(p), span([ctx.nbar0], p), p)
     # A not closed under the matrix product
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(PreconditionFailed, match="A is not closed under the matrix product"):
         right_ideal_double(span([ctx.n0, ctx.nbar0], p),
                            span([ctx.n0], p), p)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitoct import subspace
-from splitoct.algebra import Workspace, algebra
+from splitoct.algebra import Workspace, algebra, mod, products
 from splitoct.classify import OrbitLabel
 from splitoct.constructions import rep
 from splitoct.field import SUPPORTED_PRIMES
@@ -15,8 +15,8 @@ from splitoct.subspace import (Subspace, block_rows, closed_bases, closed_mask,
                                closed_subspaces, closure, free_positions,
                                gaussian_binomial, intersect, perp, pivot_block,
                                radicals, span, sum_spaces, zero_space)
-from oracle import (contains_space, elements, enumerate_subspaces, full_space,
-                    nonzero_elements)
+from oracle import (closed_by_products, contains_space, elements, enumerate_subspaces,
+                    full_space, nonzero_elements)
 
 PRIMES = [2, 3, 5]
 
@@ -208,11 +208,16 @@ def _random_rref(rng, pivots, p, count):
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
 def test_two_stage_mask_matches_the_single_stage_test(p):
-    """``closed_mask`` rejects most bases on row 0's products and tests the
-    rest on all of theirs; ``closed_bases`` tests every product at once.
-    They agree on random RREF blocks for k = 1..7, on bases led by the
-    unit (which pass the first stage, so the second decides) and on every
-    representative, with and without a shared workspace."""
+    """For k > 2 ``closed_mask`` rejects most bases on row 0's products and
+    tests the rest on all of theirs; the oracle tests every product of two
+    rows, one ``Subspace.contains`` at a time.  They agree on random RREF
+    blocks for k = 1..7, on bases led by the unit (which pass the first
+    stage, so the second decides) and on every representative: with the
+    shared pivots as a tuple or as an array, and with and without a
+    shared workspace.
+    They agree on one stack per k that mixes all those pivot sets, and on
+    zero-padded stacks a·O and O·a built as the singular suite builds
+    them, each basis at its own pivots."""
     A, rng, work = algebra(p), np.random.default_rng(p), Workspace()
     blocks = []
     for k in range(1, 8):
@@ -229,10 +234,14 @@ def test_two_stage_mask_matches_the_single_stage_test(p):
             if lab.reachable and lab is not OrbitLabel.Zero]
     blocks += [(s.pivots, s.matrix()[None]) for s in reps]
     closed_led = open_led = 0
+    wants = []
     for pivots, mats in blocks:
-        want = closed_bases(mats, A)
+        want = closed_by_products(mats, A)
+        wants.append(want)
+        each = np.tile(pivots, (len(mats), 1))
         assert np.array_equal(closed_mask(mats, pivots, A.struct, p), want), pivots
         assert np.array_equal(closed_mask(mats, pivots, A.struct, p, work), want), pivots
+        assert np.array_equal(closed_mask(mats, each, A.struct, p, work), want), pivots
         led = (mats[:, 0] == A.unit).all(-1)
         closed_led += want[led].sum()
         open_led += (~want[led]).sum()
@@ -240,3 +249,29 @@ def test_two_stage_mask_matches_the_single_stage_test(p):
     # unit-led bases with k ≤ 2 are closed, as x² = tr(x)·x − N(x)·1; some
     # with k ≥ 3 fail in the second stage alone
     assert closed_led >= 120 and open_led > 0
+
+    mixed_closed = 0
+    for k in range(1, 8):
+        same_k = [i for i, (pivots, _) in enumerate(blocks) if len(pivots) == k]
+        order = rng.permutation(sum(len(blocks[i][1]) for i in same_k))
+        mixed = np.concatenate([blocks[i][1] for i in same_k])[order]
+        want = np.concatenate([wants[i] for i in same_k])[order]
+        assert len({blocks[i][0] for i in same_k}) > 1
+        assert np.array_equal(closed_bases(mixed, A), want), k
+        each = (mixed != 0).argmax(-1)
+        assert np.array_equal(closed_mask(mixed, each, A.struct, p, work), want), k
+        mixed_closed += want.sum()
+    assert mixed_closed >= 120
+
+    # rank 8 (a invertible), lower ranks (a singular) and rank 0 (a = 0)
+    a = rng.integers(0, p, (400, 8))
+    a = np.concatenate([a[A.norms(a) == 0][:24], a[A.norms(a) != 0][:8], a[:1] * 0])
+    eye = np.eye(8, dtype=np.int64)
+    for prods in (products(a[:, None], eye, A.struct, p)[:, 0],
+                  products(eye, a[:, None], A.struct, p)[:, :, 0]):
+        U, rank = batch_rref(mod(prods, p).astype(np.int64), p)
+        U = U[:, :rank.max()].astype(np.int8)
+        assert len(set(rank.tolist())) > 2
+        want = closed_by_products(U, A)
+        assert want.any() and not want.all()
+        assert np.array_equal(closed_bases(U, A), want)
