@@ -10,8 +10,8 @@ and the mover already generate it.
 """
 
 from splitoct import (algebra, all_alpha_generators,
-                      automorphism_generators, count_automorphisms,
-                      element_orbits, enumerate_subalgebras,
+                      automorphism_generators, census_columns,
+                      count_automorphisms, element_orbits,
                       find_h_moving_extension, generate_group,
                       orbit_partition, standard_quaternions)
 
@@ -38,8 +38,7 @@ gens = automorphism_generators(2)
 print(f"{len(gens)} generators, order:", generate_group(gens).order)
 
 # each (dimension, label) census class is a single orbit
-records = enumerate_subalgebras(algebra(2), [4, 5, 6])
-for row in orbit_partition(records, gens):
+for row in orbit_partition(census_columns(algebra(2), [4, 5, 6]), gens):
     print(row)
 
 # element orbits: norm, trace and centrality separate them completely

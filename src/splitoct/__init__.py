@@ -12,8 +12,9 @@ Highlights
   ``field_table``, ``quaternion_table`` and ``double`` build it by
   Cayley–Dickson doubling.
 - :func:`splitoct.algebra.algebra` — the canonical split octonions over F_p.
-- :func:`splitoct.census.enumerate_subalgebras` — the census of every
-  subalgebra, over any table of the split octonions.
+- :func:`splitoct.census.census_columns` — the census of every
+  subalgebra, over any table of the split octonions, as int8 columns;
+  :func:`splitoct.census.enumerate_subalgebras` gives it as records.
 - :func:`splitoct.classify.classify` — the isomorphism-type labeller.
 - :mod:`splitoct.autos` — automorphisms, group closure, orbit partitions.
 - :mod:`splitoct.verify` — the brute-force verification suites.
@@ -27,8 +28,8 @@ from .autos import (Automorphism, CapExceeded, all_alpha_generators, alpha_st,
                     automorphism_generators, doubling_extension,
                     element_orbits, find_h_moving_extension, generate_group,
                     orbit_of_space, orbit_partition)
-from .census import (CensusSummary, CostLimitExceeded, census_report,
-                     enumerate_subalgebras, write_jsonl)
+from .census import (CensusSummary, CostLimitExceeded, census_columns,
+                     census_report, enumerate_subalgebras, write_jsonl)
 from .classify import (ClassificationError, NotClosed, OrbitLabel,
                        SubalgebraRecord, classify, element_orbit_invariant,
                        record_for)
@@ -52,7 +53,8 @@ __all__ = [
     "LatticeNode", "NotClosed", "OrbitLabel", "PreconditionFailed",
     "SUITE_NAMES", "SplitOctonions", "SubalgebraRecord", "Subspace",
     "SuiteResult", "UnreachableLabel", "algebra", "all_alpha_generators",
-    "alpha_st", "automorphism_generators", "build_lattice", "census_report",
+    "alpha_st", "automorphism_generators", "build_lattice", "census_columns",
+    "census_report",
     "centralizer", "check_prime", "classify", "closure", "companion_element",
     "count_automorphisms", "double", "doubling_extension", "element_orbits",
     "element_orbit_invariant", "emit_dot", "emit_json",

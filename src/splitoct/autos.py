@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DIM, algebra, mod, products, quaternion_table
+from .classify import LABELS
 from .constructions import PreconditionFailed
 from .linalg import batch_rref, rank
 from .subspace import Subspace, perp, span
@@ -201,7 +202,7 @@ def all_alpha_generators(p: int) -> list[Automorphism]:
 # Two engines share it.  ``_orbit`` is the one BFS, for discovering an
 # orbit: the group as the orbit of the identity, or the images of one
 # subspace.  ``_components`` partitions a set already known to be
-# invariant (the census records, the elements of F_p^8): every generator
+# invariant (the census columns, the elements of F_p^8): every generator
 # becomes one index permutation of the set, computed in one batch, and the
 # orbits are the connected components of their union.
 
@@ -309,28 +310,24 @@ def _image_keys(bases: np.ndarray, M: np.ndarray, p: int):
         yield from _keys(batch_rref(bases[a:a + step].astype(np.int16) @ M % p, p)[0])
 
 
-def orbit_partition(records, generators: list) -> list[dict]:
-    """Partition census records into automorphism orbits.
+def orbit_partition(columns, generators: list) -> list[dict]:
+    """Partition the census into automorphism orbits.
 
-    Per dimension, the stacked bases are mapped through each generator in
+    ``columns`` is the census as :func:`splitoct.census.census_columns`
+    returns it, one :class:`splitoct.classify.Columns` stack per
+    dimension.  Each stack's bases are mapped through each generator in
     blocks of at most ``PARTITION_BLOCK_ROWS`` basis rows (one matmul and
-    one batched RREF per block) and looked up among the records, which
+    one batched RREF per block) and looked up among its own rows, which
     makes every generator an index permutation; the orbits are the
     connected components of their union.  Returns one dict per (dim,
     label), in that order: {"dim", "label", "orbit_count", "orbit_sizes"}
-    with the sizes sorted.  Raises ArithmeticError if an image is not a
-    record or lies in another label class (soundness checks).
+    with the sizes sorted.  Raises ArithmeticError if an image is not in
+    the stack or has another label code (soundness checks).
     """
     p, mats = _generator_mats(generators)
-    by_dim: dict[int, dict] = {}
-    for r in records:
-        by_dim.setdefault(r.dim, {})[r.space.rows] = r.label
     out = []
-    for dim, label_of in sorted(by_dim.items()):
-        labels = list(label_of.values())
-        classes = sorted(set(labels), key=lambda lab: lab.value)
-        code = np.array([classes.index(lab) for lab in labels])
-        bases = np.array(list(label_of), dtype=np.int8).reshape(len(labels), dim, DIM)
+    for cols in columns:
+        bases, code = cols.rows, cols.label
         index = {key: i for i, key in enumerate(_keys(bases))}
         perms = []
         for M in mats:
@@ -338,17 +335,17 @@ def orbit_partition(records, generators: list) -> list[dict]:
             lost = np.flatnonzero(perm < 0)
             if len(lost):
                 raise ArithmeticError(
-                    f"the image of a {labels[lost[0]].value} record is no record: "
+                    f"the image of a {LABELS[code[lost[0]]].value} record is no record: "
                     f"the census is not closed under the group")
             moved = np.flatnonzero(code[perm] != code)
             if len(moved):
                 raise ArithmeticError(
-                    f"orbit of a {labels[moved[0]].value} record left its label class")
+                    f"orbit of a {LABELS[code[moved[0]]].value} record left its label class")
             perms.append(perm)
         root = _components(perms)
-        for c, lab in enumerate(classes):
+        for c in sorted(set(code.tolist()), key=lambda c: LABELS[c].value):
             sizes = np.unique(root[code == c], return_counts=True)[1]
-            out.append({"dim": dim, "label": lab.value,
+            out.append({"dim": bases.shape[1], "label": LABELS[c].value,
                         "orbit_count": len(sizes),
                         "orbit_sizes": sorted(sizes.tolist())})
     return out

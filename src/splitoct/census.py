@@ -21,8 +21,10 @@ pool.  The parent joins each dimension's columns and sorts them with one
 ``np.lexsort`` by (pivots, rows), the order of
 :meth:`splitoct.subspace.Subspace.key`, so the output does not depend on
 the number of worker processes.  :func:`write_jsonl` renders each JSON
-line from those arrays, and :func:`enumerate_subalgebras` builds its
-records from the same columns; ``splitoct enumerate`` builds none.
+line from those arrays, and :func:`splitoct.autos.orbit_partition` reads
+the same columns, so neither ``splitoct enumerate`` nor ``splitoct
+orbits`` builds a record; :func:`enumerate_subalgebras` turns the columns
+into records for the callers that want one object per subalgebra.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ def _records(A: Algebra, pivot_sets, dims) -> dict[int, Columns]:
     :class:`Columns` per dimension, unsorted."""
     found = {}
     for mats in closed_subspaces(A.struct, A.unit, A.p, pivot_sets, dims):
-        found.setdefault(mats.shape[1], []).append(mats)
+        if len(mats):
+            found.setdefault(mats.shape[1], []).append(mats)
     return {d: batch_columns(batch_rref(np.concatenate(stacks), A.p)[0], A)
             for d, stacks in found.items()}
 
@@ -131,8 +134,8 @@ def census_columns(A: Algebra, dims=None, *,
                    threads: int = 1) -> list[Columns]:
     """Every multiplicatively closed subspace of the octonion algebra ``A``
     in the requested dimensions, classified, as one :class:`Columns` per
-    dimension found, by increasing dimension, each sorted by (pivots,
-    rows).
+    dimension found (no empty stack), by increasing dimension, each sorted
+    by (pivots, rows).
 
     The request is checked by :func:`check_scan` before any work is done.
     ``threads`` > 1 runs the census in one pool of at most that many

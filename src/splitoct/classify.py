@@ -16,10 +16,10 @@ subspaces of any table of the split octonions (an
 :class:`splitoct.algebra.Algebra`) at once, from their k×k×k structure
 constants and the table's Gram matrix, norms, traces and unit on the
 basis rows, and returns them as int8 :class:`Columns` with a label code
-per subspace.  :func:`batch_records` turns those columns into
-:class:`SubalgebraRecord` objects; :func:`record_for` and
-:func:`classify` are its one-space case.  Every function here takes the
-table it works in.
+per subspace.  :meth:`Columns.records` turns those columns into
+:class:`SubalgebraRecord` objects; :func:`record_for` is its one-space
+case, and :func:`classify` reads the one-space label code.  Every
+function here takes the table it works in.
 """
 
 from __future__ import annotations
@@ -349,13 +349,6 @@ def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
                    codes[fits.argmax(0)])
 
 
-def batch_records(rows: np.ndarray, A: Algebra) -> list[SubalgebraRecord]:
-    """Records, with orbit labels, of closed subspaces given by RREF bases
-    (M, k, 8) of the octonion algebra ``A``: :func:`batch_columns` as
-    :class:`SubalgebraRecord` objects."""
-    return batch_columns(rows, A).records(A.p)
-
-
 def record_for(space: Subspace, A: Algebra) -> SubalgebraRecord:
     """Compute every invariant plus the orbit label for a closed subspace
     of the octonion algebra ``A``.
@@ -363,10 +356,11 @@ def record_for(space: Subspace, A: Algebra) -> SubalgebraRecord:
     Closure is always checked: it falls out of the structure constants.
     """
     check_space(space, A)
-    return batch_records(space.matrix()[None], A)[0]
+    return batch_columns(space.matrix()[None], A).records(A.p)[0]
 
 
 def classify(space: Subspace, A: Algebra) -> OrbitLabel:
     """Orbit label of a closed subspace of ``A``, per the classification
-    theorems."""
-    return record_for(space, A).label
+    theorems: the label code of :func:`batch_columns`, no record built."""
+    check_space(space, A)
+    return LABELS[batch_columns(space.matrix()[None], A).label[0]]

@@ -31,8 +31,7 @@ import sys
 
 from .algebra import algebra
 from .autos import automorphism_generators, orbit_partition
-from .census import (CostLimitExceeded, census_columns, check_scan,
-                     enumerate_subalgebras, write_jsonl)
+from .census import CostLimitExceeded, census_columns, check_scan, write_jsonl
 from .classify import classify
 from .field import check_prime
 from .lattice import build_lattice, emit_dot, emit_json
@@ -183,9 +182,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_orbits(args) -> int:
     p, dims, budget, threads = _census_args(args)
-    records = enumerate_subalgebras(algebra(p), dims, max_subspaces=budget,
-                                    threads=threads)
-    for row in orbit_partition(records, automorphism_generators(p)):
+    columns = census_columns(algebra(p), dims, max_subspaces=budget,
+                             threads=threads)
+    for row in orbit_partition(columns, automorphism_generators(p)):
         print(json.dumps(row))
     return 0
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import Algebra, algebra
 from .census import check_budget
-from .classify import LABEL_DIM, LABELS, OrbitLabel, batch_columns, record_for
+from .classify import LABEL_DIM, LABELS, OrbitLabel, batch_columns
 from .constructions import rep
 from .linalg import batch_rref
 from .subspace import (Subspace, check_space, closed_subspaces,
@@ -112,14 +112,15 @@ def build_lattice(p: int, *, max_subspaces: int | None = 2_000_000) -> LatticeGr
     check_budget(projected_bases(p), max_subspaces)
     A = algebra(p)
     contains: dict[OrbitLabel, set[OrbitLabel]] = {}
-    records = {}
+    flags = {}
     for lab in GRAPH_LABELS:
         space = rep(lab, p)
-        rec = record_for(space, A)
-        if rec.label is not lab:
+        cols = batch_columns(space.matrix()[None], A)
+        got = LABELS[cols.label[0]]
+        if got is not lab:
             raise ArithmeticError(f"representative of {lab.value} classified "
-                                  f"as {rec.label.value}")
-        records[lab] = rec
+                                  f"as {got.value}")
+        flags[lab] = [bool(col[0]) for col in (cols.singular, cols.assoc, cols.comm)]
         inside = labels_inside(space, A)
         inside.discard(OrbitLabel.Zero)
         inside.discard(lab)
@@ -135,11 +136,7 @@ def build_lattice(p: int, *, max_subspaces: int | None = 2_000_000) -> LatticeGr
             if not any(x in contains[z] for z in xs):
                 edges.append((x, y))
     not_maximal = set().union(*contains.values()) if contains else set()
-    nodes = tuple(LatticeNode(lab, LABEL_DIM[lab],
-                              records[lab].totally_singular,
-                              records[lab].associative,
-                              records[lab].commutative,
-                              lab not in not_maximal)
+    nodes = tuple(LatticeNode(lab, LABEL_DIM[lab], *flags[lab], lab not in not_maximal)
                   for lab in GRAPH_LABELS)
     edges.sort(key=lambda e: (LABEL_DIM[e[0]], e[0].value,
                               LABEL_DIM[e[1]], e[1].value))

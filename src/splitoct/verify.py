@@ -30,8 +30,9 @@ import numpy as np
 from . import autos
 from .algebra import (DIM, Algebra, Workspace, algebra, check_float32_exact,
                       mod, products)
-from .census import enumerate_subalgebras
-from .classify import OrbitLabel, classify, element_orbit_invariant
+from .census import census_columns
+from .classify import (LABEL_DIM, LABELS, OrbitLabel, classify,
+                       element_orbit_invariant)
 from .constructions import (PreconditionFailed, centralizer, left_mul_space,
                             rep, right_ideal_double, right_mul_space,
                             standard_quaternions, top_row_ideal,
@@ -614,46 +615,51 @@ def verify_centralizers(res: SuiteResult, p: int) -> None:
 def verify_classification(res: SuiteResult) -> None:
     """F_2 census laws, the label lattice fixture, and representative
     round-trips over F_2/F_3/F_5."""
-    records = enumerate_subalgebras(algebra(2))
+    columns = census_columns(algebra(2))
+    label = np.concatenate([c.label for c in columns])
+    assoc = np.concatenate([c.assoc for c in columns]) == 1
+    comm = np.concatenate([c.comm for c in columns]) == 1
+    dim = np.concatenate([np.full(len(c.label), c.rows.shape[1]) for c in columns])
+    n = len(label)
 
-    dims = sorted({r.dim for r in records})
-    res.checks.append(CheckResult(
-        "no subalgebra of dimension 7", 7 not in dims, len(records),
-        None if 7 not in dims else "dimension 7 present"))
-    unlabeled = [r for r in records if r.label is None]
-    res.checks.append(CheckResult(
-        "every closed subspace receives a label", not unlabeled, len(records),
-        None if not unlabeled else f"rows {unlabeled[0].space.rows}"))
+    def fault(mask, text) -> str | None:
+        """``text(i, rows)`` for the first subspace i of the census where
+        ``mask`` holds, rows its basis; None if there is none."""
+        if not mask.any():
+            return None
+        i = int(mask.argmax())
+        return text(i, tuple(map(tuple, [b for c in columns for b in c.rows.tolist()][i])))
 
-    bad = None
-    for r in records:
-        if r.dim < 4 or r.dim == 0:
-            want = True
-        elif r.dim == 4:
-            want = r.label not in (OrbitLabel.NO, OrbitLabel.ON)
-        else:
-            want = False
-        if r.associative != want:
-            bad = (f"rows {r.space.rows}: dim {r.dim} label {r.label.value} "
-                   f"associative={r.associative}")
-            break
+    def of_label(value) -> np.ndarray:
+        """``value(lab)`` for the label of every subspace of the census."""
+        return np.array([value(lab) for lab in LABELS])[label]
+
+    res.checks.append(CheckResult(
+        "no subalgebra of dimension 7", 7 not in dim, n,
+        None if 7 not in dim else "dimension 7 present"))
+    bad = fault(of_label(LABEL_DIM.get) != dim,
+                lambda i, rows: f"rows {rows}: label {LABELS[label[i]].value} "
+                                f"is not of dimension {dim[i]}")
+    res.checks.append(CheckResult(
+        "every closed subspace receives a label", bad is None, n, bad))
+
+    not_assoc = of_label(lambda lab: lab in (OrbitLabel.NO, OrbitLabel.ON))
+    bad = fault(assoc != np.where(dim == 4, ~not_assoc, dim < 4),
+                lambda i, rows: f"rows {rows}: dim {dim[i]} label "
+                                f"{LABELS[label[i]].value} associative={assoc[i]}")
     res.checks.append(CheckResult(
         "associativity census (dim<4 all; dim 4 except nO/On; dims>4 none)",
-        bad is None, len(records), bad))
+        bad is None, n, bad))
 
-    bad = None
-    for r in records:
-        want = r.label in COMMUTATIVE_LABELS_CHAR2
-        if r.commutative != want:
-            bad = (f"rows {r.space.rows}: label {r.label.value} "
-                   f"commutative={r.commutative}, expected {want}")
-            break
-        if r.commutative and not r.associative:
-            bad = f"rows {r.space.rows}: commutative but not associative"
-            break
+    want = of_label(COMMUTATIVE_LABELS_CHAR2.__contains__)
+    bad = fault((comm != want) | (comm & ~assoc),
+                lambda i, rows: f"rows {rows}: label {LABELS[label[i]].value} "
+                                f"commutative={comm[i]}, expected {want[i]}"
+                if comm[i] != want[i] else
+                f"rows {rows}: commutative but not associative")
     res.checks.append(CheckResult(
         "commutativity census and commutative=>associative",
-        bad is None, len(records), bad))
+        bad is None, n, bad))
 
     for p in (2, 3):
         g = build_lattice(p)
@@ -785,8 +791,7 @@ def verify_orbits(res: SuiteResult) -> None:
         ok, brute + group.order,
         None if ok else f"closure {group.order}, brute {brute}"))
 
-    records = enumerate_subalgebras(algebra(2))
-    report = autos.orbit_partition(records, gens)
+    report = autos.orbit_partition(census_columns(algebra(2)), gens)
     multi = [row for row in report if row["orbit_count"] != 1]
     res.checks.append(CheckResult(
         "every (dim, label) class is a single orbit",

@@ -1,9 +1,10 @@
 """Shared fixtures.
 
-Expensive artifacts (the full F_2 census, the F_2 automorphism group closure
-and its brute-force order) are built once per session and shared across
-test modules.  The acceptance tests append one PASS/FAIL line per criterion
-to ``ACCEPTANCE_LINES``; those lines are echoed in the terminal summary.
+Expensive artifacts (the full F_2 census, as columns and as records, the
+F_2 automorphism group closure and its brute-force order) are built once
+per session and shared across test modules.  The acceptance tests append
+one PASS/FAIL line per criterion to ``ACCEPTANCE_LINES``; those lines are
+echoed in the terminal summary.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ def pytest_terminal_summary(terminalreporter):
 from splitoct.algebra import algebra
 from splitoct.autos import (all_alpha_generators, find_h_moving_extension,
                             generate_group)
-from splitoct.census import enumerate_subalgebras
+from splitoct.census import census_columns
 from splitoct.verify import count_automorphisms
 
 
@@ -42,9 +43,17 @@ def ctx5():
 
 
 @pytest.fixture(scope="session")
-def census2():
-    """Every multiplication-closed subspace of the F_2 algebra, labelled."""
-    return enumerate_subalgebras(algebra(2))
+def columns2():
+    """The F_2 census as :class:`splitoct.classify.Columns`, one stack per
+    dimension."""
+    return census_columns(algebra(2))
+
+
+@pytest.fixture(scope="session")
+def census2(columns2):
+    """Every multiplication-closed subspace of the F_2 algebra, labelled:
+    the records of ``columns2``."""
+    return [r for cols in columns2 for r in cols.records(2)]
 
 
 @pytest.fixture(scope="session")

@@ -141,8 +141,8 @@ def test_orbit_of_space_sizes(census2, generators2):
     assert {s.rows for s in six} == set(orbit)
 
 
-def test_orbit_partition_single_orbits(census2, generators2):
-    rows = orbit_partition(census2, generators2)
+def test_orbit_partition_single_orbits(columns2, census2, generators2):
+    rows = orbit_partition(columns2, generators2)
     assert len(rows) == 23
     for row in rows:
         assert row["orbit_count"] == 1, row

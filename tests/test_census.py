@@ -12,7 +12,7 @@ from splitoct import census
 from splitoct.algebra import algebra, double, field_table
 from splitoct.census import (CostLimitExceeded, census_columns, census_report,
                              enumerate_subalgebras, quotient_dims, write_jsonl)
-from splitoct.classify import OrbitLabel, batch_records, classify
+from splitoct.classify import OrbitLabel, batch_columns, classify
 from splitoct.subspace import closed_bases, gaussian_binomial, radicals
 from oracle import dim_total, enumerate_subspaces
 
@@ -46,6 +46,14 @@ def test_f2_census_counts(census2):
     # no closed subspace of dimension 7 exists
     assert dim_total(summary, 7) == 0
     assert not any(r.dim == 7 for r in census2)
+
+
+def test_census_columns_have_no_empty_stack(columns2):
+    """Quotient dimension 7 is scanned for dimensions 7 and 8 but yields no
+    7-dimensional subalgebra: no stack stands for it."""
+    assert [cols.rows.shape[1] for cols in columns2] == [0, 1, 2, 3, 4, 5, 6, 8]
+    assert [len(cols.label) for cols in columns2] == list(F2_DIM_TOTALS.values())
+    assert census_columns(algebra(2), [7]) == []
 
 
 def test_f2_census_records_are_valid(census2):
@@ -160,9 +168,9 @@ def test_scan_covers_zero_and_full_space(table, dims, threads):
     quotient bases: dimensions 0 and 7 of F_p^8 / F·1, and 1 for a line."""
     A = TABLES[table]()
     proper = [d for d in dims if 0 < d < 8]
-    want = (batch_records(np.zeros((1, 0, 8), dtype=np.int64), A)
+    want = (batch_columns(np.zeros((1, 0, 8), dtype=np.int64), A).records(A.p)
             + enumerate_subalgebras(A, proper)
-            + batch_records(np.eye(8, dtype=np.int64)[None], A))
+            + batch_columns(np.eye(8, dtype=np.int64)[None], A).records(A.p))
     quotient = (0, 1, 7) if 1 in dims else (0, 7)
     visited = sum(gaussian_binomial(7, e, A.p) for e in quotient)
     got = enumerate_subalgebras(A, dims, threads=threads, max_subspaces=visited)

@@ -10,7 +10,7 @@ import pytest
 from splitoct.algebra import Algebra, algebra
 from splitoct.classify import (LABEL_DIM, ClassificationError, NotClosed,
                                OrbitLabel, _associative, _form_values, _solvable,
-                               batch_columns, batch_records, classify,
+                               batch_columns, classify,
                                element_orbit_invariant, record_for)
 from splitoct.constructions import UnreachableLabel, rep
 from splitoct.lattice import subalgebras_inside
@@ -73,7 +73,8 @@ def test_rule_table_raises_unless_exactly_one_rule_fits(p):
     # span{e0, e1} is non-unital and singular with the two-sided identity
     # e0 + e1: it fits the rules of both Fn+Fp and Fn+Fpbar
     plane = "closed subspace ((1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0)) fits 2 labels"
-    for classify_stack in (batch_columns, batch_records):
+    for classify_stack in (batch_columns,
+                           lambda rows, A: batch_columns(rows, A).records(A.p)):
         with pytest.raises(ClassificationError, match=re.escape(plane)):
             classify_stack(e[None, :2], A)
         # no rule covers dimension 7

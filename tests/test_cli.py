@@ -10,8 +10,9 @@ import subprocess
 
 import pytest
 
-from splitoct import census, lattice, subspace
+from splitoct import census, lattice, subspace, verify
 from splitoct.algebra import algebra
+from splitoct.classify import LABELS, OrbitLabel
 from splitoct.cli import main
 from splitoct.verify import CheckResult, SuiteResult
 
@@ -188,11 +189,33 @@ def test_verify_identities_all_fields_pinned(capsys):
 @pytest.mark.parametrize("suite, sha256", [
     ("singular", "06a2ddaa513b200e8591d259cbee83852ff0193a8fdbc9fff8503681f57e161f"),
     ("orbits", "512aa74443a616648ab75fee926477cc8bc98550ebfa1c38448f378633ab8ae2"),
-], ids=["singular", "orbits"])
+    ("classification", "e4f222a40bd386864bd3ea5a6c207f660c07abe8b65ef79f7cfed58b0111ba18"),
+], ids=["singular", "orbits", "classification"])
 def test_verify_suite_stdout_is_pinned(suite, sha256, capsys):
     assert main(["verify", "--suite", suite]) == 0
     out = re.sub(r" in \d+\.\ds", "", capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("column, check", [
+    ("assoc", "associativity census"),
+    ("comm", "commutativity census"),
+    ("label", "every closed subspace receives a label"),
+], ids=["assoc", "comm", "label"])
+def test_classification_suite_fails_on_a_flipped_census_column(
+        column, check, columns2, monkeypatch, capsys):
+    """The census checks of the classification suite compare the census
+    columns: one flipped entry of a plane fails its check, exit 1, and the
+    counterexample names that plane's rows."""
+    planes, i = columns2[2], 100
+    flipped = getattr(planes, column).copy()
+    flipped[i] = LABELS.index(OrbitLabel.F) if column == "label" else 1 - flipped[i]
+    columns = columns2[:2] + [planes._replace(**{column: flipped})] + columns2[3:]
+    monkeypatch.setattr(verify, "census_columns", lambda A: columns)
+    assert main(["verify", "--suite", "classification"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith(f"FIRST COUNTEREXAMPLE (classification): {check}")
+    assert f"rows {tuple(map(tuple, planes.rows[i].tolist()))}" in last
 
 
 #: the first counterexample of each F_2 suite over the table with
@@ -368,10 +391,21 @@ class _RecordBuilt(Exception):
     pass
 
 
-def test_enumerate_builds_no_record_objects(monkeypatch, capsys):
-    """``enumerate`` renders its JSONL from the census columns: with the
-    record and subspace constructors made to raise, here and in the
-    forked pool workers, it still prints the pinned census-f3 output."""
+@pytest.mark.parametrize("argv, sha256", [
+    (["enumerate", "--field", "3", "--dims", "1,2", "--threads", "2"],
+     "41b4f77a87958af740763fe6bd108ce898f60eb778739b399f6dbaa35b32cb7e"),
+    (["orbits", "--field", "2"],
+     "35183818b824259c26248bdd34789467018d33675224ff2cbe3ef4e2e9c20494"),
+    (["verify", "--suite", "orbits"],
+     "512aa74443a616648ab75fee926477cc8bc98550ebfa1c38448f378633ab8ae2"),
+    (["verify", "--suite", "classification"],
+     "e4f222a40bd386864bd3ea5a6c207f660c07abe8b65ef79f7cfed58b0111ba18"),
+], ids=["enumerate-f3-dims-1-2", "orbits-f2", "verify-orbits", "verify-classification"])
+def test_census_commands_build_no_record_objects(argv, sha256, monkeypatch, capsys):
+    """The census commands read the census columns: with the record and
+    subspace constructors made to raise, here and in the forked pool
+    workers, each still prints its pinned output (suite timings
+    stripped)."""
     def refuse(*args, **kwargs):
         raise _RecordBuilt
     # the package exports the function ``classify`` under the module's name
@@ -380,9 +414,9 @@ def test_enumerate_builds_no_record_objects(monkeypatch, capsys):
     monkeypatch.setattr(classify, "Subspace", refuse)
     with pytest.raises(_RecordBuilt):
         census.enumerate_subalgebras(algebra(3), [1])
-    assert main(["enumerate", "--field", "3", "--dims", "1,2", "--threads", "2"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-        "41b4f77a87958af740763fe6bd108ce898f60eb778739b399f6dbaa35b32cb7e")
+    assert main(argv) == 0
+    out = re.sub(r" in \d+\.\ds", "", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """The packed orbit engine: short generating set, int8 group closure,
 batched subspace orbits and index-permutation element and census orbits."""
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -14,8 +13,8 @@ from splitoct.autos import (Automorphism, CapExceeded, all_alpha_generators,
                             automorphism_generators,
                             element_orbits, find_h_moving_extension,
                             generate_group, orbit_of_space, orbit_partition)
-from splitoct.census import enumerate_subalgebras
-from splitoct.classify import OrbitLabel, element_orbit_invariant
+from splitoct.census import census_columns
+from splitoct.classify import LABELS, Columns, OrbitLabel, element_orbit_invariant
 from splitoct.linalg import batch_rref, rref
 
 G2_ORDER_F3 = 3 ** 6 * (3 ** 6 - 1) * (3 ** 2 - 1)
@@ -27,9 +26,14 @@ def alpha3():
 
 
 @pytest.fixture(scope="module")
-def census3():
-    """The F_3 subalgebras of dimensions 1 and 2 (9,130 records)."""
-    return enumerate_subalgebras(algebra(3), (1, 2))
+def columns3():
+    """The F_3 subalgebras of dimensions 1 and 2 (9,130 subspaces)."""
+    return census_columns(algebra(3), (1, 2))
+
+
+def _records(columns, p):
+    """The records of the census ``columns``, for the record-based oracle."""
+    return [r for cols in columns for r in cols.records(p)]
 
 
 def test_short_generating_set_closes_to_full_group_f2(brute_count2):
@@ -52,43 +56,54 @@ def test_closure_elements_are_products_of_generators(generators2):
         assert all(m.tobytes() in keys for m in step)
 
 
-def test_orbit_partition_same_for_both_generating_sets(census2, generators2):
-    assert (orbit_partition(census2, automorphism_generators(2))
-            == orbit_partition(census2, generators2))
+def test_orbit_partition_same_for_both_generating_sets(columns2, generators2):
+    assert (orbit_partition(columns2, automorphism_generators(2))
+            == orbit_partition(columns2, generators2))
 
 
 @pytest.mark.parametrize("p, maps, orbits", [(2, 3, 23), (2, 2, 336),
                                              (3, 3, 9), (3, 2, 175)])
-def test_orbit_partition_matches_per_orbit_bfs(p, maps, orbits, census2, census3):
+def test_orbit_partition_matches_per_orbit_bfs(p, maps, orbits, columns2, columns3):
     """The components equal one subspace BFS per orbit, under the short
     generating set (one orbit per label) and under its two alpha maps
     alone, whose orbits split the label classes."""
-    records = census2 if p == 2 else census3
+    columns = columns2 if p == 2 else columns3
     gens = automorphism_generators(p)[:maps]
-    rows = orbit_partition(records, gens)
-    assert rows == oracle.orbit_partition(records, gens)
+    rows = orbit_partition(columns, gens)
+    assert rows == oracle.orbit_partition(_records(columns, p), gens)
     assert sum(row["orbit_count"] for row in rows) == orbits
 
 
-def test_orbit_partition_refuses_a_census_not_closed(census2, generators2):
-    dropped = next(i for i, r in enumerate(census2) if r.label is OrbitLabel.Fn)
+def _with_fn_line(columns2, change):
+    """The F_2 census with ``change(cols, i)`` in place of its stack of
+    lines, i the index of the first Fn line there."""
+    d = next(d for d, cols in enumerate(columns2) if cols.rows.shape[1] == 1)
+    i = int(np.flatnonzero(columns2[d].label == LABELS.index(OrbitLabel.Fn))[0])
+    return columns2[:d] + [change(columns2[d], i)] + columns2[d + 1:]
+
+
+def test_orbit_partition_refuses_a_census_not_closed(columns2, generators2):
+    columns = _with_fn_line(columns2, lambda cols, i: Columns(
+        *(np.delete(col, i, axis=0) for col in cols)))
     with pytest.raises(ArithmeticError, match="not closed"):
-        orbit_partition(census2[:dropped] + census2[dropped + 1:], generators2)
+        orbit_partition(columns, generators2)
 
 
-def test_orbit_partition_refuses_an_orbit_across_labels(census2, generators2):
-    moved = next(i for i, r in enumerate(census2) if r.label is OrbitLabel.Fn)
-    records = list(census2)
-    records[moved] = dataclasses.replace(records[moved], label=OrbitLabel.Fp)
+def test_orbit_partition_refuses_an_orbit_across_labels(columns2, generators2):
+    def recode(cols, i):
+        label = cols.label.copy()
+        label[i] = LABELS.index(OrbitLabel.Fp)
+        return cols._replace(label=label)
+
     with pytest.raises(ArithmeticError, match="left its label class"):
-        orbit_partition(records, generators2)
+        orbit_partition(_with_fn_line(columns2, recode), generators2)
 
 
-def test_orbit_partition_refuses_a_map_that_is_no_automorphism(census2):
+def test_orbit_partition_refuses_a_map_that_is_no_automorphism(columns2):
     swap = np.eye(8, dtype=np.int64)[[1, 0, 2, 3, 4, 5, 6, 7]]   # E11 <-> E12
     bijection = Automorphism(tuple(map(tuple, swap.tolist())), 2)
     with pytest.raises(ArithmeticError):
-        orbit_partition(census2, automorphism_generators(2)[:2] + [bijection])
+        orbit_partition(columns2, automorphism_generators(2)[:2] + [bijection])
 
 
 @pytest.fixture
@@ -108,19 +123,23 @@ def rref_calls(monkeypatch):
 def test_orbit_partition_reduces_in_capped_blocks(rref_calls):
     """The 19,657 lines over F_5 take two blocks per generator, and no
     batched RREF gets more basis rows than the cap."""
-    records = enumerate_subalgebras(algebra(5), (1,))
-    rows = orbit_partition(records, automorphism_generators(5))
+    columns = census_columns(algebra(5), (1,))
+    gens = automorphism_generators(5)
+    rows = orbit_partition(columns, gens)
     assert [row["orbit_sizes"] for row in rows] == [[1], [3906], [15750]]
     assert len(rref_calls) == 2 * 3
     assert all(m * d <= autos.PARTITION_BLOCK_ROWS for m, d, _ in rref_calls)
+    assert rows == oracle.orbit_partition(_records(columns, 5), gens)
 
 
-def test_orbit_partition_blocks_do_not_change_the_answer(census2, rref_calls,
-                                                         monkeypatch):
-    want = orbit_partition(census2, automorphism_generators(2)[:2])
+def test_orbit_partition_blocks_do_not_change_the_answer(columns2, census2,
+                                                         rref_calls, monkeypatch):
+    gens = automorphism_generators(2)[:2]
+    want = oracle.orbit_partition(census2, gens)
+    assert orbit_partition(columns2, gens) == want
     rref_calls.clear()
     monkeypatch.setattr(autos, "PARTITION_BLOCK_ROWS", 60)
-    assert orbit_partition(census2, automorphism_generators(2)[:2]) == want
+    assert orbit_partition(columns2, gens) == want
     assert all(m * d <= 60 for m, d, _ in rref_calls)
     assert len(rref_calls) > 2 * 9
 
