@@ -294,20 +294,22 @@ def _components(perms: list[np.ndarray]) -> np.ndarray:
         label = nxt
 
 
-def _keys(bases: np.ndarray) -> list[bytes]:
-    """The int8 bytes of every basis in a stack (M, d, 8)."""
-    width = bases.shape[1] * bases.shape[2]
-    if not width:
-        return [b""] * len(bases)
-    return bases.astype(np.int8).reshape(len(bases), width).view(f"V{width}").ravel().tolist()
+def _keys(bases: np.ndarray) -> np.ndarray:
+    """The int8 bytes of every basis in a stack (M, d, 8), one void scalar
+    each (one zero byte for d = 0)."""
+    flat = bases.astype(np.int8).reshape(len(bases), -1)
+    if not flat.shape[1]:
+        flat = np.zeros((len(bases), 1), np.int8)
+    return flat.view(f"V{flat.shape[1]}").ravel()
 
 
-def _image_keys(bases: np.ndarray, M: np.ndarray, p: int):
+def _image_keys(bases: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     """The keys of the RREF images x·M of a stack of bases (n, d, 8), in
     blocks of at most ``PARTITION_BLOCK_ROWS`` basis rows."""
     step = PARTITION_BLOCK_ROWS // max(bases.shape[1], 1)
-    for a in range(0, len(bases), step):
-        yield from _keys(batch_rref(bases[a:a + step].astype(np.int16) @ M % p, p)[0])
+    return np.concatenate([
+        _keys(batch_rref(bases[a:a + step].astype(np.int16) @ M % p, p)[0])
+        for a in range(0, len(bases), step)])
 
 
 def orbit_partition(columns, generators: list) -> list[dict]:
@@ -317,21 +319,26 @@ def orbit_partition(columns, generators: list) -> list[dict]:
     returns it, one :class:`splitoct.classify.Columns` stack per
     dimension.  Each stack's bases are mapped through each generator in
     blocks of at most ``PARTITION_BLOCK_ROWS`` basis rows (one matmul and
-    one batched RREF per block) and looked up among its own rows, which
-    makes every generator an index permutation; the orbits are the
-    connected components of their union.  Returns one dict per (dim,
-    label), in that order: {"dim", "label", "orbit_count", "orbit_sizes"}
-    with the sizes sorted.  Raises ArithmeticError if an image is not in
+    one batched RREF per block) and looked up among its own rows with one
+    ``np.searchsorted`` over their sorted byte keys, which makes every
+    generator an index permutation; the orbits are the connected
+    components of their union.  Returns one dict per (dim, label), in
+    that order: {"dim", "label", "orbit_count", "orbit_sizes"} with the
+    sizes sorted.  Raises ArithmeticError if an image is not in
     the stack or has another label code (soundness checks).
     """
     p, mats = _generator_mats(generators)
     out = []
     for cols in columns:
         bases, code = cols.rows, cols.label
-        index = {key: i for i, key in enumerate(_keys(bases))}
+        keys = _keys(bases)
+        order = np.argsort(keys)
+        keys = keys[order]
         perms = []
         for M in mats:
-            perm = np.array([index.get(key, -1) for key in _image_keys(bases, M, p)])
+            image = _image_keys(bases, M, p)
+            at = np.searchsorted(keys, image).clip(max=len(keys) - 1)
+            perm = np.where(keys[at] == image, order[at], -1)
             lost = np.flatnonzero(perm < 0)
             if len(lost):
                 raise ArithmeticError(

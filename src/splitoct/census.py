@@ -33,6 +33,7 @@ import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -138,7 +139,7 @@ def census_columns(A: Algebra, dims=None, *,
     by (pivots, rows).
 
     The request is checked by :func:`check_scan` before any work is done.
-    ``threads`` > 1 runs the census in one pool of at most that many
+    ``threads`` > 1 runs the census in one pool of at most that many forked
     processes, one task of quotient pivot sets each; the tasks return
     int8 arrays, merged here with one sort per dimension.  Closure of
     every subspace is checked while its structure constants are computed.
@@ -149,7 +150,7 @@ def census_columns(A: Algebra, dims=None, *,
     dims = check_scan(A.p, dims, max_subspaces=max_subspaces, threads=threads)
     groups = _groups(dims, A.p, threads)
     if len(groups) > 1:
-        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+        with ProcessPoolExecutor(len(groups), mp_context=get_context("fork")) as pool:
             results = list(pool.map(_records, itertools.repeat(A), groups,
                                     itertools.repeat(dims)))
     else:

@@ -16,6 +16,10 @@ larger one).  One census process is the default because a second one
 does not make the full F_2 census faster end to end: ``enumerate --field
 2`` took a median 0.169 s at one process and 0.162 s at two (two faster
 in 7 of 12 alternating runs, 2-vCPU VM), for 0.17 against 0.25 s of CPU.
+``verify`` takes no thread setting: each (suite, field) run of a request
+gets its own forked process, up to the usable CPUs, and a single run
+forks nothing (:func:`splitoct.verify.run_suite`); ``--suite
+identities`` took 0.28 s against 0.37 s one run after another.
 
 Exit codes: 0 success; 1 verification failure (first counterexample is
 printed); 2 usage, input, output or resource-budget errors.

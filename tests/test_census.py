@@ -181,12 +181,14 @@ def test_scan_covers_zero_and_full_space(table, dims, threads):
 
 
 class _InlinePool:
-    """A stand-in for ProcessPoolExecutor that records ``max_workers`` and
-    runs the tasks in this process, so no pool is ever started."""
+    """A stand-in for ProcessPoolExecutor that records ``max_workers``,
+    checks that the pool would fork, and runs the tasks in this process,
+    so no pool is ever started."""
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context):
+        assert mp_context.get_start_method() == "fork"
         self.sizes.append(max_workers)
 
     def __enter__(self):

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import os
 import pathlib
 import re
 import shutil
@@ -178,23 +179,52 @@ def test_verify_identities_pass(capsys):
     assert re.sub(r" in \d+\.\ds", "", out) == IDENTITIES_F2
 
 
+#: sha256 of the report of ``verify --suite identities``, times stripped
+IDENTITIES_SHA256 = "c6da877d826a1d731dc59bae6efadfc14bd87d8cb178b8a11dc0f029de5e53d8"
+
+
 def test_verify_identities_all_fields_pinned(capsys):
     # the digest bench/workloads.py checks for the identities workload
     assert main(["verify", "--suite", "identities"]) == 0
     out = re.sub(r" in \d+\.\ds", "", capsys.readouterr().out)
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c6da877d826a1d731dc59bae6efadfc14bd87d8cb178b8a11dc0f029de5e53d8")
+    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITIES_SHA256
 
 
-@pytest.mark.parametrize("suite, sha256", [
-    ("singular", "06a2ddaa513b200e8591d259cbee83852ff0193a8fdbc9fff8503681f57e161f"),
-    ("orbits", "512aa74443a616648ab75fee926477cc8bc98550ebfa1c38448f378633ab8ae2"),
-    ("classification", "e4f222a40bd386864bd3ea5a6c207f660c07abe8b65ef79f7cfed58b0111ba18"),
-], ids=["singular", "orbits", "classification"])
-def test_verify_suite_stdout_is_pinned(suite, sha256, capsys):
+#: sha256 of the report of ``verify --suite NAME``, times stripped
+SUITE_SHA256 = {
+    "singular": "06a2ddaa513b200e8591d259cbee83852ff0193a8fdbc9fff8503681f57e161f",
+    "orbits": "512aa74443a616648ab75fee926477cc8bc98550ebfa1c38448f378633ab8ae2",
+    "classification": "e4f222a40bd386864bd3ea5a6c207f660c07abe8b65ef79f7cfed58b0111ba18",
+    "all": "3d4f9ada91072ac202dc808b25f1a27f8f86264b54aee38341b957ba814f16d2",
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_SHA256)
+def test_verify_suite_stdout_is_pinned(suite, capsys):
     assert main(["verify", "--suite", suite]) == 0
     out = re.sub(r" in \d+\.\ds", "", capsys.readouterr().out)
-    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SHA256[suite]
+
+
+def _stripped_sha256(results) -> str:
+    """The digest of the CLI's report of ``results``, times stripped."""
+    out = "".join("\n".join(r.lines()) + "\n" for r in results)
+    return hashlib.sha256(re.sub(r" in \d+\.\ds", "", out).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_suite_pool_changes_no_output(cpus, monkeypatch):
+    """In-process (one usable CPU) and in a pool of two forked workers, the
+    three identities runs and the five F_2 suites report the pinned lines."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    assert _stripped_sha256(verify.run_suite("identities")) == IDENTITIES_SHA256
+    results = verify.run_suite("all", 2)
+    assert _stripped_sha256(results) == (
+        "81cf54f71406c1a03f8287cad4267259381abf8a986ab5b9f8b116197587e247")
+    pinned = [r for r in results if r.suite in SUITE_SHA256]
+    assert [r.suite for r in pinned] == ["singular", "classification", "orbits"]
+    for res in pinned:
+        assert _stripped_sha256([res]) == SUITE_SHA256[res.suite]
 
 
 @pytest.mark.parametrize("column, check", [
@@ -276,13 +306,18 @@ def test_verify_field_restriction(capsys):
 
 
 @pytest.fixture
-def suite_calls(monkeypatch):
-    """Replace every suite by a stub that records its (suite, field)."""
-    calls = []
+def suite_calls(monkeypatch, tmp_path):
+    """Replace every suite by a stub that records its (suite, field), with
+    two usable CPUs, so that the stubs run in forked workers.  A stub
+    appends its call to a log file, which reaches this process from any
+    worker; the fixture returns the reader of that log."""
+    log = tmp_path / "calls"
+    log.touch()
 
     def stub(suite, fixed=None):
         def run(p=fixed):
-            calls.append((suite, p))
+            with open(log, "a") as fh:
+                fh.write(f"{suite} {p}\n")
             return SuiteResult(suite, p)
         return run
 
@@ -290,14 +325,22 @@ def suite_calls(monkeypatch):
         monkeypatch.setattr(f"splitoct.verify.verify_{suite}", stub(suite))
     for suite in ("singular", "classification", "orbits"):
         monkeypatch.setattr(f"splitoct.verify.verify_{suite}", stub(suite, 2))
-    return calls
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    return lambda: [(s, int(p)) for s, p in map(str.split, log.read_text().splitlines())]
+
+
+def _heads(out: str) -> list[tuple[str, int]]:
+    """(suite, field) of every printed suite head, in print order."""
+    return [(s, int(p)) for s, p in re.findall(r"^suite (\w+) \(field (\d+)\)", out, re.M)]
 
 
 def test_verify_all_at_f2_only(suite_calls, capsys):
     assert main(["verify", "--suite", "all", "--field", "2"]) == 0
-    assert suite_calls == [(s, 2) for s in ("identities", "singular", "centralizers",
-                                            "classification", "orbits")]
-    capsys.readouterr()
+    want = [(s, 2) for s in ("identities", "singular", "centralizers",
+                             "classification", "orbits")]
+    # each stub ran once, in either worker, and the results come back in order
+    assert sorted(suite_calls()) == sorted(want)
+    assert _heads(capsys.readouterr().out) == want
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -308,9 +351,30 @@ def test_verify_all_at_f2_only(suite_calls, capsys):
 def test_verify_all_rejects_other_fields(argv, env, suite_calls, monkeypatch, capsys):
     if env is not None:
         monkeypatch.setenv("OCT_FIELD", env)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a rejected request constructed a pool")
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
     assert main(argv) == 2
-    assert suite_calls == []
+    assert suite_calls() == []
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_an_error_in_a_worker_reaches_the_caller(suite_calls, monkeypatch, capsys):
+    """A ValueError raised by a suite in a forked worker is raised again by
+    run_suite as a ValueError, and the CLI turns it into exit 2."""
+    parent = os.getpid()
+
+    def broken():
+        raise ValueError(f"suite broken in process {os.getpid()}")
+
+    monkeypatch.setattr(verify, "verify_singular", broken)
+    with pytest.raises(ValueError, match="suite broken in process") as exc:
+        verify.run_suite("all", 2)
+    assert str(exc.value) != f"suite broken in process {parent}"
+    assert main(["verify", "--suite", "all", "--field", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: suite broken in process")
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -312,15 +312,16 @@ PERTURBED_COUNTEREXAMPLES = {
 }
 
 
-def _perturb(monkeypatch, p: int) -> None:
-    """Point the suites at the table over F_p with STRUCT_Z[1, 2, 0] raised."""
+def _perturb(monkeypatch, *primes: int) -> None:
+    """Point the suites at the tables over F_p, p in ``primes``, with
+    STRUCT_Z[1, 2, 0] raised."""
     # the package exports the function algebra under the module's name
     algebra_mod = importlib.import_module("splitoct.algebra")
     broken = algebra_mod.STRUCT_Z.copy()
     broken[1, 2, 0] += 1
     monkeypatch.setattr(algebra_mod, "STRUCT_Z", broken)
-    ctx = algebra_mod.SplitOctonions(p)           # uncached, built from it
-    monkeypatch.setattr(verify, "algebra", lambda q: ctx)
+    ctx = {p: algebra_mod.SplitOctonions(p) for p in primes}  # uncached, built from it
+    monkeypatch.setattr(verify, "algebra", ctx.__getitem__)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -333,6 +334,20 @@ def test_identities_fail_on_perturbed_structure_tensor(p, monkeypatch):
     by_name = {c.name: c for c in res.checks}
     assert by_name["adjoint (cx|y)=(x|k(c)y)"].counterexample == adjoint
     assert res.total_checked == (84_083_456 if p == 2 else 1_100_000)
+
+
+def test_forked_workers_see_the_perturbed_tables(monkeypatch):
+    """Run in a pool of two forked workers, each field's identities fail
+    on that field's perturbed table with its pinned counterexamples."""
+    _perturb(monkeypatch, 2, 3, 5)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    results = run_suite("identities")
+    assert [res.field for res in results] == [2, 3, 5]
+    for res in results:
+        first, adjoint = PERTURBED_COUNTEREXAMPLES[res.field]
+        assert res.first_counterexample() == first
+        by_name = {c.name: c for c in res.checks}
+        assert by_name["adjoint (cx|y)=(x|k(c)y)"].counterexample == adjoint
 
 
 def test_f2_results_do_not_depend_on_the_block(monkeypatch):
