@@ -42,5 +42,5 @@ for row in orbit_partition(census_columns(algebra(2), [4, 5, 6]), gens):
     print(row)
 
 # element orbits: norm, trace and centrality separate them completely
-orbits = element_orbits(gens, 2)
+orbits = element_orbits(gens)
 print("element orbit sizes:", sorted(len(o) for o in orbits))

@@ -41,7 +41,7 @@ from .constructions import (PreconditionFailed, UnreachableLabel, centralizer,
 from .field import FieldError, check_prime
 from .lattice import LatticeGraph, LatticeNode, build_lattice, emit_dot, emit_json
 from .subspace import (Subspace, closure, gaussian_binomial, intersect, perp,
-                       radicals, span, sum_spaces)
+                       span, sum_spaces)
 from .verify import (SUITE_NAMES, CheckResult, SuiteResult,
                      count_automorphisms, run_suite)
 
@@ -62,7 +62,7 @@ __all__ = [
     "find_h_moving_extension", "gaussian_binomial", "generate_group",
     "heisenberg", "intersect", "kernel_of_left_mul",
     "left_mul_space", "orbit_of_space", "orbit_partition", "perp",
-    "quaternion_table", "radicals", "record_for", "rep", "right_ideal_double",
+    "quaternion_table", "record_for", "rep", "right_ideal_double",
     "right_mul_space", "run_suite", "span", "standard_quaternions",
     "sum_spaces", "top_row_ideal", "upper_triangular", "write_jsonl",
 ]

@@ -20,7 +20,7 @@ from .algebra import DIM, algebra, mod, products, quaternion_table
 from .classify import LABELS
 from .constructions import PreconditionFailed
 from .linalg import batch_rref, rank
-from .subspace import Subspace, perp, span
+from .subspace import Subspace, span
 
 
 class CapExceeded(RuntimeError):
@@ -138,8 +138,7 @@ def doubling_extension(beta_rows, w_target, p: int) -> Automorphism:
     wt = tuple(int(c) % p for c in w_target)
     if ctx.norm(wt) != (-1) % p:
         raise PreconditionFailed("target unit must have norm -1")
-    h_prime = span(B, p)
-    if not perp(h_prime, ctx).contains(wt):
+    if (B @ ctx.gram @ wt % p).any():
         raise PreconditionFailed("target unit must be orthogonal to the image subalgebra")
     m = np.concatenate([B, B @ ctx.mul_matrix(wt, "right") % p])
     return _validate(m, p)
@@ -223,9 +222,12 @@ class GroupClosure:
 
 
 def _generator_mats(generators: list) -> tuple[int, list[np.ndarray]]:
-    if not generators:
-        raise ValueError("need at least one generator")
-    return generators[0].p, [np.array(g.mat, dtype=np.int16) for g in generators]
+    """The prime of the generators (at least one, all over one field) and
+    their int16 matrices."""
+    primes = {g.p for g in generators}
+    if len(primes) != 1:
+        raise ValueError(f"need generators over one field, got primes {sorted(primes)}")
+    return primes.pop(), [np.array(g.mat, dtype=np.int16) for g in generators]
 
 
 def _orbit(start: np.ndarray, mats: list, p: int, reduce,
@@ -270,6 +272,9 @@ def orbit_of_space(space: Subspace, generators: list) -> set:
     """All images of a subspace under the generated group, as RREF row
     tuples: the orbit of its basis, each level reduced by one batched RREF."""
     p, mats = _generator_mats(generators)
+    if space.p != p:
+        raise ValueError(f"a subspace over F_{space.p} has no orbit under "
+                         f"automorphisms over F_{p}")
     bases = _orbit(space.matrix().astype(np.int8), mats, p,
                    lambda imgs: batch_rref(imgs, p)[0])
     return {tuple(map(tuple, basis)) for basis in bases.tolist()}
@@ -358,15 +363,16 @@ def orbit_partition(columns, generators: list) -> list[dict]:
     return out
 
 
-def element_orbits(generators: list, p: int) -> list[set]:
-    """Orbits of the nonzero elements of F_p^8 under the generated group.
+def element_orbits(generators: list) -> list[set]:
+    """Orbits of the nonzero elements of F_p^8 under the group the
+    generators over F_p generate.
 
     Element i has base-p digits i = Σ c_j·p^j (the packed byte at p = 2),
     so each generator is an index permutation and the orbits are the
     connected components of their union.  Orbits are listed by their
     smallest index.
     """
-    _, mats = _generator_mats(generators)
+    p, mats = _generator_mats(generators)
     n = p ** DIM
     weights = p ** np.arange(DIM, dtype=np.int64)
     coords = (np.arange(n, dtype=np.int64)[:, None] // weights % p).astype(np.int16)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import field
 from .algebra import Algebra
-from .linalg import batch_rank, batch_rref
+from .linalg import batch_rank, batch_rref, residues
 from .subspace import (NotClosed, Subspace, check_space, coefficient_vectors,
                        substructure)
 
@@ -115,14 +115,13 @@ def element_orbit_invariant(v, A: Algebra) -> tuple[int, int, bool]:
 
 
 def _minimal_poly_kind(t: int, n: int, p: int) -> str:
-    """Kind of X² - tX + n over F_p: 'split', 'double', 'irreducible',
-    or 'inseparable' (irreducible with zero derivative; char 2, t = 0)."""
+    """Kind of X² - tX + n over F_p: 'split', 'double' or 'irreducible'.
+    (Over F_2 every element is a square, so X² + n has a root and no
+    irreducible polynomial of this form is inseparable.)"""
     roots = field.quadratic_roots(t, n, p)
     if len(roots) == 2:
         return "split"
-    if len(roots) == 1:
-        return "double"
-    return "inseparable" if (p == 2 and t % p == 0) else "irreducible"
+    return "double" if roots else "irreducible"
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +244,7 @@ def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
     algebra ``A``, all of one dimension k.  Every invariant comes from the
     structure constants C (M, k, k, k) plus A's Gram matrix, norms,
     traces and unit on the basis: associativity and commutativity from C,
-    unitality from the pivot entries of 1, total singularity from the
+    unitality from the residue of 1 by the basis, total singularity from the
     norms and the Gram matrix, dim R = k − rank(Gram) mod p and, over
     F_2, dim Q from the norm on the Gram kernel (Q = R for odd p).  No
     coordinate of A is read directly, so any table of the split octonions
@@ -271,10 +270,8 @@ def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
     gram = rows @ A.gram @ rows.transpose(0, 2, 1) % p
     norms = A.norms(rows)
     traces = A.traces(rows)
-    # in RREF, 1 lies in the span iff it equals its pivot entries times the rows
     one = np.array(A.unit, dtype=np.int64)
-    one_coef = one[(rows != 0).argmax(-1)]
-    unital = ~((one - (one_coef[:, None] @ rows)[:, 0]) % p).any(1)
+    unital = ~residues(rows, one[None], p).any((1, 2))
     singular = ~norms.any(1) & ~np.triu(gram, 1).any((1, 2))
     comm = (C == C.transpose(0, 2, 1, 3)).all((1, 2, 3))
     assoc = _associative(C, p)
@@ -325,7 +322,7 @@ def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
                 _form_values(X, norms[nondeg], gram[nondeg], p) == 0).any(1)
         # the generator of the quotient by F·1 + R: b_i lies in F·1 + R iff
         # its Gram column is a multiple of the Gram column of 1
-        g1 = (gram @ one_coef[..., None])[..., 0] % p
+        g1 = rows @ (A.gram @ one) % p
         multiples = np.arange(p)[:, None] * g1[:, None, :] % p
         kind = _generator_kind((gram[:, :, None] != multiples[:, None]).any(-1).all(-1),
                                traces, norms, p)

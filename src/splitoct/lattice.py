@@ -25,7 +25,7 @@ from .algebra import Algebra, algebra
 from .census import check_budget
 from .classify import LABEL_DIM, LABELS, OrbitLabel, batch_columns
 from .constructions import rep
-from .linalg import batch_rref
+from .linalg import batch_rref, residues
 from .subspace import (Subspace, check_space, closed_subspaces,
                        gaussian_binomial, span, substructure)
 
@@ -79,7 +79,7 @@ def subalgebras_inside(space: Subspace, A: Algebra) -> Iterator[np.ndarray]:
     for mats in closed_subspaces(substructure(basis[None], A)[0], unit, p):
         rows = mats @ basis % p
         if 1 <= rows.shape[1] < k:
-            inside = ~((rows - rows[..., list(space.pivots)] @ inner) % p).any((1, 2))
+            inside = ~residues(inner, rows, p).any((1, 2))
             stacks[rows.shape[1]].append(rows[inside].astype(np.int8))
     for d in range(1, k):
         yield batch_rref(np.concatenate(stacks[d]), p)[0]

@@ -1,9 +1,16 @@
 """Exact dense linear algebra over F_p on small integer numpy matrices.
 
-Every routine treats matrices as 2-d numpy int arrays with entries already
-reduced mod p (callers normalize), and returns fresh arrays, never views.
-Reduced row echelon form is the canonical form used everywhere: pivot rows
-scaled to 1, pivot columns cleared, pivots strictly increasing.
+Every routine treats matrices as numpy int arrays with entries already
+reduced mod p (callers normalize), and returns fresh arrays, never views
+of its inputs.  Reduced row echelon form is the canonical form used
+everywhere: pivot rows scaled to 1, pivot columns cleared, pivots strictly
+increasing.
+
+Each batched concept has one routine here, over stacks of matrices:
+:func:`batch_rref` and :func:`batch_rank`, :func:`left_kernels` (whose
+square, full-rank case is :func:`mat_inv`) and :func:`residues`, the
+reduction against RREF bases behind every membership test.  :func:`rref`, :func:`rank` and :func:`nullspace` stay per matrix
+for the per-space API, where they beat a batch of one several times over.
 """
 
 from __future__ import annotations
@@ -90,17 +97,30 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     return batch_rref(mats, p)[1]
 
 
+def left_kernels(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """{x : x·M[m] = 0 mod p} for a stack M of (r, c) matrices: the I-parts
+    (n, r, r) of the RREFs of [M[m] | I] and the kernel dimensions (n,).
+
+    The rows of the RREF of [M[m] | I] that vanish on M[m] sit at the
+    bottom; their I-parts span the kernel and are in RREF themselves.
+    """
+    n, r, c = M.shape
+    eye = np.broadcast_to(np.eye(r, dtype=np.int64), (n, r, r))
+    reduced = batch_rref(np.concatenate([M, eye], axis=2), p)[0]
+    return reduced[:, :, c:], (~reduced[:, :, :c].any(2)).sum(1)
+
+
 def mat_inv(mat: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix mod p; raises ValueError if singular."""
-    m = np.array(mat, dtype=np.int64) % p
+    """Inverse of a square matrix mod p, the I-part of its trivial left
+    kernel; raises ValueError if singular."""
+    m = np.asarray(mat, dtype=np.int64)
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError(f"matrix of shape {m.shape} is not square")
-    aug = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
-    red, pivots = rref(aug, p)
-    if pivots[:n] != tuple(range(n)) or len(pivots) < n:
+    inverse, dims = left_kernels(m[None], p)
+    if dims[0]:
         raise ValueError("matrix is singular mod %d" % p)
-    return red[:, n:].copy()
+    return inverse[0]
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
@@ -120,10 +140,13 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def row_space_contains(rref_rows: np.ndarray, pivots: tuple[int, ...], vec: np.ndarray, p: int) -> bool:
-    """Membership test against a space already in RREF form."""
-    v = np.array(vec, dtype=np.int64) % p
-    for i, c in enumerate(pivots):
-        if v[c]:
-            v = (v - v[c] * rref_rows[i]) % p
-    return not v.any()
+def residues(U: np.ndarray, W: np.ndarray, p: int) -> np.ndarray:
+    """The rows of W (..., m, n) reduced mod p by the RREF bases U (..., k, n),
+    as int64; the leading axes broadcast, and zero rows of U subtract
+    nothing.  A row lies in the row space of U iff its residue is zero, and
+    rank [U; W] = rank U + rank of the residues.  The inputs are widened
+    first, so int8 rows stay exact for every supported p."""
+    U = np.asarray(U, dtype=np.int64)
+    W = np.asarray(W, dtype=np.int64)
+    pick = np.arange(U.shape[-1])[:, None] == (U != 0).argmax(-1)[..., None, :]
+    return (W - W @ pick @ U) % p

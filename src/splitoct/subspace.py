@@ -1,11 +1,15 @@
-"""Subspaces of F_p^8: canonical forms, enumeration, closure, radicals.
+"""Subspaces of F_p^8: canonical forms, enumeration, closure, duality.
 
 A subspace is stored as its reduced row echelon basis (pivot columns
 normalized and cleared, pivots strictly increasing), which makes equality,
 hashing and deterministic ordering trivial.  :func:`pivot_block` lists the
 bases of one pivot-column set, the free entries in row-major order,
 least-significant-last; :func:`closed_subspaces` runs it over the quotient
-by F·1 and tests only what can be closed.
+by F·1 and tests only what can be closed.  Membership reduces a vector
+by the basis with :func:`splitoct.linalg.residues`.  The radical
+R = S ∩ S^⊥ and its norm-zero part Q have one computation, the batched
+one in :func:`splitoct.classify.batch_columns`; the per-space reference
+is kept with the tests.
 
 Stacks of RREF bases are tested for closure and reduced to structure
 constants in batches, by one closure stage, :func:`_escapes`, over the
@@ -63,7 +67,7 @@ class Subspace:
         v = np.array(tuple(vec), dtype=np.int64) % self.p
         if v.shape != (self.ambient,):
             raise ValueError(f"a vector of length {v.size} is not in F_p^{self.ambient}")
-        return linalg.row_space_contains(self.matrix(), self.pivots, v, self.p)
+        return not linalg.residues(self.matrix(), v[None], self.p).any()
 
     def key(self) -> tuple:
         """Deterministic sort key: (dim, pivot columns, entries)."""
@@ -124,33 +128,6 @@ def perp(space: Subspace, A: Algebra) -> Subspace:
     p = A.p
     ker = linalg.nullspace(space.matrix() @ A.gram % p, p)
     return span(ker, p, A.dim)
-
-
-def radicals(space: Subspace, A: Algebra) -> tuple[Subspace, Subspace]:
-    """(R, Q): the polar-form radical R = S ∩ S^⊥ of a subspace S of ``A``
-    and its norm-zero part Q.
-
-    On R the polar form vanishes, so for odd p the norm is alternating there
-    and Q = R; for p = 2 the norm restricted to R is F_2-linear and Q is its
-    kernel.
-    """
-    p = A.p
-    R = intersect(space, perp(space, A))
-    for x in R.rows:
-        for y in R.rows:
-            if A.polar(x, y) != 0:
-                raise ArithmeticError("polar form must vanish on the radical")
-    if p != 2:
-        for x in R.rows:
-            if A.norm(x) != 0:
-                raise ArithmeticError("odd characteristic: norm must vanish on the radical")
-        return R, R
-    if R.dim == 0:
-        return R, R
-    norms = np.array([[A.norm(r) for r in R.rows]], dtype=np.int64)
-    ker = linalg.nullspace(norms, p)         # coefficient vectors
-    Q = span((ker @ R.matrix()) % p, p, A.dim)
-    return R, Q
 
 
 def closure(gens, A: Algebra) -> Subspace:

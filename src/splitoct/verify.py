@@ -49,7 +49,7 @@ from .constructions import (PreconditionFailed, centralizer, left_mul_space,
                             upper_triangular)
 from .field import check_prime
 from .lattice import build_lattice, emit_dot
-from .linalg import batch_rank, batch_rref
+from .linalg import batch_rank, batch_rref, left_kernels, residues
 from .subspace import (closed_bases, closure, intersect, span, substructure,
                        sum_spaces)
 
@@ -419,13 +419,6 @@ def verify_identities(res: SuiteResult, p: int = 2) -> None:
 # singular geometry (F_2)
 # ---------------------------------------------------------------------------
 
-def _reduce(U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The rows of W[m] reduced mod 2 by the RREF rows of U[m], zero rows
-    included (they subtract nothing): rank [U; W] = rank U + rank of that."""
-    piv = (U != 0).argmax(-1)
-    return (W - np.take_along_axis(W, piv[:, None, :], -1) @ U) % 2
-
-
 @_completed("singular", 2)
 def verify_singular(res: SuiteResult) -> None:
     """Maximal totally singular subspaces over F_2, exhaustively.
@@ -444,8 +437,7 @@ def verify_singular(res: SuiteResult) -> None:
     lmat = _row_products(a[:, None], eye, ctx)[:, 0]      # row j is a·e_j
     L, lrank = batch_rref(lmat, 2)
     R, rrank = batch_rref(_row_products(eye, a[:, None], ctx)[:, :, 0], 2)
-    # RREF rows come first; int8 keeps the pair stacks small
-    L, R = (U[:, :r.max(initial=0)].astype(np.int8) for U, r in ((L, lrank), (R, rrank)))
+    L, R = (U[:, :r.max(initial=0)] for U, r in ((L, lrank), (R, rrank)))   # RREF rows first
 
     def at(idx) -> str:
         return ", ".join(f"{v}={tuple(a[r].tolist())}" for v, r in zip("ab", idx))
@@ -458,20 +450,20 @@ def verify_singular(res: SuiteResult) -> None:
 
     # intersection-dimension table, pairs (a, b) in row-major order
     i, j = np.divmod(np.arange(n * n), n)
-    same = lrank[j] - batch_rank(_reduce(L[i], L[j]), 2)
-    mixed = rrank[j] - batch_rank(_reduce(L[i], R[j]), 2)
+    same = lrank[j] - batch_rank(residues(L[:, None], L, 2).reshape(n * n, -1, DIM), 2)
+    mixed = rrank[j] - batch_rank(residues(L[:, None], R, 2).reshape(n * n, -1, DIM), 2)
     want_same = np.where(np.eye(n, dtype=bool), 4,
                          np.where(a @ ctx.gram @ a.T % 2 == 0, 2, 0)).ravel()
     want_mixed = np.where(_row_products(a, a, ctx).any(-1).ravel(), 1, 3)
     # Where aO^Ob is a line it is F(ab), since ab lies in both by
     # bilinearity.  Where it has dimension 3 it is a*(b-perp): that image
     # lies in aO, so it must lie in Ob and have dimension 3.
-    K, kdim = _left_kernels(ctx.gram @ a[:, :, None] % 2, 2)
+    K, kdim = left_kernels(ctx.gram @ a[:, :, None] % 2, 2)
     K[np.arange(DIM) < DIM - kdim[:, None]] = 0           # b-perp, padded
     plane = np.zeros(n * n, dtype=bool)
     m = np.flatnonzero((mixed == 3) & (want_mixed == 3))
     W = K[j[m]] @ lmat[i[m]] % 2
-    plane[m] = (batch_rank(W, 2) != 3) | _reduce(R[j[m]], W).any((1, 2))
+    plane[m] = (batch_rank(W, 2) != 3) | residues(R[j[m]], W, 2).any((1, 2))
     fails = [(same != want_same, "dim(aO^bO)={same}, expected {want_same}"),
              (mixed != want_mixed, "dim(aO^Ob)={mixed}, expected {want_mixed}"),
              (plane, "aO^Ob != a*(b-perp)")]
@@ -526,19 +518,6 @@ def verify_singular(res: SuiteResult) -> None:
 # centralizers (F_2 and F_3)
 # ---------------------------------------------------------------------------
 
-def _left_kernels(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """{x : x·M[m] = 0} for a stack M of (r, c) matrices: their dimensions
-    and RREF bases, in the last rows of each (r, r) matrix returned.
-
-    The rows of the RREF of [M[m] | I] that vanish on M[m] sit at the
-    bottom; their I-parts span the kernel and are in RREF themselves.
-    """
-    n, r, c = M.shape
-    eye = np.broadcast_to(np.eye(r, dtype=np.int64), (n, r, r))
-    reduced = batch_rref(np.concatenate([M, eye], axis=2), p)[0]
-    return reduced[:, :, c:], (~reduced[:, :, :c].any(2)).sum(1)
-
-
 @_completed("centralizers")
 def verify_centralizers(res: SuiteResult, p: int) -> None:
     """Exact centralizer dimensions for every element of the algebra.
@@ -554,7 +533,7 @@ def verify_centralizers(res: SuiteResult, p: int) -> None:
     # every element, in itertools.product order
     V = np.arange(n)[:, None] // p ** np.arange(DIM - 1, -1, -1) % p
     commutator = ctx.struct - ctx.struct.swapaxes(0, 1)
-    kernels, dims = _left_kernels(np.einsum("vj,ijk->vik", V, commutator) % p, p)
+    kernels, dims = left_kernels(np.einsum("vj,ijk->vik", V, commutator) % p, p)
     one = np.array(ctx.unit)
     traces = ctx.traces(V)
     if p == 2:
@@ -581,7 +560,7 @@ def verify_centralizers(res: SuiteResult, p: int) -> None:
               "dim-2 centralizer is not F+Fv")]
     if p == 2:
         idx, K = group(6)
-        perps, perp_dims = _left_kernels(ctx.gram @ one_v[idx].transpose(0, 2, 1) % p, p)
+        perps, perp_dims = left_kernels(ctx.gram @ one_v[idx].transpose(0, 2, 1) % p, p)
         fails += [(flag(idx, (perp_dims != 6) | (perps[:, 2:] != K).any((1, 2))),
                    "dim-6 centralizer is not {1,v}-perp"),
                   (flag(idx, closed_bases(K, ctx)), "dim-6 centralizer unexpectedly closed")]
@@ -810,7 +789,7 @@ def verify_orbits(res: SuiteResult) -> None:
                                f"{multi[0]['orbit_count']} orbits"))
 
     ctx = algebra(2)
-    orbits = autos.element_orbits(gens, 2)
+    orbits = autos.element_orbits(gens)
     classes: dict = {}
     for v in map(tuple, _grid()[1:].tolist()):
         classes.setdefault(element_orbit_invariant(v, ctx), set()).add(v)

@@ -14,6 +14,7 @@ from products of elements with ``A.mul`` and from subspace spans and
 intersections, following the classification theorems directly.  It shares no code with the batched
 path in :mod:`splitoct.classify` beyond the algebra itself and the
 subspace helpers, and is slow: tests compare the batched records with it.
+:func:`radicals` is the per-space reference for the radicals R and Q.
 Element orbits are found by a breadth-first search from one element at a
 time, for comparison with the packed :func:`splitoct.autos.element_orbits`,
 and census orbits by one subspace BFS per orbit, for comparison with the
@@ -43,8 +44,8 @@ from splitoct.algebra import DIM, mod, products
 from splitoct.autos import Automorphism, orbit_of_space
 from splitoct.classify import ClassificationError, OrbitLabel
 from splitoct.linalg import nullspace
-from splitoct.subspace import (Subspace, closed_mask, intersect, pivot_block,
-                               radicals, span, substructure)
+from splitoct.subspace import (Subspace, closed_mask, intersect, perp,
+                               pivot_block, span, substructure)
 
 
 def _mat_mul(x, y) -> tuple[int, ...]:
@@ -174,6 +175,34 @@ def label(space: Subspace, ctx) -> OrbitLabel:
             if kind in kinds:
                 return kinds[kind]
     raise ClassificationError(f"unital subalgebra of dimension {k} with R={R.dim}")
+
+
+def radicals(space: Subspace, A) -> tuple[Subspace, Subspace]:
+    """(R, Q): the polar-form radical R = S ∩ S^⊥ of a subspace S of ``A``
+    and its norm-zero part Q, the reference for the batched dim R and
+    dim Q of :func:`splitoct.classify.batch_columns`.
+
+    On R the polar form vanishes, so for odd p the norm is alternating there
+    and Q = R; for p = 2 the norm restricted to R is F_2-linear and Q is its
+    kernel.
+    """
+    p = A.p
+    R = intersect(space, perp(space, A))
+    for x in R.rows:
+        for y in R.rows:
+            if A.polar(x, y) != 0:
+                raise ArithmeticError("polar form must vanish on the radical")
+    if p != 2:
+        for x in R.rows:
+            if A.norm(x) != 0:
+                raise ArithmeticError("odd characteristic: norm must vanish on the radical")
+        return R, R
+    if R.dim == 0:
+        return R, R
+    norms = np.array([[A.norm(r) for r in R.rows]], dtype=np.int64)
+    ker = nullspace(norms, p)         # coefficient vectors
+    Q = span((ker @ R.matrix()) % p, p, A.dim)
+    return R, Q
 
 
 def totally_singular(space: Subspace, ctx) -> bool:

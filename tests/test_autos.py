@@ -118,6 +118,9 @@ def test_doubling_extension_and_flip(p):
     # a doubling extension must be refused for a norm-zero slot
     with pytest.raises((PreconditionFailed, ZeroDivisionError, ValueError)):
         doubling_extension(np.eye(8, dtype=np.int64)[:4], ctx.n0w, p)
+    # [[0,1],[1,0]] has norm −1 but lies in the image subalgebra
+    with pytest.raises(PreconditionFailed, match="orthogonal to the image"):
+        doubling_extension(np.eye(8, dtype=np.int64)[:4], (0, 1, 1, 0, 0, 0, 0, 0), p)
 
 
 def test_full_group_f2_both_routes(group2, brute_count2):
@@ -152,7 +155,7 @@ def test_orbit_partition_single_orbits(columns2, census2, generators2):
 
 
 def test_element_orbits_f2(generators2):
-    orbits = element_orbits(generators2, 2)
+    orbits = element_orbits(generators2)
     sizes = sorted(len(o) for o in orbits)
     assert sizes == [1, 56, 63, 63, 72]
     # orbits refine (here: equal) the element invariant classes
@@ -163,7 +166,7 @@ def test_element_orbits_f2(generators2):
 
 def test_element_orbits_odd_p_respect_invariants():
     gens = all_alpha_generators(3)
-    orbits = element_orbits(gens, 3)
+    orbits = element_orbits(gens)
     assert sum(len(o) for o in orbits) == 3 ** 8 - 1
     for orbit in orbits:
         invs = {element_orbit_invariant(v, algebra(3)) for v in orbit}

@@ -13,8 +13,8 @@ from splitoct.algebra import algebra, double, field_table
 from splitoct.census import (CostLimitExceeded, census_columns, census_report,
                              enumerate_subalgebras, quotient_dims, write_jsonl)
 from splitoct.classify import OrbitLabel, batch_columns, classify
-from splitoct.subspace import closed_bases, gaussian_binomial, radicals
-from oracle import dim_total, enumerate_subspaces
+from splitoct.subspace import closed_bases, gaussian_binomial
+from oracle import dim_total, enumerate_subspaces, radicals
 
 # Golden census over F_2, cross-checked against an independent bitmask
 # scan of all 417,199 subspaces of F_2^8.

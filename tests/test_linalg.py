@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from splitoct.linalg import (batch_rank, batch_rref, mat_inv, nullspace, rank,
-                             row_space_contains, rref)
+from splitoct.linalg import (batch_rank, batch_rref, left_kernels, mat_inv, nullspace,
+                             rank, residues, rref)
+from splitoct.subspace import coefficient_vectors
 
 
 def _random_matrix(rng, rows, cols, p):
@@ -31,14 +32,11 @@ def test_rref_preserves_row_space(p):
     rng = np.random.default_rng(99 + p)
     for _ in range(30):
         m = _random_matrix(rng, 4, 8, p)
-        r, pivots = rref(m, p)
-        for row in m:
-            assert row_space_contains(r, pivots, row % p, p)
+        r = rref(m, p)[0]
+        assert not residues(r, m, p).any()
         # some unit vector lies outside every proper row space
         if rank(m, p) < 8:
-            outside = [probe for probe in np.eye(8, dtype=np.int64)
-                       if not row_space_contains(r, pivots, probe, p)]
-            assert outside
+            assert residues(r, np.eye(8, dtype=np.int64), p).any()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -52,7 +50,7 @@ def test_nullspace_is_exact_kernel(p):
         assert rank(ns, p) == ns.shape[0]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
 def test_mat_inv_round_trip(p):
     rng = np.random.default_rng(5 + p)
     found = 0
@@ -94,3 +92,77 @@ def test_batch_rref_and_rank_match_rref(p, shape):
         assert np.array_equal(got[:k], want) and not got[k:].any()
     assert np.array_equal(batch_rank(mats, p), ranks)
     assert np.array_equal(batch_rank(early, p), np.full(len(early), min(r, c)))
+
+
+def _elements(basis, p) -> np.ndarray:
+    """Every vector of the row space of ``basis`` (k, n), one per row."""
+    return coefficient_vectors(len(basis), p) @ basis % p
+
+
+def _padded_bases(rng, p, count, k=3, n=8) -> np.ndarray:
+    """RREF bases of random spans of dimension 0..k, each padded with zero
+    rows to k rows, as an int64 stack (count, k, n)."""
+    out = np.zeros((count, k, n), dtype=np.int64)
+    for U in out:
+        red = rref(rng.integers(0, p, (int(rng.integers(0, k + 1)), n)), p)[0]
+        U[:len(red)] = red
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_residues_match_brute_force(p):
+    """The residue of w by a zero-padded RREF basis U is the one w − s,
+    s in the row space, that vanishes at the pivot columns; it is zero
+    exactly when w is in the row space, enumerated element by element."""
+    rng = np.random.default_rng(17 * p)
+    U = _padded_bases(rng, p, 20)
+    W = rng.integers(0, p, (20, 4, 8))
+    W[:, :1] = rng.integers(0, p, (20, 1, 3)) @ U % p     # members too
+    got = residues(U, W, p)
+    assert got.shape == W.shape and got.dtype == np.int64
+    for basis, rows, res in zip(U, W, got):
+        span = _elements(basis[basis.any(1)], p)
+        pivots = (basis[basis.any(1)] != 0).argmax(1)
+        for w, r in zip(rows, res):
+            candidates = (w - span) % p
+            at_pivots = candidates[~candidates[:, pivots].any(1)]
+            assert len(at_pivots) == 1 and (r == at_pivots[0]).all()
+            assert (not r.any()) == (span == w).all(1).any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_residues_broadcast_and_widen(p):
+    """One basis broadcasts over a stack and a stack over one row; int8
+    inputs give the int64 answer (a row sum reaches 8·12² at p = 13)."""
+    rng = np.random.default_rng(23 * p)
+    U = _padded_bases(rng, p, 6)
+    W = rng.integers(0, p, (6, 5, 8))
+    shared = residues(U[0], W, p)
+    assert np.array_equal(shared, np.stack([residues(U[0], w, p) for w in W]))
+    one = residues(U, W[0, :1], p)
+    assert np.array_equal(one, np.stack([residues(u, W[0, :1], p) for u in U]))
+    small = residues(U.astype(np.int8), W.astype(np.int8), p)
+    assert small.dtype == np.int64
+    assert np.array_equal(small, residues(U, W, p))
+    pairs = residues(U[:, None], W, p)                    # every (basis, stack) pair
+    assert np.array_equal(pairs[2, 4], residues(U[2], W[4], p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_left_kernels_match_brute_force(p):
+    """The last dims[m] rows of the I-part are an RREF basis of
+    {x : x·M[m] = 0}, enumerated over all of F_p^3."""
+    rng = np.random.default_rng(41 * p)
+    M = rng.integers(0, p, (24, 3, 4))
+    M[::4, 2] = (M[::4, 0] + 2 * M[::4, 1]) % p           # rank 2
+    M[1::4] = rng.integers(0, p, (6, 3, 1)) * rng.integers(0, p, (6, 1, 4)) % p
+    M[2::8] = 0
+    I, dims = left_kernels(M, p)
+    assert I.shape == (24, 3, 3)
+    every = coefficient_vectors(3, p)
+    for mat, part, d in zip(M, I, dims):
+        want = every[~(every @ mat % p).any(1)]
+        K = part[3 - d:]
+        assert d == rank(want, p) and np.array_equal(K, rref(K, p)[0])
+        assert {tuple(v) for v in _elements(K, p)} == {tuple(v) for v in want}
+

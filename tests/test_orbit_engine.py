@@ -15,6 +15,7 @@ from splitoct.autos import (Automorphism, CapExceeded, all_alpha_generators,
                             generate_group, orbit_of_space, orbit_partition)
 from splitoct.census import census_columns
 from splitoct.classify import LABELS, Columns, OrbitLabel, element_orbit_invariant
+from splitoct.constructions import rep
 from splitoct.linalg import batch_rref, rref
 
 G2_ORDER_F3 = 3 ** 6 * (3 ** 6 - 1) * (3 ** 2 - 1)
@@ -173,13 +174,34 @@ def test_batch_rref_matches_rref(p):
 
 
 def test_element_orbits_match_elementwise_bfs_f2(generators2):
-    assert element_orbits(generators2, 2) == oracle.element_orbits(generators2, 2)
+    assert element_orbits(generators2) == oracle.element_orbits(generators2, 2)
     gens = automorphism_generators(2)
-    assert element_orbits(gens, 2) == oracle.element_orbits(gens, 2)
+    assert element_orbits(gens) == oracle.element_orbits(gens, 2)
 
 
 def test_element_orbits_match_elementwise_bfs_f3(alpha3):
-    assert element_orbits(alpha3, 3) == oracle.element_orbits(alpha3, 3)
+    assert element_orbits(alpha3) == oracle.element_orbits(alpha3, 3)
+
+
+def test_element_orbits_read_the_field_of_the_generators():
+    """The orbits live in F_p^8 for the p of the generators: over F_2 the
+    unit and the (norm, trace) classes of sizes 56, 63, 63 and 72."""
+    orbits = element_orbits(automorphism_generators(2))
+    assert sorted(map(len, orbits)) == [1, 56, 63, 63, 72]
+    assert all(max(v) <= 1 for orbit in orbits for v in orbit)
+
+
+def test_orbits_refuse_a_field_the_generators_do_not_act_on():
+    gens2, gens3 = automorphism_generators(2), automorphism_generators(3)
+    with pytest.raises(ValueError, match="F_3"):
+        orbit_of_space(rep(OrbitLabel.E, 3), gens2)
+    for mixed in (gens2 + gens3, gens3[:1] + gens2):
+        with pytest.raises(ValueError, match="one field"):
+            generate_group(mixed)
+        with pytest.raises(ValueError, match="one field"):
+            element_orbits(mixed)
+        with pytest.raises(ValueError, match="one field"):
+            orbit_of_space(rep(OrbitLabel.E, 2), mixed)
 
 
 def test_group_cap_is_checked_before_every_insert(generators2):
@@ -197,7 +219,7 @@ def test_group_cap_is_checked_before_every_insert(generators2):
 def test_element_orbits_f3_are_the_invariant_classes():
     """Over F_3 the short set separates elements exactly by (norm, trace,
     central): 9 non-central classes and the 2 nonzero scalars."""
-    orbits = element_orbits(automorphism_generators(3), 3)
+    orbits = element_orbits(automorphism_generators(3))
     classes: dict = {}
     for v in itertools.product(range(3), repeat=8):
         if any(v):

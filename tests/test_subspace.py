@@ -14,9 +14,9 @@ from splitoct.linalg import batch_rref
 from splitoct.subspace import (Subspace, block_rows, closed_bases, closed_mask,
                                closed_subspaces, closure, free_positions,
                                gaussian_binomial, intersect, perp, pivot_block,
-                               radicals, span, sum_spaces, zero_space)
+                               span, sum_spaces, zero_space)
 from oracle import (closed_by_products, contains_space, elements, enumerate_subspaces,
-                    full_space, nonzero_elements)
+                    full_space, nonzero_elements, radicals)
 
 PRIMES = [2, 3, 5]
 

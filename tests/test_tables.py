@@ -17,7 +17,7 @@ from splitoct.classify import OrbitLabel, classify, record_for
 from splitoct.constructions import rep
 from splitoct.field import SUPPORTED_PRIMES
 from splitoct.linalg import mat_inv, rank
-from splitoct.subspace import perp, radicals
+from splitoct.subspace import perp
 
 #: Per-label counts of the F_3 census in dimensions 1 and 2.
 F3_DIMS12_COUNTS = {"F": 1, "Fn": 364, "Fp": 756, "E": 351, "F+Fn": 364,
@@ -148,6 +148,33 @@ def test_no_module_names_a_byte_table():
     assert _byte_names(Path(oracle.__file__))         # the walk sees them where they are
 
 
+def _private_helpers(trees: dict) -> dict:
+    """The top-level ``_``-prefixed functions and classes of the parsed
+    modules, each with the number of times a name or attribute in any of
+    them refers to it."""
+    helpers = {node.name: 0 for tree in trees.values() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in helpers:
+                helpers[name] += 1
+    return helpers
+
+
+def test_every_private_helper_has_a_caller():
+    package = Path(splitoct.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    helpers = _private_helpers(trees)
+    assert len(helpers) > 40                          # the walk finds them
+    assert not [name for name, uses in helpers.items() if not uses]
+    # a helper left behind with no caller is caught
+    trees["orphan.py"] = ast.parse("def _reduce(U, W):\n    return W\n")
+    assert _private_helpers(trees)["_reduce"] == 0
+
+
 #: modules that work in whatever table they are handed
 GENERIC_MODULES = ("subspace.py", "classify.py", "census.py", "linalg.py")
 
@@ -212,9 +239,9 @@ def test_per_space_answers_read_the_given_table():
     for r in records:
         assert classify(r.space, T) is r.label
         assert record_for(r.space, T) == r
-        R, Q = radicals(r.space, T)
+        R, Q = oracle.radicals(r.space, T)
         assert (R.dim, Q.dim) == (r.radical_R_dim, r.radical_Q_dim)
     wrong_field = rep(OrbitLabel.F, 5)
-    for call in (classify, record_for, radicals, perp):
+    for call in (classify, record_for, oracle.radicals, perp):
         with pytest.raises(ValueError):
             call(wrong_field, T)

@@ -32,14 +32,18 @@ def test_typed_errors_survive_optimize_flag():
     script = """
 import numpy as np
 from splitoct.algebra import algebra, quaternion_table
-from splitoct.autos import doubling_extension, generate_group
-from splitoct.constructions import PreconditionFailed
+from splitoct.autos import (automorphism_generators, doubling_extension,
+                            generate_group, orbit_of_space)
+from splitoct.classify import OrbitLabel
+from splitoct.constructions import PreconditionFailed, rep
 from splitoct.linalg import mat_inv
 from splitoct.subspace import intersect, perp, span, sum_spaces
 from splitoct.verify import _Bits, count_automorphisms
 calls = (
     lambda: doubling_extension(np.eye(8, dtype=np.int64)[:3], (0,) * 8, 2),
     lambda: generate_group([]),
+    lambda: generate_group(automorphism_generators(2) + automorphism_generators(3)),
+    lambda: orbit_of_space(rep(OrbitLabel.E, 3), automorphism_generators(2)),
     lambda: count_automorphisms(3),
     lambda: _Bits(algebra(3)),
     lambda: _Bits(quaternion_table(2)),
@@ -64,4 +68,4 @@ for call in calls:
     proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=PACKAGE.parent,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 11
+    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 13
