@@ -9,8 +9,8 @@ the doubled half.  Everything below is exact integer arithmetic mod p.
 
 import numpy as np
 
-from splitoct import (algebra, census_report, double, enumerate_subalgebras,
-                      field_table, quaternion_table)
+from splitoct import (algebra, census_columns, double, field_table, label_counts,
+                      quaternion_table)
 
 ctx = algebra(3)
 
@@ -52,5 +52,5 @@ for step, mu in enumerate((2, 1, 2)):
 
 # so its census of lines and planes has the canonical per-label counts
 for table in (ctx, chain):
-    counts = census_report(enumerate_subalgebras(table, [1, 2])).counts
+    counts = label_counts(census_columns(table, [1, 2]))
     print(sorted((label, n) for (_dim, label), n in counts.items()))

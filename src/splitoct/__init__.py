@@ -13,8 +13,9 @@ Highlights
   Cayley–Dickson doubling.
 - :func:`splitoct.algebra.algebra` — the canonical split octonions over F_p.
 - :func:`splitoct.census.census_columns` — the census of every
-  subalgebra, over any table of the split octonions, as int8 columns;
-  :func:`splitoct.census.enumerate_subalgebras` gives it as records.
+  subalgebra, over any table of the split octonions, as int8 columns
+  that carry their prime; :func:`splitoct.census.label_counts` counts
+  them per (dimension, label).
 - :func:`splitoct.classify.classify` — the isomorphism-type labeller.
 - :mod:`splitoct.autos` — automorphisms, group closure, orbit partitions.
 - :mod:`splitoct.verify` — the brute-force verification suites.
@@ -28,8 +29,8 @@ from .autos import (Automorphism, CapExceeded, all_alpha_generators, alpha_st,
                     automorphism_generators, doubling_extension,
                     element_orbits, find_h_moving_extension, generate_group,
                     orbit_of_space, orbit_partition)
-from .census import (CensusSummary, CostLimitExceeded, census_columns,
-                     census_report, enumerate_subalgebras, write_jsonl)
+from .census import (CostLimitExceeded, census_columns, enumerate_subalgebras,
+                     label_counts, write_jsonl)
 from .classify import (ClassificationError, NotClosed, OrbitLabel,
                        SubalgebraRecord, classify, element_orbit_invariant,
                        record_for)
@@ -48,19 +49,18 @@ from .verify import (SUITE_NAMES, CheckResult, SuiteResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "Automorphism", "CapExceeded", "CensusSummary", "CheckResult",
+    "Algebra", "Automorphism", "CapExceeded", "CheckResult",
     "ClassificationError", "CostLimitExceeded", "FieldError", "LatticeGraph",
     "LatticeNode", "NotClosed", "OrbitLabel", "PreconditionFailed",
     "SUITE_NAMES", "SplitOctonions", "SubalgebraRecord", "Subspace",
     "SuiteResult", "UnreachableLabel", "algebra", "all_alpha_generators",
     "alpha_st", "automorphism_generators", "build_lattice", "census_columns",
-    "census_report",
     "centralizer", "check_prime", "classify", "closure", "companion_element",
     "count_automorphisms", "double", "doubling_extension", "element_orbits",
     "element_orbit_invariant", "emit_dot", "emit_json",
     "enumerate_subalgebras", "field_table",
     "find_h_moving_extension", "gaussian_binomial", "generate_group",
-    "heisenberg", "intersect", "kernel_of_left_mul",
+    "heisenberg", "intersect", "kernel_of_left_mul", "label_counts",
     "left_mul_space", "orbit_of_space", "orbit_partition", "perp",
     "quaternion_table", "record_for", "rep", "right_ideal_double",
     "right_mul_space", "run_suite", "span", "standard_quaternions",

@@ -329,12 +329,16 @@ def orbit_partition(columns, generators: list) -> list[dict]:
     generator an index permutation; the orbits are the connected
     components of their union.  Returns one dict per (dim, label), in
     that order: {"dim", "label", "orbit_count", "orbit_sizes"} with the
-    sizes sorted.  Raises ArithmeticError if an image is not in
-    the stack or has another label code (soundness checks).
+    sizes sorted.  Raises ValueError if a stack is over another field
+    than the generators, and ArithmeticError if an image is not in the
+    stack or has another label code (soundness checks).
     """
     p, mats = _generator_mats(generators)
     out = []
     for cols in columns:
+        if cols.p != p:
+            raise ValueError(f"columns over F_{cols.p} have no orbits under "
+                             f"automorphisms over F_{p}")
         bases, code = cols.rows, cols.label
         keys = _keys(bases)
         order = np.argsort(keys)

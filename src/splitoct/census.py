@@ -20,11 +20,15 @@ column per invariant and a label code.  No record object crosses the
 pool.  The parent joins each dimension's columns and sorts them with one
 ``np.lexsort`` by (pivots, rows), the order of
 :meth:`splitoct.subspace.Subspace.key`, so the output does not depend on
-the number of worker processes.  :func:`write_jsonl` renders each JSON
-line from those arrays, and :func:`splitoct.autos.orbit_partition` reads
-the same columns, so neither ``splitoct enumerate`` nor ``splitoct
-orbits`` builds a record; :func:`enumerate_subalgebras` turns the columns
-into records for the callers that want one object per subalgebra.
+the number of worker processes.
+
+The columns are the census's one value, and they carry their prime.
+:func:`write_jsonl` renders each JSON line from their arrays,
+:func:`label_counts` counts them per (dimension, label) from the label
+codes, and :func:`splitoct.autos.orbit_partition` partitions them, so no
+census path builds a record.  :func:`enumerate_subalgebras` turns the
+columns into records for the callers that want one object per
+subalgebra.
 """
 
 from __future__ import annotations
@@ -32,14 +36,12 @@ from __future__ import annotations
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
 from multiprocessing import get_context
 
 import numpy as np
 
 from .algebra import DIM, Algebra
-from .classify import (LABELS, Columns, OrbitLabel, SubalgebraRecord,
-                       batch_columns)
+from .classify import LABELS, Columns, SubalgebraRecord, batch_columns
 from .linalg import batch_rref
 from .subspace import (closed_mask, closed_subspaces, free_positions,
                        gaussian_binomial)
@@ -83,7 +85,7 @@ def _sorted(cols: Columns) -> Columns:
         return cols
     keys = np.concatenate([(rows != 0).argmax(-1), rows.reshape(len(rows), -1)], 1)
     order = np.lexsort(keys.T[::-1])
-    return Columns(*(col[order] for col in cols))
+    return Columns(*(col[order] for col in cols[:-1]), cols.p)
 
 
 def _groups(dims, p: int, threads: int) -> list[list[tuple[int, ...]]]:
@@ -166,50 +168,21 @@ def enumerate_subalgebras(A: Algebra, dims=None, *,
     (dim, pivots, rows)."""
     return [r for cols in census_columns(A, dims, max_subspaces=max_subspaces,
                                          threads=threads)
-            for r in cols.records(A.p)]
+            for r in cols.records()]
 
 
-@dataclass
-class CensusSummary:
-    """Per-(dimension, label) counts plus integrity tallies."""
-
-    p: int
-    scanned_dims: tuple[int, ...]
-    closed_count: int
-    counts: dict = dc_field(default_factory=dict)   # (dim, label str) -> int
-    unlabeled: int = 0
-
-    def count(self, dim: int, label: OrbitLabel) -> int:
-        return self.counts.get((dim, label.value), 0)
-
-    def to_json_dict(self) -> dict:
-        items = sorted(self.counts.items())
-        return {
-            "field": self.p,
-            "dims": list(self.scanned_dims),
-            "closed": self.closed_count,
-            "unlabeled": self.unlabeled,
-            "counts": [{"dim": d, "label": lab, "count": n} for (d, lab), n in items],
-        }
-
-
-def census_report(records) -> CensusSummary:
-    """Aggregate records into per-(dim, label) counts; unlabeled must be 0."""
-    records = list(records)
-    if not records:
-        return CensusSummary(p=0, scanned_dims=(), closed_count=0)
-    summary = CensusSummary(
-        p=records[0].space.p,
-        scanned_dims=tuple(sorted({r.dim for r in records})),
-        closed_count=len(records),
-    )
-    for r in records:
-        if r.label is None:
-            summary.unlabeled += 1
-            continue
-        key = (r.dim, r.label.value)
-        summary.counts[key] = summary.counts.get(key, 0) + 1
-    return summary
+def label_counts(columns) -> dict[tuple[int, str], int]:
+    """The subalgebras per (dimension, label value) of the :class:`Columns`
+    stacks ``columns``, sorted by key, read from the label codes (one
+    ``np.bincount`` per stack, not ``np.unique``, which imports numpy.ma on
+    first use)."""
+    counts = {}
+    for c in columns:
+        for code, n in enumerate(np.bincount(c.label, minlength=len(LABELS)).tolist()):
+            if n:
+                key = (c.rows.shape[1], LABELS[code].value)
+                counts[key] = counts.get(key, 0) + n
+    return dict(sorted(counts.items()))
 
 
 _FLAG = ("false", "true")

@@ -107,7 +107,7 @@ def element_orbit_invariant(v, A: Algebra) -> tuple[int, int, bool]:
     Non-central elements with equal norm and trace lie in one orbit of the
     automorphism group; central means lying in F·1.
     """
-    v = tuple(v)
+    v = tuple(int(c) % A.p for c in v)
     if len(v) != A.dim:
         raise ValueError(f"an element has {A.dim} coordinates, got {len(v)}")
     central = any(A.smul(c, A.unit) == v for c in range(A.p))
@@ -158,9 +158,10 @@ class SubalgebraRecord:
 
 
 class Columns(NamedTuple):
-    """Classified closed subspaces of one dimension k as int8 arrays: the
-    RREF bases (M, k, n) and one column (M,) per invariant, flags as 0 or
-    1 and ``label`` an index into :data:`LABELS`."""
+    """Classified closed subspaces of one dimension k over F_p: the RREF
+    bases (M, k, n) and one column (M,) per invariant as int8 arrays,
+    flags as 0 or 1 and ``label`` an index into :data:`LABELS`, then the
+    prime ``p``."""
 
     rows: np.ndarray
     unital: np.ndarray
@@ -170,20 +171,25 @@ class Columns(NamedTuple):
     assoc: np.ndarray
     comm: np.ndarray
     label: np.ndarray
+    p: int
 
     @classmethod
     def concat(cls, parts) -> Columns:
-        """One stack of the stacks ``parts`` (at least one), in order."""
-        return cls(*map(np.concatenate, zip(*parts)))
+        """One stack of the stacks ``parts`` (at least one, all over one
+        field), in order."""
+        primes = {part.p for part in parts}
+        if len(primes) != 1:
+            raise ValueError(f"need columns over one field, got primes {sorted(primes)}")
+        return cls(*map(np.concatenate, zip(*(part[:-1] for part in parts))), primes.pop())
 
-    def records(self, p: int) -> list[SubalgebraRecord]:
-        """One record per subspace, the bases read over F_p."""
+    def records(self) -> list[SubalgebraRecord]:
+        """One record per subspace."""
         _, k, n = self.rows.shape
-        return [SubalgebraRecord(Subspace(tuple(map(tuple, basis)), p, n), k,
+        return [SubalgebraRecord(Subspace(tuple(map(tuple, basis)), self.p, n), k,
                                  bool(unital), bool(singular), R, Q, bool(assoc),
                                  bool(comm), LABELS[label])
                 for basis, unital, singular, R, Q, assoc, comm, label
-                in zip(*(col.tolist() for col in self))]
+                in zip(*(col.tolist() for col in self[:-1]))]
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +271,7 @@ def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
     if k == 0 or not M:
         # zero spaces (or none): not unital, singular, R = Q = 0, assoc, comm
         return Columns(rows.astype(np.int8), *(np.full(M, v, dtype=np.int8) for v in
-                                               (0, 1, 0, 0, 1, 1, _CODE[OrbitLabel.Zero])))
+                                               (0, 1, 0, 0, 1, 1, _CODE[OrbitLabel.Zero])), p)
     C = substructure(rows, A)
     gram = rows @ A.gram @ rows.transpose(0, 2, 1) % p
     norms = A.norms(rows)
@@ -343,7 +349,7 @@ def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
     codes = np.array([_CODE[lab] for lab in rules], dtype=np.int8)
     return Columns(rows.astype(np.int8),
                    *(col.astype(np.int8) for col in (unital, singular, R, Q, assoc, comm)),
-                   codes[fits.argmax(0)])
+                   codes[fits.argmax(0)], p)
 
 
 def record_for(space: Subspace, A: Algebra) -> SubalgebraRecord:
@@ -353,7 +359,7 @@ def record_for(space: Subspace, A: Algebra) -> SubalgebraRecord:
     Closure is always checked: it falls out of the structure constants.
     """
     check_space(space, A)
-    return batch_columns(space.matrix()[None], A).records(A.p)[0]
+    return batch_columns(space.matrix()[None], A).records()[0]
 
 
 def classify(space: Subspace, A: Algebra) -> OrbitLabel:

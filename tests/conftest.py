@@ -53,7 +53,7 @@ def columns2():
 def census2(columns2):
     """Every multiplication-closed subspace of the F_2 algebra, labelled:
     the records of ``columns2``."""
-    return [r for cols in columns2 for r in cols.records(2)]
+    return [r for cols in columns2 for r in cols.records()]
 
 
 @pytest.fixture(scope="session")

@@ -413,6 +413,28 @@ def identity_automorphism(p: int) -> Automorphism:
     return Automorphism(tuple(map(tuple, np.eye(DIM, dtype=np.int64).tolist())), p)
 
 
-def dim_total(summary, dim: int) -> int:
-    """Records of one dimension in a :class:`splitoct.census.CensusSummary`."""
-    return sum(v for (d, _), v in summary.counts.items() if d == dim)
+def dim_total(counts: dict, dim: int) -> int:
+    """Subalgebras of one dimension in per-(dim, label) ``counts``, as
+    :func:`splitoct.census.label_counts` returns them."""
+    return sum(v for (d, _), v in counts.items() if d == dim)
+
+
+def census_formula(q: int) -> dict[tuple[int, str], int]:
+    """The census over F_q in closed form, per (dim, label value).  P =
+    (q⁶ − 1)/(q − 1) is the number of singular points of the parabolic
+    quadric Q(6, q); the total is N(q) = 3 + (5q² + q + 10)P + q³(q³ + 1)
+    + q⁶ + q⁴(q⁴ + q² + 1)."""
+    P = (q ** 6 - 1) // (q - 1)
+    counts = {(0, "0"): 1, (1, "F"): 1, (8, "O"): 1,
+              (1, "Fp"): q ** 3 * (q ** 3 + 1),
+              (2, "S"): q ** 3 * (q ** 3 + 1) // 2,
+              (2, "E"): q ** 3 * (q ** 3 - 1) // 2,
+              (3, "mOcapOn"): q * (q + 1) * P,
+              (4, "S+Q"): q * (q + 1) // 2 * P,
+              (4, "E+Q"): q * (q - 1) // 2 * P,
+              (4, "F2x2"): q ** 4 * (q ** 4 + q ** 2 + 1)}
+    counts.update(dict.fromkeys([(1, "Fn"), (2, "F+Fn"), (2, "Q"), (3, "F+Q"),
+                                 (3, "nOcapOn"), (4, "F+(nOcapOn)"), (4, "nO"),
+                                 (4, "On"), (5, "nO+On"), (6, "Qperp")], P))
+    counts.update(dict.fromkeys([(2, "Fn+Fp"), (2, "Fn+Fpbar"), (3, "T")], q * q * P))
+    return dict(sorted(counts.items()))

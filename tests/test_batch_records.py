@@ -58,7 +58,7 @@ def test_f3_lines_and_planes_match_elementwise_reference():
 
 def test_f5_representatives_match_elementwise_reference():
     reps = [rep(lab, 5) for lab in OrbitLabel if lab.reachable]
-    records = [batch_columns(s.matrix()[None], algebra(5)).records(5)[0] for s in reps]
+    records = [batch_columns(s.matrix()[None], algebra(5)).records()[0] for s in reps]
     _assert_matches_oracle(records, algebra(5))
 
 
@@ -78,7 +78,7 @@ def test_label_codes_decode_to_the_record_labels():
     stacks = 0
     for A, rows in _stacks():
         cols = batch_columns(rows, A)
-        records = cols.records(A.p)
+        records = cols.records()
         k = rows.shape[1]
         assert cols.rows.dtype == cols.label.dtype == np.int8
         assert [LABELS[c] for c in cols.label.tolist()] == [r.label for r in records]
@@ -98,10 +98,10 @@ def test_records_working_set_is_bounded():
     A = algebra(5)
     rows = [s for s in subalgebras_inside(rep(OrbitLabel.Dim6, 5), A)
             if s.shape[1] == 4][0]
-    batch_columns(rows[:1], A).records(A.p)
+    batch_columns(rows[:1], A).records()
     tracemalloc.start()
     try:
-        records = batch_columns(rows, A).records(A.p)
+        records = batch_columns(rows, A).records()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,17 +4,18 @@ import hashlib
 import io
 import json
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from splitoct import census
 from splitoct.algebra import algebra, double, field_table
-from splitoct.census import (CostLimitExceeded, census_columns, census_report,
-                             enumerate_subalgebras, quotient_dims, write_jsonl)
-from splitoct.classify import OrbitLabel, batch_columns, classify
+from splitoct.census import (CostLimitExceeded, census_columns, enumerate_subalgebras,
+                             label_counts, quotient_dims, write_jsonl)
+from splitoct.classify import Columns, OrbitLabel, batch_columns, classify
 from splitoct.subspace import closed_bases, gaussian_binomial
-from oracle import dim_total, enumerate_subspaces, radicals
+from oracle import census_formula, dim_total, enumerate_subspaces, radicals
 
 # Golden census over F_2, cross-checked against an independent bitmask
 # scan of all 417,199 subspaces of F_2^8.
@@ -35,17 +36,29 @@ F2_DIM_TOTALS = {0: 1, 1: 136, 2: 694, 3: 756, 4: 777, 5: 63, 6: 63, 8: 1}
 F2_TOTAL = 2491
 
 
-def test_f2_census_counts(census2):
-    summary = census_report(census2)
-    assert summary.p == 2
-    assert summary.closed_count == F2_TOTAL
-    assert summary.unlabeled == 0
-    assert dict(summary.counts) == F2_COUNTS
+def test_f2_census_counts(columns2, census2):
+    counts = label_counts(columns2)
+    assert {cols.p for cols in columns2} == {2}
+    assert sum(counts.values()) == F2_TOTAL
+    assert counts == F2_COUNTS == census_formula(2)
+    assert list(counts) == sorted(F2_COUNTS)
     for d, n in F2_DIM_TOTALS.items():
-        assert dim_total(summary, d) == n
+        assert dim_total(counts, d) == n
     # no closed subspace of dimension 7 exists
-    assert dim_total(summary, 7) == 0
+    assert dim_total(counts, 7) == 0
     assert not any(r.dim == 7 for r in census2)
+    # the label codes count what the records' labels count
+    assert Counter((r.dim, r.label.value) for r in census2) == counts
+
+
+def test_columns_carry_their_prime():
+    """Records read the prime from their columns, and a stack joins only
+    stacks over one field."""
+    full = {p: batch_columns(np.eye(8, dtype=np.int64)[None], algebra(p)) for p in (2, 3)}
+    assert [full[p].records()[0].space.p for p in (2, 3)] == [2, 3]
+    assert Columns.concat([full[3], full[3]]).p == 3
+    with pytest.raises(ValueError, match="one field"):
+        Columns.concat([full[2], full[3]])
 
 
 def test_census_columns_have_no_empty_stack(columns2):
@@ -98,15 +111,13 @@ def test_full_scan_budget_is_enforced():
 
 
 def test_f3_lines_census():
-    records = enumerate_subalgebras(algebra(3), [1])
-    # independent recount: scan all 3280 lines directly
     ctx = algebra(3)
+    counts = label_counts(census_columns(ctx, [1]))
+    # independent recount: scan all 3280 lines directly
     lines = np.array([sp.matrix() for sp in enumerate_subspaces(1, 3)])
-    assert len(records) == closed_bases(lines, ctx).sum()
-    summary = census_report(records)
-    by_label = {k[1]: v for k, v in summary.counts.items()}
-    assert set(by_label) == {"F", "Fn", "Fp"}
-    assert by_label["F"] == 1
+    assert sum(counts.values()) == closed_bases(lines, ctx).sum()
+    assert list(counts) == [(1, "F"), (1, "Fn"), (1, "Fp")]
+    assert counts[1, "F"] == 1
 
 
 def test_dims_filter(census2):
@@ -140,9 +151,11 @@ def test_f3_full_census_and_the_papers_trichotomy():
     buf = io.StringIO()
     assert write_jsonl(columns, buf) == 29971
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == F3_FULL_SHA256
-    records = [r for cols in columns for r in cols.records(3)]
-    assert [sum(r.dim == d for r in records) for d in range(9)] == F3_DIM_TOTALS
-    assoc = {d: sum(r.associative for r in records if r.dim == d) for d in range(9)}
+    counts = label_counts(columns)
+    assert counts == census_formula(3)
+    assert [dim_total(counts, d) for d in range(9)] == F3_DIM_TOTALS
+    assoc = dict.fromkeys(range(9), 0)
+    assoc.update({cols.rows.shape[1]: int(cols.assoc.sum()) for cols in columns})
     # every subalgebra of dimension < 4 is associative, none of dimension > 4
     # is, and dimension 4 has both
     assert all(assoc[d] == F3_DIM_TOTALS[d] for d in (1, 2, 3))
@@ -168,9 +181,9 @@ def test_scan_covers_zero_and_full_space(table, dims, threads):
     quotient bases: dimensions 0 and 7 of F_p^8 / F·1, and 1 for a line."""
     A = TABLES[table]()
     proper = [d for d in dims if 0 < d < 8]
-    want = (batch_columns(np.zeros((1, 0, 8), dtype=np.int64), A).records(A.p)
+    want = (batch_columns(np.zeros((1, 0, 8), dtype=np.int64), A).records()
             + enumerate_subalgebras(A, proper)
-            + batch_columns(np.eye(8, dtype=np.int64)[None], A).records(A.p))
+            + batch_columns(np.eye(8, dtype=np.int64)[None], A).records())
     quotient = (0, 1, 7) if 1 in dims else (0, 7)
     visited = sum(gaussian_binomial(7, e, A.p) for e in quotient)
     got = enumerate_subalgebras(A, dims, threads=threads, max_subspaces=visited)
@@ -250,10 +263,3 @@ def test_records_pickle_as_dataclasses(census2):
     sample = census2[::97]
     assert pickle.loads(pickle.dumps(sample)) == sample
     assert pickle.loads(pickle.dumps(sample[3].space)) == sample[3].space
-
-
-def test_summary_json_round_trip(census2):
-    summary = census_report(census2)
-    d = summary.to_json_dict()
-    blob = json.dumps(d, sort_keys=True)
-    assert json.loads(blob) == d

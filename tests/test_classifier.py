@@ -74,7 +74,7 @@ def test_rule_table_raises_unless_exactly_one_rule_fits(p):
     # e0 + e1: it fits the rules of both Fn+Fp and Fn+Fpbar
     plane = "closed subspace ((1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0)) fits 2 labels"
     for classify_stack in (batch_columns,
-                           lambda rows, A: batch_columns(rows, A).records(A.p)):
+                           lambda rows, A: batch_columns(rows, A).records()):
         with pytest.raises(ClassificationError, match=re.escape(plane)):
             classify_stack(e[None, :2], A)
         # no rule covers dimension 7
@@ -112,6 +112,15 @@ def test_element_invariant_named_elements(ctx2):
     assert element_orbit_invariant(ctx2.p0, ctx2) == (0, 1, False)
     assert element_orbit_invariant(ctx2.w, ctx2) == (1, 0, False)
     assert element_orbit_invariant((0,) * 8, ctx2) == (0, 0, True)
+
+
+def test_element_invariant_reads_coordinates_mod_p(ctx2, ctx3):
+    """Unreduced coordinates name the same element: 3·1 over F_2 and −1
+    over F_3 are central."""
+    assert element_orbit_invariant((3, 0, 0, 3, 0, 0, 0, 0), ctx2) == (1, 0, True)
+    assert element_orbit_invariant((-1, 0, 0, -1, 0, 0, 0, 0), ctx3) == (1, 1, True)
+    assert (element_orbit_invariant((2, 4, 0, 5, 3, 0, -2, 1), ctx3)
+            == element_orbit_invariant((2, 1, 0, 2, 0, 0, 1, 1), ctx3))
 
 
 def test_element_invariant_class_sizes_f2(ctx2):

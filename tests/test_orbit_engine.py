@@ -32,9 +32,9 @@ def columns3():
     return census_columns(algebra(3), (1, 2))
 
 
-def _records(columns, p):
+def _records(columns):
     """The records of the census ``columns``, for the record-based oracle."""
-    return [r for cols in columns for r in cols.records(p)]
+    return [r for cols in columns for r in cols.records()]
 
 
 def test_short_generating_set_closes_to_full_group_f2(brute_count2):
@@ -71,7 +71,7 @@ def test_orbit_partition_matches_per_orbit_bfs(p, maps, orbits, columns2, column
     columns = columns2 if p == 2 else columns3
     gens = automorphism_generators(p)[:maps]
     rows = orbit_partition(columns, gens)
-    assert rows == oracle.orbit_partition(_records(columns, p), gens)
+    assert rows == oracle.orbit_partition(_records(columns), gens)
     assert sum(row["orbit_count"] for row in rows) == orbits
 
 
@@ -85,7 +85,7 @@ def _with_fn_line(columns2, change):
 
 def test_orbit_partition_refuses_a_census_not_closed(columns2, generators2):
     columns = _with_fn_line(columns2, lambda cols, i: Columns(
-        *(np.delete(col, i, axis=0) for col in cols)))
+        *(np.delete(col, i, axis=0) for col in cols[:-1]), cols.p))
     with pytest.raises(ArithmeticError, match="not closed"):
         orbit_partition(columns, generators2)
 
@@ -98,6 +98,17 @@ def test_orbit_partition_refuses_an_orbit_across_labels(columns2, generators2):
 
     with pytest.raises(ArithmeticError, match="left its label class"):
         orbit_partition(_with_fn_line(columns2, recode), generators2)
+
+
+@pytest.mark.parametrize("dims", [(0, 8), (1,)])
+def test_orbit_partition_refuses_columns_over_another_field(dims):
+    """F_3 columns under F_2 generators are bad input: at dims 0 and 8 they
+    would pass for one orbit each, and at dim 1 an F_3 line has no F_2
+    image among them."""
+    columns = census_columns(algebra(3), dims)
+    with pytest.raises(ValueError, match="F_3"):
+        orbit_partition(columns, automorphism_generators(2))
+    assert {cols.p for cols in columns} == {3}
 
 
 def test_orbit_partition_refuses_a_map_that_is_no_automorphism(columns2):
@@ -130,7 +141,7 @@ def test_orbit_partition_reduces_in_capped_blocks(rref_calls):
     assert [row["orbit_sizes"] for row in rows] == [[1], [3906], [15750]]
     assert len(rref_calls) == 2 * 3
     assert all(m * d <= autos.PARTITION_BLOCK_ROWS for m, d, _ in rref_calls)
-    assert rows == oracle.orbit_partition(_records(columns, 5), gens)
+    assert rows == oracle.orbit_partition(_records(columns), gens)
 
 
 def test_orbit_partition_blocks_do_not_change_the_answer(columns2, census2,

@@ -33,9 +33,10 @@ def test_typed_errors_survive_optimize_flag():
 import numpy as np
 from splitoct.algebra import algebra, quaternion_table
 from splitoct.autos import (automorphism_generators, doubling_extension,
-                            generate_group, orbit_of_space)
+                            generate_group, orbit_of_space, orbit_partition)
+from splitoct.census import census_columns
 from splitoct.classify import OrbitLabel
-from splitoct.constructions import PreconditionFailed, rep
+from splitoct.constructions import PreconditionFailed, heisenberg, rep
 from splitoct.linalg import mat_inv
 from splitoct.subspace import intersect, perp, span, sum_spaces
 from splitoct.verify import _Bits, count_automorphisms
@@ -54,6 +55,9 @@ calls = (
     lambda: perp(span([(1, 0, 0, 0)], 2, 4), algebra(2)),
     lambda: span([(1, 0, 0, 1, 0, 0, 0, 0)], 2).contains((0, 0, 0)),
     lambda: span([(0, 0, 0, 0, 1, 0, 0, 0)], 2).contains((1, 0, 0)),
+    lambda: heisenberg((0, 1), (0, 0, 1), algebra(2)),
+    lambda: orbit_partition(census_columns(algebra(3), [0, 8]),
+                            automorphism_generators(2)),
 )
 for call in calls:
     try:
@@ -68,4 +72,4 @@ for call in calls:
     proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=PACKAGE.parent,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 13
+    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 15
