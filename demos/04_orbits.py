@@ -31,7 +31,7 @@ print("mover sends the matrix part elsewhere:", mover.apply_space(h) != h)
 # full group over F_2, two routes: generated closure vs direct search
 full = generate_group(all_alpha_generators(2) + [mover])
 print("generated order:", full.order)
-print("direct search:  ", count_automorphisms(2))
+print("direct search:  ", count_automorphisms())
 
 # the short generating set: two alpha maps and the mover give the same group
 gens = automorphism_generators(2)

@@ -165,8 +165,8 @@ class Algebra:
     ``unit`` (n,) are reduced mod p; ``gram``, ``trace_vec`` and
     ``conj_mat`` are derived from the norm form and the unit alone, never
     from the product.  The scalar operations take and return coordinate
-    tuples; :meth:`norms` and :meth:`traces` act along the last axis of
-    integer arrays.
+    tuples of length n (:meth:`check_element`); :meth:`norms` and
+    :meth:`traces` act along the last axis of integer arrays.
     """
 
     def __init__(self, struct, norm_form, unit, p: int):
@@ -196,7 +196,14 @@ class Algebra:
 
     # -- scalar operations on coordinate tuples -----------------------------
 
+    def check_element(self, *elements) -> None:
+        """Raise ``ValueError`` unless every element has ``dim`` coordinates."""
+        for u in elements:
+            if len(u) != self.dim:
+                raise ValueError(f"an element has {self.dim} coordinates, got {len(u)}")
+
     def mul(self, u, v) -> tuple[int, ...]:
+        self.check_element(u, v)
         out = [0] * self.dim
         for ui, terms in zip(u, self._mul_terms):
             if ui:
@@ -206,6 +213,7 @@ class Algebra:
         return tuple([c % p for c in out])
 
     def conj(self, u) -> tuple[int, ...]:
+        self.check_element(u)
         out = [0] * self.dim
         for i, j, c in self._conj_terms:
             out[j] += c * u[i]
@@ -213,12 +221,14 @@ class Algebra:
         return tuple([c % p for c in out])
 
     def norm(self, u) -> int:
+        self.check_element(u)
         s = 0
         for i, j, c in self._norm_terms:
             s += c * u[i] * u[j]
         return s % self.p
 
     def trace(self, u) -> int:
+        self.check_element(u)
         s = 0
         for i, c in self._trace_terms:
             s += c * u[i]
@@ -226,6 +236,7 @@ class Algebra:
 
     def polar(self, u, v) -> int:
         """Bilinear form (u|v) = N(u+v) - N(u) - N(v)."""
+        self.check_element(u, v)
         s = 0
         for i, j, c in self._polar_terms:
             s += c * u[i] * v[j]
@@ -238,12 +249,15 @@ class Algebra:
         return self.smul(field.inv(n, self.p), self.conj(u))
 
     def add(self, u, v) -> tuple[int, ...]:
+        self.check_element(u, v)
         return tuple((a + b) % self.p for a, b in zip(u, v))
 
     def subv(self, u, v) -> tuple[int, ...]:
+        self.check_element(u, v)
         return tuple((a - b) % self.p for a, b in zip(u, v))
 
     def smul(self, c: int, u) -> tuple[int, ...]:
+        self.check_element(u)
         return tuple(c * a % self.p for a in u)
 
     # -- array operations ---------------------------------------------------
@@ -260,8 +274,7 @@ class Algebra:
 
     def mul_matrix(self, a, side: str) -> np.ndarray:
         """Matrix of x ↦ a·x (side='left') or x ↦ x·a, acting on row vectors."""
-        if len(a) != self.dim:
-            raise ValueError(f"an element has {self.dim} coordinates, got {len(a)}")
+        self.check_element(a)
         a = np.array([tuple(a)], dtype=np.int64) % self.p
         E = np.eye(self.dim, dtype=np.int64)
         if side == "left":

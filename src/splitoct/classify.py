@@ -108,8 +108,7 @@ def element_orbit_invariant(v, A: Algebra) -> tuple[int, int, bool]:
     automorphism group; central means lying in F·1.
     """
     v = tuple(int(c) % A.p for c in v)
-    if len(v) != A.dim:
-        raise ValueError(f"an element has {A.dim} coordinates, got {len(v)}")
+    A.check_element(v)
     central = any(A.smul(c, A.unit) == v for c in range(A.p))
     return A.norm(v), A.trace(v), central
 

@@ -69,9 +69,7 @@ def heisenberg(a, b, A: Algebra) -> Subspace:
     ab ≠ 0, or dimension 2 with all products zero when ab = 0.
     """
     a, b = tuple(a), tuple(b)
-    for v in (a, b):
-        if len(v) != A.dim:
-            raise ValueError(f"an element has {A.dim} coordinates, got {len(v)}")
+    A.check_element(a, b)
     if not any(a) or A.norm(a) != 0 or A.trace(a) != 0:
         raise PreconditionFailed("first generator must be nonzero nilpotent")
     if A.norm(b) != 0 or A.trace(b) != 0:

@@ -9,6 +9,8 @@ module.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
@@ -17,8 +19,9 @@ class FieldError(ValueError):
 
 
 def check_prime(p: int) -> int:
-    """Return ``p`` if it is a supported prime, else raise FieldError."""
-    if p not in SUPPORTED_PRIMES:
+    """Return ``p`` if it is an integer (numpy's too) and a supported
+    prime, else raise FieldError; 3.0 would build float tables."""
+    if not isinstance(p, Integral) or p not in SUPPORTED_PRIMES:
         raise FieldError(f"unsupported field size {p!r}; pick one of {SUPPORTED_PRIMES}")
     return p
 

@@ -1,18 +1,19 @@
 """Verification suites: exhaustive/randomized checks of the algebra's laws.
 
 Five named suites, each returning a structured result with per-check
-counts and the first counterexample found (if any):
+counts and the first counterexample found (if any); :data:`SUITES` states
+the fields of each:
 
-- ``identities``     field-parametric; exhaustive over F_2 on bitsliced
-                     uint64 coordinate planes, seeded random sampling
-                     (1e5 tuples per identity) over odd fields on float32
-                     coordinate planes, both built from the algebra's term
-                     lists.
-- ``singular``       F_2 only: maximal totally singular subspace geometry.
-- ``centralizers``   F_2 and F_3: exact centralizer dimensions, elementwise.
-- ``classification`` F_2 census theorems, lattice fixture, representative
+- ``identities``     the composition-algebra laws: exhaustive over F_2 on
+                     bitsliced uint64 coordinate planes, seeded random
+                     sampling (1e5 tuples per identity) over odd fields on
+                     float32 coordinate planes, both built from the
+                     algebra's term lists.
+- ``singular``       maximal totally singular subspace geometry.
+- ``centralizers``   exact centralizer dimensions, elementwise.
+- ``classification`` census theorems, lattice fixture, representative
                      round-trips, and the worked construction examples.
-- ``orbits``         F_2: automorphism group order and orbit structure.
+- ``orbits``         automorphism group order and orbit structure.
 
 Only the exhaustive F_2 identities pack instances into bits, 64 to a
 word of each coordinate plane (:class:`_Bits`); the other checks use
@@ -47,7 +48,7 @@ from .constructions import (PreconditionFailed, centralizer, left_mul_space,
                             rep, right_ideal_double, right_mul_space,
                             standard_quaternions, top_row_ideal,
                             upper_triangular)
-from .field import check_prime
+from .field import SUPPORTED_PRIMES, check_prime
 from .lattice import build_lattice, emit_dot
 from .linalg import batch_rank, batch_rref, left_kernels, residues
 from .subspace import (closed_bases, closure, intersect, span, substructure,
@@ -93,19 +94,34 @@ COMMUTATIVE_LABELS_CHAR2 = COMMUTATIVE_LABELS | frozenset({
 
 EXPECTED_AUTOMORPHISM_COUNT_F2 = 12096
 
+#: suite -> (the fields a request without one runs it at, in order; the
+#: fields it accepts, None for every supported prime).  ``all`` runs
+#: every suite, so a field one of them refuses refuses ``all``.
+SUITES: dict[str, tuple[tuple[int, ...], tuple[int, ...] | None]] = {
+    "identities": ((2, 3, 5), None),
+    "singular": ((2,), (2,)),
+    "centralizers": ((2, 3), (2, 3)),
+    "classification": ((2,), (2,)),
+    "orbits": ((2,), (2,)),
+}
+SUITE_NAMES = (*SUITES, "all")
+
 
 @dataclass
 class CheckResult:
-    """Outcome of one named check inside a suite."""
+    """Outcome of one named check: passed unless it found a counterexample."""
     name: str
-    passed: bool
     checked: int
     counterexample: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def line(self) -> str:
         status = "ok" if self.passed else "FAIL"
         out = f"  [{status}] {self.name}: {self.checked} instances"
-        if self.counterexample:
+        if not self.passed:
             out += f"\n         first counterexample: {self.counterexample}"
         return out
 
@@ -114,7 +130,7 @@ class CheckResult:
 class SuiteResult:
     """Outcome of a whole suite."""
     suite: str
-    field: int | None
+    field: int
     checks: list[CheckResult] = dc_field(default_factory=list)
     elapsed: float = 0.0
 
@@ -129,42 +145,51 @@ class SuiteResult:
     def first_counterexample(self) -> str | None:
         for c in self.checks:
             if not c.passed:
-                return f"{c.name}: {c.counterexample or 'failed'}"
+                return f"{c.name}: {c.counterexample}"
         return None
 
     def lines(self) -> list[str]:
-        scope = f" (field {self.field})" if self.field is not None else ""
-        head = (f"suite {self.suite}{scope}: "
+        head = (f"suite {self.suite} (field {self.field}): "
                 f"{'PASS' if self.passed else 'FAIL'} — "
                 f"{self.total_checked} checks in {self.elapsed:.1f}s")
         return [head] + [c.line() for c in self.checks]
 
 
-def _completed(suite: str, field: int | None = None):
-    """Turn a suite body ``body(res, *args)`` into the suite ``run(*args)``.
+def _field(suite: str, p: int) -> int:
+    """``p`` if :data:`SUITES` lets ``suite`` run over F_p, else ValueError."""
+    accepted = SUITES[suite][1] or SUPPORTED_PRIMES
+    if check_prime(p) not in accepted:
+        raise ValueError(f"suite {suite} accepts field "
+                         f"{' or '.join(map(str, accepted))}, not {p}")
+    return p
 
-    The run owns one :class:`SuiteResult`, of field ``args[0]`` or else
-    ``field``, and the body appends each check to it as the check ends.
-    If the body raises ArithmeticError (a broken invariant) or
-    PreconditionFailed (a map the algebra's laws should make valid), the
-    checks it already made stay in the result, followed by a failed
-    "suite runs to completion": over a broken table both are
+
+def _completed(body):
+    """Turn the body ``verify_<suite>(res, p)`` into the suite ``run(p)``.
+
+    ``p`` defaults to the suite's first default field and is checked
+    against :data:`SUITES` before the body runs.  The run owns one
+    :class:`SuiteResult` over F_p, and the body appends each check to it
+    as the check ends.  If the body raises ArithmeticError (a broken
+    invariant) or PreconditionFailed (a map the algebra's laws should
+    make valid), the checks it already made stay in the result, followed
+    by a failed "suite runs to completion": over a broken table both are
     verification failures.
     """
-    def wrap(body):
-        @wraps(body)
-        def run(*args) -> SuiteResult:
-            res = SuiteResult(suite, args[0] if args else field)
-            t0 = time.perf_counter()
-            try:
-                body(res, *args)
-            except (ArithmeticError, PreconditionFailed) as exc:
-                res.checks.append(CheckResult("suite runs to completion", False, 0,
-                                              f"{type(exc).__name__}: {exc}"))
-            res.elapsed = time.perf_counter() - t0
-            return res
-        return run
-    return wrap
+    suite = body.__name__.removeprefix("verify_")
+
+    @wraps(body)
+    def run(p: int = SUITES[suite][0][0]) -> SuiteResult:
+        res = SuiteResult(suite, _field(suite, p))
+        t0 = time.perf_counter()
+        try:
+            body(res, p)
+        except (ArithmeticError, PreconditionFailed) as exc:
+            res.checks.append(CheckResult("suite runs to completion", 0,
+                                          f"{type(exc).__name__}: {exc}"))
+        res.elapsed = time.perf_counter() - t0
+        return res
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +424,9 @@ class _Planes(_TermPlanes):
         return ok.size, [tuple(int(t) for t in a[:, i]) for a in args]
 
 
-@_completed("identities", 2)
-def verify_identities(res: SuiteResult, p: int = 2) -> None:
+@_completed
+def verify_identities(res: SuiteResult, p: int) -> None:
     """Composition-algebra laws: exhaustive (F_2) or random (odd fields)."""
-    check_prime(p)
     ctx = algebra(p)
     E = _Bits(ctx) if p == 2 else _Planes(ctx)
     for name, names, law in LAWS:
@@ -412,27 +436,27 @@ def verify_identities(res: SuiteResult, p: int = 2) -> None:
             checked += n
             if ce is None and values:
                 ce = ", ".join(f"{v}={c}" for v, c in zip(names, values))
-        res.checks.append(CheckResult(name, ce is None, checked, ce))
+        res.checks.append(CheckResult(name, checked, ce))
 
 
 # ---------------------------------------------------------------------------
 # singular geometry (F_2)
 # ---------------------------------------------------------------------------
 
-@_completed("singular", 2)
-def verify_singular(res: SuiteResult) -> None:
+@_completed
+def verify_singular(res: SuiteResult, p: int) -> None:
     """Maximal totally singular subspaces over F_2, exhaustively.
 
     Every a·O and O·a is an RREF stack padded with zero rows, so spaces of
     any dimension stack.  dim(U ∩ W) = dim W − rank (W reduced by U) is one
     batched rank over all ordered pairs of singular directions.
     """
-    ctx = algebra(2)
+    ctx = algebra(p)
     grid = _grid()[1:]
     a = grid[ctx.norms(grid) == 0]                         # 135 directions
     n = len(a)
     res.checks.append(CheckResult("singular direction count is 135",
-                                  n == 135, 1, None if n == 135 else f"got {n}"))
+                                  1, None if n == 135 else f"got {n}"))
     eye = np.eye(DIM, dtype=np.int64)
     lmat = _row_products(a[:, None], eye, ctx)[:, 0]      # row j is a·e_j
     L, lrank = batch_rref(lmat, 2)
@@ -446,7 +470,7 @@ def verify_singular(res: SuiteResult) -> None:
     kmat = _row_products((a @ ctx.conj_mat % 2)[:, None], eye, ctx)[:, 0]
     ok = ~(L @ kmat % 2).any((1, 2)) & (lrank + batch_rank(kmat, 2) == DIM)
     res.checks.append(CheckResult("aO equals ker of left multiplication by k(a)",
-                                  ok.all(), n, None if ok.all() else at([ok.argmin()])))
+                                  n, None if ok.all() else at([ok.argmin()])))
 
     # intersection-dimension table, pairs (a, b) in row-major order
     i, j = np.divmod(np.arange(n * n), n)
@@ -478,14 +502,13 @@ def verify_singular(res: SuiteResult) -> None:
     table |= {f"mixed dim {d}": int((want_mixed == d).sum()) for d in (1, 3)}
     detail = ", ".join(f"{k}: {v}" for k, v in sorted(table.items()))
     res.checks.append(CheckResult(
-        f"intersection table on {n * n} ordered pairs ({detail})",
-        bad is None, 2 * n * n, bad))
+        f"intersection table on {n * n} ordered pairs ({detail})", 2 * n * n, bad))
 
     # subalgebra iff trace zero; zero rows add no products to the closure test
     expected = ctx.traces(a) == 0
     wrong = (closed_bases(L, ctx) != expected) | (closed_bases(R, ctx) != expected)
-    res.checks.append(CheckResult("aO and Oa closed iff tr(a)=0", not wrong.any(),
-                                  2 * n, at([wrong.argmax()]) if wrong.any() else None))
+    res.checks.append(CheckResult("aO and Oa closed iff tr(a)=0", 2 * n,
+                                  at([wrong.argmax()]) if wrong.any() else None))
 
     # no linear multiplicative bijection nO -> On  (exhaustive over GL_4(F_2))
     nO, On = left_mul_space(ctx.n0, ctx), right_mul_space(ctx.n0, ctx)
@@ -507,18 +530,16 @@ def verify_singular(res: SuiteResult) -> None:
         iso = f"{n_iso} isomorphisms found" if n_iso else None
         anti = None if n_anti else "no anti-isomorphism found"
     res.checks.append(CheckResult(
-        "no multiplicative linear bijection nO -> On (65536 maps tested)",
-        iso is None, tested, iso))
+        "no multiplicative linear bijection nO -> On (65536 maps tested)", tested, iso))
     res.checks.append(CheckResult(
-        "anti-isomorphism nO -> On exists (positive control)",
-        anti is None, tested, anti))
+        "anti-isomorphism nO -> On exists (positive control)", tested, anti))
 
 
 # ---------------------------------------------------------------------------
-# centralizers (F_2 and F_3)
+# centralizers
 # ---------------------------------------------------------------------------
 
-@_completed("centralizers")
+@_completed
 def verify_centralizers(res: SuiteResult, p: int) -> None:
     """Exact centralizer dimensions for every element of the algebra.
 
@@ -526,8 +547,6 @@ def verify_centralizers(res: SuiteResult, p: int) -> None:
     them come from one batched RREF, and the span and closure checks run
     on the stacked kernel bases of each dimension.
     """
-    if p not in (2, 3):
-        raise ValueError("centralizer suite is specified for fields 2 and 3")
     ctx = algebra(p)
     n = p ** DIM
     # every element, in itertools.product order
@@ -579,11 +598,9 @@ def verify_centralizers(res: SuiteResult, p: int) -> None:
     dims_seen = set(dims.tolist())
     expected_dims = {8, 6, 2} if p == 2 else {8, 4, 2}
     res.checks.append(CheckResult(
-        f"centralizer dimension law on all {n} elements",
-        bad is None, n, bad))
+        f"centralizer dimension law on all {n} elements", n, bad))
     res.checks.append(CheckResult(
-        f"observed dimensions are exactly {sorted(expected_dims)}",
-        dims_seen == expected_dims, len(dims_seen),
+        f"observed dimensions are exactly {sorted(expected_dims)}", len(dims_seen),
         None if dims_seen == expected_dims else f"saw {sorted(dims_seen)}"))
     if p == 2:
         want = span([ctx.unit, ctx.n0, ctx.p0w, ctx.n0w, ctx.pbar0w, ctx.nbar0w], p)
@@ -591,8 +608,7 @@ def verify_centralizers(res: SuiteResult, p: int) -> None:
         want = span([ctx.unit, ctx.n0, ctx.n0w, ctx.pbar0w], p)
     got = centralizer(ctx.n0, ctx)
     res.checks.append(CheckResult(
-        "centralizer of n0 has the stated basis",
-        got.rows == want.rows, 1,
+        "centralizer of n0 has the stated basis", 1,
         None if got.rows == want.rows else f"got rows {got.rows}"))
 
 
@@ -600,11 +616,11 @@ def verify_centralizers(res: SuiteResult, p: int) -> None:
 # classification (census theorems + lattice fixture + round-trips)
 # ---------------------------------------------------------------------------
 
-@_completed("classification", 2)
-def verify_classification(res: SuiteResult) -> None:
+@_completed
+def verify_classification(res: SuiteResult, p: int) -> None:
     """F_2 census laws, the label lattice fixture, and representative
     round-trips over F_2/F_3/F_5."""
-    columns = census_columns(algebra(2))
+    columns = census_columns(algebra(p))
     label = np.concatenate([c.label for c in columns])
     assoc = np.concatenate([c.assoc for c in columns]) == 1
     comm = np.concatenate([c.comm for c in columns]) == 1
@@ -624,21 +640,20 @@ def verify_classification(res: SuiteResult) -> None:
         return np.array([value(lab) for lab in LABELS])[label]
 
     res.checks.append(CheckResult(
-        "no subalgebra of dimension 7", 7 not in dim, n,
+        "no subalgebra of dimension 7", n,
         None if 7 not in dim else "dimension 7 present"))
     bad = fault(of_label(LABEL_DIM.get) != dim,
                 lambda i, rows: f"rows {rows}: label {LABELS[label[i]].value} "
                                 f"is not of dimension {dim[i]}")
     res.checks.append(CheckResult(
-        "every closed subspace receives a label", bad is None, n, bad))
+        "every closed subspace receives a label", n, bad))
 
     not_assoc = of_label(lambda lab: lab in (OrbitLabel.NO, OrbitLabel.ON))
     bad = fault(assoc != np.where(dim == 4, ~not_assoc, dim < 4),
                 lambda i, rows: f"rows {rows}: dim {dim[i]} label "
                                 f"{LABELS[label[i]].value} associative={assoc[i]}")
     res.checks.append(CheckResult(
-        "associativity census (dim<4 all; dim 4 except nO/On; dims>4 none)",
-        bad is None, n, bad))
+        "associativity census (dim<4 all; dim 4 except nO/On; dims>4 none)", n, bad))
 
     want = of_label(COMMUTATIVE_LABELS_CHAR2.__contains__)
     bad = fault((comm != want) | (comm & ~assoc),
@@ -647,55 +662,53 @@ def verify_classification(res: SuiteResult) -> None:
                 if comm[i] != want[i] else
                 f"rows {rows}: commutative but not associative")
     res.checks.append(CheckResult(
-        "commutativity census and commutative=>associative",
-        bad is None, n, bad))
+        "commutativity census and commutative=>associative", n, bad))
 
-    for p in (2, 3):
-        g = build_lattice(p)
+    for q in (2, 3):
+        g = build_lattice(q)
         edges = tuple(g.edge_values())
         ok = set(edges) == set(LATTICE_FIXTURE_EDGES) and len(g.nodes) == 21
         res.checks.append(CheckResult(
-            f"lattice fixture over F_{p} (21 nodes, 40 covering edges)",
-            ok, len(edges) + len(g.nodes),
+            f"lattice fixture over F_{q} (21 nodes, 40 covering edges)",
+            len(edges) + len(g.nodes),
             None if ok else f"edges diff: {set(edges) ^ set(LATTICE_FIXTURE_EDGES)}"))
-        stable = emit_dot(g) == emit_dot(build_lattice(p))
+        stable = emit_dot(g) == emit_dot(build_lattice(q))
         res.checks.append(CheckResult(
-            f"DOT output byte-stable over F_{p}", stable, 1,
+            f"DOT output byte-stable over F_{q}", 1,
             None if stable else "re-emission differs"))
 
     bad = None
     n_trips = 0
-    for p in (2, 3, 5):
+    for q in (2, 3, 5):
         for lab in OrbitLabel:
             if not lab.reachable:
                 continue
             n_trips += 1
-            got = classify(rep(lab, p), algebra(p))
+            got = classify(rep(lab, q), algebra(q))
             if got is not lab:
-                bad = f"p={p}: classify(rep({lab.value})) = {got.value}"
+                bad = f"p={q}: classify(rep({lab.value})) = {got.value}"
                 break
     res.checks.append(CheckResult(
-        "classify(rep(L)) = L for every reachable label over F_2/F_3/F_5",
-        bad is None, n_trips, bad))
+        "classify(rep(L)) = L for every reachable label over F_2/F_3/F_5", n_trips, bad))
 
     bad = None
     n_ex = 0
-    for p in (2, 3, 5):
-        ctx = algebra(p)
-        H = standard_quaternions(p)
-        U = upper_triangular(p)
-        R_top = top_row_ideal(p)
-        kappa_top = span([ctx.n0, ctx.pbar0], p)
+    for q in (2, 3, 5):
+        ctx = algebra(q)
+        H = standard_quaternions(q)
+        U = upper_triangular(q)
+        R_top = top_row_ideal(q)
+        kappa_top = span([ctx.n0, ctx.pbar0], q)
         cases = [
-            (right_ideal_double(H, R_top, p), 6, OrbitLabel.Dim6,
+            (right_ideal_double(H, R_top, q), 6, OrbitLabel.Dim6,
              sum_spaces(right_mul_space(ctx.n0w, ctx), right_mul_space(ctx.p0w, ctx))),
-            (right_ideal_double(U, kappa_top, p), 5, OrbitLabel.Dim5,
+            (right_ideal_double(U, kappa_top, q), 5, OrbitLabel.Dim5,
              sum_spaces(left_mul_space(ctx.n0, ctx), right_mul_space(ctx.n0, ctx))),
-            (right_ideal_double(span([ctx.unit], p), R_top, p), 3,
+            (right_ideal_double(span([ctx.unit], q), R_top, q), 3,
              OrbitLabel.FplusQ, None),
-            (right_ideal_double(span([ctx.unit, ctx.p0], p), R_top, p), 4,
+            (right_ideal_double(span([ctx.unit, ctx.p0], q), R_top, q), 4,
              OrbitLabel.SplusQ, None),
-            (right_ideal_double(R_top, span([ctx.n0], p), p), 3,
+            (right_ideal_double(R_top, span([ctx.n0], q), q), 3,
              OrbitLabel.mOcapOn,
              intersect(left_mul_space(ctx.n0, ctx), right_mul_space(ctx.n0w, ctx))),
         ]
@@ -703,24 +716,23 @@ def verify_classification(res: SuiteResult) -> None:
             n_ex += 1
             lab = classify(space, ctx)
             if space.dim != want_dim or lab is not want_label:
-                bad = (f"p={p}: got dim {space.dim} label {lab.value}, "
+                bad = (f"p={q}: got dim {space.dim} label {lab.value}, "
                        f"expected dim {want_dim} label {want_label.value}")
                 break
             if same_as is not None and space.rows != same_as.rows:
-                bad = f"p={p}: {want_label.value} construction mismatch"
+                bad = f"p={q}: {want_label.value} construction mismatch"
                 break
         if bad:
             break
     res.checks.append(CheckResult(
-        "right-ideal doubling examples (dims 6, 5, 3/4/5 family, 3)",
-        bad is None, n_ex, bad))
+        "right-ideal doubling examples (dims 6, 5, 3/4/5 family, 3)", n_ex, bad))
 
 
 # ---------------------------------------------------------------------------
-# orbits (F_2)
+# orbits
 # ---------------------------------------------------------------------------
 
-def count_automorphisms(p: int = 2) -> int:
+def count_automorphisms() -> int:
     """Count all multiplicative unital linear bijections of O over F_2 by
     constraint search on the images of the generating triple
     (n0, nbar0, w), independent of any constructed generator set.
@@ -732,8 +744,6 @@ def count_automorphisms(p: int = 2) -> int:
     8×8 map is then checked, 4,096 at a time, for the unit, for all 64
     basis-pair products by :func:`splitoct.autos.mismatches`, and for rank 8.
     """
-    if p != 2:
-        raise ValueError("brute-force count is a char-2 certification")
     ctx = algebra(2)
     # sanity: the triple generates everything
     if closure([ctx.n0, ctx.nbar0, ctx.w], ctx).dim != DIM:
@@ -767,28 +777,26 @@ def count_automorphisms(p: int = 2) -> int:
     return count
 
 
-@_completed("orbits", 2)
-def verify_orbits(res: SuiteResult) -> None:
+@_completed
+def verify_orbits(res: SuiteResult, p: int) -> None:
     """Automorphism group order and orbit structure over F_2."""
-    gens = autos.automorphism_generators(2)
+    ctx = algebra(p)
+    gens = autos.automorphism_generators(p)
     group = autos.generate_group(gens)
-    brute = count_automorphisms(2)
+    brute = count_automorphisms()
     ok = group.order == brute == EXPECTED_AUTOMORPHISM_COUNT_F2
     res.checks.append(CheckResult(
         f"group closure order {group.order} equals brute-forced count {brute}"
-        f" equals {EXPECTED_AUTOMORPHISM_COUNT_F2}",
-        ok, brute + group.order,
+        f" equals {EXPECTED_AUTOMORPHISM_COUNT_F2}", brute + group.order,
         None if ok else f"closure {group.order}, brute {brute}"))
 
-    report = autos.orbit_partition(census_columns(algebra(2)), gens)
+    report = autos.orbit_partition(census_columns(ctx), gens)
     multi = [row for row in report if row["orbit_count"] != 1]
     res.checks.append(CheckResult(
-        "every (dim, label) class is a single orbit",
-        not multi, len(report),
+        "every (dim, label) class is a single orbit", len(report),
         None if not multi else f"label {multi[0]['label']} splits into "
                                f"{multi[0]['orbit_count']} orbits"))
 
-    ctx = algebra(2)
     orbits = autos.element_orbits(gens)
     classes: dict = {}
     for v in map(tuple, _grid()[1:].tolist()):
@@ -796,8 +804,7 @@ def verify_orbits(res: SuiteResult) -> None:
     ok = (len(orbits) == len(classes)
           and all(any(set(o) == c for c in classes.values()) for o in orbits))
     res.checks.append(CheckResult(
-        "element orbits coincide with (norm, trace) classes on 255 elements",
-        ok, 255,
+        "element orbits coincide with (norm, trace) classes on 255 elements", 255,
         None if ok else f"{len(orbits)} orbits vs {len(classes)} classes"))
 
 
@@ -805,44 +812,21 @@ def verify_orbits(res: SuiteResult) -> None:
 # suite driver
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("identities", "singular", "centralizers", "classification",
-               "orbits", "all")
+def _jobs(name: str, field: int | None) -> list[tuple[str, int]]:
+    """The (suite, field) runs of a request, each field checked against
+    :data:`SUITES`: the given field, or else the suite's default ones."""
+    suites = [suite for suite in SUITES if name in (suite, "all")]
+    if not suites:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    return [(suite, _field(suite, p)) for suite in suites
+            for p in (SUITES[suite][0] if field is None else (field,))]
 
 
-def _jobs(name: str, field: int | None) -> list[tuple[str, tuple]]:
-    """The (suite, args) runs of a request, every field checked."""
-    if name == "identities":
-        fields = (check_prime(field),) if field is not None else (2, 3, 5)
-        return [("identities", (p,)) for p in fields]
-    if name == "singular":
-        if field not in (None, 2):
-            raise ValueError("singular suite is specified over F_2 only")
-        return [("singular", ())]
-    if name == "centralizers":
-        if field not in (None, 2, 3):
-            raise ValueError("centralizer suite is specified for fields 2 and 3")
-        fields = (field,) if field is not None else (2, 3)
-        return [("centralizers", (p,)) for p in fields]
-    if name == "classification":
-        if field not in (None, 2):
-            raise ValueError("classification suite is pinned to the F_2 census")
-        return [("classification", ())]
-    if name == "orbits":
-        if field not in (None, 2):
-            raise ValueError("orbit suite is specified over F_2 only")
-        return [("orbits", ())]
-    if name == "all":
-        if field not in (None, 2):
-            raise ValueError("suite all runs at the default fields or at F_2 only")
-        return [job for sub in SUITE_NAMES[:-1] for job in _jobs(sub, field)]
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-
-
-def _run(job: tuple[str, tuple]) -> SuiteResult:
+def _run(job: tuple[str, int]) -> SuiteResult:
     """Run one job.  The suite is looked up by name in this module, so a
     forked worker runs whatever the parent's module holds."""
-    suite, args = job
-    return globals()[f"verify_{suite}"](*args)
+    suite, p = job
+    return globals()[f"verify_{suite}"](p)
 
 
 def _usable_cpus() -> int:
@@ -854,14 +838,12 @@ def _usable_cpus() -> int:
 
 
 def run_suite(name: str, field: int | None = None) -> list[SuiteResult]:
-    """Run one named suite (or ``all``) and return its results.
+    """Run one named suite (or ``all``, every suite) and return its results.
 
-    Field handling follows the acceptance gates: ``identities`` accepts any
-    supported field (default: 2, 3 and 5 in turn); ``centralizers`` accepts
-    2 or 3 (default both); the remaining suites are fixed at F_2 and reject
-    other fields.  ``all`` runs every suite at its default fields, or at
-    F_2 alone when the field is 2.  Every field is checked before a suite
-    runs.  A suite that stops on a broken invariant gives a failed result
+    Without a field each suite runs at its default fields, in turn; with
+    one, at that field, which every suite of the request must accept
+    (:data:`SUITES`).  Every field is checked before a suite runs.  A
+    suite that stops on a broken invariant gives a failed result
     (:func:`_completed`).
 
     The (suite, field) runs are independent: they run in one pool of

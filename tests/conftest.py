@@ -71,4 +71,4 @@ def group2(generators2):
 def brute_count2():
     """The F_2 automorphism count by direct search, independent of any
     generating set."""
-    return count_automorphisms(2)
+    return count_automorphisms()

@@ -200,6 +200,24 @@ def test_multiplication_matrices_match_tuple_product(p):
         assert [_as_tuple(r) for r in right] == [ctx.mul(e, a) for e in basis]
 
 
+@pytest.mark.parametrize("A", [algebra(3), quaternion_table(3)], ids=["octonions", "quaternions"])
+def test_scalar_operations_refuse_an_element_of_another_length(A):
+    """Every scalar operation, fed an element one coordinate short or one
+    too long in either place, raises ValueError instead of reading a
+    truncated element."""
+    u = (1, 2, 0, 1, 0, 1, 2, 1)[:A.dim]
+    unary = (A.conj, A.norm, A.trace, A.inverse, lambda x: A.smul(2, x),
+             lambda x: A.mul_matrix(x, "left"))
+    for bad in (u[:-1], u + (0,)):
+        calls = [(op, (bad,)) for op in unary]
+        calls += [(op, args) for op in (A.mul, A.polar, A.add, A.subv)
+                  for args in ((bad, u), (u, bad))]
+        for op, args in calls:
+            with pytest.raises(ValueError, match=f"has {A.dim} coordinates, got {len(bad)}"):
+                op(*args)
+    assert A.mul(u, u) == {8: (2, 1, 0, 2, 0, 2, 1, 2), 4: (1, 1, 0, 1)}[A.dim]
+
+
 # ---------------------------------------------------------------------------
 # doubling chain
 # ---------------------------------------------------------------------------

@@ -314,17 +314,15 @@ def suite_calls(monkeypatch, tmp_path):
     log = tmp_path / "calls"
     log.touch()
 
-    def stub(suite, fixed=None):
-        def run(p=fixed):
+    def stub(suite):
+        def run(p):
             with open(log, "a") as fh:
                 fh.write(f"{suite} {p}\n")
             return SuiteResult(suite, p)
         return run
 
-    for suite in ("identities", "centralizers"):
+    for suite in verify.SUITES:
         monkeypatch.setattr(f"splitoct.verify.verify_{suite}", stub(suite))
-    for suite in ("singular", "classification", "orbits"):
-        monkeypatch.setattr(f"splitoct.verify.verify_{suite}", stub(suite, 2))
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     return lambda: [(s, int(p)) for s, p in map(str.split, log.read_text().splitlines())]
 
@@ -366,7 +364,7 @@ def test_an_error_in_a_worker_reaches_the_caller(suite_calls, monkeypatch, capsy
     run_suite as a ValueError, and the CLI turns it into exit 2."""
     parent = os.getpid()
 
-    def broken():
+    def broken(p):
         raise ValueError(f"suite broken in process {os.getpid()}")
 
     monkeypatch.setattr(verify, "verify_singular", broken)
@@ -387,8 +385,7 @@ def test_verify_unknown_suite_usage_error(capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     failing = SuiteResult(
         suite="identities", field=2,
-        checks=[CheckResult(name="demo check", passed=False, checked=7,
-                            counterexample="x=(0,...,0)")],
+        checks=[CheckResult(name="demo check", checked=7, counterexample="x=(0,...,0)")],
         elapsed=0.0)
     monkeypatch.setattr("splitoct.verify.run_suite",
                         lambda *a, **k: [failing])

@@ -1,7 +1,9 @@
 """Prime-field scalar arithmetic."""
 
+import numpy as np
 import pytest
 
+from splitoct.algebra import SplitOctonions
 from splitoct.field import FieldError, check_prime, inv, quadratic_roots
 
 
@@ -14,6 +16,17 @@ def test_check_prime_accepts_primes(p):
 def test_check_prime_rejects_nonprimes(p):
     with pytest.raises(FieldError):
         check_prime(p)
+
+
+@pytest.mark.parametrize("p", [3.0, 5.0, "3", None, np.float32(2)])
+def test_check_prime_rejects_non_integers(p):
+    """A float equal to a prime would build float tables, so it is refused
+    like any other non-integer; numpy integers pass."""
+    with pytest.raises(FieldError):
+        check_prime(p)
+    with pytest.raises(FieldError):
+        SplitOctonions(p)
+    assert check_prime(np.int64(5)) == 5 and check_prime(np.int8(3)) == 3
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])

@@ -39,13 +39,13 @@ from splitoct.classify import OrbitLabel
 from splitoct.constructions import PreconditionFailed, heisenberg, rep
 from splitoct.linalg import mat_inv
 from splitoct.subspace import intersect, perp, span, sum_spaces
-from splitoct.verify import _Bits, count_automorphisms
+from splitoct.verify import _Bits
+u = (1, 2, 0, 1, 0, 1, 2, 1)
 calls = (
     lambda: doubling_extension(np.eye(8, dtype=np.int64)[:3], (0,) * 8, 2),
     lambda: generate_group([]),
     lambda: generate_group(automorphism_generators(2) + automorphism_generators(3)),
     lambda: orbit_of_space(rep(OrbitLabel.E, 3), automorphism_generators(2)),
-    lambda: count_automorphisms(3),
     lambda: _Bits(algebra(3)),
     lambda: _Bits(quaternion_table(2)),
     lambda: perp(span([(1,) * 8], 3), algebra(2)),
@@ -58,6 +58,13 @@ calls = (
     lambda: heisenberg((0, 1), (0, 0, 1), algebra(2)),
     lambda: orbit_partition(census_columns(algebra(3), [0, 8]),
                             automorphism_generators(2)),
+    lambda: algebra(3).mul(u[:7], u),
+    lambda: algebra(3).mul(u, u + (0,)),
+    lambda: algebra(3).conj(u + (0,)),
+    lambda: algebra(3).norm(u[:7]),
+    lambda: algebra(3).trace(u[:7]),
+    lambda: algebra(3).polar(u, u + (0,)),
+    lambda: algebra(3).add(u[:7], u),
 )
 for call in calls:
     try:
@@ -72,4 +79,4 @@ for call in calls:
     proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=PACKAGE.parent,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 15
+    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 21

@@ -12,8 +12,7 @@ from splitoct import autos, verify
 from splitoct.algebra import (SplitOctonions, check_float32_exact, double,
                               field_table)
 from splitoct.field import SUPPORTED_PRIMES
-from splitoct.verify import (SUITE_NAMES, CheckResult, SuiteResult, run_suite,
-                             verify_centralizers)
+from splitoct.verify import SUITE_NAMES, CheckResult, SuiteResult, run_suite
 from test_tables import _change_basis, _random_basis
 
 
@@ -27,33 +26,59 @@ def test_unknown_suite_rejected():
         run_suite("nonesuch")
 
 
+#: the fields each suite accepts, which ``verify.SUITES`` states
+ACCEPTED = {"identities": SUPPORTED_PRIMES, "singular": (2,), "centralizers": (2, 3),
+            "classification": (2,), "orbits": (2,)}
+
+
+class _Started(Exception):
+    """A suite body began: it builds its algebra first."""
+
+
+def _assert_the_table_is_the_contract(suite, monkeypatch):
+    """Over 2, 3, 5, 7, 11, 13 and 4, ``run_suite(suite, p)`` and
+    ``verify_<suite>(p)`` start the suite at exactly its accepted fields,
+    and refuse every other with ValueError before the suite's body runs."""
+    def started(p):
+        raise _Started(p)
+
+    monkeypatch.setattr(verify, "algebra", started)
+    direct = getattr(verify, f"verify_{suite}")
+    for p in (*SUPPORTED_PRIMES, 4):
+        for run in (lambda: run_suite(suite, p), lambda: direct(p)):
+            if p in ACCEPTED[suite]:
+                with pytest.raises(_Started) as exc:
+                    run()
+                assert exc.value.args == (p,)
+            else:
+                with pytest.raises(ValueError):
+                    run()
+
+
 @pytest.mark.parametrize("suite", ["singular", "classification", "orbits"])
-def test_f2_only_suites_reject_other_fields(suite):
-    with pytest.raises(ValueError):
-        run_suite(suite, 3)
+def test_f2_only_suites_reject_other_fields(suite, monkeypatch):
+    _assert_the_table_is_the_contract(suite, monkeypatch)
 
 
-def test_centralizers_field_restriction():
-    with pytest.raises(ValueError):
-        verify_centralizers(5)
-    with pytest.raises(ValueError):
-        run_suite("centralizers", 5)
+def test_centralizers_field_restriction(monkeypatch):
+    """The two suites that run beyond F_2 keep to their fields too."""
+    for suite in ("centralizers", "identities"):
+        _assert_the_table_is_the_contract(suite, monkeypatch)
 
 
 def test_check_result_formatting():
-    ok = CheckResult(name="thing", passed=True, checked=12,
-                     counterexample=None)
-    assert ok.line() == "  [ok] thing: 12 instances"
-    bad = CheckResult(name="thing", passed=False, checked=3,
-                      counterexample="x=0")
+    ok = CheckResult(name="thing", checked=12)
+    assert ok.passed and ok.line() == "  [ok] thing: 12 instances"
+    bad = CheckResult(name="thing", checked=3, counterexample="x=0")
+    assert not bad.passed
     assert "[FAIL]" in bad.line()
     assert "x=0" in bad.line()
 
 
 def test_suite_result_aggregation():
     checks = [
-        CheckResult(name="a", passed=True, checked=5, counterexample=None),
-        CheckResult(name="b", passed=False, checked=2, counterexample="boom"),
+        CheckResult(name="a", checked=5, counterexample=None),
+        CheckResult(name="b", checked=2, counterexample="boom"),
     ]
     res = SuiteResult(suite="identities", field=2, checks=checks, elapsed=0.25)
     assert not res.passed
@@ -85,7 +110,7 @@ def test_the_count_tests_every_candidate_with_mismatches(monkeypatch):
         return real(B, *rest)
 
     monkeypatch.setattr(autos, "mismatches", spy)
-    assert verify.count_automorphisms(2) == 12096
+    assert verify.count_automorphisms() == 12096
     assert sum(blocks) == 32256 and max(blocks) <= 4096
 
 
