@@ -51,6 +51,9 @@ from . import field
 
 DIM = 8
 
+#: the coordinate types the scalar operations accept
+_INTEGERS = (int, np.integer)
+
 
 # ---------------------------------------------------------------------------
 # the batched product kernel
@@ -197,10 +200,14 @@ class Algebra:
     # -- scalar operations on coordinate tuples -----------------------------
 
     def check_element(self, *elements) -> None:
-        """Raise ``ValueError`` unless every element has ``dim`` coordinates."""
+        """Raise ``ValueError`` unless every element has ``dim`` coordinates,
+        each a Python or numpy integer."""
         for u in elements:
             if len(u) != self.dim:
                 raise ValueError(f"an element has {self.dim} coordinates, got {len(u)}")
+            # a float, complex or Fraction coordinate makes the sum one too
+            if not isinstance(sum(u), _INTEGERS):
+                raise ValueError(f"coordinates must be integers, got {tuple(u)}")
 
     def mul(self, u, v) -> tuple[int, ...]:
         self.check_element(u, v)

@@ -9,7 +9,8 @@ the same per-label counts.
 Its subalgebras come from :func:`splitoct.subspace.closed_subspaces`,
 which tests only what can be closed: the subspaces of the 7-dimensional
 quotient by F·1, with 1 appended (the unital subalgebras), and the
-hyperplanes avoiding 1 of each closed one (all the others).  A request
+hyperplanes avoiding 1 of each closed one whose rows square into them
+(all the others).  A request
 for dimensions D runs the quotient dimensions {d − 1, d : d ∈ D} only.
 The quotient pivot sets are dealt into one task per process, which gets
 the algebra with them.  A task reduces what it finds with

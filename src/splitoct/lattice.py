@@ -4,19 +4,24 @@ Containment between orbit labels is decided on representatives alone: a
 label X embeds in a label Y exactly when the representative of Y contains
 some subalgebra labelled X (any other Y-labelled subalgebra is an
 automorphic image of the representative, so the answer is orbit-invariant).
-The subalgebras of a representative S are the closed subspaces of S + F·1
-that lie in S, from :func:`splitoct.subspace.closed_subspaces`: over F_5
-it tests 213,217 candidates in place of all 3,632,396 sub-subspaces.  The
-closure test rejects most of those with three or more rows on the
-products of their first row alone: 10,220 reach its second stage, which
-computes the other rows' products.  9,480 candidates are closed.  The quotient bases among the candidates
-are counted before any work, and bounded by the census's budget.
+The subalgebras of a representative S are the closed subspaces of its
+hull S + F·1 that lie in S, from :func:`splitoct.subspace.closed_subspaces`.
+The 21 representatives have 12 distinct hulls, each a representative
+itself, and :func:`labels_inside` scans each hull once.  Over F_5 the
+scan tests 50,037 candidates in place of all 3,632,396 sub-subspaces of
+the representatives: the 43,575 quotient bases of the hulls, and the
+6,462 of their 146,467 hyperplane lifts whose rows square into the lift.
+The closure test rejects most of those with three or more rows on the
+products of their first row alone: 3,182 reach its second stage, which
+computes the other rows' products, and 7,067 candidates are closed.  The
+quotient bases are counted before any work, and bounded by the census's
+budget.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +71,11 @@ class LatticeGraph:
         return [(a.value, b.value) for a, b in self.edges]
 
 
+def _hull(space: Subspace, A: Algebra) -> Subspace:
+    """S + F·1, closed when S is."""
+    return span(space.rows + (A.unit,), A.p, A.dim)
+
+
 def subalgebras_inside(space: Subspace, A: Algebra) -> Iterator[np.ndarray]:
     """RREF bases, in the coordinates of the octonion algebra ``A``, of
     every proper nonzero subalgebra of a closed subspace S: one stack
@@ -73,7 +83,7 @@ def subalgebras_inside(space: Subspace, A: Algebra) -> Iterator[np.ndarray]:
     check_space(space, A)
     p, k, inner = A.p, space.dim, space.matrix()
     substructure(inner[None], A)                   # NotClosed unless S is
-    hull = span(space.rows + (A.unit,), p, A.dim)
+    hull = _hull(space, A)
     basis, unit = hull.matrix(), np.array(A.unit)[list(hull.pivots)]
     stacks: list[list[np.ndarray]] = [[] for _ in range(k)]
     for mats in closed_subspaces(substructure(basis[None], A)[0], unit, p):
@@ -85,22 +95,52 @@ def subalgebras_inside(space: Subspace, A: Algebra) -> Iterator[np.ndarray]:
         yield batch_rref(np.concatenate(stacks[d]), p)[0]
 
 
-def labels_inside(space: Subspace, A: Algebra) -> set[OrbitLabel]:
-    """Labels of every proper nonzero subalgebra of a closed subspace of ``A``."""
-    # a set of the codes, not np.unique, which imports numpy.ma on first use
-    return {LABELS[code] for rows in subalgebras_inside(space, A)
-            for code in set(batch_columns(rows, A).label.tolist())}
+def labels_inside(spaces: Sequence[Subspace], A: Algebra) -> list[set[OrbitLabel]]:
+    """Labels of every proper nonzero subalgebra of each closed subspace of
+    ``A`` in ``spaces``.
+
+    The subalgebras of S are those of its hull S + F·1 that lie in S and
+    have a smaller dimension.  So each distinct hull is scanned once, by
+    :func:`subalgebras_inside`, each dimension's stack is classified once
+    across all hulls, and S takes the labels of its hull's subalgebras
+    of smaller dimension, which for S ∌ 1 must pass one residue test
+    against S, zero-padded to a common width.
+    """
+    hulls: dict[Subspace, list[Subspace]] = {}
+    for space in spaces:
+        check_space(space, A)
+        hulls.setdefault(_hull(space, A), []).append(space)
+    stacks = [(h, rows.astype(np.int8)) for h, hull in enumerate(hulls)
+              for rows in subalgebras_inside(hull, A)]
+    if not stacks:
+        return [set() for _ in spaces]
+    width = max(rows.shape[1] for _, rows in stacks)
+    padded = np.concatenate([np.pad(rows, ((0, 0), (0, width - rows.shape[1]), (0, 0)))
+                             for _, rows in stacks])
+    dim = np.concatenate([np.full(len(rows), rows.shape[1]) for _, rows in stacks])
+    hull_of = np.concatenate([np.full(len(rows), h) for h, rows in stacks])
+    code = np.empty(len(padded), dtype=np.int8)
+    for d in range(1, width + 1):
+        code[dim == d] = batch_columns(padded[dim == d, :d], A).label
+    found = {}
+    for h, (hull, members) in enumerate(hulls.items()):
+        for space in members:
+            at = np.flatnonzero((hull_of == h) & (dim < space.dim))
+            if space != hull:                      # 1 ∉ S: keep what lies in S
+                at = at[~residues(space.matrix(), padded[at], A.p).any((1, 2))]
+            # a set of the codes, not np.unique, which imports numpy.ma on first use
+            found[space] = {LABELS[c] for c in set(code[at].tolist())}
+    return [found[space] for space in spaces]
 
 
 def projected_bases(p: int) -> int:
     """The quotient bases :func:`build_lattice` tests over F_p: Σ_e [h − 1,
-    e]_p summed over ``GRAPH_LABELS``, where h = dim(S + F·1) for the
-    representative S (45,971 over F_5; the hyperplane lifts come on top)."""
-    total = 0
-    for lab in GRAPH_LABELS:
-        h = span(rep(lab, p).rows + (algebra(p).unit,), p).dim
-        total += sum(gaussian_binomial(h - 1, e, p) for e in range(h))
-    return total
+    e]_p summed over the distinct hulls S + F·1 of dimension h of the
+    representatives S of ``GRAPH_LABELS`` (43,575 over F_5; the hyperplane
+    lifts come on top)."""
+    A = algebra(p)
+    hulls = {_hull(rep(lab, p), A) for lab in GRAPH_LABELS}
+    return sum(gaussian_binomial(h.dim - 1, e, p) for h in hulls for e in range(h.dim))
 
 
 def build_lattice(p: int, *, max_subspaces: int | None = 2_000_000) -> LatticeGraph:
@@ -111,20 +151,17 @@ def build_lattice(p: int, *, max_subspaces: int | None = 2_000_000) -> LatticeGr
     """
     check_budget(projected_bases(p), max_subspaces)
     A = algebra(p)
-    contains: dict[OrbitLabel, set[OrbitLabel]] = {}
+    spaces = {lab: rep(lab, p) for lab in GRAPH_LABELS}
     flags = {}
-    for lab in GRAPH_LABELS:
-        space = rep(lab, p)
-        cols = batch_columns(space.matrix()[None], A)
-        got = LABELS[cols.label[0]]
-        if got is not lab:
-            raise ArithmeticError(f"representative of {lab.value} classified "
-                                  f"as {got.value}")
-        flags[lab] = [bool(col[0]) for col in (cols.singular, cols.assoc, cols.comm)]
-        inside = labels_inside(space, A)
-        inside.discard(OrbitLabel.Zero)
-        inside.discard(lab)
-        contains[lab] = inside
+    for d in sorted(set(LABEL_DIM[lab] for lab in GRAPH_LABELS)):
+        labs = [lab for lab in GRAPH_LABELS if LABEL_DIM[lab] == d]
+        cols = batch_columns(np.stack([spaces[lab].matrix() for lab in labs]), A)
+        for lab, code, *flag in zip(labs, cols.label, cols.singular, cols.assoc, cols.comm):
+            if LABELS[code] is not lab:
+                raise ArithmeticError(f"representative of {lab.value} classified "
+                                      f"as {LABELS[code].value}")
+            flags[lab] = [bool(f) for f in flag]
+    contains = dict(zip(spaces, labels_inside(list(spaces.values()), A)))
     for y, xs in contains.items():
         for z in xs:
             if not contains[z] <= xs:

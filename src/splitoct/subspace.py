@@ -192,8 +192,8 @@ def closed_mask(mats: np.ndarray, pivots: tuple[int, ...] | np.ndarray,
     For k > 2 the test runs in two stages: the products of row 0 with
     every row, a k-th of the work, reject most bases, and only the
     survivors have the products of their other rows computed.  Over F_5
-    the lattice's scan tests 213,217 bases, 10,220 reach stage two and
-    9,480 are closed.  For k ≤ 2 one stage takes every product: a unital
+    the lattice's scan tests 50,037 bases, 3,182 reach stage two and
+    7,067 are closed.  For k ≤ 2 one stage takes every product: a unital
     plane always passes row 0 (x² = tr(x)·x − N(x)·1), and splitting
     off row 0 measured slower there.  A scan passes one
     :class:`splitoct.algebra.Workspace` to all its calls, so the bases,
@@ -304,7 +304,10 @@ def closed_subspaces(struct: np.ndarray, unit, p: int, pivot_sets=None,
     with the unit appended.  A closed T ∌ 1 lies in the closed U = T + F·1,
     as (t + a)(t' + b) = tt' + at' + bt + ab, and is spanned by U's quotient
     rows, each with its own last entry: still RREF.  So a closed U of
-    dimension d + 1 lifts to p^d candidates, and each T comes from one U.
+    dimension d + 1 has p^d hyperplanes avoiding 1, and each T comes from
+    one U.  Only those whose rows square into them go to the closure test
+    (:func:`_square_lifts`): at most 2^d for a subalgebra of the
+    octonions, and over F_5 the lattice's 6,462 of 146,467.
 
     ``pivot_sets`` are the quotient pivot sets to run, pivot columns of
     F_p^(k−1) (default: every one, by size); ``dims`` the dimensions to
@@ -333,15 +336,46 @@ def closed_subspaces(struct: np.ndarray, unit, p: int, pivot_sets=None,
             U = U[closed_mask(U, piv + (k - 1,), T, p, work)]
             if d + 1 in dims:
                 yield U.astype(np.int64) @ basis % p
-            if d not in dims:
+            if d not in dims or not len(U):
                 continue
             lifts = coefficient_vectors(d, p)
-            n = len(U) * len(lifts)
-            for lo in range(0, n, block_rows(d, k)):
-                i = np.arange(lo, min(n, lo + block_rows(d, k)))
-                cand = U[i // len(lifts), :d]
-                cand[:, :, -1] = lifts[i % len(lifts)]
+            i = _square_lifts(U, piv, T, p)
+            for lo in range(0, len(i), block_rows(d, k)):
+                j = i[lo:lo + block_rows(d, k)]
+                cand = U[j // len(lifts), :d]
+                cand[:, :, -1] = lifts[j % len(lifts)]
                 yield cand[closed_mask(cand, piv, T, p, work)].astype(np.int64) @ basis % p
+
+
+def _square_lifts(U: np.ndarray, pivots: tuple[int, ...], struct: np.ndarray,
+                  p: int) -> np.ndarray:
+    """The flat indices u·p^d + l, in increasing order, of the hyperplane
+    lifts of the closed unital bases ``U`` (M, d + 1, k), unit row last,
+    whose rows square into the lift: the lift with coefficient vector
+    λ = ``coefficient_vectors(d, p)[l]`` has rows x_i = q_i + λ_i·1.
+
+    With q_i² = Σ_j c_ij q_j + c_i·1, read off U's pivot columns,
+    x_i² = q_i² + 2λ_i·q_i + λ_i²·1 lies in the lift iff
+    c_i − λ_i² − Σ_j c_ij λ_j ≡ 0 (mod p).  Closure needs it for every
+    table; in a subalgebra of the octonions it is x² − tr(x)·x + N(x)·1 = 0,
+    so each λ_i solves a quadratic and at most 2^d of the p^d lifts pass.
+    The squares are float32 products, which take no work buffers: as U
+    holds at most one block's bases, they hold M·d·k² < ``_WORKSET``
+    entries.  The residues are taken for at most max(``block_rows(d, k)``,
+    p^d) pairs at a time."""
+    M, d, k = U.shape[0], U.shape[1] - 1, U.shape[2]
+    L = coefficient_vectors(d, p).astype(np.float32)
+    q = U[:, :d, None]
+    sq = mod(products(q, q, struct, p)[:, :, 0, 0], p)           # (M, d, k)
+    coef, const, square = sq[..., list(pivots)].transpose(0, 2, 1), sq[..., -1], L * L
+    step = max(1, block_rows(d, k) // len(L))
+    found = []
+    for lo in range(0, M, step):
+        r = np.matmul(L, coef[lo:lo + step])                     # (m, p^d, d)
+        r += square
+        np.subtract(const[lo:lo + step, None], r, out=r)
+        found.append(np.flatnonzero(~mod(r, p).any(-1)) + lo * len(L))
+    return np.concatenate(found)
 
 
 @lru_cache(maxsize=None)

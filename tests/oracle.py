@@ -20,7 +20,10 @@ time, for comparison with the packed :func:`splitoct.autos.element_orbits`,
 and census orbits by one subspace BFS per orbit, for comparison with the
 components of :func:`splitoct.autos.orbit_partition`.
 Closure is tested product by product (:func:`closed_by_products`), for
-comparison with the batched closure kernel of :mod:`splitoct.subspace`.
+comparison with the batched closure kernel of :mod:`splitoct.subspace`,
+and every hyperplane lift is tested (:func:`closed_subspaces_unfiltered`),
+for comparison with the square condition that
+:func:`splitoct.subspace.closed_subspaces` filters the lifts by.
 The closed sub-subspaces of a subalgebra come from testing every one of
 its subspaces, for comparison with the pruned
 :func:`splitoct.lattice.subalgebras_inside`, and
@@ -43,7 +46,7 @@ from splitoct import field
 from splitoct.algebra import DIM, mod, products
 from splitoct.autos import Automorphism, orbit_of_space
 from splitoct.classify import ClassificationError, OrbitLabel
-from splitoct.linalg import nullspace
+from splitoct.linalg import mat_inv, nullspace
 from splitoct.subspace import (Subspace, closed_mask, intersect, perp,
                                pivot_block, span, substructure)
 
@@ -314,6 +317,32 @@ def closed_inside(space: Subspace, ctx) -> set:
             rows = mats[closed_mask(mats, piv, struct, p)].astype(np.int64) @ basis % p
             found.update(tuple(map(tuple, m)) for m in rows.tolist())
     return found
+
+
+def closed_subspaces_unfiltered(struct, unit, p: int, pivot_sets) -> dict:
+    """Per dimension, the bases :func:`splitoct.subspace.closed_subspaces`
+    yields for the quotient pivot sets ``pivot_sets`` (ordered by size),
+    joined in its order, with no lift left out before the closure test:
+    each closed unital U of dimension d + 1 has all p^d of its hyperplane
+    lifts tested by ``closed_mask``.  The table is moved to the quotient
+    basis (the unit last) by products and an inverse, not by an einsum."""
+    unit = np.asarray(unit, dtype=np.int64) % p
+    k = len(unit)
+    basis = np.concatenate([np.delete(np.eye(k, dtype=np.int64), unit.argmax(), axis=0),
+                            unit[None]])
+    table = mod(products(basis, basis, struct, p), p).astype(np.int64) @ mat_inv(basis, p) % p
+    found = {}
+    for piv in pivot_sets:
+        d, q = len(piv), pivot_block(piv, p, k - 1)
+        U = np.zeros((len(q), d + 1, k), dtype=np.int8)
+        U[:, :d, :-1], U[:, d, -1] = q, 1
+        U = U[closed_mask(U, piv + (k - 1,), table, p)]
+        lifts = np.repeat(U[:, :d], p ** d, axis=0)
+        lifts[:, :, -1] = np.tile(np.array(list(itertools.product(range(p), repeat=d)),
+                                           dtype=np.int8).reshape(p ** d, d), (len(U), 1))
+        for mats in (U, lifts[closed_mask(lifts, piv, table, p)]):
+            found.setdefault(mats.shape[1], []).append(mats.astype(np.int64) @ basis % p)
+    return {dim: np.concatenate(stacks) for dim, stacks in found.items()}
 
 
 def enumerate_subspaces(k: int, p: int, ambient: int = DIM):

@@ -494,22 +494,22 @@ def test_lattice_budget_is_checked_before_any_work(lattice_scans, capsys):
     assert main(["lattice", "--field", "13"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "resource limit" in err and "10,691,739" in err
+    assert "resource limit" in err and "10,619,207" in err
     assert lattice_scans == []
 
 
 def test_lattice_budget_one_below_the_projection_fails(lattice_scans, monkeypatch,
                                                      capsys):
-    assert main(["lattice", "--field", "3", "--max-subspaces", "3508"]) == 2
-    assert "3,509" in capsys.readouterr().err
-    monkeypatch.setenv("OCT_MAX_SUBSPACES", "3508")
+    assert main(["lattice", "--field", "3", "--max-subspaces", "3006"]) == 2
+    assert "3,007" in capsys.readouterr().err
+    monkeypatch.setenv("OCT_MAX_SUBSPACES", "3006")
     assert main(["lattice", "--field", "3"]) == 2
     capsys.readouterr()
     assert lattice_scans == []
 
 
 def test_lattice_budget_at_the_projection_passes(monkeypatch, capsys):
-    monkeypatch.setenv("OCT_MAX_SUBSPACES", "3509")
+    monkeypatch.setenv("OCT_MAX_SUBSPACES", "3007")
     assert main(["lattice", "--field", "3"]) == 0
     assert capsys.readouterr().out == (DATA / "lattice_f3.dot").read_text()
 
@@ -525,8 +525,8 @@ def test_lattice_projection_counts_the_quotient_bases(monkeypatch):
 
     monkeypatch.setattr(subspace, "pivot_block", counting)
     lattice.build_lattice(3)
-    assert sum(rows) == lattice.projected_bases(3) == 3509
-    assert lattice.projected_bases(5) == 45971
+    assert sum(rows) == lattice.projected_bases(3) == 3007
+    assert lattice.projected_bases(5) == 43575
 
 
 def test_env_configuration(monkeypatch, capsys):

@@ -8,9 +8,9 @@ import sys
 import pytest
 
 import oracle
-from splitoct import subspace
+from splitoct import lattice, subspace
 from splitoct.algebra import algebra
-from splitoct.classify import LABEL_DIM, OrbitLabel
+from splitoct.classify import LABEL_DIM, LABELS, OrbitLabel, batch_columns
 from splitoct.constructions import rep
 from splitoct.lattice import (GRAPH_LABELS, build_lattice, emit_dot, emit_json,
                               subalgebras_inside)
@@ -117,6 +117,27 @@ def test_subalgebras_inside_match_every_subspace_scan(p):
     assert total == {2: 619, 3: 1688, 5: 7876}[p]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_scan_per_hull_finds_each_representatives_labels(p, monkeypatch):
+    """``labels_inside`` scans each of the 12 distinct hulls S + F·1 of the
+    21 representatives once.  Every representative gets the labels of an
+    independent scan of S alone: the whole containment map, which the
+    maximal flags read, not only its covers."""
+    A = algebra(p)
+    spaces = [rep(lab, p) for lab in GRAPH_LABELS]
+    want = [{LABELS[c] for rows in subalgebras_inside(space, A)
+             for c in batch_columns(rows, A).label.tolist()} for space in spaces]
+    real, scans = lattice.closed_subspaces, []
+    monkeypatch.setattr(lattice, "closed_subspaces",
+                        lambda *a: scans.append(a) or real(*a))
+    assert lattice.labels_inside(spaces, A) == want
+    assert len(scans) == 12
+    assert lattice.labels_inside(spaces[::-1], A) == want[::-1]
+    assert lattice.labels_inside([rep(OrbitLabel.F, p)], A) == [set()]
+    graph = build_lattice(p)
+    assert {n.label for n in graph.nodes if not n.maximal} == set().union(*want)
+
+
 def test_lattice_f7():
     # the label graph is field-independent: the F_3 goldens with the
     # graph renamed (which is also the F_5 output)
@@ -128,7 +149,8 @@ def test_lattice_f7():
 
 def test_lattice_f5_scan_stays_pruned(monkeypatch):
     # every sub-subspace of the 21 representatives would be 3,632,396
-    # bases; the pruned scan hands the closure kernel about 213,000
+    # bases; one scan per hull, with the lifts filtered by their squares,
+    # hands the closure kernel 50,037
     kernel = subspace.closed_mask
     rows = []
 
@@ -138,7 +160,7 @@ def test_lattice_f5_scan_stays_pruned(monkeypatch):
 
     monkeypatch.setattr(subspace, "closed_mask", counting)
     build_lattice(5)
-    assert 0 < sum(rows) <= 250_000
+    assert sum(rows) == 50_037
 
 
 def test_lattice_command_leaves_numpy_ma_unimported():

@@ -10,13 +10,14 @@ from splitoct.algebra import Workspace, algebra, mod, products
 from splitoct.classify import OrbitLabel
 from splitoct.constructions import rep
 from splitoct.field import SUPPORTED_PRIMES
+from splitoct.lattice import GRAPH_LABELS
 from splitoct.linalg import batch_rref
 from splitoct.subspace import (Subspace, block_rows, closed_bases, closed_mask,
                                closed_subspaces, closure, free_positions,
                                gaussian_binomial, intersect, perp, pivot_block,
-                               span, sum_spaces, zero_space)
-from oracle import (closed_by_products, contains_space, elements, enumerate_subspaces,
-                    full_space, nonzero_elements, radicals)
+                               span, substructure, sum_spaces, zero_space)
+from oracle import (closed_by_products, closed_subspaces_unfiltered, contains_space,
+                    elements, enumerate_subspaces, full_space, nonzero_elements, radicals)
 
 PRIMES = [2, 3, 5]
 
@@ -167,6 +168,33 @@ def test_closed_subspaces_of_the_whole_algebra_are_the_census(census2, ctx2):
 def test_closed_subspaces_needs_a_unit(ctx3):
     with pytest.raises(ValueError):
         next(closed_subspaces(ctx3.struct, ctx3.w, 3))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_the_square_condition_drops_no_closed_lift(p):
+    """``closed_subspaces`` tests only the hyperplane lifts whose rows
+    square into the lift.  It yields the same bases in the same order as
+    testing all p^d lifts of each closed unital U: on the tables of every
+    hull S + F·1 the lattice scans, and on the whole algebra for the
+    quotient dimensions below 7 (F_2), 3 (F_3) and 2 (F_5)."""
+    A = algebra(p)
+    tables = []
+    for hull in {span(rep(lab, p).rows + (A.unit,), p) for lab in GRAPH_LABELS}:
+        basis = hull.matrix()
+        sets = [piv for e in range(hull.dim)
+                for piv in itertools.combinations(range(hull.dim - 1), e)]
+        tables.append((substructure(basis[None], A)[0],
+                       np.array(A.unit)[list(hull.pivots)], sets))
+    tables.append((A.struct, A.unit, [piv for e in range({2: 7, 3: 3, 5: 2}[p])
+                                      for piv in itertools.combinations(range(7), e)]))
+    for struct, unit, sets in tables:
+        got = {}
+        for mats in closed_subspaces(struct, unit, p, sets):
+            got.setdefault(mats.shape[1], []).append(mats)
+        want = closed_subspaces_unfiltered(struct, unit, p, sets)
+        assert sorted(got) == sorted(want)
+        for d, stacks in got.items():
+            assert np.array_equal(np.concatenate(stacks), want[d]), d
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)

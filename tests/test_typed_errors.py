@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import splitoct
+from splitoct.algebra import algebra
 
 PACKAGE = Path(splitoct.__file__).resolve().parent
 
@@ -65,6 +68,10 @@ calls = (
     lambda: algebra(3).trace(u[:7]),
     lambda: algebra(3).polar(u, u + (0,)),
     lambda: algebra(3).add(u[:7], u),
+    lambda: algebra(3).norm((0.5,) * 8),
+    lambda: algebra(3).add(u, (1.0,) + u[1:]),
+    lambda: algebra(3).mul(u, u[:7] + (np.float64(2),)),
+    lambda: algebra(3).conj(np.array(u, dtype=np.float32)),
 )
 for call in calls:
     try:
@@ -79,4 +86,13 @@ for call in calls:
     proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=PACKAGE.parent,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 21
+    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 25
+
+
+def test_numpy_integer_coordinates_pass_the_element_check():
+    """Only the type of a coordinate is checked: numpy integers of any
+    width pass, and give the products of the equal Python integers."""
+    A, u = algebra(3), (1, 2, 0, 1, 0, 1, 2, 1)
+    for wide in (np.array(u, dtype=np.int8), tuple(np.int64(c) for c in u)):
+        assert A.mul(wide, u) == A.mul(u, u)
+        assert A.norm(wide) == A.norm(u) and A.add(u, wide) == A.add(u, u)
