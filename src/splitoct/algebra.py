@@ -55,6 +55,14 @@ DIM = 8
 _INTEGERS = (int, np.integer)
 
 
+def check_integers(u) -> None:
+    """Raise ``ValueError`` unless every coordinate of ``u`` is a Python or
+    numpy integer."""
+    # a float, complex or Fraction coordinate makes the sum one too
+    if not isinstance(sum(u), _INTEGERS):
+        raise ValueError(f"coordinates must be integers, got {tuple(u)}")
+
+
 # ---------------------------------------------------------------------------
 # the batched product kernel
 # ---------------------------------------------------------------------------
@@ -205,9 +213,7 @@ class Algebra:
         for u in elements:
             if len(u) != self.dim:
                 raise ValueError(f"an element has {self.dim} coordinates, got {len(u)}")
-            # a float, complex or Fraction coordinate makes the sum one too
-            if not isinstance(sum(u), _INTEGERS):
-                raise ValueError(f"coordinates must be integers, got {tuple(u)}")
+            check_integers(u)
 
     def mul(self, u, v) -> tuple[int, ...]:
         self.check_element(u, v)

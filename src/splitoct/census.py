@@ -38,6 +38,7 @@ import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
+from numbers import Integral
 
 import numpy as np
 
@@ -110,15 +111,17 @@ def _groups(dims, p: int, threads: int) -> list[list[tuple[int, ...]]]:
 def check_scan(p: int, dims=None, *, max_subspaces: int | None = 2_000_000,
                threads: int = 1) -> tuple[int, ...]:
     """The sorted dimensions a census over F_p would find, after the checks
-    that need no work: every dimension in 0..8, at least one thread, and
-    at most ``max_subspaces`` projected quotient bases, the exact count
-    Σ [7, e]_p over :func:`quotient_dims` (None disables that bound;
-    CostLimitExceeded otherwise).  The hyperplane lifts come on top."""
-    dims = tuple(sorted(set(range(DIM + 1) if dims is None else dims)))
-    if not all(0 <= d <= DIM for d in dims):
-        raise ValueError(f"dimensions must lie in 0..{DIM}, got {list(dims)}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    that need no work: every dimension an integer in 0..8, an integral
+    number of threads, at least one, and at most ``max_subspaces``
+    projected quotient bases, the exact count Σ [7, e]_p over
+    :func:`quotient_dims` (None disables that bound; CostLimitExceeded
+    otherwise).  The hyperplane lifts come on top."""
+    dims = tuple(range(DIM + 1) if dims is None else dims)
+    if not all(isinstance(d, Integral) and 0 <= d <= DIM for d in dims):
+        raise ValueError(f"dimensions must be integers in 0..{DIM}, got {list(dims)}")
+    if not isinstance(threads, Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
+    dims = tuple(sorted(set(dims)))
     check_budget(sum(gaussian_binomial(DIM - 1, e, p) for e in quotient_dims(dims)),
                  max_subspaces)
     return dims

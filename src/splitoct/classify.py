@@ -2,14 +2,16 @@
 
 Every multiplicatively closed subspace falls into one of finitely many
 orbits of the automorphism group, read off from cheap invariants
-(dimension, unitality, radicals, one-sided identities and annihilators,
-the minimal polynomial of a generator).  The classification is a rule
-table: each label of a dimension has one rule, a conjunction of those
-invariants, and a closed subspace must fit exactly one rule of its
-dimension.  Labels D, H, D+Q, K require imperfect or infinite scalars and
-can never occur over F_p, so they have no rule: a subspace that fits no
-rule, or several, raises :class:`ClassificationError`, so a scan meeting
-one is loudly wrong.
+(dimension, unitality, radicals, one-sided annihilators, the minimal
+polynomial of a generator).  The classification is a rule table: each
+label of a dimension has one rule, a conjunction of those invariants,
+and a closed subspace must fit exactly one rule of its dimension.
+Labels D, H, D+Q, K require imperfect or infinite scalars and can never
+occur over F_p, so they have no rule: by Chevalley–Warning the norm, a
+form in 4 variables, has a nonzero zero on every 4-dimensional
+subalgebra, so one that is unital with R = 0 is F2x2, never H.  A
+subspace that fits no rule, or several, raises
+:class:`ClassificationError`, so a scan meeting one is loudly wrong.
 
 :func:`batch_columns` computes every invariant of a stack of closed
 subspaces of any table of the split octonions (an
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import field
 from .algebra import Algebra
-from .linalg import batch_rank, batch_rref, residues
+from .linalg import batch_rank, residues
 from .subspace import (NotClosed, Subspace, check_space, coefficient_vectors,
                        substructure)
 
@@ -113,16 +115,6 @@ def element_orbit_invariant(v, A: Algebra) -> tuple[int, int, bool]:
     return A.norm(v), A.trace(v), central
 
 
-def _minimal_poly_kind(t: int, n: int, p: int) -> str:
-    """Kind of X² - tX + n over F_p: 'split', 'double' or 'irreducible'.
-    (Over F_2 every element is a square, so X² + n has a root and no
-    irreducible polynomial of this form is inseparable.)"""
-    roots = field.quadratic_roots(t, n, p)
-    if len(roots) == 2:
-        return "split"
-    return "double" if roots else "irreducible"
-
-
 # ---------------------------------------------------------------------------
 # full per-subalgebra record
 # ---------------------------------------------------------------------------
@@ -193,13 +185,18 @@ class Columns(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _kinds(p: int) -> np.ndarray:
-    """_kinds(p)[t, n]: the kind of X² - tX + n for every t, n in F_p."""
-    return np.array([[_minimal_poly_kind(t, n, p) for n in range(p)] for t in range(p)])
+    """_kinds(p)[t, n]: the number of roots of X² - tX + n in F_p for every
+    t, n: 2 (split), 1 (a double root) or 0 (irreducible).  (Over F_2 every
+    element is a square, so X² + n has a root and no irreducible polynomial
+    of this form is inseparable.)"""
+    return np.array([[len(field.quadratic_roots(t, n, p)) for n in range(p)]
+                     for t in range(p)])
 
 
 def _generator_kind(outside: np.ndarray, traces: np.ndarray, norms: np.ndarray,
                     p: int) -> np.ndarray:
-    """Minimal-polynomial kind of each basis's first row flagged in ``outside``."""
+    """Minimal-polynomial kind (root count) of each basis's first row
+    flagged in ``outside``."""
     at = np.arange(len(outside)), outside.argmax(1)
     return _kinds(p)[traces[at], norms[at]]
 
@@ -226,18 +223,10 @@ def _associative(C: np.ndarray, p: int) -> np.ndarray:
     return (left.reshape(M, k, k * k, k) == right).all((1, 2, 3))
 
 
-def _solvable(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Whether each A[m] x = b mod p is solvable: no row of the reduced
-    [A | b] is zero but in its last column."""
-    aug = np.concatenate([A, np.broadcast_to(b[:, None], (*A.shape[:2], 1))], axis=2)
-    red = batch_rref(aug, p)[0]
-    return ~((red[..., -1] != 0) & ~red[..., :-1].any(-1)).any(1)
-
-
-#: cap on rows × max(k⁴, p^k) per batch: it bounds the int64 temporaries
+#: cap on rows × max(k⁴, 2) per batch: it bounds the int64 temporaries
 #: of the associativity check, two stacked matmul products of k⁴ entries
-#: per row, and of the norm form's values at every coefficient vector
-#: (rows, p^k) to 256 KB each
+#: per row, and over F_2 of the norm form's values at every coefficient
+#: vector (rows, 2^k ≤ max(k⁴, 2) for k ≤ 8) to 256 KB each
 _BATCH = 1 << 15
 
 
@@ -258,12 +247,12 @@ def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
     Raises NotClosed if some basis does not span a closed subspace and
     ClassificationError, naming the first offender, if one fits no rule
     or several.  A stack of any size is taken in blocks of at most
-    ``_BATCH // max(k⁴, p^k)`` rows.
+    ``_BATCH // max(k⁴, 2)`` rows.
     """
     p = A.p
     rows = np.asarray(rows, dtype=np.int64) % p
     M, k, _ = rows.shape
-    step = max(1, _BATCH // max(k ** 4, p ** k))
+    step = max(1, _BATCH // max(k ** 4, 2))
     if M > step:
         return Columns.concat([batch_columns(rows[lo:lo + step], A)
                                for lo in range(0, M, step)])
@@ -296,35 +285,27 @@ def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
     if k == 1:
         rules = {OrbitLabel.F: unital, OrbitLabel.Fp: own & traced,
                  OrbitLabel.Fn: own & ~traced}
+    if k in (2, 4):
+        # a nonzero a in A with a·A = 0 (left) or A·a = 0 (right)
+        sides = np.concatenate([C, C.transpose(0, 2, 1, 3)]).reshape(2 * M, k, k * k)
+        left_ann, right_ann = (batch_rank(sides, p) < k).reshape(2, M)
     if k == 2:
-        delta = np.eye(k, dtype=np.int64).reshape(k * k)
-        # e·b_j = b_j: Σ_i x_i C[i, j, c] = δ_jc; b_j·e = b_j: Σ_i x_i C[j, i, c]
-        both = np.concatenate([C.transpose(0, 2, 3, 1), C.transpose(0, 1, 3, 2)])
-        left_id, right_id = _solvable(both.reshape(2 * M, k * k, k), delta, p).reshape(2, M)
         # the generator is the first row that is not a multiple of 1; RREF
         # rows lead with 1, so the only such multiple is 1 scaled to lead with 1
         lead = next(c for c in A.unit if c)
         kind = _generator_kind((rows != A.smul(pow(lead, -1, p), A.unit)).any(-1),
                                traces, norms, p)
-        rules = {OrbitLabel.S: unital & (kind == "split"),
-                 OrbitLabel.FplusFn: unital & (kind == "double"),
-                 OrbitLabel.E: unital & (kind == "irreducible"),
+        rules = {OrbitLabel.S: unital & (kind == 2),
+                 OrbitLabel.FplusFn: unital & (kind == 1),
+                 OrbitLabel.E: unital & (kind == 0),
                  OrbitLabel.Q: own & ~C.any((1, 2, 3)),
-                 OrbitLabel.FnFp: own & left_id, OrbitLabel.FnFpbar: own & right_id}
+                 OrbitLabel.FnFp: own & left_ann & ~right_ann,
+                 OrbitLabel.FnFpbar: own & right_ann & ~left_ann}
     if k == 3:
         rules = {OrbitLabel.T: unital & (R == 1),
                  OrbitLabel.FplusQ: unital & (R >= 2) & (Q >= 2),
                  OrbitLabel.mOcapOn: own & traced, OrbitLabel.HeisNOcapOn: own & ~traced}
     if k == 4:
-        # a nonzero a in A with a·A = 0 (left) or A·a = 0 (right)
-        left_ann = batch_rank(C.reshape(M, k, k * k), p) < k
-        right_ann = batch_rank(C.transpose(0, 2, 1, 3).reshape(M, k, k * k), p) < k
-        isotropic = np.zeros(M, dtype=bool)
-        nondeg = np.nonzero(unital & (R == 0))[0]
-        if len(nondeg):
-            X = coefficient_vectors(k, p)[1:]
-            isotropic[nondeg] = (
-                _form_values(X, norms[nondeg], gram[nondeg], p) == 0).any(1)
         # the generator of the quotient by F·1 + R: b_i lies in F·1 + R iff
         # its Gram column is a multiple of the Gram column of 1
         g1 = rows @ (A.gram @ one) % p
@@ -332,10 +313,10 @@ def batch_columns(rows: np.ndarray, A: Algebra) -> Columns:
         kind = _generator_kind((gram[:, :, None] != multiples[:, None]).any(-1).all(-1),
                                traces, norms, p)
         unital_RQ2 = unital & (R == 2) & (Q == 2)
-        rules = {OrbitLabel.SplitQuat: unital & (R == 0) & isotropic,
+        rules = {OrbitLabel.SplitQuat: unital & (R == 0),
                  OrbitLabel.FplusHeis: unital & (Q == 3),
-                 OrbitLabel.SplusQ: unital_RQ2 & (kind == "split"),
-                 OrbitLabel.EplusQ: unital_RQ2 & (kind == "irreducible"),
+                 OrbitLabel.SplusQ: unital_RQ2 & (kind == 2),
+                 OrbitLabel.EplusQ: unital_RQ2 & (kind == 0),
                  OrbitLabel.NO: own & left_ann, OrbitLabel.ON: own & right_ann}
     fits = np.array(list(rules.values()), dtype=bool).reshape(-1, M)
     count = fits.sum(0)

@@ -49,7 +49,10 @@ DEFAULT_MAX_SUBSPACES = 2_000_000
 
 def _env_int(name: str) -> int | None:
     raw = os.environ.get(f"OCT_{name}")
-    return int(raw) if raw is not None else None
+    try:
+        return None if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"OCT_{name} must be an integer, got {raw!r}") from None
 
 
 def _resolve_int(flag_value: int | None, env_name: str, default: int | None) -> int | None:

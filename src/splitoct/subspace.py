@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .algebra import DIM, Algebra, Workspace, mod, products
+from .algebra import DIM, Algebra, Workspace, check_integers, mod, products
 
 
 class NotClosed(ValueError):
@@ -64,7 +64,9 @@ class Subspace:
         return np.array(self.rows, dtype=np.int64)
 
     def contains(self, vec) -> bool:
-        v = np.array(tuple(vec), dtype=np.int64) % self.p
+        vec = tuple(vec)
+        check_integers(vec)
+        v = np.array(vec, dtype=np.int64) % self.p
         if v.shape != (self.ambient,):
             raise ValueError(f"a vector of length {v.size} is not in F_p^{self.ambient}")
         return not linalg.residues(self.matrix(), v[None], self.p).any()
@@ -78,8 +80,10 @@ class Subspace:
 
 
 def span(vectors, p: int, ambient: int = DIM) -> Subspace:
-    """Canonical subspace spanned by arbitrary coordinate vectors."""
+    """Canonical subspace spanned by arbitrary integer coordinate vectors."""
     vecs = [tuple(v) for v in vectors]
+    for v in vecs:
+        check_integers(v)
     if not vecs:
         return Subspace((), p, ambient)
     mat = np.array(vecs, dtype=np.int64)

@@ -27,7 +27,9 @@ for comparison with the square condition that
 The closed sub-subspaces of a subalgebra come from testing every one of
 its subspaces, for comparison with the pruned
 :func:`splitoct.lattice.subalgebras_inside`, and
-:func:`enumerate_subspaces` lists every subspace of F_p^n one by one.
+:func:`enumerate_subspaces` lists every subspace of F_p^n one by one,
+and :func:`isotropic` finds a nonzero norm-zero element of each subspace
+of a stack by trying every element.
 :func:`byte_tables` holds the operations of an algebra over F_2^8 as
 tables on packed bytes, for element-by-element brute force over F_2.
 The small helpers at the end (:func:`full_space`, :func:`elements`,
@@ -115,6 +117,14 @@ def _minimal_poly_kind(t: int, n: int, p: int) -> str:
     if len(roots) == 1:
         return "double"
     return "inseparable" if (p == 2 and t % p == 0) else "irreducible"
+
+
+def isotropic(rows: np.ndarray, A) -> np.ndarray:
+    """Whether each basis of the stack ``rows`` (M, k, n) spans a subspace
+    of ``A`` with a nonzero element of norm 0, from the norm of every
+    nonzero combination of its rows."""
+    X = np.array(list(itertools.product(range(A.p), repeat=rows.shape[1])))[1:]
+    return (A.norms(X @ rows % A.p) == 0).any(1)
 
 
 def label(space: Subspace, ctx) -> OrbitLabel:

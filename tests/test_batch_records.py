@@ -4,6 +4,7 @@ number of worker processes."""
 
 import dataclasses
 import hashlib
+import importlib
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ import oracle
 from splitoct.algebra import algebra
 from splitoct.autos import alpha_st
 from splitoct.census import census_columns, enumerate_subalgebras
-from splitoct.classify import LABEL_DIM, LABELS, OrbitLabel, batch_columns
+from splitoct.classify import LABEL_DIM, LABELS, Columns, OrbitLabel, batch_columns
 from splitoct.cli import main
 from splitoct.constructions import rep
 from splitoct.lattice import GRAPH_LABELS, subalgebras_inside
@@ -90,6 +91,22 @@ def test_label_codes_decode_to_the_record_labels():
             assert records[0].label is oracle.label(records[0].space, A)
             stacks += 1
     assert stacks == 41 + 8 + 2      # F_5 lattice, F_2 census, F_3 dims 1–2
+
+
+def test_a_stack_in_blocks_classifies_as_its_rows_one_by_one(monkeypatch):
+    """The 818 four-dimensional subalgebras of Qperp over F_5 take seven
+    blocks in one call, and give the columns of 818 one-row calls."""
+    A = algebra(5)
+    rows = [s for s in subalgebras_inside(rep(OrbitLabel.Dim6, 5), A)
+            if s.shape[1] == 4][0]
+    classify, blocks = importlib.import_module("splitoct.classify"), []
+    real = classify.substructure
+    monkeypatch.setattr(classify, "substructure",
+                        lambda rows, A: blocks.append(len(rows)) or real(rows, A))
+    whole = batch_columns(rows, A)
+    assert len(blocks) == 7 and sum(blocks) == len(rows) == 818
+    one_by_one = Columns.concat([batch_columns(r[None], A) for r in rows])
+    assert all(np.array_equal(a, b) for a, b in zip(whole[:-1], one_by_one[:-1]))
 
 
 def test_records_working_set_is_bounded():

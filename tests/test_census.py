@@ -15,7 +15,7 @@ from splitoct.census import (CostLimitExceeded, census_columns, enumerate_subalg
                              label_counts, quotient_dims, write_jsonl)
 from splitoct.classify import Columns, OrbitLabel, batch_columns, classify
 from splitoct.subspace import closed_bases, gaussian_binomial
-from oracle import census_formula, dim_total, enumerate_subspaces, radicals
+from oracle import census_formula, dim_total, enumerate_subspaces, isotropic, radicals
 
 # Golden census over F_2, cross-checked against an independent bitmask
 # scan of all 417,199 subspaces of F_2^8.
@@ -161,6 +161,12 @@ def test_f3_full_census_and_the_papers_trichotomy():
     assert all(assoc[d] == F3_DIM_TOTALS[d] for d in (1, 2, 3))
     assert assoc[4] == 11011 and F3_DIM_TOTALS[4] - assoc[4] == 728
     assert assoc[5] == assoc[6] == assoc[8] == 0
+    # the theorem the F2x2 rule rests on (Chevalley–Warning): every unital
+    # 4-dimensional subalgebra with R = 0 has a nonzero element of norm 0
+    four = columns[4]
+    nondeg = (four.unital == 1) & (four.R == 0)
+    assert nondeg.sum() == counts[4, "F2x2"]
+    assert isotropic(four.rows[nondeg], algebra(3)).all()
 
 
 TABLES = {

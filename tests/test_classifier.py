@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from splitoct.algebra import Algebra, algebra
-from splitoct.classify import (LABEL_DIM, ClassificationError, NotClosed,
-                               OrbitLabel, _associative, _form_values, _solvable,
-                               batch_columns, classify,
+from splitoct.classify import (LABEL_DIM, LABELS, ClassificationError,
+                               NotClosed, OrbitLabel, _associative,
+                               _form_values, batch_columns, classify,
                                element_orbit_invariant, record_for)
 from splitoct.constructions import UnreachableLabel, rep
 from splitoct.lattice import subalgebras_inside
 from splitoct.subspace import coefficient_vectors, span, substructure
-from oracle import byte_tables, elements, nonzero_elements
+from oracle import byte_tables, elements, isotropic, nonzero_elements
 
 REACHABLE = [lab for lab in OrbitLabel if lab.reachable]
 UNREACHABLE = [lab for lab in OrbitLabel if not lab.reachable]
@@ -66,20 +66,33 @@ def _componentwise(p):
     return Algebra(struct, np.zeros((8, 8), dtype=np.int64), (1,) * 8, p)
 
 
+def _zero_products(p):
+    """F·1 ⊕ F⁷ with zero products on F⁷ and a zero norm form: again not an
+    octonion algebra."""
+    struct = np.zeros((8, 8, 8), dtype=np.int64)
+    struct[0, range(8), range(8)] = struct[range(8), 0, range(8)] = 1
+    return Algebra(struct, np.zeros((8, 8), dtype=np.int64), (1,) + (0,) * 7, p)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_rule_table_raises_unless_exactly_one_rule_fits(p):
-    A = _componentwise(p)
     e = np.eye(8, dtype=np.int64)
-    # span{e0, e1} is non-unital and singular with the two-sided identity
-    # e0 + e1: it fits the rules of both Fn+Fp and Fn+Fpbar
-    plane = "closed subspace ((1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0)) fits 2 labels"
+    # span{e1, ..., e4} of the zero-product table is non-unital and singular,
+    # and every element annihilates it on both sides: it fits the rules of
+    # both nO and On
+    four = ("closed subspace ((0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0), "
+            "(0, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 0)) fits 2 labels")
     for classify_stack in (batch_columns,
                            lambda rows, A: batch_columns(rows, A).records()):
-        with pytest.raises(ClassificationError, match=re.escape(plane)):
-            classify_stack(e[None, :2], A)
-        # no rule covers dimension 7
-        with pytest.raises(ClassificationError, match="fits 0 labels"):
-            classify_stack(e[None, :7], A)
+        with pytest.raises(ClassificationError, match=re.escape(four)):
+            classify_stack(e[None, 1:5], _zero_products(p))
+        # span{e0, e1} of the componentwise table is non-unital and singular
+        # with the two-sided identity e0 + e1, so it has no annihilator on
+        # either side and nonzero products: no plane rule fits; nor does
+        # any rule cover dimension 7
+        for rows in (e[None, :2], e[None, :7]):
+            with pytest.raises(ClassificationError, match="fits 0 labels"):
+                classify_stack(rows, _componentwise(p))
 
 
 def test_record_flags_match_element_level_bruteforce(ctx2):
@@ -169,8 +182,8 @@ def test_classify_agrees_on_all_dim_one_spaces(p):
 
 def _closed_stacks(p):
     """RREF bases of closed subspaces over F_p, one stack per dimension
-    k ≥ 1: every representative and, over F_5, the 4-dimensional
-    subalgebras of Qperp, where the ``isotropic`` rule runs."""
+    k ≥ 1: every representative and, over F_5, the 818 four-dimensional
+    subalgebras of Qperp."""
     stacks = {}
     for lab in REACHABLE:
         space = rep(lab, p)
@@ -202,8 +215,9 @@ def test_associativity_matmuls_match_every_triple(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_norm_form_values_match_the_norm_of_each_element(p):
     """N(Σ x_i b_i) from the basis norms and Gram matrix equals the norm of
-    the element Σ x_i b_i, for every coefficient vector x (k ≤ 4 at odd
-    p, where the ``isotropic`` rule reads it; every k over F_2)."""
+    the element Σ x_i b_i, for every coefficient vector x.  The rules read
+    it only over F_2, for dim Q at every k; at odd p the formula is checked
+    for k ≤ 4."""
     A = algebra(p)
     for k, rows in _closed_stacks(p).items():
         if p > 2 and k > 4:
@@ -216,25 +230,15 @@ def test_norm_form_values_match_the_norm_of_each_element(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_one_rref_solvability_matches_brute_force(p):
-    """A x = b is solvable mod p exactly when some x in F_p^c solves it, on
-    random stacks of each shape (rank-deficient ones too) and on the
-    one-sided identity systems of the planes the k = 2 rules read."""
-    rng = np.random.default_rng(p)
-    cases = []
-    for r, c in [(4, 2), (4, 3), (3, 4), (2, 2)]:
-        full = rng.integers(0, p, (40, r, c))
-        thin = rng.integers(0, p, (40, r, 1)) @ rng.integers(0, p, (40, 1, c)) % p
-        for b in (rng.integers(0, p, r), full[0] @ rng.integers(0, p, c) % p):
-            cases.append((np.concatenate([full, thin]), b))
-    C = substructure(_closed_stacks(p)[2], algebra(p))
-    delta = np.eye(2, dtype=np.int64).reshape(4)
-    for sides in (C.transpose(0, 2, 3, 1), C.transpose(0, 1, 3, 2)):
-        cases.append((sides.reshape(-1, 4, 2), delta))
-    outcomes = set()
-    for mats, b in cases:
-        X = coefficient_vectors(mats.shape[2], p)
-        want = ((mats @ X.T - b[:, None]) % p == 0).all(1).any(-1)
-        assert np.array_equal(_solvable(mats, b, p), want)
-        outcomes.update(want.tolist())
-    assert outcomes == {True, False}
+def test_unital_nondegenerate_four_spaces_are_isotropic(p):
+    """The F2x2 rule tests no isotropy: by Chevalley–Warning the norm, a
+    quadratic form in 4 variables over F_p, has a nonzero zero on every
+    unital 4-dimensional subalgebra with R = 0, found here by trying every
+    element."""
+    A = algebra(p)
+    rows = _closed_stacks(p)[4]
+    cols = batch_columns(rows, A)
+    nondeg = (cols.unital == 1) & (cols.R == 0)
+    assert nondeg.any()
+    assert (cols.label[nondeg] == LABELS.index(OrbitLabel.SplitQuat)).all()
+    assert isotropic(rows[nondeg], A).all()

@@ -541,6 +541,15 @@ def test_env_configuration(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("var", ENV_VARS)
+def test_non_integer_environment_value_names_its_variable(var, scans, monkeypatch,
+                                                          capsys):
+    monkeypatch.setenv(var, "x")
+    assert main(["enumerate", "--dims", "8"]) == 2
+    assert capsys.readouterr().err == f"error: {var} must be an integer, got 'x'\n"
+    assert scans == []
+
+
 def test_console_script_installed():
     exe = shutil.which("splitoct")
     if exe is None:

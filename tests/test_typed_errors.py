@@ -72,6 +72,10 @@ calls = (
     lambda: algebra(3).add(u, (1.0,) + u[1:]),
     lambda: algebra(3).mul(u, u[:7] + (np.float64(2),)),
     lambda: algebra(3).conj(np.array(u, dtype=np.float32)),
+    lambda: span([(0.5,) * 8], 3),
+    lambda: span([(1, 0, 0, 1, 0, 0, 0, 0)], 3).contains((1.5, 0, 0, 1, 0, 0, 0, 0)),
+    lambda: census_columns(algebra(2), dims=[1.5]),
+    lambda: census_columns(algebra(2), dims=[8], threads=1.5),
 )
 for call in calls:
     try:
@@ -86,7 +90,7 @@ for call in calls:
     proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=PACKAGE.parent,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 25
+    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 29
 
 
 def test_numpy_integer_coordinates_pass_the_element_check():
