@@ -173,7 +173,7 @@ class Algebra:
     """A unital algebra over F_p with a quadratic norm, by its tables.
 
     ``struct`` (n, n, n), the upper-triangular ``norm_form`` (n, n) and
-    ``unit`` (n,) are reduced mod p; ``gram``, ``trace_vec`` and
+    ``unit`` (n,) hold integers, reduced mod p; ``gram``, ``trace_vec`` and
     ``conj_mat`` are derived from the norm form and the unit alone, never
     from the product.  The scalar operations take and return coordinate
     tuples of length n (:meth:`check_element`); :meth:`norms` and
@@ -182,6 +182,8 @@ class Algebra:
 
     def __init__(self, struct, norm_form, unit, p: int):
         field.check_prime(p)
+        if any(np.asarray(t).dtype.kind not in "iu" for t in (struct, norm_form, unit)):
+            raise ValueError("the tables and the unit must hold integers")
         self.p = p
         self.struct = np.asarray(struct, dtype=np.int64) % p
         Q = np.asarray(norm_form, dtype=np.int64) % p

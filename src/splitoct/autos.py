@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DIM, algebra, mod, products, quaternion_table
+from .algebra import DIM, algebra, check_integers, mod, products, quaternion_table
 from .classify import LABELS
 from .constructions import PreconditionFailed
 from .linalg import batch_rref, rank
@@ -40,7 +40,9 @@ class Automorphism:
     p: int
 
     def apply(self, coords) -> tuple[int, ...]:
-        v = np.array(tuple(coords), dtype=np.int64)
+        coords = tuple(coords)
+        check_integers(coords)
+        v = np.array(coords, dtype=np.int64)
         out = v @ np.array(self.mat, dtype=np.int64) % self.p
         return tuple(int(c) for c in out)
 
@@ -101,6 +103,7 @@ def alpha_st(s, t, p: int) -> Automorphism:
     2x2-matrix part.
     """
     H = quaternion_table(p)
+    H.check_element(s, t)
     s = tuple(int(c) % p for c in s)
     t = tuple(int(c) % p for c in t)
     det_s, det_t = H.norm(s), H.norm(t)
@@ -125,7 +128,10 @@ def doubling_extension(beta_rows, w_target, p: int) -> Automorphism:
     extension sends a + x·w ↦ β(a) + β(x)·w_target.
     """
     ctx = algebra(p)
-    B = np.array([tuple(r) for r in beta_rows], dtype=np.int64) % p
+    beta_rows, w_target = [tuple(r) for r in beta_rows], tuple(w_target)
+    for r in beta_rows + [w_target]:
+        check_integers(r)
+    B = np.array(beta_rows, dtype=np.int64) % p
     if B.shape != (4, DIM):
         raise PreconditionFailed(f"need 4 image rows of length {DIM}, got shape {B.shape}")
     if rank(B, p) != 4:

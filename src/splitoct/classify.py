@@ -109,8 +109,9 @@ def element_orbit_invariant(v, A: Algebra) -> tuple[int, int, bool]:
     Non-central elements with equal norm and trace lie in one orbit of the
     automorphism group; central means lying in F·1.
     """
-    v = tuple(int(c) % A.p for c in v)
+    v = tuple(v)
     A.check_element(v)
+    v = tuple(int(c) % A.p for c in v)
     central = any(A.smul(c, A.unit) == v for c in range(A.p))
     return A.norm(v), A.trace(v), central
 

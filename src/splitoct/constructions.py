@@ -13,7 +13,7 @@ from . import field
 from .algebra import DIM, Algebra, SplitOctonions, algebra, quaternion_table
 from .classify import LABEL_DIM, OrbitLabel
 from .linalg import nullspace
-from .subspace import Subspace, closed_bases, span, zero_space
+from .subspace import Subspace, check_space, closed_bases, span, zero_space
 
 
 class PreconditionFailed(ValueError):
@@ -24,10 +24,10 @@ class UnreachableLabel(ValueError):
     """Requested an orbit representative that no finite field realizes."""
 
 
-def _coerce_quat_rows(space: Subspace) -> list[tuple[int, ...]]:
-    """Rows of a subspace of the 2x2-matrix part, as coordinate 4-tuples."""
-    if space.ambient != DIM:
-        raise ValueError(f"ambient dimension {space.ambient} is not {DIM}")
+def _coerce_quat_rows(space: Subspace, p: int) -> list[tuple[int, ...]]:
+    """Rows of a subspace of the 2x2-matrix part of ``algebra(p)``, as
+    coordinate 4-tuples."""
+    check_space(space, algebra(p))
     for r in space.rows:
         if any(r[4:]):
             raise PreconditionFailed("subspace is not inside the 2x2-matrix part")
@@ -38,11 +38,11 @@ def right_ideal_double(A: Subspace, R: Subspace, p: int) -> Subspace:
     """The subalgebra A + R·w of O, for A a 2x2-matrix subalgebra and R a
     right ideal slice compatible with it.
 
-    Preconditions (each checked): A closed under the matrix product;
-    R·A ⊆ R; conj(R)·R ⊆ A.
+    Preconditions (each checked): A and R lie over F_p; A closed under
+    the matrix product; R·A ⊆ R; conj(R)·R ⊆ A.
     """
-    a_rows = _coerce_quat_rows(A)
-    r_rows = _coerce_quat_rows(R)
+    a_rows = _coerce_quat_rows(A, p)
+    r_rows = _coerce_quat_rows(R, p)
     a_space = span([r + (0, 0, 0, 0) for r in a_rows], p)
     if not closed_bases(a_space.matrix()[None], algebra(p))[0]:    # (a, 0)(b, 0) = (ab, 0)
         raise PreconditionFailed("A is not closed under the matrix product")
@@ -126,12 +126,13 @@ def companion_element(p: int) -> tuple[int, ...]:
 
 
 def rep(label: OrbitLabel, p: int) -> Subspace:
-    """A concrete closed subspace with classify(rep(L)) = L."""
+    """A concrete closed subspace with classify(rep(L)) = L; those of
+    dimension 1–6 all lie in rep(Qperp), as the lattice's one scan needs."""
     if not label.reachable:
         raise UnreachableLabel(f"label {label.value} has no finite-field instance")
     ctx = algebra(p)
     one, p0, pbar0, n0, nbar0 = ctx.unit, ctx.p0, ctx.pbar0, ctx.n0, ctx.nbar0
-    p0w, n0w, pbar0w = ctx.p0w, ctx.n0w, ctx.pbar0w
+    p0w, n0w = ctx.p0w, ctx.n0w
     z = companion_element(p)
     table = {
         OrbitLabel.Zero: [],
@@ -147,14 +148,14 @@ def rep(label: OrbitLabel, p: int) -> Subspace:
         OrbitLabel.T: [one, p0, n0],
         OrbitLabel.FplusQ: [one, p0w, n0w],
         OrbitLabel.mOcapOn: [p0, p0w, n0w],
-        OrbitLabel.HeisNOcapOn: [n0, n0w, pbar0w],
+        OrbitLabel.HeisNOcapOn: [n0, p0w, n0w],
         OrbitLabel.SplitQuat: [p0, n0, nbar0, pbar0],
         OrbitLabel.SplusQ: [one, p0, p0w, n0w],
         OrbitLabel.EplusQ: [one, z, p0w, n0w],
-        OrbitLabel.FplusHeis: [one, n0, n0w, pbar0w],
-        OrbitLabel.NO: [p0, n0, n0w, pbar0w],
-        OrbitLabel.ON: [n0, pbar0, n0w, pbar0w],
-        OrbitLabel.Dim5: [p0, n0, pbar0, n0w, pbar0w],
+        OrbitLabel.FplusHeis: [one, n0, p0w, n0w],
+        OrbitLabel.NO: [n0, pbar0, p0w, n0w],
+        OrbitLabel.ON: [p0, n0, p0w, n0w],
+        OrbitLabel.Dim5: [p0, n0, pbar0, p0w, n0w],
         OrbitLabel.Dim6: [p0, n0, nbar0, pbar0, p0w, n0w],
         OrbitLabel.Full: list(np.eye(DIM, dtype=np.int64)),
     }

@@ -4,18 +4,17 @@ Containment between orbit labels is decided on representatives alone: a
 label X embeds in a label Y exactly when the representative of Y contains
 some subalgebra labelled X (any other Y-labelled subalgebra is an
 automorphic image of the representative, so the answer is orbit-invariant).
-The subalgebras of a representative S are the closed subspaces of its
-hull S + F·1 that lie in S, from :func:`splitoct.subspace.closed_subspaces`.
-The 21 representatives have 12 distinct hulls, each a representative
-itself, and :func:`labels_inside` scans each hull once.  Over F_5 the
-scan tests 50,037 candidates in place of all 3,632,396 sub-subspaces of
-the representatives: the 43,575 quotient bases of the hulls, and the
-6,462 of their 146,467 hyperplane lifts whose rows square into the lift.
-The closure test rejects most of those with three or more rows on the
-products of their first row alone: 3,182 reach its second stage, which
-computes the other rows' products, and 7,067 candidates are closed.  The
-quotient bases are counted before any work, and bounded by the census's
-budget.
+The n·O family is built on n0w, which lies in rep(Q) = ⟨p0w, n0w⟩, so all
+21 representatives lie in rep(Qperp) = rep(Q)^⊥, and
+:func:`labels_inside` answers every containment from one scan of it by
+:func:`splitoct.subspace.closed_subspaces`.  Over F_5 that scan tests
+47,722 candidates in place of all 3,632,396 sub-subspaces of the
+representatives: 42,176 quotient bases, and the 5,546 of 134,806
+hyperplane lifts whose rows square into the lift.  The closure test
+rejects most of those with three or more rows on the products of their
+first row alone: 2,867 reach its second stage, which computes the other
+rows' products, and 5,612 candidates are closed.  The quotient bases are
+counted before any work, and bounded by the census's budget.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .census import check_budget
 from .classify import LABEL_DIM, LABELS, OrbitLabel, batch_columns
 from .constructions import rep
 from .linalg import batch_rref, residues
-from .subspace import (Subspace, check_space, closed_subspaces,
+from .subspace import (Subspace, check_space, closed_subspaces, closure,
                        gaussian_binomial, span, substructure)
 
 #: Labels that appear as graph nodes: every reachable label of a proper,
@@ -71,26 +70,30 @@ class LatticeGraph:
         return [(a.value, b.value) for a, b in self.edges]
 
 
-def _hull(space: Subspace, A: Algebra) -> Subspace:
-    """S + F·1, closed when S is."""
-    return span(space.rows + (A.unit,), A.p, A.dim)
+def _generated(spaces: Sequence[Subspace], A: Algebra) -> Subspace:
+    """The subalgebra of ``A`` that the spaces generate with 1."""
+    for space in spaces:
+        check_space(space, A)
+    return closure([A.unit] + [row for space in spaces for row in space.rows], A)
 
 
 def subalgebras_inside(space: Subspace, A: Algebra) -> Iterator[np.ndarray]:
     """RREF bases, in the coordinates of the octonion algebra ``A``, of
-    every proper nonzero subalgebra of a closed subspace S: one stack
-    (M, d, 8) per dimension d, by increasing d."""
+    every proper nonzero subalgebra of a closed subspace S, the closed
+    subspaces of S + F·1 in S: one stack (M, d, 8) per dimension d, by
+    increasing d."""
     check_space(space, A)
     p, k, inner = A.p, space.dim, space.matrix()
     substructure(inner[None], A)                   # NotClosed unless S is
-    hull = _hull(space, A)
+    hull = span(space.rows + (A.unit,), p, A.dim)
     basis, unit = hull.matrix(), np.array(A.unit)[list(hull.pivots)]
     stacks: list[list[np.ndarray]] = [[] for _ in range(k)]
     for mats in closed_subspaces(substructure(basis[None], A)[0], unit, p):
         rows = mats @ basis % p
         if 1 <= rows.shape[1] < k:
-            inside = ~residues(inner, rows, p).any((1, 2))
-            stacks[rows.shape[1]].append(rows[inside].astype(np.int8))
+            if hull != space:                      # 1 ∉ S: keep what lies in S
+                rows = rows[~residues(inner, rows, p).any((1, 2))]
+            stacks[rows.shape[1]].append(rows.astype(np.int8))
     for d in range(1, k):
         yield batch_rref(np.concatenate(stacks[d]), p)[0]
 
@@ -99,48 +102,34 @@ def labels_inside(spaces: Sequence[Subspace], A: Algebra) -> list[set[OrbitLabel
     """Labels of every proper nonzero subalgebra of each closed subspace of
     ``A`` in ``spaces``.
 
-    The subalgebras of S are those of its hull S + F·1 that lie in S and
-    have a smaller dimension.  So each distinct hull is scanned once, by
-    :func:`subalgebras_inside`, each dimension's stack is classified once
-    across all hulls, and S takes the labels of its hull's subalgebras
-    of smaller dimension, which for S ∌ 1 must pass one residue test
-    against S, zero-padded to a common width.
+    Every such subalgebra lies in the subalgebra G that the spaces generate
+    with 1.  So G is scanned once, by :func:`subalgebras_inside`, each
+    dimension's stack is classified once, and S takes the labels of the
+    subalgebras of G of smaller dimension that pass one residue test
+    against S (none is needed when S is G).
     """
-    hulls: dict[Subspace, list[Subspace]] = {}
+    top = _generated(spaces, A)
+    stacks = list(subalgebras_inside(top, A))
+    codes = [batch_columns(rows, A).label for rows in stacks]
+    found = []
     for space in spaces:
-        check_space(space, A)
-        hulls.setdefault(_hull(space, A), []).append(space)
-    stacks = [(h, rows.astype(np.int8)) for h, hull in enumerate(hulls)
-              for rows in subalgebras_inside(hull, A)]
-    if not stacks:
-        return [set() for _ in spaces]
-    width = max(rows.shape[1] for _, rows in stacks)
-    padded = np.concatenate([np.pad(rows, ((0, 0), (0, width - rows.shape[1]), (0, 0)))
-                             for _, rows in stacks])
-    dim = np.concatenate([np.full(len(rows), rows.shape[1]) for _, rows in stacks])
-    hull_of = np.concatenate([np.full(len(rows), h) for h, rows in stacks])
-    code = np.empty(len(padded), dtype=np.int8)
-    for d in range(1, width + 1):
-        code[dim == d] = batch_columns(padded[dim == d, :d], A).label
-    found = {}
-    for h, (hull, members) in enumerate(hulls.items()):
-        for space in members:
-            at = np.flatnonzero((hull_of == h) & (dim < space.dim))
-            if space != hull:                      # 1 ∉ S: keep what lies in S
-                at = at[~residues(space.matrix(), padded[at], A.p).any((1, 2))]
-            # a set of the codes, not np.unique, which imports numpy.ma on first use
-            found[space] = {LABELS[c] for c in set(code[at].tolist())}
-    return [found[space] for space in spaces]
+        inside = [code if space == top
+                  else code[~residues(space.matrix(), rows, A.p).any((1, 2))]
+                  for rows, code in zip(stacks, codes) if rows.shape[1] < space.dim]
+        # a set of the codes, not np.unique, which imports numpy.ma on first use
+        found.append({LABELS[c] for code in inside for c in set(code.tolist())})
+    return found
 
 
 def projected_bases(p: int) -> int:
     """The quotient bases :func:`build_lattice` tests over F_p: Σ_e [h − 1,
-    e]_p summed over the distinct hulls S + F·1 of dimension h of the
-    representatives S of ``GRAPH_LABELS`` (43,575 over F_5; the hyperplane
-    lifts come on top)."""
+    e]_p for the subalgebra of dimension h that the representatives of
+    ``GRAPH_LABELS`` generate with 1, which :func:`labels_inside` scans
+    (rep(Qperp), h = 6: 42,176 over F_5; the hyperplane lifts come on
+    top)."""
     A = algebra(p)
-    hulls = {_hull(rep(lab, p), A) for lab in GRAPH_LABELS}
-    return sum(gaussian_binomial(h.dim - 1, e, p) for h in hulls for e in range(h.dim))
+    h = _generated([rep(lab, p) for lab in GRAPH_LABELS], A).dim
+    return sum(gaussian_binomial(h - 1, e, p) for e in range(h))
 
 
 def build_lattice(p: int, *, max_subspaces: int | None = 2_000_000) -> LatticeGraph:

@@ -196,8 +196,8 @@ def closed_mask(mats: np.ndarray, pivots: tuple[int, ...] | np.ndarray,
     For k > 2 the test runs in two stages: the products of row 0 with
     every row, a k-th of the work, reject most bases, and only the
     survivors have the products of their other rows computed.  Over F_5
-    the lattice's scan tests 50,037 bases, 3,182 reach stage two and
-    7,067 are closed.  For k ≤ 2 one stage takes every product: a unital
+    the lattice's scan tests 47,722 bases, 2,867 reach stage two and
+    5,612 are closed.  For k ≤ 2 one stage takes every product: a unital
     plane always passes row 0 (x² = tr(x)·x − N(x)·1), and splitting
     off row 0 measured slower there.  A scan passes one
     :class:`splitoct.algebra.Workspace` to all its calls, so the bases,
@@ -311,7 +311,7 @@ def closed_subspaces(struct: np.ndarray, unit, p: int, pivot_sets=None,
     dimension d + 1 has p^d hyperplanes avoiding 1, and each T comes from
     one U.  Only those whose rows square into them go to the closure test
     (:func:`_square_lifts`): at most 2^d for a subalgebra of the
-    octonions, and over F_5 the lattice's 6,462 of 146,467.
+    octonions, and over F_5 the lattice's 5,546 of 134,806.
 
     ``pivot_sets`` are the quotient pivot sets to run, pivot columns of
     F_p^(k−1) (default: every one, by size); ``dims`` the dimensions to

@@ -13,6 +13,7 @@ from splitoct.classify import (LABEL_DIM, LABELS, ClassificationError,
                                _form_values, batch_columns, classify,
                                element_orbit_invariant, record_for)
 from splitoct.constructions import UnreachableLabel, rep
+from splitoct.field import SUPPORTED_PRIMES
 from splitoct.lattice import subalgebras_inside
 from splitoct.subspace import coefficient_vectors, span, substructure
 from oracle import byte_tables, elements, isotropic, nonzero_elements
@@ -34,7 +35,7 @@ def test_label_catalog_shape():
         OrbitLabel("no-such-label")
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
 @pytest.mark.parametrize("label", REACHABLE)
 def test_representative_round_trip(p, label):
     space = rep(label, p)

@@ -494,29 +494,30 @@ def test_lattice_budget_is_checked_before_any_work(lattice_scans, capsys):
     assert main(["lattice", "--field", "13"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "resource limit" in err and "10,619,207" in err
+    assert "resource limit" in err and "10,581,824" in err
     assert lattice_scans == []
 
 
 def test_lattice_budget_one_below_the_projection_fails(lattice_scans, monkeypatch,
                                                      capsys):
-    assert main(["lattice", "--field", "3", "--max-subspaces", "3006"]) == 2
-    assert "3,007" in capsys.readouterr().err
-    monkeypatch.setenv("OCT_MAX_SUBSPACES", "3006")
+    assert main(["lattice", "--field", "3", "--max-subspaces", "2663"]) == 2
+    assert "2,664" in capsys.readouterr().err
+    monkeypatch.setenv("OCT_MAX_SUBSPACES", "2663")
     assert main(["lattice", "--field", "3"]) == 2
     capsys.readouterr()
     assert lattice_scans == []
 
 
 def test_lattice_budget_at_the_projection_passes(monkeypatch, capsys):
-    monkeypatch.setenv("OCT_MAX_SUBSPACES", "3007")
+    monkeypatch.setenv("OCT_MAX_SUBSPACES", "2664")
     assert main(["lattice", "--field", "3"]) == 0
     assert capsys.readouterr().out == (DATA / "lattice_f3.dot").read_text()
 
 
 def test_lattice_projection_counts_the_quotient_bases(monkeypatch):
-    rows = []
-    real = subspace.pivot_block
+    """The budget counts exactly the quotient bases the lattice's one scan
+    lists."""
+    real, rows = subspace.pivot_block, []
 
     def counting(*args):
         block = real(*args)
@@ -524,9 +525,10 @@ def test_lattice_projection_counts_the_quotient_bases(monkeypatch):
         return block
 
     monkeypatch.setattr(subspace, "pivot_block", counting)
-    lattice.build_lattice(3)
-    assert sum(rows) == lattice.projected_bases(3) == 3007
-    assert lattice.projected_bases(5) == 43575
+    for p, want in ((3, 2664), (5, 42176)):
+        rows.clear()
+        lattice.build_lattice(p)
+        assert sum(rows) == lattice.projected_bases(p) == want
 
 
 def test_env_configuration(monkeypatch, capsys):

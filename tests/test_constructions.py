@@ -10,7 +10,9 @@ from splitoct.constructions import (PreconditionFailed, UnreachableLabel,
                                     left_mul_space, rep, right_ideal_double,
                                     right_mul_space, standard_quaternions,
                                     top_row_ideal, upper_triangular)
-from splitoct.subspace import closed_bases, intersect, span, sum_spaces
+from splitoct.field import SUPPORTED_PRIMES
+from splitoct.lattice import GRAPH_LABELS
+from splitoct.subspace import closed_bases, intersect, perp, span, sum_spaces
 from oracle import nonzero_elements
 
 PRIMES = [2, 3, 5]
@@ -167,6 +169,25 @@ def test_centralizer_examples(p):
     # a separable non-central element has a 2-dimensional centralizer
     c = companion_element(p)
     assert centralizer(c, ctx) == span([ctx.unit, c], p)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_every_representative_lies_in_qperp(p):
+    """The lattice scans only the subalgebra the representatives generate
+    with 1.  It is rep(Qperp) = rep(Q)^⊥, because the n·O family is built
+    on n0w, which lies in rep(Q) = ⟨p0w, n0w⟩."""
+    A = algebra(p)
+    qperp = rep(OrbitLabel.Dim6, p)
+    assert qperp == perp(rep(OrbitLabel.Q, p), A)
+    for lab in GRAPH_LABELS:
+        assert all(qperp.contains(row) for row in rep(lab, p).rows), lab
+    n_o, o_n = left_mul_space(A.n0w, A), right_mul_space(A.n0w, A)
+    meet = intersect(n_o, o_n)
+    assert rep(OrbitLabel.NO, p) == n_o
+    assert rep(OrbitLabel.ON, p) == o_n
+    assert rep(OrbitLabel.HeisNOcapOn, p) == meet
+    assert rep(OrbitLabel.FplusHeis, p) == sum_spaces(span([A.unit], p), meet)
+    assert rep(OrbitLabel.Dim5, p) == sum_spaces(n_o, o_n)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -118,11 +118,12 @@ def test_subalgebras_inside_match_every_subspace_scan(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_one_scan_per_hull_finds_each_representatives_labels(p, monkeypatch):
-    """``labels_inside`` scans each of the 12 distinct hulls S + F·1 of the
-    21 representatives once.  Every representative gets the labels of an
-    independent scan of S alone: the whole containment map, which the
-    maximal flags read, not only its covers."""
+def test_one_scan_finds_each_representatives_labels(p, monkeypatch):
+    """``labels_inside`` makes one scan, of the subalgebra its spaces
+    generate with 1: for the 21 representatives, the 6-dimensional
+    rep(Qperp).  Every representative gets the labels of an independent
+    scan of S alone: the whole containment map, which the maximal flags
+    read, not only its covers."""
     A = algebra(p)
     spaces = [rep(lab, p) for lab in GRAPH_LABELS]
     want = [{LABELS[c] for rows in subalgebras_inside(space, A)
@@ -131,10 +132,13 @@ def test_one_scan_per_hull_finds_each_representatives_labels(p, monkeypatch):
     monkeypatch.setattr(lattice, "closed_subspaces",
                         lambda *a: scans.append(a) or real(*a))
     assert lattice.labels_inside(spaces, A) == want
-    assert len(scans) == 12
+    assert len(scans) == 1 and scans[0][0].shape == (6, 6, 6)
     assert lattice.labels_inside(spaces[::-1], A) == want[::-1]
+    assert len(scans) == 2
     assert lattice.labels_inside([rep(OrbitLabel.F, p)], A) == [set()]
+    assert len(scans) == 3
     graph = build_lattice(p)
+    assert len(scans) == 4
     assert {n.label for n in graph.nodes if not n.maximal} == set().union(*want)
 
 
@@ -149,8 +153,9 @@ def test_lattice_f7():
 
 def test_lattice_f5_scan_stays_pruned(monkeypatch):
     # every sub-subspace of the 21 representatives would be 3,632,396
-    # bases; one scan per hull, with the lifts filtered by their squares,
-    # hands the closure kernel 50,037
+    # bases; one scan of rep(Qperp), with the lifts filtered by their
+    # squares, hands the closure kernel 47,722: 42,176 quotient bases and
+    # 5,546 lifts
     kernel = subspace.closed_mask
     rows = []
 
@@ -160,7 +165,7 @@ def test_lattice_f5_scan_stays_pruned(monkeypatch):
 
     monkeypatch.setattr(subspace, "closed_mask", counting)
     build_lattice(5)
-    assert sum(rows) == 50_037
+    assert sum(rows) == 47_722
 
 
 def test_lattice_command_leaves_numpy_ma_unimported():

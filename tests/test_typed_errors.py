@@ -34,16 +34,19 @@ def _raises_assertion_error(node) -> bool:
 def test_typed_errors_survive_optimize_flag():
     script = """
 import numpy as np
-from splitoct.algebra import algebra, quaternion_table
-from splitoct.autos import (automorphism_generators, doubling_extension,
+from splitoct.algebra import Algebra, algebra, quaternion_table
+from splitoct.autos import (alpha_st, automorphism_generators, doubling_extension,
                             generate_group, orbit_of_space, orbit_partition)
 from splitoct.census import census_columns
-from splitoct.classify import OrbitLabel
-from splitoct.constructions import PreconditionFailed, heisenberg, rep
+from splitoct.classify import OrbitLabel, element_orbit_invariant
+from splitoct.constructions import (PreconditionFailed, heisenberg, rep,
+                                    right_ideal_double, standard_quaternions,
+                                    top_row_ideal)
 from splitoct.linalg import mat_inv
 from splitoct.subspace import intersect, perp, span, sum_spaces
 from splitoct.verify import _Bits
 u = (1, 2, 0, 1, 0, 1, 2, 1)
+A = algebra(3)
 calls = (
     lambda: doubling_extension(np.eye(8, dtype=np.int64)[:3], (0,) * 8, 2),
     lambda: generate_group([]),
@@ -76,6 +79,14 @@ calls = (
     lambda: span([(1, 0, 0, 1, 0, 0, 0, 0)], 3).contains((1.5, 0, 0, 1, 0, 0, 0, 0)),
     lambda: census_columns(algebra(2), dims=[1.5]),
     lambda: census_columns(algebra(2), dims=[8], threads=1.5),
+    lambda: element_orbit_invariant((0.5,) * 8, algebra(3)),
+    lambda: automorphism_generators(3)[0].apply((0.5,) * 8),
+    lambda: alpha_st((1.5, 0, 0, 1), (1, 0, 0, 1), 3),
+    lambda: doubling_extension([A.p0, A.p0w, A.pbar0w, A.pbar0],
+                               (0, 1.25, 1, 0, 0, 0, 0, 0), 3),
+    lambda: Algebra([[[1.5]]], [[1]], (1,), 3),
+    lambda: Algebra([[[1]]], [[1]], (1.7,), 3),
+    lambda: right_ideal_double(standard_quaternions(3), top_row_ideal(3), 5),
 )
 for call in calls:
     try:
@@ -90,7 +101,7 @@ for call in calls:
     proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=PACKAGE.parent,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 29
+    assert proc.stdout.split() == ["PreconditionFailed"] + ["ValueError"] * 36
 
 
 def test_numpy_integer_coordinates_pass_the_element_check():
