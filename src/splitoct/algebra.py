@@ -34,9 +34,10 @@ constants :data:`STRUCT_Z` come from the same doubling over Z.
 :func:`products` is the package's one batched product of basis stacks:
 the closure mask and structure constants of :mod:`splitoct.subspace`, the
 F_2 certifications of :mod:`splitoct.verify`, multiplication matrices and
-the automorphism checks go through it.  The odd-field identities suite
-multiplies single elements from the algebra's term lists instead; both are
-exact in float32 under the one bound of :func:`check_float32_exact`.
+the automorphism checks go through it, exact in float32 under the bound
+of :func:`check_float32_exact`.  The odd-field identities suite
+multiplies single elements from the algebra's term lists instead, in
+uint16 under a bound it reads off those lists.
 """
 
 from __future__ import annotations

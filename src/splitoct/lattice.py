@@ -77,11 +77,21 @@ def _generated(spaces: Sequence[Subspace], A: Algebra) -> Subspace:
     return closure([A.unit] + [row for space in spaces for row in space.rows], A)
 
 
+#: bases per block of the reductions, classifications and residue tests of
+#: the stacks, which bounds their int64 temporaries to a few MB
+_BLOCK = 1 << 14
+
+
+def _blockwise(f, stack: np.ndarray) -> np.ndarray:
+    """``f`` of a stack of bases, taken in slices of at most ``_BLOCK``."""
+    return np.concatenate([f(stack[lo:lo + _BLOCK]) for lo in range(0, len(stack), _BLOCK)])
+
+
 def subalgebras_inside(space: Subspace, A: Algebra) -> Iterator[np.ndarray]:
     """RREF bases, in the coordinates of the octonion algebra ``A``, of
     every proper nonzero subalgebra of a closed subspace S, the closed
-    subspaces of S + F·1 in S: one stack (M, d, 8) per dimension d, by
-    increasing d."""
+    subspaces of S + F·1 in S: one int8 stack (M, d, 8) per dimension d,
+    by increasing d."""
     check_space(space, A)
     p, k, inner = A.p, space.dim, space.matrix()
     substructure(inner[None], A)                   # NotClosed unless S is
@@ -95,7 +105,8 @@ def subalgebras_inside(space: Subspace, A: Algebra) -> Iterator[np.ndarray]:
                 rows = rows[~residues(inner, rows, p).any((1, 2))]
             stacks[rows.shape[1]].append(rows.astype(np.int8))
     for d in range(1, k):
-        yield batch_rref(np.concatenate(stacks[d]), p)[0]
+        yield _blockwise(lambda rows: batch_rref(rows, p)[0].astype(np.int8),
+                         np.concatenate(stacks[d]))
 
 
 def labels_inside(spaces: Sequence[Subspace], A: Algebra) -> list[set[OrbitLabel]]:
@@ -106,41 +117,50 @@ def labels_inside(spaces: Sequence[Subspace], A: Algebra) -> list[set[OrbitLabel
     with 1.  So G is scanned once, by :func:`subalgebras_inside`, each
     dimension's stack is classified once, and S takes the labels of the
     subalgebras of G of smaller dimension that pass one residue test
-    against S (none is needed when S is G).
+    against S (none is needed when S is G).  The stacks stay int8, and
+    every classification and residue test takes them in blocks of
+    ``_BLOCK`` bases.
     """
     top = _generated(spaces, A)
     stacks = list(subalgebras_inside(top, A))
-    codes = [batch_columns(rows, A).label for rows in stacks]
+    codes = [_blockwise(lambda rows: batch_columns(rows, A).label, stack)
+             for stack in stacks]
     found = []
     for space in spaces:
-        inside = [code if space == top
-                  else code[~residues(space.matrix(), rows, A.p).any((1, 2))]
-                  for rows, code in zip(stacks, codes) if rows.shape[1] < space.dim]
+        inner = space.matrix()
+        inside = [code if space == top else code[_blockwise(
+                      lambda rows: ~residues(inner, rows, A.p).any((1, 2)), stack)]
+                  for stack, code in zip(stacks, codes) if stack.shape[1] < space.dim]
         # a set of the codes, not np.unique, which imports numpy.ma on first use
         found.append({LABELS[c] for code in inside for c in set(code.tolist())})
     return found
 
 
-def projected_bases(p: int) -> int:
-    """The quotient bases :func:`build_lattice` tests over F_p: Σ_e [h − 1,
-    e]_p for the subalgebra of dimension h that the representatives of
-    ``GRAPH_LABELS`` generate with 1, which :func:`labels_inside` scans
-    (rep(Qperp), h = 6: 42,176 over F_5; the hyperplane lifts come on
-    top)."""
-    A = algebra(p)
-    h = _generated([rep(lab, p) for lab in GRAPH_LABELS], A).dim
+def _quotient_bases(h: int, p: int) -> int:
+    """Σ_e [h − 1, e]_p: the bases of every subspace of the quotient of an
+    h-dimensional unital subalgebra by F·1."""
     return sum(gaussian_binomial(h - 1, e, p) for e in range(h))
+
+
+def projected_bases(p: int) -> int:
+    """The quotient bases :func:`build_lattice` tests over F_p: those of
+    rep(Qperp), the subalgebra of dimension h = 6 that the representatives
+    of ``GRAPH_LABELS`` generate with 1 (each lies in it, and it is one of
+    them), which :func:`labels_inside` scans (42,176 over F_5; the
+    hyperplane lifts come on top)."""
+    return _quotient_bases(rep(OrbitLabel.Dim6, p).dim, p)
 
 
 def build_lattice(p: int, *, max_subspaces: int | None = 2_000_000) -> LatticeGraph:
     """Compute the label-inclusion lattice over F_p and reduce to covers.
 
     Raises CostLimitExceeded before any work if :func:`projected_bases`
-    exceeds ``max_subspaces`` (None disables the bound).
+    exceeds ``max_subspaces`` (None disables the bound).  Each
+    representative is built once, and rep(Qperp) gives the budget.
     """
-    check_budget(projected_bases(p), max_subspaces)
     A = algebra(p)
     spaces = {lab: rep(lab, p) for lab in GRAPH_LABELS}
+    check_budget(_quotient_bases(spaces[OrbitLabel.Dim6].dim, p), max_subspaces)
     flags = {}
     for d in sorted(set(LABEL_DIM[lab] for lab in GRAPH_LABELS)):
         labs = [lab for lab in GRAPH_LABELS if LABEL_DIM[lab] == d]

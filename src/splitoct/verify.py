@@ -7,7 +7,7 @@ the fields of each:
 - ``identities``     the composition-algebra laws: exhaustive over F_2 on
                      bitsliced uint64 coordinate planes, seeded random
                      sampling (1e5 tuples per identity) over odd fields on
-                     float32 coordinate planes, both built from the
+                     uint16 coordinate planes, both built from the
                      algebra's term lists.
 - ``singular``       maximal totally singular subspace geometry.
 - ``centralizers``   exact centralizer dimensions, elementwise.
@@ -24,13 +24,17 @@ runs them in one pool of forked processes, one per run up to the usable
 CPUs; a single run, or a single usable CPU, forks nothing.  On a 2-vCPU
 VM ``verify --suite identities`` (three runs) took a median 0.28 s
 against 0.37 s one after another (10 bench runs each), and ``verify
---suite all`` (eight runs) 0.99 s against 1.55 s (6 runs each).
+--suite all`` (eight runs) 0.99 s against 1.55 s (6 runs each).  Since
+the odd fields run on uint16 planes, each takes under half the F_2 run,
+so F_3 and F_5 fit one after the other beside it: the identities took a
+median 0.22 s against 0.32 s on float32 planes (10 bench runs a side).
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import wraps
@@ -39,8 +43,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import autos
-from .algebra import (DIM, Algebra, Workspace, algebra, check_float32_exact,
-                      mod, products)
+from .algebra import DIM, Algebra, Workspace, algebra, mod, products
 from .census import census_columns
 from .classify import (LABEL_DIM, LABELS, OrbitLabel, classify,
                        element_orbit_invariant)
@@ -364,30 +367,58 @@ class _Bits(_TermPlanes):
             a, (DIM, *shape))[:, w, l, m] >> b & 1) for a in args]
 
 
+def _largest_sum(ctx: Algebra) -> int:
+    """The largest value one output of :class:`_Planes` sums to before its
+    reduction, read off the algebra's own term lists: Σ c·(p−1)² over the
+    terms of a product coordinate or of a form, Σ c·(p−1) over those of a
+    coordinate of a linear map."""
+    top, mul, conj = ctx.p - 1, Counter(), Counter()
+    for terms in ctx._mul_terms:
+        for _, k, c in terms:
+            mul[k] += c
+    for _, j, c in ctx._conj_terms:
+        conj[j] += c
+    norm, polar, trace = (sum(t[-1] for t in terms) for terms in
+                          (ctx._norm_terms, ctx._polar_terms, ctx._trace_terms))
+    return max(max(norm, polar, *mul.values()) * top * top,
+               max(trace, *conj.values()) * top)
+
+
 class _Planes(_TermPlanes):
-    """Elements of F_p^n as float32 coordinate planes, over seeded samples:
+    """Elements of F_p^n as uint16 coordinate planes, over seeded samples:
     the identities engine of every odd prime (F_2 runs on :class:`_Bits`).
 
     A chunk of N instances is an (n, N) array, contiguous per coordinate.
-    Every operation is a loop of whole-plane multiply-adds, reduced with
-    :func:`mod`; the sums stay below the bound :func:`check_float32_exact`
-    enforces.  Nothing goes through BLAS, so the suite runs on one thread.
-    A product of 16,384 pairs at F_5 took 0.4–0.6 ms this way, against
-    1.8–3.1 ms for one 1×8·8×8 matmul per pair through
-    :func:`splitoct.algebra.products` and 1.3 ms for the same loop over
-    strided coordinate columns; skipping the multiply by a coefficient 1
-    saved about 15% (2-vCPU Xeon VM, numpy 2.4.6).  Every law sees the
-    same ``RANDOM_SAMPLES`` instances: the first variable takes the third
+    Every operation is a loop of whole-plane integer multiply-adds, and its
+    result is reduced once, as x − (x // p)·p: numpy divides integers by a
+    scalar with a precomputed multiplier, where ``%`` is not vectorized
+    (on 8×32,768 entries 58 µs, against 580 µs for ``np.remainder`` and
+    176 µs for :func:`mod` on float32).  The sums are exact while no
+    output can reach 2¹⁶ (:func:`_largest_sum`; at F_13 a product
+    coordinate reaches 2,160 on the canonical table and 31,824 on a
+    32-dimensional doubled one, the polar form 7,488 and 32,400); a table
+    beyond that is ``ValueError``.  Nothing goes through BLAS, so the suite
+    runs on one thread.  It took 53–61 ms a field at F_3, F_5 and F_13,
+    against 119–124 ms on float32 planes reduced with :func:`mod`, and
+    uint32 planes were no faster than float32 ones (warm, best of 5,
+    2-vCPU Xeon VM, numpy 2.4.6).  A product of 16,384 pairs through one
+    1×8·8×8 matmul per pair (:func:`splitoct.algebra.products`) was
+    several times slower than the plane loop, and skipping the multiply by
+    a coefficient 1 saved about 15%.  Every law sees the same
+    ``RANDOM_SAMPLES`` instances: the first variable takes the third
     sample, the others the first and second, in order.
     """
 
-    ones = np.float32(1)
+    ones = np.uint16(1)
 
     def __init__(self, ctx):
         p = self.p = ctx.p
-        check_float32_exact(ctx.dim, p)
-        self.ctx = ctx
-        self.one = np.array(ctx.unit, dtype=np.float32)[:, None]
+        largest = _largest_sum(ctx)
+        if largest >= 1 << 16:
+            raise ValueError(f"uint16 sums are not exact for this table over "
+                             f"F_{p}: one output reaches {largest}")
+        self.ctx, self.q = ctx, np.uint16(p)
+        self.one = np.array(ctx.unit, dtype=np.uint16)[:, None]
         rng = np.random.default_rng(_SEED + p)
         self.samples = [np.ascontiguousarray(
             rng.integers(0, p, size=(RANDOM_SAMPLES, ctx.dim),
@@ -395,18 +426,24 @@ class _Planes(_TermPlanes):
             for _ in range(3)]
 
     def _new(self, *arrays) -> np.ndarray:
-        return np.zeros(np.broadcast(*arrays).shape, dtype=np.float32)
+        return np.zeros(np.broadcast(*arrays).shape, dtype=np.uint16)
+
+    def _mod(self, x):
+        """x mod p, written over x."""
+        q = np.floor_divide(x, self.q)
+        q *= self.q
+        return np.subtract(x, q, out=x)
 
     def _sum(self, out, terms):
         for k, a, b, c in terms:
             out[k] += (a * c if c != 1 else a) * b
-        return mod(out, self.p)
+        return self._mod(out)
 
     def add(self, x, y):
-        return mod(x + y, self.p)
+        return self._mod(x + y)
 
     def scale(self, c, x):
-        return mod(c * x, self.p)
+        return self._mod(c * x)
 
     def eq(self, u, v):
         return (u == v).all(0)
@@ -415,7 +452,7 @@ class _Planes(_TermPlanes):
         order = [2, 0, 1] if nvars == 3 else [0, 1][:nvars]
         for lo in range(0, RANDOM_SAMPLES, _CHUNK):
             yield [np.ascontiguousarray(self.samples[s][:, lo:lo + _CHUNK],
-                                        dtype=np.float32) for s in order]
+                                        dtype=np.uint16) for s in order]
 
     def tally(self, ok, args) -> tuple[int, list | None]:
         if ok.all():

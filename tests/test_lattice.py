@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oracle
@@ -166,6 +167,40 @@ def test_lattice_f5_scan_stays_pruned(monkeypatch):
     monkeypatch.setattr(subspace, "closed_mask", counting)
     build_lattice(5)
     assert sum(rows) == 47_722
+
+
+def test_one_set_of_representatives_per_lattice(monkeypatch):
+    """``build_lattice`` builds each of the 21 representatives once and the
+    subalgebra they generate once."""
+    reps, closures = [], []
+    real_rep, real_closure = lattice.rep, lattice.closure
+    monkeypatch.setattr(lattice, "rep", lambda *a: reps.append(a) or real_rep(*a))
+    monkeypatch.setattr(lattice, "closure",
+                        lambda *a: closures.append(a) or real_closure(*a))
+    build_lattice(3)
+    assert [lab for lab, _ in reps] == list(GRAPH_LABELS)
+    assert len(closures) == 1
+
+
+def test_the_stacks_are_int8_and_taken_in_blocks(monkeypatch):
+    """With blocks of 64 bases, every reduction, classification and residue
+    test of the lattice's stacks sees at most 64 of them, and the lattice
+    over F_3 is still the golden one."""
+    stacks = subalgebras_inside(rep(OrbitLabel.Dim6, 3), algebra(3))
+    assert {stack.dtype for stack in stacks} == {np.dtype(np.int8)}
+    monkeypatch.setattr(lattice, "_BLOCK", 64)
+    sizes = []
+
+    def spy(real, arg):
+        def counted(*args):
+            sizes.append(len(args[arg]))
+            return real(*args)
+        return counted
+
+    for name, arg in (("batch_rref", 0), ("batch_columns", 0), ("residues", 1)):
+        monkeypatch.setattr(lattice, name, spy(getattr(lattice, name), arg))
+    assert emit_dot(build_lattice(3)) == (DATA / "lattice_f3.dot").read_text()
+    assert max(sizes) == 64
 
 
 def test_lattice_command_leaves_numpy_ma_unimported():

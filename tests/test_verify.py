@@ -9,8 +9,8 @@ import pytest
 
 import oracle
 from splitoct import autos, verify
-from splitoct.algebra import (SplitOctonions, check_float32_exact, double,
-                              field_table)
+from splitoct.algebra import (Algebra, SplitOctonions, check_float32_exact,
+                              double, field_table)
 from splitoct.field import SUPPORTED_PRIMES
 from splitoct.verify import SUITE_NAMES, CheckResult, SuiteResult, run_suite
 from test_tables import _change_basis, _random_basis
@@ -262,19 +262,20 @@ ODD_PRIMES = [p for p in SUPPORTED_PRIMES if p > 2]
 
 def _assert_planes_agree(A, seed: int, m: int = 300):
     """The plane engine against the algebra's scalar operations on ``m``
-    seeded random elements, the first of them all p − 1 (the largest sums)."""
+    seeded random elements, the first of them all p − 1 (the largest sums),
+    every plane in the engine's uint16."""
     E = verify._Planes(A)
     rng = np.random.default_rng(seed)
     X, Y = rng.integers(0, A.p, size=(2, A.dim, m))
     X[:, 0] = Y[:, 0] = A.p - 1
-    x, y = X.astype(np.float32), Y.astype(np.float32)
+    x, y = X.astype(np.uint16), Y.astype(np.uint16)
 
     def cols(planes):
-        assert planes.dtype == np.float32 and planes.shape == (A.dim, m)
+        assert planes.dtype == np.uint16 and planes.shape == (A.dim, m)
         return [tuple(int(c) for c in planes[:, i]) for i in range(m)]
 
     def values(scalars):
-        assert scalars.dtype == np.float32 and scalars.shape == (1, m)
+        assert scalars.dtype == np.uint16 and scalars.shape == (1, m)
         return [int(c) for c in scalars[0]]
 
     xs, ys = cols(x), cols(y)
@@ -298,15 +299,26 @@ def test_planes_agree_on_a_mu_doubled_table(p):
     _assert_planes_agree(A, seed=100 + p)
 
 
-def test_planes_refuse_a_size_float32_cannot_serve():
+def test_planes_serve_exactly_the_tables_whose_sums_fit_uint16():
+    """The engine serves a table while no output of an operation can sum
+    to 2¹⁶ before its reduction: the 32-dimensional doubled table at F_13
+    (a product coordinate reaches 31,824 and the polar form 32,400), which
+    float32 planes refused, and not an 8-dimensional one with every
+    structure constant p − 1 (110,592).  The float32 bound
+    still guards ``products``."""
     check_float32_exact(8, 13)
     with pytest.raises(ValueError):
         check_float32_exact(64, 13)
     big = field_table(13)
     for mu in (2, 3, 5, 6, 7):                    # 32 coordinates
         big = double(big, mu)
+    assert verify._largest_sum(big) == 32_400
+    _assert_planes_agree(big, seed=32)
+    unit = (1,) + (0,) * 7
+    dense = Algebra(np.full((8, 8, 8), 12), np.zeros((8, 8), dtype=np.int64), unit, 13)
+    assert verify._largest_sum(dense) == 110_592
     with pytest.raises(ValueError):
-        verify._Planes(big)
+        verify._Planes(dense)
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
@@ -359,6 +371,30 @@ def test_identities_fail_on_perturbed_structure_tensor(p, monkeypatch):
     by_name = {c.name: c for c in res.checks}
     assert by_name["adjoint (cx|y)=(x|k(c)y)"].counterexample == adjoint
     assert res.total_checked == (84_083_456 if p == 2 else 1_100_000)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_identities_fail_on_perturbed_tables_at_the_larger_primes(p, monkeypatch):
+    """With the same entry raised, the primes whose sums come nearest the
+    uint16 bound fail every instance count through.  The counterexamples
+    of norm multiplicativity and of the adjoint law are the first sampled
+    instances, in the engine's order, that break those laws in the
+    perturbed algebra's scalar arithmetic."""
+    _perturb(monkeypatch, p)
+    A = verify.algebra(p)
+    res = verify.verify_identities(p)
+    assert not res.passed and res.total_checked == 1_100_000
+    samples = verify._Planes(A).samples
+    for name, names, law in verify.LAWS:
+        if name not in ("norm multiplicativity N(xy)=N(x)N(y)", "adjoint (cx|y)=(x|k(c)y)"):
+            continue
+        order = [2, 0, 1] if len(names) == 3 else [0, 1][:len(names)]
+        for i in range(verify.RANDOM_SAMPLES):
+            values = [tuple(int(c) for c in samples[s][:, i]) for s in order]
+            if not law(_Scalars(A), *values):
+                break
+        (check,) = [c for c in res.checks if c.name == name]
+        assert check.counterexample == ", ".join(f"{v}={c}" for v, c in zip(names, values))
 
 
 def test_forked_workers_see_the_perturbed_tables(monkeypatch):
